@@ -18,7 +18,7 @@ import time
 
 from . import defs as defs_mod
 from . import entail, normalize
-from .errors import AxiomsNotSupported, BadN, OlsubError
+from .errors import AxiomsNotSupported, BadN, InputTooDeep, OlsubError
 from .syntax import AxiomSet, parse_query, parse_source, parse_term, print_term
 from .terms import TermUniverse
 
@@ -260,7 +260,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        try:
+            return _HANDLERS[args.command](args)
+        except RecursionError as exc:
+            raise InputTooDeep("input is nested too deeply") from exc
     except OlsubError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

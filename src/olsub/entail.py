@@ -11,10 +11,10 @@ overall (the constant is about 16 on meet-of-joins inputs, see tests).
 
 Two rule sets are supported. Mode "ol" is the full ortholattice system:
 negation rules, a Replace rule (from {G,G} conclude {G,D}), constructor
-monotonicity, and AxiomCut. Mode "bl" is the bounded-lattice restriction
-used during normalization: sequents keep exactly one term per side, there is
-no Replace and no negation rule, and negated variables and dual symbols are
-opaque atoms.
+monotonicity, and AxiomCut. Mode "bl" is the bounded-lattice restriction:
+sequents keep exactly one term per side, there is no Replace and no negation
+rule, and negated variables and dual symbols are opaque atoms. It is the
+reference that the normalizer's own order test is checked against.
 
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
@@ -165,9 +165,9 @@ class Engine:
     """Incremental clause generator and unit propagator over one universe.
 
     Queries share state: sequents already expanded and facts already derived
-    are reused, so a long series of related queries (as the normalizer makes)
-    costs little more than the largest one. The axiom set and mode are fixed
-    per engine.
+    are reused, so a long series of related queries (as a type checker or a
+    test oracle makes) costs little more than the largest one. The axiom set
+    and mode are fixed per engine.
     """
 
     def __init__(self, universe: TermUniverse, axioms=None, mode: str = "ol"):

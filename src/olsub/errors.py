@@ -56,3 +56,7 @@ class BadN(OlsubError):
 
 class AxiomsNotSupported(OlsubError):
     """Axioms were passed to an operation that is defined axiom-free."""
+
+
+class InputTooDeep(OlsubError):
+    """Input is nested deeper than the recursive parser, printer or passes allow."""

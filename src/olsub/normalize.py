@@ -13,18 +13,18 @@ The composition maps equivalent terms to one identical term id, never grows
 the pseudo-negation-normal image, and outputs the smallest term of the
 equivalence class under the node-count convention of `TermUniverse.size`.
 
-Every order test `u <= v` made here is answered by the entailment engine
-restricted to the negation-free rules, with negated variables and dual
-symbols treated as opaque atoms; engines and verdicts are cached per
-universe, keeping a normalization run quadratic overall.
+Every order test `u <= v` made here is decided by Whitman's conditions for
+free lattices, extended to constructors by the variance rule: a memoized
+backward search over the negation-free sequent rules, with negated variables
+and dual symbols treated as opaque atoms. Verdicts are cached per universe
+and the cache is freed with the universe, keeping a normalization run
+quadratic overall.
 """
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 
-from . import entail
 from .errors import NegationPresent
 from .terms import (
     APP,
@@ -37,6 +37,7 @@ from .terms import (
     VAR,
     TermId,
     TermUniverse,
+    Variance,
 )
 
 BL = "bl"
@@ -50,12 +51,13 @@ class NormalTerm:
 
 
 class _Context:
-    """Per-universe caches: one bounded-lattice engine, pass memos, sort keys."""
+    """Per-universe caches: order-test verdicts, pass memos, sort keys.
+
+    The universe is held weakly, so a context never keeps its own key in
+    `_contexts` alive."""
 
     def __init__(self, universe: TermUniverse):
-        self.u = universe
-        self.engine = entail.Engine(universe, axioms=None, mode="bl")
-        self._engine_lock = threading.Lock()  # engine state is shared per universe
+        self._universe = weakref.ref(universe)
         self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
         self.keys: dict[TermId, tuple] = {}
         self.delta_pos: dict[TermId, TermId] = {}
@@ -64,14 +66,48 @@ class _Context:
         self.zeta_memo: dict[TermId, TermId] = {}
         self.eta_memo: dict[TermId, TermId] = {}
 
+    @property
+    def u(self) -> TermUniverse:
+        return self._universe()
+
     def leq(self, s: TermId, t: TermId) -> bool:
-        key = (s, t)
-        got = self.leq_memo.get(key)
-        if got is None:
-            with self._engine_lock:
-                got = self.engine.query(s, t)
-            self.leq_memo[key] = got
-        return got
+        """Decide `s <= t` over bounded lattices with constructors.
+
+        Depth-first AND/OR search on an explicit stack. A goal holds when
+        every pair of one of its `_alternatives` holds; each subgoal is
+        strictly smaller than its goal, so the search terminates and every
+        verdict it reaches is final and memoized."""
+        memo = self.leq_memo
+        verdict = memo.get((s, t))
+        if verdict is not None:
+            return verdict
+        node = self.u.node
+        stack = [[s, t, _alternatives(node, s, t), 0, 0]]  # goal, alternatives, position
+        while stack:
+            frame = stack[-1]
+            alts, ai, pi = frame[2], frame[3], frame[4]
+            verdict = None
+            while verdict is None:
+                if ai == len(alts):
+                    verdict = False
+                elif pi == len(alts[ai]):
+                    verdict = True
+                else:
+                    got = memo.get(alts[ai][pi])
+                    if got is None:
+                        break
+                    if got:
+                        pi += 1
+                    else:
+                        ai, pi = ai + 1, 0
+            if verdict is None:
+                frame[3], frame[4] = ai, pi
+                cs, ct = alts[ai][pi]
+                stack.append([cs, ct, _alternatives(node, cs, ct), 0, 0])
+            else:
+                memo[frame[0], frame[1]] = verdict
+                stack.pop()
+        return verdict
 
     # Total structural order: kind rank, then name, then children.
     _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
@@ -115,6 +151,40 @@ def _context(universe: TermUniverse) -> _Context:
         ctx = _Context(universe)
         _contexts[universe] = ctx
     return ctx
+
+
+def _alternatives(node, s: TermId, t: TermId) -> list[tuple[tuple[TermId, TermId], ...]]:
+    """The alternatives by which `s <= t` can hold, each a tuple of pairs
+    that must all hold: `[()]` for an axiom, `[]` for no rule.
+
+    Hyp, bottom on the left and top on the right close the goal. A join on
+    the left and a meet on the right are invertible and taken first.
+    Otherwise (Whitman's condition) some conjunct of `s` is below `t`, or
+    `s` is below some disjunct of `t`, or both are applications of one
+    symbol whose arguments compare by variance."""
+    sn, tn = node(s), node(t)
+    if sn.kind == NOT or tn.kind == NOT:
+        raise NegationPresent("negation reached the bounded-lattice order test")
+    if s == t or sn.kind == BOT or tn.kind == TOP:
+        return [()]
+    if sn.kind == JOIN:
+        return [tuple((c, t) for c in sn.children)]
+    if tn.kind == MEET:
+        return [tuple((s, c) for c in tn.children)]
+    alts: list[tuple[tuple[TermId, TermId], ...]] = []
+    if sn.kind == MEET:
+        alts.extend(((c, t),) for c in sn.children)
+    if tn.kind == JOIN:
+        alts.extend(((s, c),) for c in tn.children)
+    if sn.kind == APP and tn.kind == APP and sn.name == tn.name:
+        pairs: list[tuple[TermId, TermId]] = []
+        for a, b, v in zip(sn.children, tn.children, sn.symbol.variances):
+            if v is not Variance.CONTRAVARIANT:
+                pairs.append((a, b))
+            if v is not Variance.COVARIANT:
+                pairs.append((b, a))
+        alts.append(tuple(pairs))
+    return alts
 
 
 # ----------------------------------------------------------------------

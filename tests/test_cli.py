@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from olsub.cli import fit_loglog_slope, main, run_bench, sn_tn_source, sn_tn_terms
 from olsub.terms import TermUniverse
 
@@ -64,6 +66,19 @@ def test_normalize_mode_and_axiom_errors(tmp_path, capsys):
     sig.write_text("fun Arrow : (-,+)\n")
     assert main(["normalize", "--sig", str(sig), "Arrow(x | x, y)"]) == 0
     assert capsys.readouterr().out.strip() == "Arrow(x, y)"
+
+
+@pytest.mark.parametrize("probe", ["nested-not", "nested-parens", "nested-constructor"])
+def test_deep_input_ends_in_verdict_or_error(tmp_path, capsys, probe):
+    # exit 1 would read as "not provable"
+    sig = tmp_path / "f.sig"
+    sig.write_text("fun F : (+)\n")
+    argv = {
+        "nested-not": ["normalize", "~" * 3000 + "x"],
+        "nested-parens": ["check", "(" * 3000 + "x" + ")" * 3000 + " <= x"],
+        "nested-constructor": ["normalize", "--sig", str(sig), "F(" * 600 + "x" + ")" * 600],
+    }[probe]
+    assert main(argv) in (0, 2)
 
 
 def test_gen_output(capsys):

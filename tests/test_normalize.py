@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from olsub import Engine, oracle, parse_term, print_term
+from olsub import Engine, TermUniverse, oracle, parse_term, print_term
 from olsub.errors import NegationPresent
-from olsub.normalize import beta, delta, eta, normalize_bl, normalize_ol, zeta
+from olsub.normalize import _context, beta, delta, eta, normalize_bl, normalize_ol, zeta
 
 from helpers import law_chain, random_pnnf, random_term
 
@@ -210,3 +212,50 @@ def test_minimality_small_sweep(u):
     class_of = {t: cls for cls in classes for t in cls}
     for t in terms:
         assert u.size(normalize_bl(u, t).term) == u.size(class_of[t][0])
+
+
+@pytest.mark.parametrize(
+    "variables, symbols, negation, max_size",
+    [
+        (["x", "y"], ["F", "G", "H"], "none", 4),
+        (["x"], ["G"], "none", 5),
+        (["x"], ["H"], "none", 5),
+        (["x"], ["F"], "none", 5),
+        # negated variables and dual symbols are opaque atoms
+        (["x"], ["H", "~G"], "literals", 4),
+    ],
+)
+def test_order_test_matches_bounded_lattice_engine(u, variables, symbols, negation, max_size):
+    u.declare("F", "+")
+    u.declare("G", "-+")
+    u.declare("H", "o")
+    decls = [u.dual(u.symbol(s[1:])) if s.startswith("~") else u.symbol(s) for s in symbols]
+    terms = list(oracle.enumerate_terms(u, variables, decls, max_size, negation=negation))
+    ctx = _context(u)
+    engine = Engine(u, mode="bl")
+    for s in terms:
+        for t in terms:
+            assert ctx.leq(s, t) == engine.query(s, t), (print_term(u, s), print_term(u, t))
+
+
+def test_order_test_rejects_negation(u):
+    with pytest.raises(NegationPresent):
+        _context(u).leq(parse_term("~x", u), u.var("x"))
+
+
+def test_order_test_is_not_recursive(u):
+    f = u.declare("F", "+")
+    s, t = u.var("x"), u.join([u.var("x"), u.var("y")])
+    for _ in range(5000):
+        s, t = u.app(f, [s]), u.app(f, [t])
+    assert _context(u).leq(s, t) is True
+    assert _context(u).leq(t, s) is False
+
+
+def test_normalizer_caches_die_with_their_universe():
+    universe = TermUniverse()
+    normalize_ol(universe, parse_term("(x & ~y) | (x | y)", universe))
+    ref = weakref.ref(universe)
+    del universe
+    gc.collect()
+    assert ref() is None
