@@ -126,6 +126,7 @@ def cmd_check(args) -> int:
                 "sequents": verdict.stats.sequents,
                 "clauses": verdict.stats.clauses,
                 "steps": verdict.stats.steps,
+                "derived": verdict.stats.derived,
                 "ms": round(elapsed_ms, 3),
             },
         }

@@ -1,20 +1,28 @@
-"""Entailment of `S <= T` under ground axioms, by Horn-clause proof search.
+"""Entailment of `S <= T` under ground axioms, by goal-directed Horn-clause search.
 
 Goals are sequents: unordered pairs of side-annotated terms, {S^L, T^R}
 meaning S <= T. Proof search is cut-free: a restricted transitivity rule
 (AxiomCut) fires only through declared axioms, so every derivation mentions
-only subterms of the goal and axioms. Working backward from the goal, each
-reachable sequent contributes one Horn clause per rule instance that could
-conclude it; unit propagation over those clauses then decides provability in
-time linear in their total size, which is O(n^2 * (1 + |axioms|)) clauses
-overall (the constant is about 16 on meet-of-joins inputs, see tests).
+only subterms of the goal and axioms. Working backward from the goal, depth
+first, each expanded sequent contributes one Horn clause per rule instance
+that could conclude it, and unit propagation runs whenever an expansion
+derives something. The search stops as soon as the goal is derived, so a
+provable query expands only what its search reaches before the proof closes.
+A sequent closed by a zero-premise rule (Hyp, LeftBot, RightTop, an axiom)
+gets no other clause. Replace (from {G,G} conclude any sequent holding G)
+is not generated ahead of time: its clause is added when it fires.
+
+A refuted query needs the whole backward-reachable closure, and gets it:
+propagation over that closure decides provability in time linear in its
+size, O(n^2 * (1 + |axioms|)) clauses overall (the constant is about 16 on
+meet-of-joins inputs, see tests).
 
 Two rule sets are supported. Mode "ol" is the full ortholattice system:
-negation rules, a Replace rule (from {G,G} conclude {G,D}), constructor
-monotonicity, and AxiomCut. Mode "bl" is the bounded-lattice restriction:
-sequents keep exactly one term per side, there is no Replace and no negation
-rule, and negated variables and dual symbols are opaque atoms. It is the
-reference that the normalizer's own order test is checked against.
+negation rules, Replace, constructor monotonicity, and AxiomCut. Mode "bl"
+is the bounded-lattice restriction: sequents keep exactly one term per side,
+there is no Replace and no negation rule, and negated variables and dual
+symbols are opaque atoms. It is the reference that the normalizer's own
+order test is checked against.
 
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
@@ -25,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .errors import NegationPresent, NotProvable
+from .errors import NegationPresent, NotProvable, TermIdOverflow
 from .syntax import AxiomSet
 from .terms import (
     APP,
@@ -49,6 +57,16 @@ R = "R"
 _TID_BITS = 30
 _SIDE_BIT = 1 << _TID_BITS
 _ANN_BITS = _TID_BITS + 1
+_ANN_MASK = (1 << _ANN_BITS) - 1
+
+
+def _check_ids(*tids: int) -> None:
+    # Children are interned before their parents, so checking roots suffices.
+    for tid in tids:
+        if tid >= _SIDE_BIT:
+            raise TermIdOverflow(
+                f"term id {tid} does not fit the {_TID_BITS}-bit sequent encoding"
+            )
 
 
 def _ann(tid: int, side: int) -> int:
@@ -64,7 +82,7 @@ def _seq(a: int, b: int) -> int:
 
 
 def _seq_parts(s: int) -> tuple[int, int]:
-    return s >> _ANN_BITS, s & ((1 << _ANN_BITS) - 1)
+    return s >> _ANN_BITS, s & _ANN_MASK
 
 
 # Rule tags.
@@ -125,9 +143,10 @@ class HornClause:
 
 @dataclass
 class Stats:
-    sequents: int
+    sequents: int  # expanded
     clauses: int
     steps: int
+    derived: int
 
 
 @dataclass
@@ -162,12 +181,18 @@ def as_pairs(axioms: Union[AxiomSet, Iterable[tuple[TermId, TermId]], None]) -> 
 
 
 class Engine:
-    """Incremental clause generator and unit propagator over one universe.
+    """Goal-directed clause generator and unit propagator over one universe.
 
-    Queries share state: sequents already expanded and facts already derived
-    are reused, so a long series of related queries (as a type checker or a
-    test oracle makes) costs little more than the largest one. The axiom set
-    and mode are fixed per engine.
+    A query expands sequents depth first from its goal, propagating as it
+    goes, and returns as soon as the goal is derived; only a refuted query
+    expands the goal's whole backward-reachable closure. Queries share state:
+    sequents already expanded and facts already derived are reused, so a long
+    series of related queries (as a type checker or a test oracle makes)
+    costs little more than the largest one. A query that stops early leaves
+    work on its stack; every underived sequent that may depend on that work
+    becomes *open*, and the next query that reaches an open sequent pushes
+    its premises again, so pending work is resumed by whichever query needs
+    it and never lost. The axiom set and mode are fixed per engine.
     """
 
     def __init__(self, universe: TermUniverse, axioms=None, mode: str = "ol"):
@@ -178,6 +203,7 @@ class Engine:
         self.axioms = []
         for pair in as_pairs(axioms):  # drop exact duplicates, keep order
             if pair not in self.axioms:
+                _check_ids(*pair)
                 self.axioms.append(pair)
         self._ax_anns = [(_ann(v, 1), _ann(w, 0)) for (v, w) in self.axioms]  # (U^R, V^L)
         self._axiom_of_seq: dict[int, int] = {}
@@ -185,7 +211,10 @@ class Engine:
             self._axiom_of_seq.setdefault(_seq(_ann(v, 0), _ann(w, 1)), i)
         # per-annotated-term record: (templates, unit rule, app symbol, args, variances)
         self._info: dict[int, tuple] = {}
-        self._visited: set[int] = set()
+        self._visited: dict[int, int] = {}  # expanded sequent -> index of its first clause
+        self._open: set[int] = set()  # expanded; may depend on work a stopped search left
+        self._pending: list[int] = []  # the stack a stopped search left, not yet settled
+        self._replace_wait: dict[int, list[int]] = {}  # G -> expanded sequents holding G
         self.clauses: list[tuple] = []  # (head, body tuple, rule, aux)
         self._counters: list[int] = []
         self._watch: dict[int, list[int]] = {}
@@ -262,23 +291,34 @@ class Engine:
             return
         info = self._info
         a = s >> _ANN_BITS
-        b = s & ((1 << _ANN_BITS) - 1)
+        b = s & _ANN_MASK
         ra = info.get(a)
         if ra is None:
             ra = self._record(a)
         rb = info.get(b)
         if rb is None:
             rb = self._record(b)
+        # Zero-premise rules first: a sequent they close needs no other clause.
         if b - a == _SIDE_BIT:  # same term, sides L and R
             self._add_clause(s, (), HYP, None)
-        if ra[1] is not None:
-            self._add_clause(s, (), ra[1], None)
-        if rb[1] is not None and a != b:
-            # bot^L / top^R are unique annotated terms, so ra[1] != rb[1] here
-            self._add_clause(s, (), rb[1], None)
+            return
+        if ra[1] is not None or rb[1] is not None:
+            self._add_clause(s, (), ra[1] or rb[1], None)
+            return
         if self.mode == "ol" and a != b:
-            self._add_clause(s, ((a << _ANN_BITS) | a,), REPLACE, None)
-            self._add_clause(s, ((b << _ANN_BITS) | b,), REPLACE, None)
+            # Replace: {G,G} concludes s for G in s. Its clause is added once
+            # {G,G} is derived, here or in _run, never ahead of time.
+            aa = (a << _ANN_BITS) | a
+            bb = (b << _ANN_BITS) | b
+            derived = self.derived
+            for gg in (aa, bb):
+                if gg in derived:
+                    self._add_clause(s, (gg,), REPLACE, None)
+                    return
+            self._to_visit += (aa, bb)
+            wait = self._replace_wait
+            for g in (a, b):
+                wait.setdefault(g, []).append(s)
         for rule, aux, comps in ra[0]:
             self._add_clause(
                 s,
@@ -339,16 +379,95 @@ class Engine:
             derived[head] = ci
             self._queue.append(head)
 
-    def _ensure(self, s: int) -> None:
+    def _search(self, goal: int) -> bool:
+        """Expand depth first from the goal until it is derived or the stack
+        is empty. An early stop keeps the stack for `_settle`, which the next
+        search runs first."""
+        derived = self.derived
+        if goal in derived:
+            return True
+        if self._pending:
+            self._settle()
         stack = self._to_visit
-        stack.append(s)
+        stack.append(goal)
         visited = self._visited
+        open_ = self._open
+        clauses = self.clauses
+        queue = self._queue
         expand = self._expand
+        run = self._run
         while stack:
             cur = stack.pop()
-            if cur not in visited:
-                visited.add(cur)
+            if cur in visited:
+                if cur in open_:
+                    open_.discard(cur)
+                    if cur not in derived:
+                        stack += self._premises(cur)
+                continue
+            visited[cur] = len(clauses)
+            try:
                 expand(cur)
+            except BaseException:  # NegationPresent in "bl" mode, an interrupt
+                del visited[cur]
+                stack.append(cur)
+                self._stop()
+                raise
+            if queue:
+                run()
+                if goal in derived:
+                    self._stop()
+                    return True
+        if queue:  # left over by an interrupted search
+            run()
+        return goal in derived
+
+    def _premises(self, s: int) -> list[int]:
+        """Everything the expansion of `s` pushed: its Replace subgoals and
+        the bodies of its clauses, which the expansion appended contiguously."""
+        out: list[int] = []
+        a = s >> _ANN_BITS
+        b = s & _ANN_MASK
+        if self.mode == "ol" and a != b:
+            out += ((a << _ANN_BITS) | a, (b << _ANN_BITS) | b)
+        clauses = self.clauses
+        i = self._visited[s]
+        while i < len(clauses) and clauses[i][0] == s:
+            out += clauses[i][1]
+            i += 1
+        return out
+
+    def _stop(self) -> None:
+        self._pending, self._to_visit = self._to_visit, []
+
+    def _settle(self) -> None:
+        """Open every underived sequent that may depend on work a stopped
+        search left on its stack. From each premise left there unexpanded (or
+        open), walk back through the clauses watching it and the sequents
+        waiting on it for Replace. Whatever the walk misses has its whole
+        closure expanded and stays closed."""
+        derived = self.derived
+        visited = self._visited
+        open_ = self._open
+        watch = self._watch
+        wait = self._replace_wait
+        clauses = self.clauses
+        stack = [
+            p for p in set(self._pending)
+            if p not in derived and (p not in visited or p in open_)
+        ]
+        self._pending = []
+        seen = set(stack)
+        while stack:
+            p = stack.pop()
+            users = [clauses[ci][0] for ci in watch.get(p, ())]
+            g = p & _ANN_MASK
+            if p >> _ANN_BITS == g:
+                users += wait.get(g, ())
+            for s in users:
+                if s not in seen and s not in derived:
+                    seen.add(s)
+                    open_.add(s)
+                    stack.append(s)
 
     def _run(self) -> None:
         queue = self._queue
@@ -356,6 +475,7 @@ class Engine:
         counters = self._counters
         clauses = self.clauses
         derived = self.derived
+        wait = self._replace_wait
         steps = self.steps
         while queue:
             s = queue.popleft()
@@ -367,28 +487,33 @@ class Engine:
                     if head not in derived:
                         derived[head] = ci
                         queue.append(head)
+            g = s & _ANN_MASK
+            if s >> _ANN_BITS == g and g in wait:
+                # {G,G} derived: Replace closes every expanded sequent holding G.
+                for head in wait.pop(g):
+                    if head not in derived:
+                        steps += 1
+                        derived[head] = len(clauses)
+                        clauses.append((head, (s,), REPLACE, None))
+                        counters.append(0)
+                        queue.append(head)
         self.steps = steps
 
     # -- public queries ----------------------------------------------------
 
     def query(self, s: TermId, t: TermId) -> bool:
         """Whether s <= t is provable under this engine's axioms."""
-        goal = _seq(_ann(s, 0), _ann(t, 1))
-        if goal in self.derived:
-            return True
-        self._ensure(goal)
-        self._run()
-        return goal in self.derived
+        _check_ids(s, t)
+        return self._search(_seq(_ann(s, 0), _ann(t, 1)))
 
     def query_sequent(self, t1: TermId, side1: str, t2: TermId, side2: str) -> bool:
-        goal = _seq(_ann(t1, 0 if side1 == L else 1), _ann(t2, 0 if side2 == L else 1))
-        if goal not in self.derived:
-            self._ensure(goal)
-            self._run()
-        return goal in self.derived
+        _check_ids(t1, t2)
+        return self._search(
+            _seq(_ann(t1, 0 if side1 == L else 1), _ann(t2, 0 if side2 == L else 1))
+        )
 
     def stats(self) -> Stats:
-        return Stats(len(self._visited), len(self.clauses), self.steps)
+        return Stats(len(self._visited), len(self.clauses), self.steps, len(self.derived))
 
 
 # ----------------------------------------------------------------------
@@ -421,19 +546,18 @@ def build_clauses(
     axioms=None,
     mode: str = "ol",
 ) -> ClauseSet:
-    """Generate, backward from the goal, every clause whose head is reachable.
+    """The clauses that `check`'s search generates for the goal, as dataclasses.
 
-    A pair `(s, t)` is taken as the goal {s^L, t^R}. Each sequent is expanded
-    exactly once; every clause corresponds to one rule instance concluding it.
+    A pair `(s, t)` is taken as the goal {s^L, t^R}. The search is the one
+    `Engine.query` runs: it stops once the goal is derived, and holds a
+    Replace clause only where Replace fired. Every clause corresponds to one
+    rule instance concluding its head, so `propagate` over the set reaches
+    the same verdict as `check` and `reconstruct_proof` finds a proof in it.
     """
     if isinstance(goal, tuple):
         goal = Sequent.goal(*goal)
     engine = Engine(universe, axioms, mode)
-    g = _seq(
-        _ann(goal.a.term, 0 if goal.a.side == L else 1),
-        _ann(goal.b.term, 0 if goal.b.side == L else 1),
-    )
-    engine._ensure(g)
+    engine.query_sequent(goal.a.term, goal.a.side, goal.b.term, goal.b.side)
     pairs = engine.axioms
     clauses = [
         HornClause(
@@ -484,7 +608,7 @@ def propagate(clause_set: ClauseSet, goal: Sequent | None = None) -> Verdict:
     target = goal if goal is not None else clause_set.goal
     return Verdict(
         target in derived,
-        Stats(clause_set.sequents, len(clause_set.clauses), steps),
+        Stats(clause_set.sequents, len(clause_set.clauses), steps, len(derived)),
     )
 
 

@@ -60,3 +60,7 @@ class AxiomsNotSupported(OlsubError):
 
 class InputTooDeep(OlsubError):
     """Input is nested deeper than the recursive parser, printer or passes allow."""
+
+
+class TermIdOverflow(OlsubError):
+    """A term id does not fit the engine's packed sequent encoding."""

@@ -22,10 +22,11 @@ quadratic overall.
 """
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
-from .errors import NegationPresent
+from .errors import InputTooDeep, NegationPresent
 from .terms import (
     APP,
     BOT,
@@ -42,6 +43,20 @@ from .terms import (
 
 BL = "bl"
 OL = "ol"
+
+
+def _depth_guarded(entry):
+    """The passes recurse once per nesting level; a term nested deeper than
+    the interpreter's stack allows raises `InputTooDeep`, not `RecursionError`."""
+
+    @functools.wraps(entry)
+    def guarded(*args):
+        try:
+            return entry(*args)
+        except RecursionError as exc:
+            raise InputTooDeep(f"{entry.__name__}: term is nested too deeply") from exc
+
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -191,6 +206,7 @@ def _alternatives(node, s: TermId, t: TermId) -> list[tuple[tuple[TermId, TermId
 # delta: pseudo-negation-normal form
 
 
+@_depth_guarded
 def delta(universe: TermUniverse, t: TermId) -> TermId:
     """Push negation down to variables and constructor heads.
 
@@ -237,6 +253,7 @@ def _delta(ctx: _Context, t: TermId, neg: bool) -> TermId:
 # beta: collapse complemented joins and meets
 
 
+@_depth_guarded
 def beta(universe: TermUniverse, t: TermId) -> TermId:
     """On a pseudo-negation-normal term, replace any join one of whose
     disjuncts is complemented within it by top, dually meets by bottom.
@@ -309,6 +326,7 @@ def _beta_meet(ctx: _Context, whole: TermId) -> TermId:
 # zeta: promote conjuncts over their meets (Whitman-style)
 
 
+@_depth_guarded
 def zeta(universe: TermUniverse, t: TermId) -> TermId:
     """Bottom-up: inside a join, a meet child is replaced by one of its
     conjuncts whenever that conjunct already entails the whole join; dually
@@ -374,6 +392,7 @@ def _zeta_fix(ctx: _Context, children: list[TermId], outer: str) -> TermId:
 # eta: antichain reduction
 
 
+@_depth_guarded
 def eta(universe: TermUniverse, t: TermId) -> TermId:
     """Bottom-up: a join keeps only its maximal children, first
     representative per equivalence class (duplicates after recursive
@@ -436,6 +455,7 @@ def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 # full normal forms
 
 
+@_depth_guarded
 def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Normal form over bounded lattices with constructors (negation-free)."""
     if universe.contains_not(t):
@@ -447,6 +467,7 @@ def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
     return NormalTerm(_eta(ctx, _zeta(ctx, t)), BL)
 
 
+@_depth_guarded
 def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Canonical minimal form over ortholattices with constructors."""
     ctx = _context(universe)

@@ -156,10 +156,16 @@ class _Parser:
         return parts[0] if len(parts) == 1 else self.u.meet(parts)
 
     def unary(self) -> TermId:
-        if self.peek().kind == "~":
+        if self.peek().kind != "~":
+            return self.atom()
+        count = 0  # a loop, not recursion: a run of `~` may be arbitrarily long
+        while self.peek().kind == "~":
             self.next()
-            return self.u.neg(self.unary())
-        return self.atom()
+            count += 1
+        t = self.atom()
+        for _ in range(count):
+            t = self.u.neg(t)
+        return t
 
     def atom(self) -> TermId:
         tok = self.peek()

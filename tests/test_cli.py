@@ -27,7 +27,7 @@ def test_check_json_schema(capsys):
     assert main(["check", "--format", "json", "x & y <= x"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "provable"
-    for key in ("sequents", "clauses", "steps", "ms"):
+    for key in ("sequents", "clauses", "steps", "derived", "ms"):
         assert key in payload["stats"]
     assert "proof" not in payload
 
@@ -79,6 +79,14 @@ def test_deep_input_ends_in_verdict_or_error(tmp_path, capsys, probe):
         "nested-constructor": ["normalize", "--sig", str(sig), "F(" * 600 + "x" + ")" * 600],
     }[probe]
     assert main(argv) in (0, 2)
+
+
+def test_long_negation_runs_parse_without_recursion(capsys):
+    assert main(["check", "~" * 3000 + "x <= x"]) == 0
+    # An odd run is one negation. (Refuting `~^3001 x <= x` instead expands
+    # the quadratic closure, 4.5M sequents, too much for a unit test.)
+    assert main(["check", "~" * 3001 + "x <= ~x"]) == 0
+    assert capsys.readouterr().out.split() == ["provable", "provable"]
 
 
 def test_gen_output(capsys):

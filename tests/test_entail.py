@@ -9,6 +9,7 @@ from olsub import (
     build_clauses,
     check,
     oracle,
+    parse_query,
     parse_term,
     propagate,
     reconstruct_proof,
@@ -19,10 +20,11 @@ from olsub.entail import (
     AXIOM_CUT,
     HYP,
     LEFT_AND,
+    REPLACE,
     ProofTree,
     find_invalid_node,
 )
-from olsub.errors import NotProvable
+from olsub.errors import NegationPresent, NotProvable, TermIdOverflow
 
 from helpers import random_term
 
@@ -304,3 +306,109 @@ def test_agreement_with_saturation_small(u):
             else []
         )
         assert check(u, s, t, axioms).provable == oracle.saturates(u, s, t, axioms)
+
+
+def test_shared_engine_sweep_matches_saturation():
+    # One engine per universe answers interleaved queries, many of which stop
+    # early; every verdict must still match forward saturation.
+    rng = random.Random(2024)
+    for _ in range(600):
+        u = TermUniverse()
+        f = u.declare("F", "+")
+        roots = [random_term(u, rng, 7, ["x", "y", "z"], [f]) for _ in range(3)]
+        axioms = [
+            (random_term(u, rng, 3, ["x", "y", "z"]), random_term(u, rng, 3, ["x", "y", "z"]))
+            for _ in range(rng.randint(0, 2))
+        ]
+        provable = oracle.saturate(u, roots, axioms)
+        pool = sorted(set().union(*(u.subterms(r) for r in roots)))
+        engine = Engine(u, axioms)
+        for _ in range(80):
+            s, t = rng.choice(pool), rng.choice(pool)
+            assert engine.query(s, t) == (((s, "L"), (t, "R")) in provable)
+
+
+def test_early_exit_leaves_pending_work_to_later_queries(u):
+    # z <= z | x <= ~(top & z) makes z bottom, so z <= y. The first query
+    # stops early with premises of sequents the second one needs still
+    # unexpanded; they must be resumed, not dropped.
+    x, y, z = u.var("x"), u.var("y"), u.var("z")
+    axioms = [(u.join([z, x]), u.neg(u.meet([u.top(), z]))), (u.meet([y, y]), z)]
+    engine = Engine(u, axioms)
+    assert engine.query(z, u.join([y, z]))
+    assert engine.query(z, y)
+    assert check(u, z, y, axioms).provable
+
+
+def test_pending_work_reached_through_other_sequents_is_resumed(u):
+    # y <= ~(top | top) makes y bottom. After the first query stops, some
+    # sequent the second one needs has all its premises expanded, but one of
+    # them still waits on unexpanded work: it must stay open too.
+    axioms = [
+        parse_query(q, u)
+        for q in ("x & x & x <= y | y", "~(x | top) <= ~~(top & bot)", "y <= ~(top | top)")
+    ]
+    engine = Engine(u, axioms)
+    assert engine.query(*parse_query("x <= ~~(bot | y | y | top)", u))
+    assert engine.query(*parse_query("y <= x", u))
+
+
+def test_pending_replace_subgoal_keeps_its_waiters_open(u):
+    # x & x & ~x is bottom, so F of it is below F(bot). A sequent whose only
+    # unexpanded premise is its Replace subgoal {G,G} must stay open.
+    u.declare("F", "+")
+    axioms = [parse_query("x & bot <= top & bot", u)]
+    engine = Engine(u, axioms)
+    assert engine.query(*parse_query("x & x & ~x <= x", u))
+    assert engine.query(*parse_query("F(x & x & ~x) <= x & x | F(bot)", u))
+
+
+def test_wide_meet_stops_at_first_derivation(u):
+    xs = [u.var(f"x{i}") for i in range(400)]
+    wide = u.meet(xs)
+    for i in (0, 17, 399):
+        verdict = check(u, wide, xs[i])
+        assert verdict.provable
+        assert verdict.stats.sequents <= 4 * 400
+        assert verdict.stats.derived <= verdict.stats.sequents
+
+
+def test_lazy_replace_proofs_verify(u):
+    for query in ("x & ~x <= y", "x <= y | ~y"):
+        s, t = parse_query(query, u)
+        cs = build_clauses(u, (s, t))
+        assert propagate(cs).provable
+        proof = reconstruct_proof(cs)
+        rules = set()
+        stack = [proof]
+        while stack:
+            node = stack.pop()
+            rules.add(node.rule)
+            stack.extend(node.children)
+        assert REPLACE in rules, query
+        assert verify_proof(u, proof)
+
+
+def test_term_ids_beyond_the_encoding_are_rejected(u):
+    x = u.var("x")
+    too_big = 1 << 30
+    with pytest.raises(TermIdOverflow):
+        Engine(u).query(too_big, x)
+    with pytest.raises(TermIdOverflow):
+        Engine(u).query_sequent(x, "L", too_big, "L")
+    with pytest.raises(TermIdOverflow):
+        Engine(u, [(x, too_big)])
+
+
+def test_engine_stays_sound_after_a_failed_query(u):
+    # The negation is met below the goal, in the F rule's premise.
+    f = u.declare("F", "+")
+    x, y = u.var("x"), u.var("y")
+    engine = Engine(u, mode="bl")
+    bad = (u.app(f, [x]), u.app(f, [u.neg(x)]))
+    with pytest.raises(NegationPresent):
+        engine.query(*bad)
+    assert engine.query(u.meet([x, y]), x)
+    assert not engine.query(x, y)
+    with pytest.raises(NegationPresent):
+        engine.query(*bad)

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from olsub import Engine, TermUniverse, oracle, parse_term, print_term
-from olsub.errors import NegationPresent
+from olsub.errors import InputTooDeep, NegationPresent
 from olsub.normalize import _context, beta, delta, eta, normalize_bl, normalize_ol, zeta
 
 from helpers import law_chain, random_pnnf, random_term
@@ -259,3 +259,13 @@ def test_normalizer_caches_die_with_their_universe():
     del universe
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("entry", [delta, beta, zeta, eta, normalize_bl, normalize_ol])
+def test_too_deep_terms_raise_a_typed_error(u, entry):
+    f = u.declare("F", "+")
+    t = u.var("x")
+    for _ in range(2000):
+        t = u.app(f, [t])
+    with pytest.raises(InputTooDeep):
+        entry(u, t)
