@@ -5,15 +5,11 @@ from . import errors
 from .defs import Definition, desugar, substitute
 from .entail import (
     AnnotatedTerm,
-    ClauseSet,
     Engine,
-    HornClause,
     ProofTree,
     Sequent,
     Verdict,
-    build_clauses,
     check,
-    propagate,
     reconstruct_proof,
     verify_proof,
 )
@@ -36,11 +32,9 @@ from .terms import SymbolDecl, TermId, TermUniverse, Variance
 __all__ = [
     "AnnotatedTerm",
     "AxiomSet",
-    "ClauseSet",
     "Definition",
     "Engine",
     "FiniteOrtholattice",
-    "HornClause",
     "Interpretation",
     "NormalTerm",
     "ProofTree",
@@ -52,7 +46,6 @@ __all__ = [
     "Verdict",
     "beta",
     "boolean2",
-    "build_clauses",
     "check",
     "delta",
     "desugar",
@@ -68,7 +61,6 @@ __all__ = [
     "parse_source",
     "parse_term",
     "print_term",
-    "propagate",
     "reconstruct_proof",
     "sample_monotone_tables",
     "saturate",

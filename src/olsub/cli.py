@@ -6,7 +6,8 @@
     olsub gen sn-tn N
     olsub bench sn-tn N[,N...] [--csv PATH]
 
-Exit codes: 0 provable (or success), 1 not provable, 2 error.
+Exit codes: 0 provable (or success), 1 not provable, 2 error (an internal
+error included).
 """
 from __future__ import annotations
 
@@ -109,24 +110,25 @@ def cmd_check(args) -> int:
         (s, t), pairs, hidden = defs_mod.desugar(universe, definitions, (s, t), pairs)
     rename = {} if args.show_internals else hidden
     started = time.perf_counter()
-    verdict = entail.check(universe, s, t, pairs)
+    engine = entail.Engine(universe, pairs)
+    provable = engine.query(s, t)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    stats = engine.stats()
     proof = None
     want_proof = args.command == "explain" or getattr(args, "proof", False)
-    if verdict.provable and want_proof:
-        clause_set = entail.build_clauses(universe, (s, t), pairs)
-        proof = entail.reconstruct_proof(clause_set)
+    if provable and want_proof:
+        proof = entail.reconstruct_proof(engine, s, t)
         if not entail.verify_proof(universe, proof, pairs):
             print("internal error: reconstructed proof failed verification", file=sys.stderr)
             return 2
     if args.format == "json":
         payload = {
-            "verdict": "provable" if verdict.provable else "not provable",
+            "verdict": "provable" if provable else "not provable",
             "stats": {
-                "sequents": verdict.stats.sequents,
-                "clauses": verdict.stats.clauses,
-                "steps": verdict.stats.steps,
-                "derived": verdict.stats.derived,
+                "sequents": stats.sequents,
+                "clauses": stats.clauses,
+                "steps": stats.steps,
+                "derived": stats.derived,
                 "ms": round(elapsed_ms, 3),
             },
         }
@@ -134,10 +136,10 @@ def cmd_check(args) -> int:
             payload["proof"] = _proof_json(universe, proof, rename)
         print(json.dumps(payload))
     else:
-        print("provable" if verdict.provable else "not provable")
+        print("provable" if provable else "not provable")
         if proof is not None:
             print(entail.format_proof(universe, proof, rename))
-    return 0 if verdict.provable else 1
+    return 0 if provable else 1
 
 
 def _proof_json(universe, node, rename):
@@ -265,11 +267,11 @@ def main(argv=None) -> int:
             return _HANDLERS[args.command](args)
         except RecursionError as exc:
             raise InputTooDeep("input is nested too deeply") from exc
-    except OlsubError as exc:
+    except (OlsubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug; exit 1 would read as "not provable"
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -26,11 +26,17 @@ order test is checked against.
 
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
+
+The proof is a by-product of the search. `Engine.derived` maps each derived
+sequent to the clause that first derived it, and `reconstruct_proof` walks
+those clauses back from the goal, so a proof costs one walk over its own
+sequents, not a second search. `verify_proof` re-checks a proof tree rule by
+rule and shares no code with the search.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import NegationPresent, NotProvable, TermIdOverflow
@@ -131,16 +137,6 @@ class Sequent:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class HornClause:
-    """head <- body, tagged with the proof rule instance that produced it."""
-
-    head: Sequent
-    body: tuple[Sequent, ...]
-    rule: str
-    aux: object = None
-
-
 @dataclass
 class Stats:
     sequents: int  # expanded
@@ -153,15 +149,6 @@ class Stats:
 class Verdict:
     provable: bool
     stats: Stats
-
-
-@dataclass
-class ClauseSet:
-    goal: Sequent
-    clauses: list[HornClause]
-    sequents: int
-    mode: str
-    axioms: list[tuple[TermId, TermId]] = field(default_factory=list)
 
 
 @dataclass
@@ -193,6 +180,11 @@ class Engine:
     becomes *open*, and the next query that reaches an open sequent pushes
     its premises again, so pending work is resumed by whichever query needs
     it and never lost. The axiom set and mode are fixed per engine.
+
+    `clauses` holds every generated clause as `(head, body, rule, aux)` over
+    integer-packed sequents, and `derived` maps each derived sequent to the
+    index of its first deriving clause; `reconstruct_proof` reads a proof of
+    any query the engine has answered yes from these two.
     """
 
     def __init__(self, universe: TermUniverse, axioms=None, mode: str = "ol"):
@@ -506,12 +498,6 @@ class Engine:
         _check_ids(s, t)
         return self._search(_seq(_ann(s, 0), _ann(t, 1)))
 
-    def query_sequent(self, t1: TermId, side1: str, t2: TermId, side2: str) -> bool:
-        _check_ids(t1, t2)
-        return self._search(
-            _seq(_ann(t1, 0 if side1 == L else 1), _ann(t2, 0 if side2 == L else 1))
-        )
-
     def stats(self) -> Stats:
         return Stats(len(self._visited), len(self.clauses), self.steps, len(self.derived))
 
@@ -533,6 +519,10 @@ def check(
     return Verdict(provable, engine.stats())
 
 
+# ----------------------------------------------------------------------
+# proofs
+
+
 def _to_sequent(s: int) -> Sequent:
     a, b = _seq_parts(s)
     ta, sa = _ann_parts(a)
@@ -540,109 +530,47 @@ def _to_sequent(s: int) -> Sequent:
     return Sequent(AnnotatedTerm(ta, L if sa == 0 else R), AnnotatedTerm(tb, L if sb == 0 else R))
 
 
-def build_clauses(
-    universe: TermUniverse,
-    goal: Union[Sequent, tuple[TermId, TermId]],
-    axioms=None,
-    mode: str = "ol",
-) -> ClauseSet:
-    """The clauses that `check`'s search generates for the goal, as dataclasses.
+def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
+    """The proof of s <= t that `engine` found, read back from `engine.derived`.
 
-    A pair `(s, t)` is taken as the goal {s^L, t^R}. The search is the one
-    `Engine.query` runs: it stops once the goal is derived, and holds a
-    Replace clause only where Replace fired. Every clause corresponds to one
-    rule instance concluding its head, so `propagate` over the set reaches
-    the same verdict as `check` and `reconstruct_proof` finds a proof in it.
+    Each derived sequent points at the clause that first derived it, whose
+    premises were all derived before it; walking those clauses back from the
+    goal, on an explicit stack, gives a cut-free proof. Only the sequents on
+    the proof path are decoded. An Axiom clause becomes the equivalent
+    AxiomCut over two Hyp leaves. Shared subderivations are shared subtrees.
     """
-    if isinstance(goal, tuple):
-        goal = Sequent.goal(*goal)
-    engine = Engine(universe, axioms, mode)
-    engine.query_sequent(goal.a.term, goal.a.side, goal.b.term, goal.b.side)
-    pairs = engine.axioms
-    clauses = [
-        HornClause(
-            _to_sequent(head),
-            tuple(_to_sequent(x) for x in body),
-            rule,
-            pairs[aux] if rule in (AXIOM_CUT, AXIOM) else aux,
-        )
-        for (head, body, rule, aux) in engine.clauses
-    ]
-    return ClauseSet(goal, clauses, len(engine._visited), mode, list(pairs))
-
-
-def _propagate(clause_set: ClauseSet) -> tuple[dict[Sequent, int], int]:
-    """Unit propagation over materialized clauses (Dowling-Gallier style).
-
-    Returns the map from each derivable sequent to the clause that first
-    derived it, in derivation order, plus the number of propagation steps.
-    """
-    counters = []
-    watch: dict[Sequent, list[int]] = {}
-    derived: dict[Sequent, int] = {}
-    queue: deque = deque()
-    for ci, clause in enumerate(clause_set.clauses):
-        counters.append(len(clause.body))
-        for lit in clause.body:
-            watch.setdefault(lit, []).append(ci)
-        if not clause.body and clause.head not in derived:
-            derived[clause.head] = ci
-            queue.append(clause.head)
-    steps = 0
-    while queue:
-        s = queue.popleft()
-        for ci in watch.pop(s, ()):
-            counters[ci] -= 1
-            steps += 1
-            if counters[ci] == 0:
-                head = clause_set.clauses[ci].head
-                if head not in derived:
-                    derived[head] = ci
-                    queue.append(head)
-    return derived, steps
-
-
-def propagate(clause_set: ClauseSet, goal: Sequent | None = None) -> Verdict:
-    """Decide whether the goal lies in the least model of the clause set."""
-    derived, steps = _propagate(clause_set)
-    target = goal if goal is not None else clause_set.goal
-    return Verdict(
-        target in derived,
-        Stats(clause_set.sequents, len(clause_set.clauses), steps, len(derived)),
-    )
-
-
-def reconstruct_proof(clause_set: ClauseSet, goal: Sequent | None = None) -> ProofTree:
-    """Walk back from the goal through the first-deriving clauses.
-
-    Axiom shortcut clauses are expanded into the equivalent AxiomCut over two
-    Hyp leaves, so the resulting tree uses cut-free rules only. Shared
-    subderivations are shared as subtrees.
-    """
-    derived, _ = _propagate(clause_set)
-    target = goal if goal is not None else clause_set.goal
-    if target not in derived:
+    if not engine.query(s, t):
         raise NotProvable("goal has no derivation; check the verdict first")
-    memo: dict[Sequent, ProofTree] = {}
-
-    def build(s: Sequent) -> ProofTree:
-        got = memo.get(s)
-        if got is not None:
-            return got
-        clause = clause_set.clauses[derived[s]]
-        if clause.rule == AXIOM:
-            v, w = clause.aux
+    goal = _seq(_ann(s, 0), _ann(t, 1))
+    derived = engine.derived
+    clauses = engine.clauses
+    axioms = engine.axioms
+    memo: dict[int, ProofTree] = {}
+    stack = [goal]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        _, body, rule, aux = clauses[derived[cur]]
+        todo = [p for p in body if p not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if rule in (AXIOM, AXIOM_CUT):
+            aux = axioms[aux]
+        if rule == AXIOM:
+            v, w = aux
+            rule = AXIOM_CUT
             children = [
                 ProofTree(Sequent.of(v, L, v, R), HYP, []),
                 ProofTree(Sequent.of(w, L, w, R), HYP, []),
             ]
-            tree = ProofTree(s, AXIOM_CUT, children, clause.aux)
         else:
-            tree = ProofTree(s, clause.rule, [build(b) for b in clause.body], clause.aux)
-        memo[s] = tree
-        return tree
-
-    return build(target)
+            children = [memo[p] for p in body]
+        memo[cur] = ProofTree(_to_sequent(cur), rule, children, aux)
+    return memo[goal]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,11 @@ Three unrelated ways to answer the questions the package answers:
   theory.
 * `enumerate_terms` streams every term up to a size bound exactly once, for
   exhaustive minimality and agreement sweeps.
+
+`min_equivalent` and `partition_terms` are helpers, not oracles: they decide
+equivalence with `entail.Engine`. The normalizer does not use `Engine` (its
+order tests are a Whitman check of its own), so comparing normal forms with
+their classes pits two independent procedures against each other.
 """
 from __future__ import annotations
 

@@ -14,7 +14,6 @@ import olsub
 from olsub import (
     Engine,
     TermUniverse,
-    build_clauses,
     check,
     oracle,
     parse_source,
@@ -403,8 +402,7 @@ def test_criterion_9_proof_objects(law_suite, corpus, axiom_examples, capsys):
     proved = 0
 
     def prove_and_verify(universe, s, t, axioms):
-        clause_set = build_clauses(universe, (s, t), list(axioms))
-        proof = reconstruct_proof(clause_set)
+        proof = reconstruct_proof(Engine(universe, list(axioms)), s, t)
         assert verify_proof(universe, proof, list(axioms))
 
     for s, t in law_suite.queries:

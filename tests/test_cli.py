@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from olsub import entail
 from olsub.cli import fit_loglog_slope, main, run_bench, sn_tn_source, sn_tn_terms
 from olsub.terms import TermUniverse
 
@@ -44,6 +45,41 @@ def test_proof_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["proof"]["rule"] == "Hyp"
     assert payload["proof"]["sequent"] == [["x", "L"], ["x", "R"]]
+
+
+def test_proof_takes_one_search(monkeypatch, capsys):
+    engines = []
+    init = entail.Engine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        engines.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(entail.Engine, "__init__", counting_init)
+    assert main(["explain", "--format", "json", "x & y <= y & x"]) == 0
+    assert json.loads(capsys.readouterr().out)["proof"]["rule"] == "RightAnd"
+    assert len(engines) == 1
+
+
+def test_proof_leaves_stats_unchanged(capsys):
+    query = "(x | y) & z <= z & (y | x)"
+    assert main(["check", "--format", "json", query]) == 0
+    plain = json.loads(capsys.readouterr().out)["stats"]
+    assert main(["check", "--proof", "--format", "json", query]) == 0
+    proved = json.loads(capsys.readouterr().out)["stats"]
+    del plain["ms"], proved["ms"]
+    assert proved == plain
+
+
+def test_internal_error_exits_2(monkeypatch, capsys):
+    def broken(self, s, t):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(entail.Engine, "query", broken)
+    assert main(["check", "x <= x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:") and "boom" in captured.err
 
 
 def test_normalize_command(capsys):

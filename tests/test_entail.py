@@ -6,12 +6,10 @@ from olsub import (
     Engine,
     Sequent,
     TermUniverse,
-    build_clauses,
     check,
     oracle,
     parse_query,
     parse_term,
-    propagate,
     reconstruct_proof,
     verify_proof,
 )
@@ -22,6 +20,7 @@ from olsub.entail import (
     LEFT_AND,
     REPLACE,
     ProofTree,
+    _to_sequent,
     find_invalid_node,
 )
 from olsub.errors import NegationPresent, NotProvable, TermIdOverflow
@@ -29,19 +28,33 @@ from olsub.errors import NegationPresent, NotProvable, TermIdOverflow
 from helpers import random_term
 
 
+def decoded_clauses(engine):
+    """The engine's clauses as (head, body, rule) over `Sequent`s."""
+    return [
+        (_to_sequent(head), tuple(_to_sequent(p) for p in body), rule)
+        for head, body, rule, _ in engine.clauses
+    ]
+
+
 def test_hyp_clause_present(u):
     x = u.var("x")
-    cs = build_clauses(u, (x, x))
-    assert any(c.rule == HYP and not c.body for c in cs.clauses if c.head == Sequent.goal(x, x))
+    engine = Engine(u)
+    engine.query(x, x)
+    assert any(
+        rule == HYP and not body
+        for head, body, rule in decoded_clauses(engine)
+        if head == Sequent.goal(x, x)
+    )
 
 
 def test_left_and_clauses(u):
     x, y = u.var("x"), u.var("y")
     m = u.meet([x, y])
-    cs = build_clauses(u, (m, x))
+    engine = Engine(u)
+    engine.query(m, x)
     head = Sequent.goal(m, x)
     bodies = {
-        c.body for c in cs.clauses if c.head == head and c.rule == LEFT_AND
+        body for h, body, rule in decoded_clauses(engine) if h == head and rule == LEFT_AND
     }
     assert (Sequent.goal(x, x),) in bodies
     assert (Sequent.goal(y, x),) in bodies
@@ -50,21 +63,22 @@ def test_left_and_clauses(u):
 def test_axiom_cut_clause_shape(u):
     a, b, c = u.var("A"), u.var("B"), u.var("C")
     axioms = [(a, b), (b, c)]
-    cs = build_clauses(u, (a, c), axioms)
+    engine = Engine(u, axioms)
+    engine.query(a, c)
     head = Sequent.goal(a, c)
     cut_bodies = [
-        cl.body for cl in cs.clauses if cl.head == head and cl.rule == AXIOM_CUT
+        body for h, body, rule in decoded_clauses(engine) if h == head and rule == AXIOM_CUT
     ]
     # canonical instance for axiom (B, C): {A^L,C^R} <- {A^L,B^R}, {C^L,C^R}
     assert (Sequent.goal(a, b), Sequent.goal(c, c)) in cut_bodies
 
 
-def test_propagate_examples(u):
+def test_query_examples(u):
     x, y = u.var("x"), u.var("y")
-    assert propagate(build_clauses(u, (x, x))).provable
-    assert not propagate(build_clauses(u, (x, y))).provable
+    assert Engine(u).query(x, x)
+    assert not Engine(u).query(x, y)
     a, b, c = u.var("A"), u.var("B"), u.var("C")
-    assert propagate(build_clauses(u, (a, c), [(a, b), (b, c)])).provable
+    assert Engine(u, [(a, b), (b, c)]).query(a, c)
 
 
 def test_check_lattice_and_bound_laws(u):
@@ -112,23 +126,6 @@ def test_bl_mode_restriction(u):
     assert check(u, u.top(), u.join([x, u.negvar("x")]), mode="ol").provable
 
 
-def test_check_equals_public_propagate_pipeline(u):
-    rng = random.Random(21)
-    f = u.declare("F", "+")
-    g = u.declare("G", "-+")
-    for _ in range(60):
-        s = random_term(u, rng, 9, ["x", "y", "z"], [f, g])
-        t = random_term(u, rng, 9, ["x", "y", "z"], [f, g])
-        axioms = [
-            (random_term(u, rng, 4, ["x", "y", "z"]), random_term(u, rng, 4, ["x", "y", "z"]))
-            for _ in range(rng.randint(0, 2))
-        ]
-        fast = check(u, s, t, axioms)
-        slow = propagate(build_clauses(u, (s, t), axioms))
-        assert fast.provable == slow.provable
-        assert fast.stats.clauses == slow.stats.clauses
-
-
 def test_reflexivity_and_transitivity(u):
     rng = random.Random(31)
     f = u.declare("F", "+")
@@ -166,16 +163,14 @@ def test_monotonicity_property(u):
 
 def test_proof_single_hyp(u):
     x = u.var("x")
-    cs = build_clauses(u, (x, x))
-    proof = reconstruct_proof(cs)
+    proof = reconstruct_proof(Engine(u), x, x)
     assert proof.rule == HYP and not proof.children
     assert verify_proof(u, proof)
 
 
 def test_proof_commuted_meets(u):
     x, y = u.var("x"), u.var("y")
-    cs = build_clauses(u, (u.meet([x, y]), u.meet([y, x])))
-    proof = reconstruct_proof(cs)
+    proof = reconstruct_proof(Engine(u), u.meet([x, y]), u.meet([y, x]))
     assert proof.rule == "RightAnd"
     assert {child.rule for child in proof.children} == {"LeftAnd"}
     assert all(grand.rule == HYP for child in proof.children for grand in child.children)
@@ -185,8 +180,7 @@ def test_proof_commuted_meets(u):
 def test_proof_with_axiom_cut(u):
     a, b, c = u.var("A"), u.var("B"), u.var("C")
     axioms = [(a, b), (b, c)]
-    cs = build_clauses(u, (a, c), axioms)
-    proof = reconstruct_proof(cs)
+    proof = reconstruct_proof(Engine(u, axioms), a, c)
 
     rules = set()
 
@@ -200,11 +194,18 @@ def test_proof_with_axiom_cut(u):
     assert verify_proof(u, proof, axioms)
 
 
+def test_deep_proof_is_reconstructed_without_recursion(u):
+    s, t = parse_query("~" * 3001 + "x <= ~x", u)
+    engine = Engine(u)
+    proof = reconstruct_proof(engine, s, t)
+    assert proof.sequent == Sequent.goal(s, t)
+    assert verify_proof(u, proof)
+
+
 def test_reconstruct_unprovable_raises(u):
     x, y = u.var("x"), u.var("y")
-    cs = build_clauses(u, (x, y))
     with pytest.raises(NotProvable):
-        reconstruct_proof(cs)
+        reconstruct_proof(Engine(u), x, y)
 
 
 def test_verify_rejects_wrong_variance_direction(u):
@@ -376,9 +377,9 @@ def test_wide_meet_stops_at_first_derivation(u):
 def test_lazy_replace_proofs_verify(u):
     for query in ("x & ~x <= y", "x <= y | ~y"):
         s, t = parse_query(query, u)
-        cs = build_clauses(u, (s, t))
-        assert propagate(cs).provable
-        proof = reconstruct_proof(cs)
+        engine = Engine(u)
+        assert engine.query(s, t)
+        proof = reconstruct_proof(engine, s, t)
         rules = set()
         stack = [proof]
         while stack:
@@ -394,8 +395,6 @@ def test_term_ids_beyond_the_encoding_are_rejected(u):
     too_big = 1 << 30
     with pytest.raises(TermIdOverflow):
         Engine(u).query(too_big, x)
-    with pytest.raises(TermIdOverflow):
-        Engine(u).query_sequent(x, "L", too_big, "L")
     with pytest.raises(TermIdOverflow):
         Engine(u, [(x, too_big)])
 
