@@ -15,8 +15,6 @@ from typing import Sequence
 from .errors import ConflictingDeclaration, RecursiveDefinition, VarianceMismatch
 from .terms import (
     APP,
-    JOIN,
-    MEET,
     NEGVAR,
     NOT,
     VAR,
@@ -41,32 +39,32 @@ class Definition:
 
 def occurrence_polarities(universe: TermUniverse, term: TermId, var: str) -> set[str]:
     """Polarities ('+', '-', 'o') at which `var` occurs in `term`."""
-    out: set[str] = set()
 
-    def walk(t: TermId, pol: str) -> None:
-        node = universe.node(t)
-        if node.kind == VAR:
-            if node.name == var:
-                out.add(pol)
-        elif node.kind == NEGVAR:
-            if node.name == var:
-                out.add("o" if pol == "o" else ("-" if pol == "+" else "+"))
-        elif node.kind == NOT:
-            walk(node.children[0], "o" if pol == "o" else ("-" if pol == "+" else "+"))
-        elif node.kind == APP:
-            for arg, v in zip(node.children, node.symbol.variances):
-                if v is Variance.INVARIANT or pol == "o":
-                    walk(arg, "o")
-                elif v is Variance.COVARIANT:
-                    walk(arg, pol)
-                else:
-                    walk(arg, "-" if pol == "+" else "+")
-        else:
-            for c in node.children:
-                walk(c, pol)
+    def image(t: TermId, node, kids: list[frozenset]) -> frozenset:
+        if node.kind == VAR or node.kind == NEGVAR:
+            if node.name != var:
+                return frozenset()
+            return frozenset({"+" if node.kind == VAR else "-"})
+        if node.kind == NOT:
+            return _flip(kids[0])
+        if node.kind != APP:
+            return frozenset().union(*kids)
+        out: set[str] = set()
+        for occs, v in zip(kids, node.symbol.variances):
+            if v is Variance.COVARIANT:
+                out |= occs
+            elif v is Variance.CONTRAVARIANT:
+                out |= _flip(occs)
+            elif occs:
+                out.add("o")
+        return frozenset(out)
 
-    walk(term, "+")
-    return out
+    return set(universe.fold(term, {}, image))
+
+
+def _flip(occs: frozenset) -> frozenset:
+    """Polarities of the same occurrences one contravariant position down."""
+    return frozenset({"+": "-", "-": "+"}.get(p, p) for p in occs)
 
 
 def infer_variance(universe: TermUniverse, term: TermId, var: str) -> Variance:
@@ -95,32 +93,15 @@ def template_compatible(universe: TermUniverse, term: TermId, var: str, declared
 
 def subst_vars(universe: TermUniverse, term: TermId, mapping: dict[str, TermId]) -> TermId:
     """Replace free variables by terms (no binders exist, so nothing is captured)."""
-    memo: dict[TermId, TermId] = {}
 
-    def walk(t: TermId) -> TermId:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        node = universe.node(t)
+    def image(t: TermId, node, kids: list[TermId]) -> TermId:
         if node.kind == VAR:
-            result = mapping.get(node.name, t)
-        elif node.kind == NEGVAR:
-            replacement = mapping.get(node.name)
-            result = t if replacement is None else universe.neg(replacement)
-        elif node.kind == NOT:
-            result = universe.neg(walk(node.children[0]))
-        elif node.kind == MEET:
-            result = universe.meet([walk(c) for c in node.children])
-        elif node.kind == JOIN:
-            result = universe.join([walk(c) for c in node.children])
-        elif node.kind == APP:
-            result = universe.app(node.symbol, [walk(c) for c in node.children])
-        else:
-            result = t
-        memo[t] = result
-        return result
+            return mapping.get(node.name, t)
+        if node.kind == NEGVAR and node.name in mapping:
+            return universe.neg(mapping[node.name])
+        return universe.rebuild(t, kids)
 
-    return walk(term)
+    return universe.fold(term, {}, image)
 
 
 def substitute(
@@ -132,8 +113,8 @@ def substitute(
 ) -> TermId:
     """Replace every application of `symbol` by the template `body` over `params`.
 
-    Arguments are substituted recursively first. The template must be
-    variance-compatible with the symbol it replaces.
+    Arguments are substituted before the application holding them. The
+    template must be variance-compatible with the symbol it replaces.
     """
     decl = universe.symbols[symbol] if isinstance(symbol, str) else symbol
     if len(params) != decl.arity:
@@ -145,35 +126,14 @@ def substitute(
             raise VarianceMismatch(
                 f"template for {decl.name} is not {declared.name.lower()} in {param}"
             )
-    memo: dict[TermId, TermId] = {}
 
-    def walk(t: TermId) -> TermId:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        node = universe.node(t)
-        if node.kind == APP:
-            new_args = [walk(c) for c in node.children]
-            if node.symbol.name == decl.name:
-                result = subst_vars(universe, body, dict(zip(params, new_args)))
-            elif node.symbol.dual_of == decl.name:
-                result = universe.neg(
-                    subst_vars(universe, body, dict(zip(params, new_args)))
-                )
-            else:
-                result = universe.app(node.symbol, new_args)
-        elif node.kind == NOT:
-            result = universe.neg(walk(node.children[0]))
-        elif node.kind == MEET:
-            result = universe.meet([walk(c) for c in node.children])
-        elif node.kind == JOIN:
-            result = universe.join([walk(c) for c in node.children])
-        else:
-            result = t
-        memo[t] = result
-        return result
+    def image(t: TermId, node, kids: list[TermId]) -> TermId:
+        if node.kind == APP and decl.name in (node.symbol.name, node.symbol.dual_of):
+            instance = subst_vars(universe, body, dict(zip(params, kids)))
+            return instance if node.symbol.name == decl.name else universe.neg(instance)
+        return universe.rebuild(t, kids)
 
-    return walk(term)
+    return universe.fold(term, {}, image)
 
 
 def declare_definition_symbol(universe: TermUniverse, definition: Definition) -> SymbolDecl:

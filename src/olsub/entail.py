@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import NegationPresent, NotProvable, TermIdOverflow
-from .syntax import AxiomSet
 from .terms import (
     APP,
     BOT,
@@ -159,12 +158,9 @@ class ProofTree:
     aux: object = None
 
 
-def as_pairs(axioms: Union[AxiomSet, Iterable[tuple[TermId, TermId]], None]) -> list:
-    if axioms is None:
-        return []
-    if isinstance(axioms, AxiomSet):
-        return list(axioms.pairs)
-    return list(axioms)
+def as_pairs(axioms: Iterable[tuple[TermId, TermId]] | None) -> list:
+    """The axiom pairs of an `AxiomSet`, any iterable of pairs, or None."""
+    return list(axioms or ())
 
 
 class Engine:

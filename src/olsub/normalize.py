@@ -13,6 +13,13 @@ The composition maps equivalent terms to one identical term id, never grows
 the pseudo-negation-normal image, and outputs the smallest term of the
 equivalence class under the node-count convention of `TermUniverse.size`.
 
+Each pass, and the structural sort key, is one memoized bottom-up walk
+(`TermUniverse.fold`) with a rule per node: delta maps every subterm to the
+pair of its own and its complement's normal form; beta, zeta and eta share
+the leaf, negation and constructor cases and differ only in how they combine
+the rewritten children of a meet or join. The walks are iterative, so
+nesting depth is limited by memory, not by the interpreter's stack.
+
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
 backward search over the negation-free sequent rules, with negated variables
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InputTooDeep, NegationPresent
@@ -46,8 +54,11 @@ OL = "ol"
 
 
 def _depth_guarded(entry):
-    """The passes recurse once per nesting level; a term nested deeper than
-    the interpreter's stack allows raises `InputTooDeep`, not `RecursionError`."""
+    """The passes walk terms on an explicit stack, but sorting the children
+    of a meet or join compares their structural keys, and comparing two key
+    tuples recurses in C once per level down to their first difference. A
+    comparison deeper than the interpreter's recursion limit, the only
+    recursion left, raises `InputTooDeep`, not `RecursionError`."""
 
     @functools.wraps(entry)
     def guarded(*args):
@@ -75,11 +86,10 @@ class _Context:
         self._universe = weakref.ref(universe)
         self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
         self.keys: dict[TermId, tuple] = {}
-        self.delta_pos: dict[TermId, TermId] = {}
-        self.delta_neg: dict[TermId, TermId] = {}
-        self.beta_memo: dict[TermId, TermId] = {}
-        self.zeta_memo: dict[TermId, TermId] = {}
-        self.eta_memo: dict[TermId, TermId] = {}
+        # delta's images of a term and of its complement
+        self.delta: dict[TermId, tuple[TermId, TermId]] = {}
+        # beta's, zeta's and eta's images, one memo per combining rule
+        self.rewrites: dict[object, dict[TermId, TermId]] = defaultdict(dict)
 
     @property
     def u(self) -> TermUniverse:
@@ -124,37 +134,27 @@ class _Context:
                 stack.pop()
         return verdict
 
-    # Total structural order: kind rank, then name, then children.
-    _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
-
     def key(self, t: TermId) -> tuple:
-        got = self.keys.get(t)
-        if got is not None:
-            return got
-        node = self.u.node(t)
-        rank = self._RANK[node.kind]
-        if node.kind in (VAR, NEGVAR):
-            out = (rank, node.name)
-        elif node.kind == APP:
-            out = (rank, node.name) + tuple(self.key(c) for c in node.children)
-        else:
-            out = (rank,) + tuple(self.key(c) for c in node.children)
-        self.keys[t] = out
-        return out
+        """Total structural order: kind rank, then name, then children."""
+        return self.u.fold(t, self.keys, _key_image)
 
-    def sorted_meet(self, children) -> TermId:
-        t = self.u.meet(children)
-        node = self.u.node(t)
-        if node.kind == MEET:
-            return self.u.meet(sorted(node.children, key=self.key))
+    def sorted_node(self, kind: str, kids: list[TermId]) -> TermId:
+        """The meet or join (`kind`) of `kids`, children in structural order."""
+        u = self.u
+        t = u.meet(kids) if kind == MEET else u.join(kids)
+        node = u.node(t)
+        if node.kind == kind:
+            return u.rebuild(t, sorted(node.children, key=self.key))
         return t
 
-    def sorted_join(self, children) -> TermId:
-        t = self.u.join(children)
-        node = self.u.node(t)
-        if node.kind == JOIN:
-            return self.u.join(sorted(node.children, key=self.key))
-        return t
+
+_RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
+
+
+def _key_image(t: TermId, node, kids: list[tuple]) -> tuple:
+    if node.kind in (VAR, NEGVAR, APP):
+        return (_RANK[node.kind], node.name, *kids)
+    return (_RANK[node.kind], *kids)
 
 
 _contexts: "weakref.WeakKeyDictionary[TermUniverse, _Context]" = weakref.WeakKeyDictionary()
@@ -211,46 +211,58 @@ def delta(universe: TermUniverse, t: TermId) -> TermId:
     """Push negation down to variables and constructor heads.
 
     Double negations vanish, De Morgan distributes through meets and joins,
-    a negated constructor becomes its dual applied to the same (recursively
-    rewritten, un-negated) arguments, negated bounds swap. Idempotent, and
-    equivalent to the input as an ortholattice term.
+    a negated constructor becomes its dual applied to the same (rewritten,
+    un-negated) arguments, negated bounds swap. Idempotent, and equivalent
+    to the input as an ortholattice term.
     """
-    return _delta(_context(universe), t, False)
+    return _delta(_context(universe), t)[0]
 
 
-def _delta(ctx: _Context, t: TermId, neg: bool) -> TermId:
-    memo = ctx.delta_neg if neg else ctx.delta_pos
-    got = memo.get(t)
-    if got is not None:
-        return got
+def _delta(ctx: _Context, t: TermId) -> tuple[TermId, TermId]:
+    """The pseudo-negation-normal forms of `t` and of its complement."""
     u = ctx.u
-    node = u.node(t)
-    kind = node.kind
-    if kind == VAR:
-        out = u.negvar(node.name) if neg else t
-    elif kind == NEGVAR:
-        out = u.var(node.name) if neg else t
-    elif kind == TOP:
-        out = u.bot() if neg else t
-    elif kind == BOT:
-        out = u.top() if neg else t
-    elif kind == NOT:
-        out = _delta(ctx, node.children[0], not neg)
-    elif kind == MEET:
-        mapped = [_delta(ctx, c, neg) for c in node.children]
-        out = u.join(mapped) if neg else u.meet(mapped)
-    elif kind == JOIN:
-        mapped = [_delta(ctx, c, neg) for c in node.children]
-        out = u.meet(mapped) if neg else u.join(mapped)
-    else:  # APP
-        args = [_delta(ctx, c, False) for c in node.children]
-        out = u.app(u.dual(node.symbol) if neg else node.symbol, args)
-    memo[t] = out
-    return out
+
+    def image(s: TermId, node, kids: list[tuple[TermId, TermId]]) -> tuple[TermId, TermId]:
+        kind = node.kind
+        if kind == NOT:
+            return kids[0][1], kids[0][0]
+        if kind == VAR:
+            return s, u.negvar(node.name)
+        if kind == NEGVAR:
+            return s, u.var(node.name)
+        if kind == TOP:
+            return s, u.bot()
+        if kind == BOT:
+            return s, u.top()
+        pos = [p for p, _ in kids]
+        if kind == APP:
+            neg = u.app(u.dual(node.symbol), pos)
+        elif kind == MEET:
+            neg = u.join([n for _, n in kids])
+        else:
+            neg = u.meet([n for _, n in kids])
+        return u.rebuild(s, pos), neg
+
+    return u.fold(t, ctx.delta, image)
 
 
 # ----------------------------------------------------------------------
-# beta: collapse complemented joins and meets
+# beta, zeta, eta: bottom-up rewrites of meets and joins
+
+
+def _rewrite(ctx: _Context, t: TermId, combine) -> TermId:
+    """Rebuild `t` bottom-up, replacing each meet or join by
+    `combine(ctx, rewritten_children, kind)`; memoized per rule."""
+    u = ctx.u
+
+    def image(s: TermId, node, kids: list[TermId]) -> TermId:
+        if node.kind == MEET or node.kind == JOIN:
+            return combine(ctx, kids, node.kind)
+        if node.kind == NOT:
+            raise NegationPresent("beta, zeta and eta expect a pseudo-negation-normal term")
+        return u.rebuild(s, kids)
+
+    return u.fold(t, ctx.rewrites[combine], image)
 
 
 @_depth_guarded
@@ -258,72 +270,30 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
     """On a pseudo-negation-normal term, replace any join one of whose
     disjuncts is complemented within it by top, dually meets by bottom.
 
-    The paper-style binary test folds left-to-right over canonically ordered
-    children, and every child's pushed-down complement is additionally tested
-    against the whole flattened node, so the result does not depend on how
-    the input was associated."""
-    return _beta(_context(universe), t)
+    A join `J = c1 | ... | cn` equals top exactly when `~ci <= J` for some
+    child: in the cut-free calculus, `top <= J` needs a RightOr on one
+    contracted copy of `J`, which leaves `~ci <= J`. So testing each
+    child's pushed-down complement against the whole flattened node is
+    complete; any test on a part of the node, such as a pairwise fold over
+    its children, implies a hit of the whole-node test by Whitman's
+    condition and the self-duality of the order on pseudo-negation-normal
+    terms. The result does not depend on how the input was associated.
+    Dually for meets and bottom."""
+    return _rewrite(_context(universe), t, _beta_node)
 
 
-def _beta(ctx: _Context, t: TermId) -> TermId:
-    got = ctx.beta_memo.get(t)
-    if got is not None:
-        return got
+def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
     u = ctx.u
-    node = u.node(t)
-    kind = node.kind
-    if kind in (VAR, NEGVAR, TOP, BOT):
-        out = t
-    elif kind == NOT:
-        raise NegationPresent("beta expects a pseudo-negation-normal term")
-    elif kind == APP:
-        out = u.app(node.symbol, [_beta(ctx, c) for c in node.children])
-    else:
-        children = [_beta(ctx, c) for c in node.children]
-        if kind == JOIN:
-            out = _beta_join(ctx, ctx.sorted_join(children))
-        else:
-            out = _beta_meet(ctx, ctx.sorted_meet(children))
-    ctx.beta_memo[t] = out
-    return out
-
-
-def _beta_join(ctx: _Context, whole: TermId) -> TermId:
-    u = ctx.u
-    if u.node(whole).kind != JOIN:
+    whole = ctx.sorted_node(kind, kids)
+    if u.node(whole).kind != kind:
         return whole
-    children = u.node(whole).children
-    for c in children:
-        if ctx.leq(_delta(ctx, c, True), whole):
+    for c in u.node(whole).children:
+        complement = _delta(ctx, c)[1]
+        if kind == JOIN and ctx.leq(complement, whole):
             return u.top()
-    acc = children[0]
-    for c in children[1:]:
-        pair = u.join([acc, c])
-        if ctx.leq(_delta(ctx, acc, True), pair) or ctx.leq(_delta(ctx, c, True), pair):
-            return u.top()
-        acc = pair
-    return whole
-
-
-def _beta_meet(ctx: _Context, whole: TermId) -> TermId:
-    u = ctx.u
-    if u.node(whole).kind != MEET:
-        return whole
-    children = u.node(whole).children
-    for c in children:
-        if ctx.leq(whole, _delta(ctx, c, True)):
+        if kind == MEET and ctx.leq(whole, complement):
             return u.bot()
-    acc = children[0]
-    for c in children[1:]:
-        pair = u.meet([acc, c])
-        if ctx.leq(pair, _delta(ctx, acc, True)) or ctx.leq(pair, _delta(ctx, c, True)):
-            return u.bot()
-        acc = pair
     return whole
-
-
-# ----------------------------------------------------------------------
-# zeta: promote conjuncts over their meets (Whitman-style)
 
 
 @_depth_guarded
@@ -333,34 +303,14 @@ def zeta(universe: TermUniverse, t: TermId) -> TermId:
     inside meets. Iterated to a fixpoint, since a replacement can expose
     another; the first scan tests against the original join, later scans
     against the updated one."""
-    return _zeta(_context(universe), t)
-
-
-def _zeta(ctx: _Context, t: TermId) -> TermId:
-    got = ctx.zeta_memo.get(t)
-    if got is not None:
-        return got
-    u = ctx.u
-    node = u.node(t)
-    kind = node.kind
-    if kind in (VAR, NEGVAR, TOP, BOT):
-        out = t
-    elif kind == NOT:
-        raise NegationPresent("zeta operates on negation-free terms")
-    elif kind == APP:
-        out = u.app(node.symbol, [_zeta(ctx, c) for c in node.children])
-    else:
-        out = _zeta_fix(ctx, [_zeta(ctx, c) for c in node.children], kind)
-    ctx.zeta_memo[t] = out
-    return out
+    return _rewrite(_context(universe), t, _zeta_fix)
 
 
 def _zeta_fix(ctx: _Context, children: list[TermId], outer: str) -> TermId:
     u = ctx.u
     inner = MEET if outer == JOIN else JOIN
-    build = ctx.sorted_join if outer == JOIN else ctx.sorted_meet
     while True:
-        whole = build(children)
+        whole = ctx.sorted_node(outer, children)
         if u.node(whole).kind != outer:
             return whole
         replaced = False
@@ -388,37 +338,14 @@ def _zeta_fix(ctx: _Context, children: list[TermId], outer: str) -> TermId:
         children = next_children
 
 
-# ----------------------------------------------------------------------
-# eta: antichain reduction
-
-
 @_depth_guarded
 def eta(universe: TermUniverse, t: TermId) -> TermId:
     """Bottom-up: a join keeps only its maximal children, first
-    representative per equivalence class (duplicates after recursive
+    representative per equivalence class (duplicates after bottom-up
     normalization are identical, so this deduplicates); dually a meet keeps
     minimal children. Unary nodes collapse to their child and children end
     up in canonical structural order."""
-    return _eta(_context(universe), t)
-
-
-def _eta(ctx: _Context, t: TermId) -> TermId:
-    got = ctx.eta_memo.get(t)
-    if got is not None:
-        return got
-    u = ctx.u
-    node = u.node(t)
-    kind = node.kind
-    if kind in (VAR, NEGVAR, TOP, BOT):
-        out = t
-    elif kind == NOT:
-        raise NegationPresent("eta operates on negation-free terms")
-    elif kind == APP:
-        out = u.app(node.symbol, [_eta(ctx, c) for c in node.children])
-    else:
-        out = _eta_filter(ctx, [_eta(ctx, c) for c in node.children], kind)
-    ctx.eta_memo[t] = out
-    return out
+    return _rewrite(_context(universe), t, _eta_filter)
 
 
 def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
@@ -446,8 +373,6 @@ def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
                     break
         if not redundant:
             kept.append(c)
-    if len(kept) == 1:
-        return kept[0]
     return u.join(kept) if kind == JOIN else u.meet(kept)
 
 
@@ -464,11 +389,14 @@ def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
             "use normalize_ol or pre-apply delta"
         )
     ctx = _context(universe)
-    return NormalTerm(_eta(ctx, _zeta(ctx, t)), BL)
+    return NormalTerm(_rewrite(ctx, _rewrite(ctx, t, _zeta_fix), _eta_filter), BL)
 
 
 @_depth_guarded
 def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Canonical minimal form over ortholattices with constructors."""
     ctx = _context(universe)
-    return NormalTerm(_eta(ctx, _zeta(ctx, _beta(ctx, _delta(ctx, t, False)))), OL)
+    t = _delta(ctx, t)[0]
+    for rule in (_beta_node, _zeta_fix, _eta_filter):
+        t = _rewrite(ctx, t, rule)
+    return NormalTerm(t, OL)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import ArityMismatch, ConflictingDeclaration
 
 TermId = int
+Image = TypeVar("Image")
 
 # Node kinds.
 VAR = "var"
@@ -225,6 +226,53 @@ class TermUniverse:
             seen.add(cur)
             stack.extend(self._nodes[cur].children)
         return seen
+
+    def fold(
+        self,
+        t: TermId,
+        memo: dict[TermId, Image],
+        image: Callable[[TermId, TermNode, list[Image]], Image],
+    ) -> Image:
+        """The bottom-up image of `t`: `image(s, node, kid_images)` for each
+        distinct subterm `s`, children first and left to right, each computed
+        once and stored in `memo`.
+
+        The walk runs on an explicit stack, so nesting depth is bounded by
+        memory, not by the interpreter's recursion limit."""
+        got = memo.get(t)
+        if got is not None:
+            return got
+        nodes = self._nodes
+        stack = [t]
+        while stack:
+            cur = stack[-1]
+            if cur in memo:
+                stack.pop()
+                continue
+            node = nodes[cur]
+            todo = [c for c in node.children if c not in memo]
+            if todo:
+                todo.reverse()
+                stack.extend(todo)
+            else:
+                stack.pop()
+                memo[cur] = image(cur, node, [memo[c] for c in node.children])
+        return memo[t]
+
+    def rebuild(self, t: TermId, kids: Sequence[TermId]) -> TermId:
+        """A node of `t`'s kind and symbol over new children (`t` itself when
+        they are unchanged); meets and joins flatten as usual."""
+        node = self._nodes[t]
+        kids = tuple(kids)
+        if kids == node.children:
+            return t
+        if node.kind == MEET:
+            return self.meet(kids)
+        if node.kind == JOIN:
+            return self.join(kids)
+        if node.kind == NOT:
+            return self.neg(kids[0])
+        return self.app(node.symbol, kids)
 
     def contains_not(self, t: TermId) -> bool:
         return any(self._nodes[s].kind == NOT for s in self.subterms(t))

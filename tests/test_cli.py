@@ -125,6 +125,12 @@ def test_long_negation_runs_parse_without_recursion(capsys):
     assert capsys.readouterr().out.split() == ["provable", "provable"]
 
 
+def test_long_negation_runs_normalize_without_recursion(capsys):
+    assert main(["normalize", "~" * 3000 + "x"]) == 0
+    assert main(["normalize", "~" * 3001 + "x"]) == 0
+    assert capsys.readouterr().out.split() == ["x", "~x"]
+
+
 def test_gen_output(capsys):
     assert main(["gen", "sn-tn", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from olsub import check, parse_source, parse_term
-from olsub.defs import Definition, desugar, infer_variance, substitute
+from olsub.defs import (
+    Definition,
+    desugar,
+    infer_variance,
+    occurrence_polarities,
+    subst_vars,
+    substitute,
+)
 from olsub.errors import RecursiveDefinition, VarianceMismatch
 from olsub.oracle import saturates
 from olsub.terms import Variance
@@ -40,6 +47,24 @@ def test_substitute_recurses_into_arguments(u):
     out = substitute(u, parse_term("F(F(x))", u), f, ["A"], parse_term("A | y", u))
     # innermost first: F(x) -> x | y, then F(x | y) -> (x | y) | y
     assert out == u.join([u.var("x"), u.var("y"), u.var("y")])
+
+
+def _chain(u, symbol, depth, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = u.app(symbol, [t])
+    return t
+
+
+def test_walks_handle_deep_chains(u):
+    f = u.declare("F", "-")
+    h = u.declare("H", "-")
+    x, y = u.var("x"), u.var("y")
+    deep = _chain(u, f, 5000, x)
+    assert subst_vars(u, deep, {"x": y}) == _chain(u, f, 5000, y)
+    assert substitute(u, deep, f, ["A"], u.app(h, [u.var("A")])) == _chain(u, h, 5000, x)
+    assert occurrence_polarities(u, deep, "x") == {"+"}
+    assert occurrence_polarities(u, u.app(f, [deep]), "x") == {"-"}
 
 
 def test_infer_variance(u):
@@ -120,7 +145,6 @@ def test_equiprovability_against_finite_instantiation(u):
     _, definitions = parse_source(text, u)
     definition = definitions[0]
     decl = u.symbols["U"]
-    from olsub.defs import subst_vars
 
     checked = 0
     for _ in range(120):

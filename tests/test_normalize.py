@@ -261,11 +261,44 @@ def test_normalizer_caches_die_with_their_universe():
     assert ref() is None
 
 
-@pytest.mark.parametrize("entry", [delta, beta, zeta, eta, normalize_bl, normalize_ol])
-def test_too_deep_terms_raise_a_typed_error(u, entry):
+def _chain(u, depth, leaf):
     f = u.declare("F", "+")
-    t = u.var("x")
-    for _ in range(2000):
+    t = u.var(leaf)
+    for _ in range(depth):
         t = u.app(f, [t])
+    return t
+
+
+@pytest.mark.parametrize("entry", [delta, beta, zeta, eta, normalize_bl, normalize_ol])
+def test_deep_chains_normalize_without_recursion(u, entry):
+    t = _chain(u, 5000, "x")
+    out = entry(u, t)
+    assert (out if entry in (delta, beta, zeta, eta) else out.term) == t
+
+
+@pytest.mark.parametrize("entry", [beta, zeta, eta, normalize_bl, normalize_ol])
+def test_deep_siblings_raise_a_typed_error(u, entry):
+    # sorting the join compares the siblings' nested structural keys
+    t = u.join([_chain(u, 2000, "x"), _chain(u, 2000, "y")])
     with pytest.raises(InputTooDeep):
         entry(u, t)
+
+
+@pytest.mark.parametrize("kind", ["join", "meet"])
+def test_beta_collapses_exactly_the_complemented_nodes(u, kind):
+    # A join is top exactly when the complement of one child is below it
+    # (dually a meet is bottom), so beta's whole-node test is complete.
+    f = u.declare("F", "+")
+    g = u.declare("G", "-+")
+    engine = Engine(u)
+    top, bot = u.top(), u.bot()
+    seen = 0
+    for t in oracle.enumerate_terms(u, ["x", "y"], [f, g], 6, negation="literals"):
+        if u.node(t).kind != kind:
+            continue
+        seen += 1
+        if kind == "join":
+            assert (beta(u, t) == top) == engine.query(top, t), print_term(u, t)
+        else:
+            assert (beta(u, t) == bot) == engine.query(t, bot), print_term(u, t)
+    assert seen == 5976
