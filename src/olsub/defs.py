@@ -117,6 +117,13 @@ def substitute(
     template must be variance-compatible with the symbol it replaces.
     """
     decl = universe.symbols[symbol] if isinstance(symbol, str) else symbol
+    _check_template(universe, decl, params, body)
+    return _substitution(universe, decl, params, body)(term)
+
+
+def _check_template(
+    universe: TermUniverse, decl: SymbolDecl, params: Sequence[str], body: TermId
+) -> None:
     if len(params) != decl.arity:
         raise VarianceMismatch(
             f"template for {decl.name} has {len(params)} holes, arity is {decl.arity}"
@@ -127,13 +134,21 @@ def substitute(
                 f"template for {decl.name} is not {declared.name.lower()} in {param}"
             )
 
+
+def _substitution(
+    universe: TermUniverse, decl: SymbolDecl, params: Sequence[str], body: TermId
+):
+    """`substitute` for an already checked template, as a function of the
+    term; every term it is applied to shares one memo."""
+    memo: dict[TermId, TermId] = {}
+
     def image(t: TermId, node, kids: list[TermId]) -> TermId:
         if node.kind == APP and decl.name in (node.symbol.name, node.symbol.dual_of):
             instance = subst_vars(universe, body, dict(zip(params, kids)))
             return instance if node.symbol.name == decl.name else universe.neg(instance)
         return universe.rebuild(t, kids)
 
-    return universe.fold(term, {}, image)
+    return lambda term: universe.fold(term, memo, image)
 
 
 def declare_definition_symbol(universe: TermUniverse, definition: Definition) -> SymbolDecl:
@@ -191,13 +206,8 @@ def desugar(
             body = universe.meet([d.bound, opaque])
         else:
             body = universe.join([d.bound, opaque])
-        goal_s = substitute(universe, goal_s, decl, d.params, body)
-        goal_t = substitute(universe, goal_t, decl, d.params, body)
-        pairs = [
-            (
-                substitute(universe, a, decl, d.params, body),
-                substitute(universe, b, decl, d.params, body),
-            )
-            for (a, b) in pairs
-        ]
+        _check_template(universe, decl, d.params, body)
+        replace = _substitution(universe, decl, d.params, body)
+        goal_s, goal_t = replace(goal_s), replace(goal_t)
+        pairs = [(replace(a), replace(b)) for (a, b) in pairs]
     return (goal_s, goal_t), pairs, hidden

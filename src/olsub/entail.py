@@ -4,18 +4,27 @@ Goals are sequents: unordered pairs of side-annotated terms, {S^L, T^R}
 meaning S <= T. Proof search is cut-free: a restricted transitivity rule
 (AxiomCut) fires only through declared axioms, so every derivation mentions
 only subterms of the goal and axioms. Working backward from the goal, depth
-first, each expanded sequent contributes one Horn clause per rule instance
-that could conclude it, and unit propagation runs whenever an expansion
-derives something. The search stops as soon as the goal is derived, so a
-provable query expands only what its search reaches before the proof closes.
-A sequent closed by a zero-premise rule (Hyp, LeftBot, RightTop, an axiom)
-gets no other clause. Replace (from {G,G} conclude any sequent holding G)
-is not generated ahead of time: its clause is added when it fires.
+first, each expanded sequent contributes one Horn clause per instance of a
+structural rule that could conclude it, and unit propagation runs whenever
+an expansion derives something. The search stops as soon as the goal is
+derived, so a provable query expands only what its search reaches before the
+proof closes. A sequent closed by a zero-premise rule (Hyp, LeftBot,
+RightTop, an axiom) gets no other clause.
 
-A refuted query needs the whole backward-reachable closure, and gets it:
-propagation over that closure decides provability in time linear in its
-size, O(n^2 * (1 + |axioms|)) clauses overall (the constant is about 16 on
-meet-of-joins inputs, see tests).
+Two rules are never written out ahead of time; each records a clause only
+when it fires. Replace concludes any sequent holding G from {G,G}. AxiomCut
+through an axiom U <= V concludes {x, y} from {x, U^R} and {V^L, y}. Each
+of those premises depends on one term only, so it is pushed once per term,
+not once per sequent, and the cut runs as a semi-naive join: per axiom, the
+terms x whose left premise is derived and the terms y whose right premise is
+derived; each newly derived premise is matched against the other side, and
+the cut fires on every expanded sequent {x, y} it completes.
+
+A refuted query needs the whole backward-reachable closure, and gets it.
+Over that closure, propagation takes time linear in the clauses, at most
+16 n^2 of them (see tests), and the joins take at most |L_i| * |R_i| <= (2n)^2
+probes per axiom i: O(n^2 * (1 + |axioms|)) work overall, of which only the
+clauses and the cuts that fire are stored.
 
 Two rule sets are supported. Mode "ol" is the full ortholattice system:
 negation rules, Replace, constructor monotonicity, and AxiomCut. Mode "bl"
@@ -177,10 +186,18 @@ class Engine:
     its premises again, so pending work is resumed by whichever query needs
     it and never lost. The axiom set and mode are fixed per engine.
 
+    The cut premises of a term are pushed by the first sequent that holds it
+    and are shared by every later one, so when a stopped search leaves them
+    unexpanded, the sequents holding that term are opened too, and the term
+    pushes its premises again with the next sequent that holds it.
+
     `clauses` holds every generated clause as `(head, body, rule, aux)` over
     integer-packed sequents, and `derived` maps each derived sequent to the
     index of its first deriving clause; `reconstruct_proof` reads a proof of
-    any query the engine has answered yes from these two.
+    any query the engine has answered yes from these two. A Replace or
+    AxiomCut clause is added only when it fires, with its premises derived.
+    `steps` counts propagation work: watch decrements, join probes and the
+    Replace and AxiomCut derivations.
     """
 
     def __init__(self, universe: TermUniverse, axioms=None, mode: str = "ol"):
@@ -188,21 +205,29 @@ class Engine:
             raise ValueError(f"unknown mode {mode!r}")
         self.u = universe
         self.mode = mode
-        self.axioms = []
-        for pair in as_pairs(axioms):  # drop exact duplicates, keep order
-            if pair not in self.axioms:
-                _check_ids(*pair)
-                self.axioms.append(pair)
+        self.axioms = list(dict.fromkeys(as_pairs(axioms)))  # drop exact duplicates, keep order
+        for pair in self.axioms:
+            _check_ids(*pair)
         self._ax_anns = [(_ann(v, 1), _ann(w, 0)) for (v, w) in self.axioms]  # (U^R, V^L)
         self._axiom_of_seq: dict[int, int] = {}
+        self._cut_u: dict[int, list[int]] = {}  # U^R -> axioms i = (U, V)
+        self._cut_v: dict[int, list[int]] = {}  # V^L -> axioms i = (U, V)
         for i, (v, w) in enumerate(self.axioms):
             self._axiom_of_seq.setdefault(_seq(_ann(v, 0), _ann(w, 1)), i)
+            self._cut_u.setdefault(_ann(v, 1), []).append(i)
+            self._cut_v.setdefault(_ann(w, 0), []).append(i)
+        # AxiomCut joins, for axiom i = (U, V): L_i holds each x with {x, U^R}
+        # derived, R_i each y with {V^L, y} derived, and {x, y} follows.
+        self._cut_sides = [([], []) for _ in self.axioms]  # i -> (L_i, R_i)
+        self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
+        self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
+        self._cut_pushed: set[int] = set()  # terms whose cut premises were pushed
         # per-annotated-term record: (templates, unit rule, app symbol, args, variances)
         self._info: dict[int, tuple] = {}
         self._visited: dict[int, int] = {}  # expanded sequent -> index of its first clause
         self._open: set[int] = set()  # expanded; may depend on work a stopped search left
         self._pending: list[int] = []  # the stack a stopped search left, not yet settled
-        self._replace_wait: dict[int, list[int]] = {}  # G -> expanded sequents holding G
+        self._holding: dict[int, list[int]] = {}  # x -> expanded sequents holding x
         self.clauses: list[tuple] = []  # (head, body tuple, rule, aux)
         self._counters: list[int] = []
         self._watch: dict[int, list[int]] = {}
@@ -293,6 +318,20 @@ class Engine:
         if ra[1] is not None or rb[1] is not None:
             self._add_clause(s, (), ra[1] or rb[1], None)
             return
+        if self._cut_left:
+            for x, y in ((a, b), (b, a)):
+                i = self._cut_between(x, y)
+                if i is not None:
+                    u_r, v_l = self._ax_anns[i]
+                    self._derive(s, (_seq(x, u_r), _seq(v_l, y)), AXIOM_CUT, i)
+                    return
+        holding = self._holding
+        for g in (a, b) if a != b else (a,):
+            hs = holding.get(g)
+            if hs is None:
+                holding[g] = [s]
+            else:
+                hs.append(s)
         if self.mode == "ol" and a != b:
             # Replace: {G,G} concludes s for G in s. Its clause is added once
             # {G,G} is derived, here or in _run, never ahead of time.
@@ -304,9 +343,6 @@ class Engine:
                     self._add_clause(s, (gg,), REPLACE, None)
                     return
             self._to_visit += (aa, bb)
-            wait = self._replace_wait
-            for g in (a, b):
-                wait.setdefault(g, []).append(s)
         for rule, aux, comps in ra[0]:
             self._add_clause(
                 s,
@@ -340,10 +376,59 @@ class Engine:
                     body.append(_seq(sl, tr | _SIDE_BIT))
                     body.append(_seq(tr, sl | _SIDE_BIT))
             self._add_clause(s, tuple(body), F_RULE, ra[2])
-        for i, (u_r, v_l) in enumerate(self._ax_anns):
-            self._add_clause(s, (_seq(a, u_r), _seq(v_l, b)), AXIOM_CUT, i)
-            if a != b:
-                self._add_clause(s, (_seq(b, u_r), _seq(v_l, a)), AXIOM_CUT, i)
+        if self._ax_anns:
+            # The cut premises of s depend on one of its terms only, so each
+            # term pushes them once, for every sequent that will hold it.
+            pushed = self._cut_pushed
+            for x in (a, b):
+                if x not in pushed:
+                    self._to_visit += self._cut_premises(x)
+                    pushed.add(x)
+
+    def _cut_premises(self, x: int) -> list[int]:
+        """{x, U^R} and {V^L, x} for every axiom U <= V."""
+        out: list[int] = []
+        for u_r, v_l in self._ax_anns:
+            out += (_seq(x, u_r), _seq(v_l, x))
+        return out
+
+    def _cut_between(self, x: int, y: int) -> int | None:
+        """An axiom i = (U, V) with {x, U^R} and {V^L, y} both derived."""
+        mine = self._cut_left.get(x)
+        theirs = self._cut_right.get(y)
+        if mine and theirs and not mine.isdisjoint(theirs):
+            return min(mine & theirs)
+        return None
+
+    def _derive(self, head: int, body: tuple, rule: str, aux) -> None:
+        """Record a Replace or AxiomCut derivation as it fires: one clause
+        whose premises are all derived already."""
+        self.derived[head] = len(self.clauses)
+        self.clauses.append((head, body, rule, aux))
+        self._counters.append(0)
+        self._queue.append(head)
+        self.steps += 1
+
+    def _join(self, x: int, i: int, left: bool) -> None:
+        """x joins L_i (left) or R_i: AxiomCut i fires on every expanded,
+        underived sequent {x, y} whose y is already on the other side."""
+        ours, theirs = self._cut_sides[i] if left else self._cut_sides[i][::-1]
+        ours.append(x)
+        index = self._cut_left if left else self._cut_right
+        got = index.get(x)
+        if got is None:
+            index[x] = {i}
+        else:
+            got.add(i)
+        u_r, v_l = self._ax_anns[i]
+        visited = self._visited
+        derived = self.derived
+        for y in theirs:
+            h = (x << _ANN_BITS) | y if x <= y else (y << _ANN_BITS) | x
+            if h in visited and h not in derived:
+                p, q = (x, y) if left else (y, x)
+                self._derive(h, (_seq(p, u_r), _seq(v_l, q)), AXIOM_CUT, i)
+        self.steps += len(theirs)
 
     def _add_clause(self, head: int, body: tuple, rule: str, aux) -> None:
         clauses = self.clauses
@@ -410,8 +495,9 @@ class Engine:
         return goal in derived
 
     def _premises(self, s: int) -> list[int]:
-        """Everything the expansion of `s` pushed: its Replace subgoals and
-        the bodies of its clauses, which the expansion appended contiguously."""
+        """Everything the expansion of `s` needs: its Replace subgoals, the
+        bodies of its clauses (which the expansion appended contiguously) and
+        the cut premises of its terms."""
         out: list[int] = []
         a = s >> _ANN_BITS
         b = s & _ANN_MASK
@@ -422,6 +508,9 @@ class Engine:
         while i < len(clauses) and clauses[i][0] == s:
             out += clauses[i][1]
             i += 1
+        if self._ax_anns:
+            for x in (a, b) if a != b else (a,):
+                out += self._cut_premises(x)
         return out
 
     def _stop(self) -> None:
@@ -430,14 +519,19 @@ class Engine:
     def _settle(self) -> None:
         """Open every underived sequent that may depend on work a stopped
         search left on its stack. From each premise left there unexpanded (or
-        open), walk back through the clauses watching it and the sequents
-        waiting on it for Replace. Whatever the walk misses has its whole
-        closure expanded and stays closed."""
+        open), walk back to its users: the clauses watching it, the sequents
+        holding G for a Replace subgoal {G,G}, and the sequents holding x for
+        a cut premise {x, U^R} or {V^L, x}. Each term of a walked sequent may
+        have its cut premises among that work, so it pushes them again the
+        next time a sequent holding it is expanded. Whatever the walk misses
+        has its whole closure expanded and stays closed."""
         derived = self.derived
         visited = self._visited
         open_ = self._open
         watch = self._watch
-        wait = self._replace_wait
+        holding = self._holding
+        pushed = self._cut_pushed
+        cut_terms = self._cut_u.keys() | self._cut_v.keys()
         clauses = self.clauses
         stack = [
             p for p in set(self._pending)
@@ -447,10 +541,17 @@ class Engine:
         seen = set(stack)
         while stack:
             p = stack.pop()
+            a = p >> _ANN_BITS
+            b = p & _ANN_MASK
+            pushed.discard(a)
+            pushed.discard(b)
             users = [clauses[ci][0] for ci in watch.get(p, ())]
-            g = p & _ANN_MASK
-            if p >> _ANN_BITS == g:
-                users += wait.get(g, ())
+            if a == b:
+                users += holding.get(a, ())
+            if a in cut_terms:
+                users += holding.get(b, ())
+            if b in cut_terms:
+                users += holding.get(a, ())
             for s in users:
                 if s not in seen and s not in derived:
                     seen.add(s)
@@ -463,10 +564,15 @@ class Engine:
         counters = self._counters
         clauses = self.clauses
         derived = self.derived
-        wait = self._replace_wait
-        steps = self.steps
+        holding = self._holding
+        derive = self._derive
+        replace = self.mode == "ol"
+        cut_u = self._cut_u
+        cut_v = self._cut_v
+        join = self._join
         while queue:
             s = queue.popleft()
+            steps = 0
             for ci in watch.pop(s, ()):
                 counters[ci] -= 1
                 steps += 1
@@ -475,17 +581,21 @@ class Engine:
                     if head not in derived:
                         derived[head] = ci
                         queue.append(head)
-            g = s & _ANN_MASK
-            if s >> _ANN_BITS == g and g in wait:
+            a = s >> _ANN_BITS
+            b = s & _ANN_MASK
+            if a == b and replace:
                 # {G,G} derived: Replace closes every expanded sequent holding G.
-                for head in wait.pop(g):
+                for head in holding.get(a, ()):
                     if head not in derived:
-                        steps += 1
-                        derived[head] = len(clauses)
-                        clauses.append((head, (s,), REPLACE, None))
-                        counters.append(0)
-                        queue.append(head)
-        self.steps = steps
+                        derive(head, (s,), REPLACE, None)
+            self.steps += steps
+            if cut_u:
+                # s = {x, U_i^R} puts x in L_i; s = {V_i^L, y} puts y in R_i.
+                for t, x in ((a, b), (b, a)) if a != b else ((a, a),):
+                    for i in cut_u.get(t, ()):
+                        join(x, i, True)
+                    for i in cut_v.get(t, ()):
+                        join(x, i, False)
 
     # -- public queries ----------------------------------------------------
 

@@ -137,6 +137,27 @@ def test_desugar_chain_of_definitions(u):
     assert check(u, gs, gt).provable
 
 
+def test_desugar_checks_each_template_once(u, monkeypatch):
+    import olsub.defs as defs
+
+    text = "fun S : (+)\nfun T : (-)\ntype U[A, B] <: S(A) & T(B)\n"
+    _, definitions = parse_source(text, u)
+    goal = (parse_term("U(x, y)", u), parse_term("S(x)", u))
+    axioms = [
+        (parse_term(f"U(x{i}, y)", u), parse_term(f"S(x{i}) | U(y, x{i})", u))
+        for i in range(10)
+    ]
+    calls = []
+    real = defs.occurrence_polarities
+    monkeypatch.setattr(
+        defs, "occurrence_polarities", lambda *args: calls.append(args) or real(*args)
+    )
+    (gs, _), pairs, _ = desugar(u, definitions, goal, axioms)
+    assert len(calls) <= len(definitions[0].params)
+    assert gs == parse_term("S(x) & T(y) & U'(x, y)", u)
+    assert len(pairs) == 10
+
+
 def test_equiprovability_against_finite_instantiation(u):
     """Provability under finitely instantiated bound axioms must survive
     desugaring (the instantiated axioms approximate the definition scheme)."""

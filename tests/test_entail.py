@@ -271,6 +271,21 @@ def test_clause_count_bound(u):
         assert with_axioms.stats.clauses <= 16 * total_ax * total_ax * (1 + len(axioms))
 
 
+def test_atom_chain_cuts_stay_quadratic(u):
+    # A0 <= A1 <= ... <= A49: AxiomCut fires from derived premises, so the
+    # clauses stay within 2 k^2, and `steps` counts the join work that the
+    # stored clauses do not show.
+    k = 50
+    atoms = [u.var(f"A{i}") for i in range(k)]
+    axioms = list(zip(atoms, atoms[1:]))
+    for s, t, want in ((atoms[0], atoms[-1], True), (atoms[-1], atoms[0], False)):
+        engine = Engine(u, axioms)
+        assert engine.query(s, t) == want
+        stats = engine.stats()
+        assert stats.clauses <= 2 * k * k
+        assert stats.steps >= stats.derived
+
+
 def test_stats_shape(u):
     x = u.var("x")
     verdict = check(u, x, x)
@@ -329,6 +344,33 @@ def test_shared_engine_sweep_matches_saturation():
             assert engine.query(s, t) == (((s, "L"), (t, "R")) in provable)
 
 
+def test_axiom_heavy_shared_engine_sweep_matches_saturation():
+    # Up to six axioms per engine, atom bounds and F(...) bounds, so that
+    # AxiomCut joins carry much of the work, and queries that stop early
+    # leave cut premises unexpanded for later queries to resume.
+    rng = random.Random(606)
+    atoms = ["a", "b", "c", "d", "x", "y", "z"]
+    for _ in range(150):
+        u = TermUniverse()
+        f = u.declare("F", "+")
+        roots = [random_term(u, rng, 6, atoms, [f]) for _ in range(2)]
+        axioms = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.5:
+                axioms.append((u.var(rng.choice(atoms)), u.var(rng.choice(atoms))))
+            else:
+                bound = u.app(f, [random_term(u, rng, 3, atoms)])
+                other = random_term(u, rng, 3, atoms, [f])
+                axioms.append((bound, other) if rng.random() < 0.5 else (other, bound))
+        provable = oracle.saturate(u, roots, axioms)
+        terms = roots + [t for pair in axioms for t in pair]
+        pool = sorted(set().union(*(u.subterms(t) for t in terms)))
+        engine = Engine(u, axioms)
+        for _ in range(60):
+            s, t = rng.choice(pool), rng.choice(pool)
+            assert engine.query(s, t) == (((s, "L"), (t, "R")) in provable)
+
+
 def test_early_exit_leaves_pending_work_to_later_queries(u):
     # z <= z | x <= ~(top & z) makes z bottom, so z <= y. The first query
     # stops early with premises of sequents the second one needs still
@@ -362,6 +404,27 @@ def test_pending_replace_subgoal_keeps_its_waiters_open(u):
     engine = Engine(u, axioms)
     assert engine.query(*parse_query("x & x & ~x <= x", u))
     assert engine.query(*parse_query("F(x & x & ~x) <= x & x | F(bot)", u))
+
+
+def test_pending_cut_premise_keeps_its_sequents_open():
+    # A search can stop with the cut premises {x, U^R} and {V^L, x} of a
+    # term x still unexpanded, after a sequent holding x was expanded; that
+    # sequent must stay open for the next query. In the first case ("bl"
+    # mode) no Replace subgoal opens it on the way. Term ids fix the search
+    # order, so every variable is created, in this order, before the
+    # compound terms.
+    u = TermUniverse()
+    a, b, c, d, e, f = (u.var(n) for n in "abcdef")
+    a_or_f = u.join([a, f])
+    engine = Engine(u, [(c, a_or_f), (c, b), (b, d), (d, c), (e, b)], mode="bl")
+    assert engine.query(a, a_or_f)
+    assert engine.query(b, a_or_f)  # b <= d <= c <= a | f
+    u = TermUniverse()
+    a, b, c, d, e, f = (u.var(n) for n in "abcdef")
+    d_and_c, d_or_f = u.meet([d, c]), u.join([d, f])
+    engine = Engine(u, [(b, f), (f, d_and_c), (a, b), (f, d_or_f), (b, d)])
+    assert engine.query(b, d_and_c)
+    assert engine.query(d_or_f, d)  # f <= d & c <= d
 
 
 def test_wide_meet_stops_at_first_derivation(u):
