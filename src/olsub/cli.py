@@ -8,6 +8,11 @@
 
 Exit codes: 0 provable (or success), 1 not provable, 2 error (an internal
 error included).
+
+`check` and `explain` decide a query with axioms on the Horn engine and an
+axiom-free query with the normalizer's order test (`entail.check`); a proof
+is always read back from the engine's search. `bench` runs the engine
+itself, since it reports the engine's clause growth.
 """
 from __future__ import annotations
 
@@ -110,14 +115,20 @@ def cmd_check(args) -> int:
         (s, t), pairs, hidden = defs_mod.desugar(universe, definitions, (s, t), pairs)
     rename = {} if args.show_internals else hidden
     started = time.perf_counter()
-    engine = entail.Engine(universe, pairs)
-    provable = engine.query(s, t)
+    if pairs:
+        engine = entail.Engine(universe, pairs)
+        verdict = entail.Verdict(engine.query(s, t), engine.stats())
+    else:
+        engine = None
+        verdict = entail.check(universe, s, t)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    stats = engine.stats()
+    provable, stats = verdict.provable, verdict.stats
     proof = None
     want_proof = args.command == "explain" or getattr(args, "proof", False)
     if provable and want_proof:
-        proof = entail.reconstruct_proof(engine, s, t)
+        # An axiom-free verdict comes from the order test; its proof is
+        # read from an engine's search.
+        proof = entail.reconstruct_proof(engine or entail.Engine(universe), s, t)
         if not entail.verify_proof(universe, proof, pairs):
             print("internal error: reconstructed proof failed verification", file=sys.stderr)
             return 2
@@ -132,9 +143,10 @@ def cmd_check(args) -> int:
                 "ms": round(elapsed_ms, 3),
             },
         }
+        text = json.dumps(payload)
         if proof is not None:
-            payload["proof"] = _proof_json(universe, proof, rename)
-        print(json.dumps(payload))
+            text = f'{text[:-1]}, "proof": {_proof_json(universe, proof, rename)}}}'
+        print(text)
     else:
         print("provable" if provable else "not provable")
         if proof is not None:
@@ -142,14 +154,24 @@ def cmd_check(args) -> int:
     return 0 if provable else 1
 
 
-def _proof_json(universe, node, rename):
-    return {
-        "rule": node.rule,
-        "sequent": [
-            [print_term(universe, e.term, rename), e.side] for e in node.sequent.elements()
-        ],
-        "children": [_proof_json(universe, c, rename) for c in node.children],
-    }
+def _proof_json(universe, proof, rename) -> str:
+    """The proof as JSON text, `{"rule", "sequent", "children"}` per node,
+    written from one walk, so a proof of any depth renders."""
+    parts: list[str] = []
+    closed = -1  # depth of the node closed last, -1 after an opening
+    for node, depth in entail.walk_proof(proof):
+        if node is None:
+            parts.append("]}")
+            closed = depth
+            continue
+        if closed == depth:
+            parts.append(", ")
+        sequent = [[print_term(universe, e.term, rename), e.side] for e in node.sequent.elements()]
+        parts.append(
+            f'{{"rule": {json.dumps(node.rule)}, "sequent": {json.dumps(sequent)}, "children": ['
+        )
+        closed = -1
+    return "".join(parts)
 
 
 def cmd_normalize(args) -> int:
@@ -211,15 +233,17 @@ def run_bench(sizes) -> tuple[list[dict], float]:
         universe = TermUniverse()
         s, t = sn_tn_terms(universe, n)
         started = time.perf_counter()
-        forward = entail.check(universe, s, t)
-        backward = entail.check(universe, t, s)
+        # The Horn engine itself, not `check`: this measures its clause growth.
+        engines = [entail.Engine(universe), entail.Engine(universe)]
+        verdicts = [engines[0].query(s, t), engines[1].query(t, s)]
         elapsed_ms = (time.perf_counter() - started) * 1000.0
+        stats = [engine.stats() for engine in engines]
         rows.append(
             {
                 "n": n,
-                "provable": forward.provable and backward.provable,
-                "sequents": forward.stats.sequents + backward.stats.sequents,
-                "clauses": forward.stats.clauses + backward.stats.clauses,
+                "provable": all(verdicts),
+                "sequents": sum(st.sequents for st in stats),
+                "clauses": sum(st.clauses for st in stats),
                 "wall_ms": elapsed_ms,
             }
         )

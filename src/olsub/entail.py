@@ -36,6 +36,12 @@ order test is checked against.
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
 
+`check` runs an `Engine` only on queries that carry axioms or ask for mode
+"bl". An axiom-free ortholattice query is decided by the normalizer's
+Whitman order test on beta-reduced terms, which coincides with the
+ortholattice order there (see `check`), so it never pays for a Horn-clause
+closure. Proofs, axioms and the "bl" reference stay on the engine.
+
 The proof is a by-product of the search. `Engine.derived` maps each derived
 sequent to the clause that first derived it, and `reconstruct_proof` walks
 those clauses back from the goal, so a proof costs one walk over its own
@@ -48,6 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import normalize
 from .errors import NegationPresent, NotProvable, TermIdOverflow
 from .terms import (
     APP,
@@ -619,10 +626,60 @@ def check(
     axioms=None,
     mode: str = "ol",
 ) -> Verdict:
-    """Decide s <= t under the axioms. Complete: `provable=False` is definitive."""
-    engine = Engine(universe, axioms, mode)
-    provable = engine.query(s, t)
-    return Verdict(provable, engine.stats())
+    """Decide s <= t under the axioms. Complete: `provable=False` is definitive.
+
+    With axioms, or in mode "bl", the query runs on a fresh `Engine`, and
+    `stats` counts its sequents, clauses, propagation steps and derived
+    sequents. An axiom-free query in mode "ol" is decided by the
+    normalizer's order test `normalize.leq` instead, in two phases:
+
+        s <= t  iff  leq(delta s, delta t)  or  leq(beta delta s, beta delta t)
+
+    Phase one is sound: every rule of the lattice test is a rule of the
+    ortholattice calculus, and delta preserves equivalence. It answers most
+    provable queries without running beta. Phase two runs only on a "no",
+    and is sound for the same reason (beta replaces a node only by an
+    equivalent bound). It is complete by the coincidence lemma:
+
+        For beta-reduced pseudo-negation-normal terms a and b, the cut-free
+        ortholattice calculus proves {a^L, b^R} iff the lattice test does;
+        and it proves a same-side sequent {a^R, b^R} iff the lattice test
+        proves ~a <= b (dually {a^L, b^L} iff a <= ~b), where ~ is delta's
+        complement. Beta-reduced means: no join J has a child c with
+        ~c <= J, and no meet M a child c with M <= ~c, in the lattice test.
+
+    Sketch, by induction on a cut-free derivation. Hyp, the bound rules,
+    the And/Or rules and the constructor rule map to the same rules of the
+    lattice test, or, on a same-side sequent, to the rule for the
+    complement, since ~ swaps meets and joins. A negation rule on ~x (or
+    a dual symbol) turns {~x^L, b^R} into {x^R, b^R}, which the induction
+    hypothesis reads as ~x <= b: the conclusion itself. Replace concludes
+    from {a^R, a^R}, that is ~a <= a. For a literal or an application
+    that fails; for a join ~a is a meet of the ~ai, so by Whitman some
+    ~ai <= a, or ~a <= aj, which by the self-duality of the test is
+    ~aj <= a; either way a child's complement is below a, which
+    beta-reducedness excludes. For a meet it makes every ai
+    (inductively) top, so the lattice test proves c <= a for every c and
+    the conclusion holds there too. Dually for {a^L, a^L}. So on beta's
+    images neither Replace nor a negation rule proves anything the lattice
+    test does not, and phase two decides the query.
+
+    On this path `stats` describes the order test: `sequents` counts the
+    goals it decided in this call, `clauses` the alternatives generated for
+    them, `steps` the subgoal lookups and `derived` the goals proved.
+    Verdicts are memoized per universe, so a repeated query counts 0."""
+    pairs = as_pairs(axioms)
+    if pairs or mode != "ol":
+        engine = Engine(universe, pairs, mode)
+        provable = engine.query(s, t)
+        return Verdict(provable, engine.stats())
+    tally = [0, 0, 0, 0]  # in the order of Stats' fields
+    # delta is the identity on Not-free terms; skip building complements
+    ds, dt = (normalize.delta(universe, x) if universe.contains_not(x) else x for x in (s, t))
+    provable = normalize.leq(universe, ds, dt, tally) or normalize.leq(
+        universe, normalize.beta(universe, ds), normalize.beta(universe, dt), tally
+    )
+    return Verdict(provable, Stats(*tally))
 
 
 # ----------------------------------------------------------------------
@@ -805,23 +862,32 @@ def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool
 # proof display
 
 
+def walk_proof(proof: ProofTree):
+    """Every node of `proof` in preorder as `(node, depth)`, each followed,
+    after its subtree, by `(None, depth)`. The walk runs on an explicit
+    stack, so a proof of any depth renders; a shared subproof is visited
+    once per occurrence."""
+    stack: list[tuple[ProofTree | None, int]] = [(proof, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if node is not None:
+            stack.append((None, depth))
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
 def format_proof(universe: TermUniverse, proof: ProofTree, rename=None) -> str:
     from .syntax import print_term
 
     lines: list[str] = []
-
-    def seq_str(s: Sequent) -> str:
-        return ", ".join(
-            f"{print_term(universe, e.term, rename)}^{e.side}" for e in s.elements()
-        )
-
-    def walk(node: ProofTree, depth: int) -> None:
+    for node, depth in walk_proof(proof):
+        if node is None:
+            continue
         rule = node.rule
         if rule == F_RULE and node.aux is not None:
             rule = f"F[{node.aux}]"
-        lines.append("  " * depth + f"{rule}: {seq_str(node.sequent)}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(proof, 0)
+        shown = ", ".join(
+            f"{print_term(universe, e.term, rename)}^{e.side}" for e in node.sequent.elements()
+        )
+        lines.append("  " * depth + f"{rule}: {shown}")
     return "\n".join(lines)

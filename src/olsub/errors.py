@@ -59,7 +59,7 @@ class AxiomsNotSupported(OlsubError):
 
 
 class InputTooDeep(OlsubError):
-    """Input is nested deeper than the recursive parser, printer or passes allow."""
+    """Input is nested deeper than the recursive parser or printer allows."""
 
 
 class TermIdOverflow(OlsubError):

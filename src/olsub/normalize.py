@@ -13,19 +13,21 @@ The composition maps equivalent terms to one identical term id, never grows
 the pseudo-negation-normal image, and outputs the smallest term of the
 equivalence class under the node-count convention of `TermUniverse.size`.
 
-Each pass, and the structural sort key, is one memoized bottom-up walk
-(`TermUniverse.fold`) with a rule per node: delta maps every subterm to the
-pair of its own and its complement's normal form; beta, zeta and eta share
-the leaf, negation and constructor cases and differ only in how they combine
-the rewritten children of a meet or join. The walks are iterative, so
-nesting depth is limited by memory, not by the interpreter's stack.
+Each pass is one memoized bottom-up walk (`TermUniverse.fold`) with a rule
+per node: delta maps every subterm to the pair of its own and its
+complement's normal form; beta, zeta and eta share the leaf, negation and
+constructor cases and differ only in how they combine the rewritten children
+of a meet or join. Children are sorted by a structural comparison that
+follows one path down in a loop. Nothing recurses, so nesting depth is
+limited by memory, not by the interpreter's stack.
 
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
 backward search over the negation-free sequent rules, with negated variables
-and dual symbols treated as opaque atoms. Verdicts are cached per universe
-and the cache is freed with the universe, keeping a normalization run
-quadratic overall.
+and dual symbols treated as opaque atoms (`leq`). Verdicts are cached per
+universe and the cache is freed with the universe, keeping a normalization
+run quadratic overall. On beta's images this order is the ortholattice
+order, so `entail.check` decides axiom-free queries with the same test.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import InputTooDeep, NegationPresent
+from .errors import NegationPresent
 from .terms import (
     APP,
     BOT,
@@ -53,23 +55,6 @@ BL = "bl"
 OL = "ol"
 
 
-def _depth_guarded(entry):
-    """The passes walk terms on an explicit stack, but sorting the children
-    of a meet or join compares their structural keys, and comparing two key
-    tuples recurses in C once per level down to their first difference. A
-    comparison deeper than the interpreter's recursion limit, the only
-    recursion left, raises `InputTooDeep`, not `RecursionError`."""
-
-    @functools.wraps(entry)
-    def guarded(*args):
-        try:
-            return entry(*args)
-        except RecursionError as exc:
-            raise InputTooDeep(f"{entry.__name__}: term is nested too deeply") from exc
-
-    return guarded
-
-
 @dataclass(frozen=True)
 class NormalTerm:
     term: TermId
@@ -77,7 +62,7 @@ class NormalTerm:
 
 
 class _Context:
-    """Per-universe caches: order-test verdicts, pass memos, sort keys.
+    """Per-universe caches: order-test verdicts and pass memos.
 
     The universe is held weakly, so a context never keeps its own key in
     `_contexts` alive."""
@@ -85,7 +70,6 @@ class _Context:
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
         self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
-        self.keys: dict[TermId, tuple] = {}
         # delta's images of a term and of its complement
         self.delta: dict[TermId, tuple[TermId, TermId]] = {}
         # beta's, zeta's and eta's images, one memo per combining rule
@@ -95,19 +79,23 @@ class _Context:
     def u(self) -> TermUniverse:
         return self._universe()
 
-    def leq(self, s: TermId, t: TermId) -> bool:
+    def leq(self, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
         """Decide `s <= t` over bounded lattices with constructors.
 
         Depth-first AND/OR search on an explicit stack. A goal holds when
         every pair of one of its `_alternatives` holds; each subgoal is
         strictly smaller than its goal, so the search terminates and every
-        verdict it reaches is final and memoized."""
+        verdict it reaches is final and memoized. `tally`, when given, gains
+        this call's work: goals decided, alternatives generated, subgoal
+        lookups and goals proved."""
         memo = self.leq_memo
         verdict = memo.get((s, t))
         if verdict is not None:
             return verdict
         node = self.u.node
-        stack = [[s, t, _alternatives(node, s, t), 0, 0]]  # goal, alternatives, position
+        alts = _alternatives(node, s, t)
+        goals, generated, lookups, proved = 1, len(alts), 0, 0
+        stack = [[s, t, alts, 0, 0]]  # goal, alternatives, position
         while stack:
             frame = stack[-1]
             alts, ai, pi = frame[2], frame[3], frame[4]
@@ -118,6 +106,7 @@ class _Context:
                 elif pi == len(alts[ai]):
                     verdict = True
                 else:
+                    lookups += 1
                     got = memo.get(alts[ai][pi])
                     if got is None:
                         break
@@ -128,15 +117,20 @@ class _Context:
             if verdict is None:
                 frame[3], frame[4] = ai, pi
                 cs, ct = alts[ai][pi]
-                stack.append([cs, ct, _alternatives(node, cs, ct), 0, 0])
+                alts = _alternatives(node, cs, ct)
+                goals += 1
+                generated += len(alts)
+                stack.append([cs, ct, alts, 0, 0])
             else:
                 memo[frame[0], frame[1]] = verdict
+                proved += verdict
                 stack.pop()
+        if tally is not None:
+            tally[0] += goals
+            tally[1] += generated
+            tally[2] += lookups
+            tally[3] += proved
         return verdict
-
-    def key(self, t: TermId) -> tuple:
-        """Total structural order: kind rank, then name, then children."""
-        return self.u.fold(t, self.keys, _key_image)
 
     def sorted_node(self, kind: str, kids: list[TermId]) -> TermId:
         """The meet or join (`kind`) of `kids`, children in structural order."""
@@ -144,17 +138,40 @@ class _Context:
         t = u.meet(kids) if kind == MEET else u.join(kids)
         node = u.node(t)
         if node.kind == kind:
-            return u.rebuild(t, sorted(node.children, key=self.key))
+            return u.rebuild(t, sorted(node.children, key=_structural_key(u)))
         return t
 
 
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
 
 
-def _key_image(t: TermId, node, kids: list[tuple]) -> tuple:
-    if node.kind in (VAR, NEGVAR, APP):
-        return (_RANK[node.kind], node.name, *kids)
-    return (_RANK[node.kind], *kids)
+def _structural_key(u: TermUniverse):
+    """Sort key for the total structural order on `u`'s terms: kind rank,
+    then name, then children left to right, a node whose children are a
+    prefix of another's first.
+
+    Two distinct interned terms of one kind and name differ first at some
+    pair of distinct children, and that pair alone decides their order, so
+    the comparison follows one path down, in a loop: any depth compares in
+    memory, not on the interpreter's stack."""
+    node = u.node
+
+    def compare(a: TermId, b: TermId) -> int:
+        while a != b:
+            na, nb = node(a), node(b)
+            if na.kind != nb.kind:
+                return -1 if _RANK[na.kind] < _RANK[nb.kind] else 1
+            if na.name != nb.name:
+                return -1 if na.name < nb.name else 1
+            for x, y in zip(na.children, nb.children):
+                if x != y:
+                    a, b = x, y
+                    break
+            else:
+                return -1 if len(na.children) < len(nb.children) else 1
+        return 0
+
+    return functools.cmp_to_key(compare)
 
 
 _contexts: "weakref.WeakKeyDictionary[TermUniverse, _Context]" = weakref.WeakKeyDictionary()
@@ -202,11 +219,23 @@ def _alternatives(node, s: TermId, t: TermId) -> list[tuple[tuple[TermId, TermId
     return alts
 
 
+def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
+    """Decide `s <= t` for negation-free terms in the bounded-lattice order
+    with constructors: Whitman's conditions and the variance rule, negated
+    variables and dual symbols opaque atoms. This is the order test every
+    pass below makes, and verdicts are memoized per universe. On
+    beta-reduced pseudo-negation-normal terms it is the ortholattice order
+    too, which is how `entail.check` decides axiom-free queries.
+
+    `tally`, a list of four counters, gains the work of this call: goals
+    decided, alternatives generated, subgoal lookups, goals proved."""
+    return _context(universe).leq(s, t, tally)
+
+
 # ----------------------------------------------------------------------
 # delta: pseudo-negation-normal form
 
 
-@_depth_guarded
 def delta(universe: TermUniverse, t: TermId) -> TermId:
     """Push negation down to variables and constructor heads.
 
@@ -265,7 +294,6 @@ def _rewrite(ctx: _Context, t: TermId, combine) -> TermId:
     return u.fold(t, ctx.rewrites[combine], image)
 
 
-@_depth_guarded
 def beta(universe: TermUniverse, t: TermId) -> TermId:
     """On a pseudo-negation-normal term, replace any join one of whose
     disjuncts is complemented within it by top, dually meets by bottom.
@@ -278,25 +306,38 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
     its children, implies a hit of the whole-node test by Whitman's
     condition and the self-duality of the order on pseudo-negation-normal
     terms. The result does not depend on how the input was associated.
-    Dually for meets and bottom."""
+    Dually for meets and bottom.
+
+    The output is beta-reduced: no join keeps a child whose complement is
+    below it under `leq`, dually for meets. That is the hypothesis of the
+    coincidence lemma in `entail.check`."""
     return _rewrite(_context(universe), t, _beta_node)
 
 
 def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
     u = ctx.u
     whole = ctx.sorted_node(kind, kids)
-    if u.node(whole).kind != kind:
+    node = u.node(whole)
+    if node.kind != kind:
         return whole
-    for c in u.node(whole).children:
+    # A literal child needs no order test. Its complement l is a literal,
+    # and by Whitman's condition l is below the join only if l is a child,
+    # or l <= d for some other child d; then ~d <= ~l by self-duality, and
+    # ~l is a child, so d's own test hits. Dually for meets. This keeps a
+    # wide node of literals linear instead of scanning all siblings per child.
+    present = set(node.children)
+    for c in node.children:
         complement = _delta(ctx, c)[1]
-        if kind == JOIN and ctx.leq(complement, whole):
-            return u.top()
-        if kind == MEET and ctx.leq(whole, complement):
-            return u.bot()
+        ckind = u.node(c).kind
+        if ckind == VAR or ckind == NEGVAR:
+            hit = complement in present
+        else:
+            hit = ctx.leq(complement, whole) if kind == JOIN else ctx.leq(whole, complement)
+        if hit:
+            return u.top() if kind == JOIN else u.bot()
     return whole
 
 
-@_depth_guarded
 def zeta(universe: TermUniverse, t: TermId) -> TermId:
     """Bottom-up: inside a join, a meet child is replaced by one of its
     conjuncts whenever that conjunct already entails the whole join; dually
@@ -338,7 +379,6 @@ def _zeta_fix(ctx: _Context, children: list[TermId], outer: str) -> TermId:
         children = next_children
 
 
-@_depth_guarded
 def eta(universe: TermUniverse, t: TermId) -> TermId:
     """Bottom-up: a join keeps only its maximal children, first
     representative per equivalence class (duplicates after bottom-up
@@ -357,7 +397,7 @@ def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
             flat.extend(u.node(c).children)
         else:
             flat.append(c)
-    flat.sort(key=ctx.key)
+    flat.sort(key=_structural_key(u))
     keep_max = kind == JOIN
     kept: list[TermId] = []
     for i, c in enumerate(flat):
@@ -380,7 +420,6 @@ def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 # full normal forms
 
 
-@_depth_guarded
 def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Normal form over bounded lattices with constructors (negation-free)."""
     if universe.contains_not(t):
@@ -392,7 +431,6 @@ def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
     return NormalTerm(_rewrite(ctx, _rewrite(ctx, t, _zeta_fix), _eta_filter), BL)
 
 
-@_depth_guarded
 def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Canonical minimal form over ortholattices with constructors."""
     ctx = _context(universe)

@@ -355,7 +355,12 @@ def _print(u: TermUniverse, t: TermId, prec: int, rename: dict[str, str]) -> str
     if kind == BOT:
         return "bot"
     if kind == NOT:
-        return "~" + _print(u, node.children[0], _PREC_UNARY, rename)
+        count = 0  # a loop, not recursion: a run of `~` may be arbitrarily long
+        while node.kind == NOT:
+            t = node.children[0]
+            node = u.node(t)
+            count += 1
+        return "~" * count + _print(u, t, _PREC_UNARY, rename)
     if kind == APP:
         decl = node.symbol
         args = ", ".join(_print(u, a, _PREC_JOIN, rename) for a in node.children)

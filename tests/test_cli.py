@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -76,6 +78,7 @@ def test_internal_error_exits_2(monkeypatch, capsys):
         raise ValueError("boom")
 
     monkeypatch.setattr(entail.Engine, "query", broken)
+    monkeypatch.setattr(entail, "check", broken)  # the axiom-free path
     assert main(["check", "x <= x"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -119,10 +122,51 @@ def test_deep_input_ends_in_verdict_or_error(tmp_path, capsys, probe):
 
 def test_long_negation_runs_parse_without_recursion(capsys):
     assert main(["check", "~" * 3000 + "x <= x"]) == 0
-    # An odd run is one negation. (Refuting `~^3001 x <= x` instead expands
-    # the quadratic closure, 4.5M sequents, too much for a unit test.)
+    # An odd run is one negation. (Refuting `~^3001 x <= x` is timed below.)
     assert main(["check", "~" * 3001 + "x <= ~x"]) == 0
     assert capsys.readouterr().out.split() == ["provable", "provable"]
+
+
+@pytest.mark.parametrize("query, code", [("x <= x", 1), ("x <= y | ~y", 0)])
+def test_long_negation_runs_are_checked_quickly(capsys, query, code):
+    # An odd run is one negation; the Horn engine took about a minute and
+    # 3 GB to refute the first and to prove the second.
+    started = time.perf_counter()
+    assert main(["check", "~" * 3001 + query]) == code
+    assert time.perf_counter() - started < 5.0
+    assert capsys.readouterr().out.strip() == ("provable" if code == 0 else "not provable")
+
+
+def test_long_negation_runs_are_explained(capsys):
+    query = "~" * 3001 + "x <= ~x"
+    assert main(["explain", query]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "provable"
+    assert lines[1].endswith(": " + "~" * 3001 + "x^L, ~x^R")
+    # one negation step per line, each premise indented under its conclusion
+    assert all(line == "  " * i + line.lstrip() for i, line in enumerate(lines[1:]))
+    assert lines[-1] == "  " * (len(lines) - 2) + "Hyp: x^L, x^R"
+    assert main(["explain", "--format", "json", query]) == 0
+    text = capsys.readouterr().out
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)  # the reader recurses once per level
+    try:
+        node = json.loads(text)["proof"]
+    finally:
+        sys.setrecursionlimit(limit)
+    depth = 0
+    while node["children"]:
+        assert len(node["children"]) == 1
+        node = node["children"][0]
+        depth += 1
+    assert depth == len(lines) - 2 and node["rule"] == "Hyp"
+
+
+def test_proof_json_text_matches_json_dumps(capsys):
+    query = "(x | y) & ~(z & ~x) <= ~z | (y | x)"
+    assert main(["explain", "--format", "json", query]) == 0
+    text = capsys.readouterr().out.strip()
+    assert text == json.dumps(json.loads(text))
 
 
 def test_long_negation_runs_normalize_without_recursion(capsys):

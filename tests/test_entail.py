@@ -10,6 +10,7 @@ from olsub import (
     oracle,
     parse_query,
     parse_term,
+    print_term,
     reconstruct_proof,
     verify_proof,
 )
@@ -24,8 +25,9 @@ from olsub.entail import (
     find_invalid_node,
 )
 from olsub.errors import NegationPresent, NotProvable, TermIdOverflow
+from olsub.normalize import beta, delta, leq
 
-from helpers import random_term
+from helpers import random_pnnf, random_term
 
 
 def decoded_clauses(engine):
@@ -124,6 +126,75 @@ def test_bl_mode_restriction(u):
     # negated atoms are opaque in bl mode
     assert not check(u, u.top(), u.join([x, u.negvar("x")]), mode="bl").provable
     assert check(u, u.top(), u.join([x, u.negvar("x")]), mode="ol").provable
+
+
+# ----------------------------------------------------------------------
+# axiom-free `check` decides by the order test; `Engine` is the reference
+
+
+def _phases(u, s, t):
+    """The two phases of axiom-free `check`: the order test on delta's
+    images, then on beta's images of those."""
+    ds, dt = delta(u, s), delta(u, t)
+    return leq(u, ds, dt), leq(u, beta(u, ds), beta(u, dt))
+
+
+def test_route_matches_engine_on_all_small_pairs(u):
+    f = u.declare("F", "+")
+    terms = list(oracle.enumerate_terms(u, ["x", "y"], [f], 4, negation="not"))
+    engine = Engine(u)
+    pairs = 0
+    for s in terms:
+        for t in terms:
+            want = engine.query(s, t)
+            one, two = _phases(u, s, t)
+            assert check(u, s, t).provable == want
+            assert two == want  # phase two alone is complete (coincidence lemma)
+            assert want or not one  # phase one is sound
+            pairs += 1
+    assert pairs == 80_656
+
+
+def test_route_matches_engine_on_random_pairs():
+    rng = random.Random(2025)
+    for _ in range(20):
+        u = TermUniverse()
+        symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+        engine = Engine(u)
+        for _ in range(1000):
+            gen = random_term if rng.random() < 0.5 else random_pnnf
+            s, t = (gen(u, rng, rng.randint(1, 40), ["x", "y", "z"], symbols) for _ in "st")
+            assert check(u, s, t).provable == engine.query(s, t), (
+                print_term(u, s), print_term(u, t))
+
+
+def test_route_phase_two_decides_complemented_queries(u):
+    for query in ("x <= y | ~y", "x & ~x <= y"):
+        s, t = parse_query(query, u)
+        verdict = check(u, s, t)
+        assert verdict.provable
+        assert verdict.stats.derived >= 1 and verdict.stats.sequents >= verdict.stats.derived
+        one, two = _phases(u, s, t)
+        assert not one and two
+    # mode "bl" stays on the engine, where negated atoms are opaque
+    top, x = u.top(), u.var("x")
+    assert not check(u, top, u.join([x, u.negvar("x")]), mode="bl").provable
+
+
+def test_route_stats_count_the_order_test(u):
+    xs = [u.var(f"x{i:02}") for i in range(50)]  # in structural order
+    wide = u.meet(xs)
+    proved = check(u, wide, xs[9])
+    # the goal and the ten conjuncts tried up to x9; the goal has one
+    # alternative per conjunct, x9 <= x9 one (Hyp), the others none
+    assert (proved.stats.sequents, proved.stats.derived) == (11, 2)
+    assert proved.stats.clauses == 50 + 1
+    assert check(u, wide, xs[9]).stats.sequents == 0  # memoized per universe
+    refuted = check(u, wide, u.var("y"))
+    assert not refuted.provable
+    # beta leaves both sides as they are, so phase two repeats phase one's
+    # goal and finds it memoized
+    assert refuted.stats.derived == 0 and refuted.stats.sequents == 51
 
 
 def test_reflexivity_and_transitivity(u):
@@ -261,10 +332,10 @@ def test_clause_count_bound(u):
     for n in (8, 16):
         universe = TermUniverse()
         s, t = sn_tn_terms(universe, n)
-        verdict = check(universe, s, t)
+        engine = Engine(universe)  # axiom-free `check` does not run the engine
         total = universe.size(s) + universe.size(t)
-        assert verdict.provable
-        assert verdict.stats.clauses <= 16 * total * total
+        assert engine.query(s, t)
+        assert engine.stats().clauses <= 16 * total * total
         axioms = [(universe.var("X1"), universe.var("X2")), (universe.var("X2"), s)]
         with_axioms = check(universe, s, t, axioms)
         total_ax = total + sum(universe.size(a) + universe.size(b) for a, b in axioms)
