@@ -10,6 +10,7 @@ from .entail import (
     Sequent,
     Verdict,
     check,
+    order_proof,
     reconstruct_proof,
     verify_proof,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "normalize_bl",
     "normalize_ol",
     "o6",
+    "order_proof",
     "parse_query",
     "parse_source",
     "parse_term",

@@ -9,10 +9,12 @@
 Exit codes: 0 provable (or success), 1 not provable, 2 error (an internal
 error included).
 
-`check` and `explain` decide a query with axioms on the Horn engine and an
-axiom-free query with the normalizer's order test (`entail.check`); a proof
-is always read back from the engine's search. `bench` runs the engine
-itself, since it reports the engine's clause growth.
+`check` and `explain` decide a query with axioms on the Horn engine, and
+read its proof back from that search (`entail.reconstruct_proof`). An
+axiom-free query is decided by the normalizer's order test
+(`entail.check`), and its proof is read off the same test
+(`entail.order_proof`), so no engine is built for it. `bench` runs the
+engine itself, since it reports the engine's clause growth.
 """
 from __future__ import annotations
 
@@ -119,18 +121,18 @@ def cmd_check(args) -> int:
         engine = entail.Engine(universe, pairs)
         verdict = entail.Verdict(engine.query(s, t), engine.stats())
     else:
-        engine = None
         verdict = entail.check(universe, s, t)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     provable, stats = verdict.provable, verdict.stats
     proof = None
     want_proof = args.command == "explain" or getattr(args, "proof", False)
     if provable and want_proof:
-        # An axiom-free verdict comes from the order test; its proof is
-        # read from an engine's search.
-        proof = entail.reconstruct_proof(engine or entail.Engine(universe), s, t)
+        if pairs:
+            proof = entail.reconstruct_proof(engine, s, t)
+        else:
+            proof = entail.order_proof(universe, s, t)
         if not entail.verify_proof(universe, proof, pairs):
-            print("internal error: reconstructed proof failed verification", file=sys.stderr)
+            print("internal error: proof failed verification", file=sys.stderr)
             return 2
     if args.format == "json":
         payload = {

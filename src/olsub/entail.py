@@ -40,13 +40,15 @@ inequality fails in some ortholattice model of the axioms.
 "bl". An axiom-free ortholattice query is decided by the normalizer's
 Whitman order test on beta-reduced terms, which coincides with the
 ortholattice order there (see `check`), so it never pays for a Horn-clause
-closure. Proofs, axioms and the "bl" reference stay on the engine.
+closure. Axioms and the "bl" reference stay on the engine.
 
-The proof is a by-product of the search. `Engine.derived` maps each derived
-sequent to the clause that first derived it, and `reconstruct_proof` walks
-those clauses back from the goal, so a proof costs one walk over its own
-sequents, not a second search. `verify_proof` re-checks a proof tree rule by
-rule and shares no code with the search.
+A proof is a by-product of whichever procedure decided the query. On the
+engine, `Engine.derived` maps each derived sequent to the clause that first
+derived it, and `reconstruct_proof` walks those clauses back from the goal.
+For an axiom-free query, `order_proof` reads the proof off the memoized
+order test, one rule per sequent of the proof. Either way a proof costs a
+walk over its own sequents, not a second search. `verify_proof` re-checks a
+proof tree rule by rule and shares no code with either.
 """
 from __future__ import annotations
 
@@ -174,6 +176,19 @@ class ProofTree:
     aux: object = None
 
 
+def _unnegated(u: TermUniverse, node) -> TermId | None:
+    """What LeftNot or RightNot leaves of a node: a negation's operand, a
+    negated variable's variable, a dual-symbol application's original; None
+    for any other node."""
+    if node.kind == NOT:
+        return node.children[0]
+    if node.kind == NEGVAR:
+        return u.var(node.name)
+    if node.kind == APP and node.symbol.dual_of is not None:
+        return u.app(u.symbols[node.symbol.dual_of], node.children)
+    return None
+
+
 def as_pairs(axioms: Iterable[tuple[TermId, TermId]] | None) -> list:
     """The axiom pairs of an `AxiomSet`, any iterable of pairs, or None."""
     return list(axioms or ())
@@ -273,28 +288,18 @@ class Engine:
                     (RIGHT_OR, i, (_ann(c, 1),))
                     for i, c in enumerate(dict.fromkeys(node.children))
                 ]
-        elif kind == NOT:
-            if not ol:
-                raise NegationPresent("negation reached the bounded-lattice rule set")
-            child = node.children[0]
-            templates = [
-                (LEFT_NOT if side == 0 else RIGHT_NOT, None, (_ann(child, 1 - side),))
-            ]
-        elif kind == NEGVAR:
-            if ol:
-                v = self.u.var(node.name)
+        elif kind == NOT and not ol:
+            raise NegationPresent("negation reached the bounded-lattice rule set")
+        elif kind in (NOT, NEGVAR, APP):
+            inner = _unnegated(self.u, node) if ol else None
+            if inner is not None:
                 templates = [
-                    (LEFT_NOT if side == 0 else RIGHT_NOT, None, (_ann(v, 1 - side),))
+                    (LEFT_NOT if side == 0 else RIGHT_NOT, None, (_ann(inner, 1 - side),))
                 ]
-        elif kind == APP:
-            symbol_name = node.symbol.name
-            args = node.children
-            variances = node.symbol.variances
-            if ol and node.symbol.dual_of is not None:
-                original = self.u.app(self.u.symbols[node.symbol.dual_of], node.children)
-                templates = [
-                    (LEFT_NOT if side == 0 else RIGHT_NOT, None, (_ann(original, 1 - side),))
-                ]
+            if kind == APP:
+                symbol_name = node.symbol.name
+                args = node.children
+                variances = node.symbol.variances
         elif kind == BOT and side == 0:
             unit = LEFT_BOT
         elif kind == TOP and side == 1:
@@ -393,8 +398,22 @@ class Engine:
                     pushed.add(x)
 
     def _cut_premises(self, x: int) -> list[int]:
-        """{x, U^R} and {V^L, x} for every axiom U <= V."""
+        """{x, U^R} and {V^L, x} for every axiom U <= V.
+
+        In mode "bl" only {x, U^R} for an L-term x and {V^L, x} for an
+        R-term x, so every sequent keeps one term per side. The same-side
+        premises add nothing there: with no Hyp, F or negation rule for
+        them, only a unit rule closes a same-side sequent, and by induction
+        {a^R, b^R} is derivable only if every z <= a is or every z <= b is
+        (dually for {a^L, b^L}). So a cut on {x^L, y^R} through {y^R, U^R}
+        and {V^L, x^L} means x <= y directly, or x <= U and V <= y, which
+        the one-term-per-side premises derive."""
         out: list[int] = []
+        if self.mode == "bl":
+            left = x < _SIDE_BIT
+            for u_r, v_l in self._ax_anns:
+                out.append(_seq(x, u_r) if left else _seq(v_l, x))
+            return out
         for u_r, v_l in self._ax_anns:
             out += (_seq(x, u_r), _seq(v_l, x))
         return out
@@ -667,7 +686,8 @@ def check(
     On this path `stats` describes the order test: `sequents` counts the
     goals it decided in this call, `clauses` the alternatives generated for
     them, `steps` the subgoal lookups and `derived` the goals proved.
-    Verdicts are memoized per universe, so a repeated query counts 0."""
+    Verdicts are memoized per universe, so a repeated query counts 0.
+    `order_proof` reads the proof of such a query off the same test."""
     pairs = as_pairs(axioms)
     if pairs or mode != "ol":
         engine = Engine(universe, pairs, mode)
@@ -733,6 +753,175 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
         else:
             children = [memo[p] for p in body]
         memo[cur] = ProofTree(_to_sequent(cur), rule, children, aux)
+    return memo[goal]
+
+
+# element (kind, side) -> its rule; side 0 is L, 1 is R
+_INVERTIBLE = {(JOIN, 0): LEFT_OR, (MEET, 1): RIGHT_AND}
+_PICK = {(MEET, 0): LEFT_AND, (JOIN, 1): RIGHT_OR}
+
+
+def order_proof(universe: TermUniverse, s: TermId, t: TermId) -> ProofTree:
+    """A cut-free ortholattice proof of the axiom-free query s <= t, read off
+    the order test that decides it in `check`, with no Horn-clause search.
+
+    The reader walks sequents over the original terms, each oriented: an
+    element (X, side) in the left position stands for delta's image of X
+    when its side is L and for the image of ~X when it is R; in the right
+    position, for X's image when its side is R and ~X's when it is L. When
+    `leq(delta s, delta t)` holds these are the images; otherwise beta is
+    applied on top, as in phase two of `check`. The memoized order test on
+    the two images is the oracle: the reader enters only sequents it
+    accepts, and applies to each the first rule that fits:
+
+    1. LeftNot or RightNot on a negation, a negated variable or a dual
+       symbol; both images stay as they are.
+    2. Hyp, LeftBot or RightTop.
+    3. LeftOr or RightAnd. Their premises' images are the parts of a join
+       on the left or of a meet on the right (or the sequent holds by a
+       collapsed bound), so they hold whenever the sequent does.
+    4. A LeftAnd or RightOr pick, or the F rule, whose premises the order
+       test accepts.
+    5. Replace on an element G whose beta image collapsed to bottom or top.
+       Its premise {G, G} picks a child of one copy, tested against the
+       other copy *opened*: imaged by the node over its children's beta
+       images (`normalize.beta_open`), which beta did not collapse.
+
+    Each Whitman step on the images is one of these rules, and an image
+    beta collapsed is taken apart by rule 5, so a sequent the test accepts
+    always has a rule. The walk terminates: weigh an element by twice its
+    size, plus one unless it is opened. Every step replaces an element by a
+    proper part of it (a child, or the un-negated term a LeftNot or
+    RightNot leaves), and Replace with its pick turns {G, H} into
+    {c, G opened} for a child c of G, both lighter than G; an opened node
+    is never replaced again, only by its children. So the multiset of
+    weights falls at every step.
+
+    Subproofs are shared per oriented sequent, and the walk runs on an
+    explicit stack. The order test gets no tally, so a verdict's `stats`
+    stay those of `check`."""
+    u = universe
+    node = u.node
+    # delta is the identity on Not-free terms, as in `check`
+    plain = not (u.contains_not(s) or u.contains_not(t))
+    ds, dt = (s, t) if plain else (normalize.delta(u, s), normalize.delta(u, t))
+    if normalize.leq(u, ds, dt):
+        two = False
+    elif normalize.leq(u, normalize.beta(u, ds), normalize.beta(u, dt)):
+        two = True
+    else:
+        raise NotProvable("goal has no derivation; check the verdict first")
+    images: dict[tuple[TermId, int, bool], TermId] = {}
+
+    def image(x: TermId, complement: int, opened: bool) -> TermId:
+        key = (x, complement, opened)
+        got = images.get(key)
+        if got is None:
+            got = x if plain and not complement else normalize.delta_pair(u, x)[complement]
+            if two:
+                got = (normalize.beta_open if opened else normalize.beta)(u, got)
+            images[key] = got
+        return got
+
+    def holds(state) -> bool:
+        (x, sx, ox), (y, sy, oy) = state
+        return normalize.leq(u, image(x, sx, ox), image(y, 1 - sy, oy))
+
+    def put(state, pos: int, element):
+        """`state` with `element` in position `pos`."""
+        return (element, state[1]) if pos == 0 else (state[0], element)
+
+    def pick(state, pos: int):
+        """The first LeftAnd or RightOr pick on the element in position
+        `pos` whose premise the order test accepts, or None."""
+        x, side, _ = state[pos]
+        n = node(x)
+        for i, c in enumerate(dict.fromkeys(n.children)):
+            premise = put(state, pos, (c, side, False))
+            if holds(premise):
+                return _PICK[n.kind, side], i, [premise]
+        return None
+
+    def step(state) -> tuple[str, object, list]:
+        """The rule applied to `state` (an oriented sequent of elements
+        (term, side, opened)): rule, aux and premises."""
+        p, q = state
+        if p[:2] == q[:2] and p[2] != q[2]:
+            # {G, G}, one copy opened: the premise of a Replace on G; the
+            # copy that is not opened picks.
+            found = pick(state, 1 if p[2] else 0)
+            if found is not None:
+                return found
+        else:
+            for pos, (x, side, _) in enumerate(state):
+                inner = _unnegated(u, node(x))
+                if inner is not None:
+                    rule = LEFT_NOT if side == 0 else RIGHT_NOT
+                    return rule, None, [put(state, pos, (inner, 1 - side, False))]
+            if p[0] == q[0] and p[1] != q[1]:
+                return HYP, None, []
+            for x, side, _ in state:
+                kind = node(x).kind
+                if kind == BOT and side == 0:
+                    return LEFT_BOT, None, []
+                if kind == TOP and side == 1:
+                    return RIGHT_TOP, None, []
+            for pos, (x, side, _) in enumerate(state):
+                n = node(x)
+                rule = _INVERTIBLE.get((n.kind, side))
+                if rule is not None:
+                    return rule, None, [put(state, pos, (c, side, False)) for c in n.children]
+            for pos, (x, side, _) in enumerate(state):
+                if (node(x).kind, side) in _PICK:
+                    found = pick(state, pos)
+                    if found is not None:
+                        return found
+            np_, nq = node(p[0]), node(q[0])
+            if np_.kind == APP and nq.kind == APP and np_.name == nq.name and p[1] != q[1]:
+                lpos = p[1]  # the position of the L element: 0 when p is L
+                ln, rn = (np_, nq) if lpos == 0 else (nq, np_)
+                pairs = []  # (element of the L term's argument, of the R term's)
+                for a, b, v in zip(ln.children, rn.children, ln.symbol.variances):
+                    if v is not Variance.CONTRAVARIANT:
+                        pairs.append(((a, 0, False), (b, 1, False)))
+                    if v is not Variance.COVARIANT:
+                        pairs.append(((a, 1, False), (b, 0, False)))
+                premises = [pair if lpos == 0 else pair[::-1] for pair in pairs]
+                if all(holds(premise) for premise in premises):
+                    return F_RULE, ln.name, premises
+            if two:
+                for x, side, opened in state:
+                    if (
+                        not opened
+                        and node(x).kind in (MEET, JOIN)
+                        and node(image(x, 0, False)).kind in (TOP, BOT)
+                    ):
+                        mine, other = (x, side, False), (x, side, True)
+                        return REPLACE, None, [(mine, other) if side == 0 else (other, mine)]
+        raise RuntimeError("order_proof found no rule for a sequent the order test accepts")
+
+    sides = (L, R)
+    goal = ((s, 0, False), (t, 1, False))
+    plans: dict = {}
+    memo: dict = {}
+    stack = [goal]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        plan = plans.get(cur)
+        if plan is None:
+            plan = plans[cur] = step(cur)
+        todo = [g for g in plan[2] if g not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        (x, sx, _), (y, sy, _) = cur
+        memo[cur] = ProofTree(
+            Sequent.of(x, sides[sx], y, sides[sy]), plan[0], [memo[g] for g in plan[2]], plan[1]
+        )
     return memo[goal]
 
 

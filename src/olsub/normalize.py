@@ -247,6 +247,12 @@ def delta(universe: TermUniverse, t: TermId) -> TermId:
     return _delta(_context(universe), t)[0]
 
 
+def delta_pair(universe: TermUniverse, t: TermId) -> tuple[TermId, TermId]:
+    """Delta's images of `t` and of its complement `~t`, memoized per
+    universe like `delta`."""
+    return _delta(_context(universe), t)
+
+
 def _delta(ctx: _Context, t: TermId) -> tuple[TermId, TermId]:
     """The pseudo-negation-normal forms of `t` and of its complement."""
     u = ctx.u
@@ -312,6 +318,17 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
     below it under `leq`, dually for meets. That is the hypothesis of the
     coincidence lemma in `entail.check`."""
     return _rewrite(_context(universe), t, _beta_node)
+
+
+def beta_open(universe: TermUniverse, t: TermId) -> TermId:
+    """The node `_beta_node` tests for `t`: a pseudo-negation-normal meet or
+    join over its children's beta images, sorted but never collapsed to
+    bottom or top. Any other term maps to its beta image."""
+    ctx = _context(universe)
+    node = ctx.u.node(t)
+    if node.kind != MEET and node.kind != JOIN:
+        return _rewrite(ctx, t, _beta_node)
+    return ctx.sorted_node(node.kind, [_rewrite(ctx, c, _beta_node) for c in node.children])
 
 
 def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:

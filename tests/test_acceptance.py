@@ -16,6 +16,7 @@ from olsub import (
     TermUniverse,
     check,
     oracle,
+    order_proof,
     parse_source,
     parse_term,
     reconstruct_proof,
@@ -401,9 +402,15 @@ def test_criterion_8_axiom_entailment_sanity(axiom_examples, tmp_path, capsys):
 def test_criterion_9_proof_objects(law_suite, corpus, axiom_examples, capsys):
     proved = 0
 
+    read_off = 0
+
     def prove_and_verify(universe, s, t, axioms):
+        nonlocal read_off
         proof = reconstruct_proof(Engine(universe, list(axioms)), s, t)
         assert verify_proof(universe, proof, list(axioms))
+        if not axioms:  # the proof `explain` reads off the order test
+            assert verify_proof(universe, order_proof(universe, s, t))
+            read_off += 1
 
     for s, t in law_suite.queries:
         prove_and_verify(law_suite.universe, s, t, [])
@@ -417,8 +424,8 @@ def test_criterion_9_proof_objects(law_suite, corpus, axiom_examples, capsys):
             proved += 1
     report(
         capsys,
-        f"PASS criterion 9: {proved} reconstructed proofs all accepted by the "
-        f"independent checker",
+        f"PASS criterion 9: {proved} reconstructed proofs and {read_off} proofs "
+        f"read off the order test all accepted by the independent checker",
     )
 
 

@@ -49,7 +49,9 @@ def test_proof_json(capsys):
     assert payload["proof"]["sequent"] == [["x", "L"], ["x", "R"]]
 
 
-def test_proof_takes_one_search(monkeypatch, capsys):
+def test_proof_takes_one_search(monkeypatch, capsys, tmp_path):
+    # An axiom-free proof is read off the order test that decided the
+    # query; a query with axioms reads it from the one engine that did.
     engines = []
     init = entail.Engine.__init__
 
@@ -60,6 +62,11 @@ def test_proof_takes_one_search(monkeypatch, capsys):
     monkeypatch.setattr(entail.Engine, "__init__", counting_init)
     assert main(["explain", "--format", "json", "x & y <= y & x"]) == 0
     assert json.loads(capsys.readouterr().out)["proof"]["rule"] == "RightAnd"
+    assert len(engines) == 0
+    path = tmp_path / "f.ax"
+    path.write_text("A <= B\nB <= C\n")
+    assert main(["explain", "--axioms", str(path), "--format", "json", "A <= C"]) == 0
+    assert json.loads(capsys.readouterr().out)["proof"]["rule"] == "AxiomCut"
     assert len(engines) == 1
 
 
@@ -160,6 +167,35 @@ def test_long_negation_runs_are_explained(capsys):
         node = node["children"][0]
         depth += 1
     assert depth == len(lines) - 2 and node["rule"] == "Hyp"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_long_negation_runs_are_explained_through_a_collapsed_node(capsys, fmt):
+    # The engine searched the late {G,G} subgoals last here: 67 s and
+    # 3.2 GB. The proof read off the order test peels the negations and
+    # closes with one Replace.
+    started = time.perf_counter()
+    assert main(["explain", "--format", fmt, "~" * 3001 + "x <= y | ~y"]) == 0
+    assert time.perf_counter() - started < 5.0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)  # the reader recurses once per level
+        try:
+            payload = json.loads(out)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert payload["verdict"] == "provable"
+        rules, node = [], payload["proof"]
+        while node:
+            rules.append(node["rule"])
+            node = node["children"][0] if node["children"] else None
+    else:
+        lines = out.splitlines()
+        assert lines[0] == "provable"
+        rules = [line.split(":")[0].strip() for line in lines[1:]]
+    assert rules[:3001] == ["LeftNot" if i % 2 == 0 else "RightNot" for i in range(3001)]
+    assert rules[3001:] == ["Replace", "RightOr", "RightOr", "RightNot", "Hyp"]
 
 
 def test_proof_json_text_matches_json_dumps(capsys):

@@ -8,6 +8,7 @@ from olsub import (
     TermUniverse,
     check,
     oracle,
+    order_proof,
     parse_query,
     parse_term,
     print_term,
@@ -17,9 +18,13 @@ from olsub import (
 from olsub.cli import sn_tn_terms
 from olsub.entail import (
     AXIOM_CUT,
+    F_RULE,
     HYP,
     LEFT_AND,
+    LEFT_NOT,
     REPLACE,
+    RIGHT_NOT,
+    RIGHT_OR,
     ProofTree,
     _to_sequent,
     find_invalid_node,
@@ -143,7 +148,7 @@ def test_route_matches_engine_on_all_small_pairs(u):
     f = u.declare("F", "+")
     terms = list(oracle.enumerate_terms(u, ["x", "y"], [f], 4, negation="not"))
     engine = Engine(u)
-    pairs = 0
+    pairs = proofs = 0
     for s in terms:
         for t in terms:
             want = engine.query(s, t)
@@ -151,8 +156,12 @@ def test_route_matches_engine_on_all_small_pairs(u):
             assert check(u, s, t).provable == want
             assert two == want  # phase two alone is complete (coincidence lemma)
             assert want or not one  # phase one is sound
+            if want:
+                assert verify_proof(u, order_proof(u, s, t))
+                proofs += 1
             pairs += 1
     assert pairs == 80_656
+    assert proofs == 31_003
 
 
 def test_route_matches_engine_on_random_pairs():
@@ -164,8 +173,10 @@ def test_route_matches_engine_on_random_pairs():
         for _ in range(1000):
             gen = random_term if rng.random() < 0.5 else random_pnnf
             s, t = (gen(u, rng, rng.randint(1, 40), ["x", "y", "z"], symbols) for _ in "st")
-            assert check(u, s, t).provable == engine.query(s, t), (
-                print_term(u, s), print_term(u, t))
+            want = engine.query(s, t)
+            assert check(u, s, t).provable == want, (print_term(u, s), print_term(u, t))
+            if want:
+                assert verify_proof(u, order_proof(u, s, t)), (print_term(u, s), print_term(u, t))
 
 
 def test_route_phase_two_decides_complemented_queries(u):
@@ -195,6 +206,68 @@ def test_route_stats_count_the_order_test(u):
     # beta leaves both sides as they are, so phase two repeats phase one's
     # goal and finds it memoized
     assert refuted.stats.derived == 0 and refuted.stats.sequents == 51
+
+
+def _rules(proof):
+    """The rules of a proof in preorder."""
+    out, stack = [], [proof]
+    while stack:
+        node = stack.pop()
+        out.append(node.rule)
+        stack.extend(reversed(node.children))
+    return out
+
+
+def test_order_proof_replaces_through_a_collapsed_node(u):
+    # beta collapses y | ~y (and x | ~x) to top and x & ~x to bottom. The
+    # Replace premise {G, G} picks a child of one copy, and the other copy,
+    # opened, is taken apart by the next pick.
+    for query, picks, peel in (
+        ("x <= y | ~y", RIGHT_OR, RIGHT_NOT),
+        ("x & ~x <= y", LEFT_AND, LEFT_NOT),
+        ("top <= x | ~x", RIGHT_OR, RIGHT_NOT),
+    ):
+        s, t = parse_query(query, u)
+        proof = order_proof(u, s, t)
+        assert _rules(proof) == [REPLACE, picks, picks, peel, HYP], query
+        assert proof.sequent == Sequent.goal(s, t)
+        premise = proof.children[0].sequent
+        assert premise.a == premise.b  # {G, G}
+        assert verify_proof(u, proof)
+
+
+def test_order_proof_peels_negated_variables_and_dual_symbols(u):
+    x = u.var("x")
+    negvar = u.negvar("x")
+    top = u.top()
+    proof = order_proof(u, top, u.join([x, negvar]))
+    assert _rules(proof) == [REPLACE, RIGHT_OR, RIGHT_OR, RIGHT_NOT, HYP]
+    assert proof.children[0].children[0].children[0].sequent == Sequent.of(negvar, "R", x, "R")
+    assert verify_proof(u, proof)
+    # ~F(x) as a dual symbol is below the negation of F(x & y): the F rule
+    # joins F(x & y)^L, from the right, with F(x)^R, from the left.
+    f = u.declare("F", "+")
+    y = u.var("y")
+    s, t = u.app(u.dual(f), [x]), u.neg(u.app(f, [u.meet([x, y])]))
+    proof = order_proof(u, s, t)
+    assert _rules(proof) == [LEFT_NOT, RIGHT_NOT, F_RULE, LEFT_AND, HYP]
+    assert proof.children[0].children[0].aux == "F"
+    assert verify_proof(u, proof)
+
+
+def test_order_proof_of_a_refuted_query_raises(u):
+    x, y = u.var("x"), u.var("y")
+    with pytest.raises(NotProvable):
+        order_proof(u, x, y)
+
+
+def test_order_proof_shares_subproofs(u):
+    x, y = u.var("x"), u.var("y")
+    twice = u.join([y, x])
+    proof = order_proof(u, x, u.meet([twice, twice]))
+    assert [child.rule for child in proof.children] == [RIGHT_OR, RIGHT_OR]
+    assert proof.children[0] is proof.children[1]  # one subproof per sequent
+    assert verify_proof(u, proof)
 
 
 def test_reflexivity_and_transitivity(u):
@@ -355,6 +428,23 @@ def test_atom_chain_cuts_stay_quadratic(u):
         stats = engine.stats()
         assert stats.clauses <= 2 * k * k
         assert stats.steps >= stats.derived
+
+
+def test_bl_cuts_keep_one_term_per_side(u):
+    # In mode "bl" a term pushes only the cut premise that keeps one term
+    # per side; the refuted chain used to expand 2450 same-side sequents.
+    k = 50
+    atoms = [u.var(f"A{i}") for i in range(k)]
+    engine = Engine(u, list(zip(atoms, atoms[1:])), mode="bl")
+    assert not engine.query(atoms[-1], atoms[0])
+    sequents = [_to_sequent(s) for s in engine._visited]
+    assert len(sequents) > k
+    assert all(seq.a.side != seq.b.side for seq in sequents)
+    # the unit rules still close the cut premises: top <= bot proves all
+    x, y = u.var("x"), u.var("y")
+    engine = Engine(u, [(u.top(), u.bot())], mode="bl")
+    assert engine.query(y, x)
+    assert all(_to_sequent(s).a.side != _to_sequent(s).b.side for s in engine._visited)
 
 
 def test_stats_shape(u):
