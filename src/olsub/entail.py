@@ -8,8 +8,9 @@ first, each expanded sequent contributes one Horn clause per instance of a
 structural rule that could conclude it, and unit propagation runs whenever
 an expansion derives something. The search stops as soon as the goal is
 derived, so a provable query expands only what its search reaches before the
-proof closes. A sequent closed by a zero-premise rule (Hyp, LeftBot,
-RightTop, an axiom) gets no other clause.
+proof closes; what it pushed and did not expand stays on the search stack
+for the next query on the same `Engine`. A sequent closed by a zero-premise
+rule (Hyp, LeftBot, RightTop, an axiom) gets no other clause.
 
 Two rules are never written out ahead of time; each records a clause only
 when it fires. Replace concludes any sequent holding G from {G,G}. AxiomCut
@@ -20,7 +21,8 @@ terms x whose left premise is derived and the terms y whose right premise is
 derived; each newly derived premise is matched against the other side, and
 the cut fires on every expanded sequent {x, y} it completes.
 
-A refuted query needs the whole backward-reachable closure, and gets it.
+A refuted query needs the whole backward-reachable closure, and gets it,
+together with whatever earlier queries on its engine left on the stack.
 Over that closure, propagation takes time linear in the clauses, at most
 16 n^2 of them (see tests), and the joins take at most |L_i| * |R_i| <= (2n)^2
 probes per axiom i: O(n^2 * (1 + |axioms|)) work overall, of which only the
@@ -29,9 +31,9 @@ clauses and the cuts that fire are stored.
 Two rule sets are supported. Mode "ol" is the full ortholattice system:
 negation rules, Replace, constructor monotonicity, and AxiomCut. Mode "bl"
 is the bounded-lattice restriction: sequents keep exactly one term per side,
-there is no Replace and no negation rule, and negated variables and dual
-symbols are opaque atoms. It is the reference that the normalizer's own
-order test is checked against.
+there is no Replace and no negation rule, negated variables and dual
+symbols are opaque atoms, and a negation is refused up front. It is the
+reference that the normalizer's own order test is checked against.
 
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import normalize
 from .errors import NegationPresent, NotProvable, TermIdOverflow
@@ -189,29 +190,27 @@ def _unnegated(u: TermUniverse, node) -> TermId | None:
     return None
 
 
-def as_pairs(axioms: Iterable[tuple[TermId, TermId]] | None) -> list:
-    """The axiom pairs of an `AxiomSet`, any iterable of pairs, or None."""
-    return list(axioms or ())
+def _holds_not(t: TermId, node, kids: list[bool]) -> bool:
+    return node.kind == NOT or any(kids)
 
 
 class Engine:
     """Goal-directed clause generator and unit propagator over one universe.
 
     A query expands sequents depth first from its goal, propagating as it
-    goes, and returns as soon as the goal is derived; only a refuted query
-    expands the goal's whole backward-reachable closure. Queries share state:
+    goes, and returns as soon as the goal is derived. Queries share state:
     sequents already expanded and facts already derived are reused, so a long
     series of related queries (as a type checker or a test oracle makes)
-    costs little more than the largest one. A query that stops early leaves
-    work on its stack; every underived sequent that may depend on that work
-    becomes *open*, and the next query that reaches an open sequent pushes
-    its premises again, so pending work is resumed by whichever query needs
-    it and never lost. The axiom set and mode are fixed per engine.
+    costs little more than the largest one. They share one search stack
+    too. A query that derives its goal leaves its unexpanded premises on the
+    stack, and the next query pushes its own goal on top. A query answers
+    "no" only once the stack is empty, so the closure it refutes is
+    complete, and every sequent is expanded at most once per engine. The
+    price: a refuted query also expands what earlier provable queries left.
 
-    The cut premises of a term are pushed by the first sequent that holds it
-    and are shared by every later one, so when a stopped search leaves them
-    unexpanded, the sequents holding that term are opened too, and the term
-    pushes its premises again with the next sequent that holds it.
+    The axiom set and mode are fixed per engine. Mode "bl" refuses a term
+    holding a negation, as an axiom or in a goal, with `NegationPresent`
+    before any of it is searched.
 
     `clauses` holds every generated clause as `(head, body, rule, aux)` over
     integer-packed sequents, and `derived` maps each derived sequent to the
@@ -227,9 +226,11 @@ class Engine:
             raise ValueError(f"unknown mode {mode!r}")
         self.u = universe
         self.mode = mode
-        self.axioms = list(dict.fromkeys(as_pairs(axioms)))  # drop exact duplicates, keep order
+        self.axioms = list(dict.fromkeys(axioms or ()))  # drop exact duplicates, keep order
+        self._has_not: dict[TermId, bool] = {}  # "bl" only: term -> whether it holds a NOT
         for pair in self.axioms:
             _check_ids(*pair)
+            self._reject_not(*pair)
         self._ax_anns = [(_ann(v, 1), _ann(w, 0)) for (v, w) in self.axioms]  # (U^R, V^L)
         self._axiom_of_seq: dict[int, int] = {}
         self._cut_u: dict[int, list[int]] = {}  # U^R -> axioms i = (U, V)
@@ -246,17 +247,23 @@ class Engine:
         self._cut_pushed: set[int] = set()  # terms whose cut premises were pushed
         # per-annotated-term record: (templates, unit rule, app symbol, args, variances)
         self._info: dict[int, tuple] = {}
-        self._visited: dict[int, int] = {}  # expanded sequent -> index of its first clause
-        self._open: set[int] = set()  # expanded; may depend on work a stopped search left
-        self._pending: list[int] = []  # the stack a stopped search left, not yet settled
+        self._visited: set[int] = set()  # expanded sequents
         self._holding: dict[int, list[int]] = {}  # x -> expanded sequents holding x
         self.clauses: list[tuple] = []  # (head, body tuple, rule, aux)
         self._counters: list[int] = []
         self._watch: dict[int, list[int]] = {}
         self.derived: dict[int, int] = {}  # sequent -> index of first deriving clause
         self._queue: deque = deque()
-        self._to_visit: list[int] = []
+        self._to_visit: list[int] = []  # the search stack, kept across queries
         self.steps = 0
+
+    def _reject_not(self, *tids: int) -> None:
+        """Mode "bl" has no negation rule: refuse a term holding a NOT before
+        any of it reaches the search."""
+        if self.mode == "bl":
+            for t in tids:
+                if self.u.fold(t, self._has_not, _holds_not):
+                    raise NegationPresent("negation reached the bounded-lattice rule set")
 
     # -- clause generation -------------------------------------------------
 
@@ -288,8 +295,6 @@ class Engine:
                     (RIGHT_OR, i, (_ann(c, 1),))
                     for i, c in enumerate(dict.fromkeys(node.children))
                 ]
-        elif kind == NOT and not ol:
-            raise NegationPresent("negation reached the bounded-lattice rule set")
         elif kind in (NOT, NEGVAR, APP):
             inner = _unnegated(self.u, node) if ol else None
             if inner is not None:
@@ -480,109 +485,35 @@ class Engine:
 
     def _search(self, goal: int) -> bool:
         """Expand depth first from the goal until it is derived or the stack
-        is empty. An early stop keeps the stack for `_settle`, which the next
-        search runs first."""
+        is empty. The stack outlives the search: a derived goal returns with
+        its unexpanded premises still on it, and the next search pushes its
+        own goal on top, so a "no" comes only once everything pushed so far
+        is expanded."""
         derived = self.derived
         if goal in derived:
             return True
-        if self._pending:
-            self._settle()
         stack = self._to_visit
         stack.append(goal)
         visited = self._visited
-        open_ = self._open
-        clauses = self.clauses
         queue = self._queue
         expand = self._expand
         run = self._run
         while stack:
             cur = stack.pop()
             if cur in visited:
-                if cur in open_:
-                    open_.discard(cur)
-                    if cur not in derived:
-                        stack += self._premises(cur)
                 continue
-            visited[cur] = len(clauses)
+            visited.add(cur)
             try:
                 expand(cur)
-            except BaseException:  # NegationPresent in "bl" mode, an interrupt
-                del visited[cur]
+            except BaseException:  # an interrupt: expand `cur` again later
+                visited.discard(cur)
                 stack.append(cur)
-                self._stop()
                 raise
             if queue:
                 run()
                 if goal in derived:
-                    self._stop()
                     return True
-        if queue:  # left over by an interrupted search
-            run()
-        return goal in derived
-
-    def _premises(self, s: int) -> list[int]:
-        """Everything the expansion of `s` needs: its Replace subgoals, the
-        bodies of its clauses (which the expansion appended contiguously) and
-        the cut premises of its terms."""
-        out: list[int] = []
-        a = s >> _ANN_BITS
-        b = s & _ANN_MASK
-        if self.mode == "ol" and a != b:
-            out += ((a << _ANN_BITS) | a, (b << _ANN_BITS) | b)
-        clauses = self.clauses
-        i = self._visited[s]
-        while i < len(clauses) and clauses[i][0] == s:
-            out += clauses[i][1]
-            i += 1
-        if self._ax_anns:
-            for x in (a, b) if a != b else (a,):
-                out += self._cut_premises(x)
-        return out
-
-    def _stop(self) -> None:
-        self._pending, self._to_visit = self._to_visit, []
-
-    def _settle(self) -> None:
-        """Open every underived sequent that may depend on work a stopped
-        search left on its stack. From each premise left there unexpanded (or
-        open), walk back to its users: the clauses watching it, the sequents
-        holding G for a Replace subgoal {G,G}, and the sequents holding x for
-        a cut premise {x, U^R} or {V^L, x}. Each term of a walked sequent may
-        have its cut premises among that work, so it pushes them again the
-        next time a sequent holding it is expanded. Whatever the walk misses
-        has its whole closure expanded and stays closed."""
-        derived = self.derived
-        visited = self._visited
-        open_ = self._open
-        watch = self._watch
-        holding = self._holding
-        pushed = self._cut_pushed
-        cut_terms = self._cut_u.keys() | self._cut_v.keys()
-        clauses = self.clauses
-        stack = [
-            p for p in set(self._pending)
-            if p not in derived and (p not in visited or p in open_)
-        ]
-        self._pending = []
-        seen = set(stack)
-        while stack:
-            p = stack.pop()
-            a = p >> _ANN_BITS
-            b = p & _ANN_MASK
-            pushed.discard(a)
-            pushed.discard(b)
-            users = [clauses[ci][0] for ci in watch.get(p, ())]
-            if a == b:
-                users += holding.get(a, ())
-            if a in cut_terms:
-                users += holding.get(b, ())
-            if b in cut_terms:
-                users += holding.get(a, ())
-            for s in users:
-                if s not in seen and s not in derived:
-                    seen.add(s)
-                    open_.add(s)
-                    stack.append(s)
+        return False
 
     def _run(self) -> None:
         queue = self._queue
@@ -628,6 +559,7 @@ class Engine:
     def query(self, s: TermId, t: TermId) -> bool:
         """Whether s <= t is provable under this engine's axioms."""
         _check_ids(s, t)
+        self._reject_not(s, t)
         return self._search(_seq(_ann(s, 0), _ann(t, 1)))
 
     def stats(self) -> Stats:
@@ -688,18 +620,24 @@ def check(
     them, `steps` the subgoal lookups and `derived` the goals proved.
     Verdicts are memoized per universe, so a repeated query counts 0.
     `order_proof` reads the proof of such a query off the same test."""
-    pairs = as_pairs(axioms)
-    if pairs or mode != "ol":
-        engine = Engine(universe, pairs, mode)
+    axioms = list(axioms or ())
+    if axioms or mode != "ol":
+        engine = Engine(universe, axioms, mode)
         provable = engine.query(s, t)
         return Verdict(provable, engine.stats())
     tally = [0, 0, 0, 0]  # in the order of Stats' fields
+    return Verdict(_order_phase(universe, s, t, tally) > 0, Stats(*tally))
+
+
+def _order_phase(u: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = None) -> int:
+    """The phase of `check`'s order test that proves the axiom-free s <= t:
+    1 for leq(delta s, delta t), 2 for leq on their beta images, 0 if
+    neither does."""
     # delta is the identity on Not-free terms; skip building complements
-    ds, dt = (normalize.delta(universe, x) if universe.contains_not(x) else x for x in (s, t))
-    provable = normalize.leq(universe, ds, dt, tally) or normalize.leq(
-        universe, normalize.beta(universe, ds), normalize.beta(universe, dt), tally
-    )
-    return Verdict(provable, Stats(*tally))
+    ds, dt = (normalize.delta(u, x) if u.contains_not(x) else x for x in (s, t))
+    if normalize.leq(u, ds, dt, tally):
+        return 1
+    return 2 if normalize.leq(u, normalize.beta(u, ds), normalize.beta(u, dt), tally) else 0
 
 
 # ----------------------------------------------------------------------
@@ -802,15 +740,12 @@ def order_proof(universe: TermUniverse, s: TermId, t: TermId) -> ProofTree:
     stay those of `check`."""
     u = universe
     node = u.node
-    # delta is the identity on Not-free terms, as in `check`
-    plain = not (u.contains_not(s) or u.contains_not(t))
-    ds, dt = (s, t) if plain else (normalize.delta(u, s), normalize.delta(u, t))
-    if normalize.leq(u, ds, dt):
-        two = False
-    elif normalize.leq(u, normalize.beta(u, ds), normalize.beta(u, dt)):
-        two = True
-    else:
+    phase = _order_phase(u, s, t)
+    if not phase:
         raise NotProvable("goal has no derivation; check the verdict first")
+    two = phase == 2
+    # delta is the identity on Not-free terms, as in `_order_phase`
+    plain = not (u.contains_not(s) or u.contains_not(t))
     images: dict[tuple[TermId, int, bool], TermId] = {}
 
     def image(x: TermId, complement: int, opened: bool) -> TermId:
@@ -936,7 +871,7 @@ def verify_proof(universe: TermUniverse, proof: ProofTree, axioms=None) -> bool:
 
 def find_invalid_node(universe: TermUniverse, proof: ProofTree, axioms=None) -> str | None:
     """Path of the first node violating its rule schema, or None if valid."""
-    pairs = as_pairs(axioms)
+    pairs = list(axioms or ())
     ok: set[int] = set()
     stack: list[tuple[ProofTree, str]] = [(proof, "root")]
     while stack:

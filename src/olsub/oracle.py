@@ -290,23 +290,30 @@ _L = 0
 _R = 1
 
 
+def _swapped(u: TermUniverse, node) -> TermId | None:
+    """The term a negation rule swaps `node` for: a negation's operand, a
+    negated variable's variable, a dual application's original; else None."""
+    if node.kind == NOT:
+        return node.children[0]
+    if node.kind == NEGVAR:
+        return u.var(node.name)
+    if node.kind == APP and node.symbol.dual_of is not None:
+        return u.app(u.symbols[node.symbol.dual_of], node.children)
+    return None
+
+
 def _closure(universe: TermUniverse, roots: Iterable[TermId]) -> set[TermId]:
     terms: set[TermId] = set()
     for r in roots:
         terms |= universe.subterms(r)
-    extra: set[TermId] = set()
-    for t in terms:
-        node = universe.node(t)
-        if node.kind == NEGVAR:
-            extra.add(universe.var(node.name))
-        elif node.kind == APP and node.symbol.dual_of is not None:
-            extra.add(universe.app(universe.symbols[node.symbol.dual_of], node.children))
-    return terms | extra
+    swapped = {_swapped(universe, universe.node(t)) for t in terms}
+    swapped.discard(None)
+    return terms | swapped
 
 
 def _saturate_ints(universe, goal_terms, axioms) -> set[int]:
     u = universe
-    pairs = entail.as_pairs(axioms)
+    pairs = list(axioms or ())
     terms = _closure(u, list(goal_terms) + [t for p in pairs for t in p])
 
     def ann(t: TermId, side: int) -> int:
@@ -329,18 +336,11 @@ def _saturate_ints(universe, goal_terms, axioms) -> set[int]:
         elif node.kind == JOIN:
             for c in node.children:
                 join_parents.setdefault(c, []).append(t)
-        elif node.kind == NOT:
-            inner = node.children[0]
-            swap_target.setdefault(ann(inner, _R), []).append(ann(t, _L))
-            swap_target.setdefault(ann(inner, _L), []).append(ann(t, _R))
-        elif node.kind == NEGVAR:
-            inner = u.var(node.name)
-            swap_target.setdefault(ann(inner, _R), []).append(ann(t, _L))
-            swap_target.setdefault(ann(inner, _L), []).append(ann(t, _R))
-        elif node.kind == APP and node.symbol.dual_of is not None:
-            inner = u.app(u.symbols[node.symbol.dual_of], node.children)
-            swap_target.setdefault(ann(inner, _R), []).append(ann(t, _L))
-            swap_target.setdefault(ann(inner, _L), []).append(ann(t, _R))
+        else:
+            inner = _swapped(u, node)
+            if inner is not None:
+                swap_target.setdefault(ann(inner, _R), []).append(ann(t, _L))
+                swap_target.setdefault(ann(inner, _L), []).append(ann(t, _R))
 
     # Candidate constructor-rule instances, indexed by premise.
     apps_by_symbol: dict[str, list[TermId]] = {}

@@ -535,7 +535,7 @@ def test_axiom_heavy_shared_engine_sweep_matches_saturation():
 def test_early_exit_leaves_pending_work_to_later_queries(u):
     # z <= z | x <= ~(top & z) makes z bottom, so z <= y. The first query
     # stops early with premises of sequents the second one needs still
-    # unexpanded; they must be resumed, not dropped.
+    # unexpanded on the engine's stack; they must be expanded, not dropped.
     x, y, z = u.var("x"), u.var("y"), u.var("z")
     axioms = [(u.join([z, x]), u.neg(u.meet([u.top(), z]))), (u.meet([y, y]), z)]
     engine = Engine(u, axioms)
@@ -547,7 +547,8 @@ def test_early_exit_leaves_pending_work_to_later_queries(u):
 def test_pending_work_reached_through_other_sequents_is_resumed(u):
     # y <= ~(top | top) makes y bottom. After the first query stops, some
     # sequent the second one needs has all its premises expanded, but one of
-    # them still waits on unexpanded work: it must stay open too.
+    # them still waits on work left on the stack, which the second query
+    # must expand before it answers.
     axioms = [
         parse_query(q, u)
         for q in ("x & x & x <= y | y", "~(x | top) <= ~~(top & bot)", "y <= ~(top | top)")
@@ -559,7 +560,8 @@ def test_pending_work_reached_through_other_sequents_is_resumed(u):
 
 def test_pending_replace_subgoal_keeps_its_waiters_open(u):
     # x & x & ~x is bottom, so F of it is below F(bot). A sequent whose only
-    # unexpanded premise is its Replace subgoal {G,G} must stay open.
+    # unexpanded premise is its Replace subgoal {G,G}, left on the stack by
+    # the first query, must be derived once the second query expands it.
     u.declare("F", "+")
     axioms = [parse_query("x & bot <= top & bot", u)]
     engine = Engine(u, axioms)
@@ -569,11 +571,11 @@ def test_pending_replace_subgoal_keeps_its_waiters_open(u):
 
 def test_pending_cut_premise_keeps_its_sequents_open():
     # A search can stop with the cut premises {x, U^R} and {V^L, x} of a
-    # term x still unexpanded, after a sequent holding x was expanded; that
-    # sequent must stay open for the next query. In the first case ("bl"
-    # mode) no Replace subgoal opens it on the way. Term ids fix the search
-    # order, so every variable is created, in this order, before the
-    # compound terms.
+    # term x still unexpanded, after a sequent holding x was expanded; they
+    # are pushed only once, so the next query must expand them from the
+    # stack. In the first case ("bl" mode) no Replace subgoal reaches them
+    # either. Term ids fix the search order, so every variable is created,
+    # in this order, before the compound terms.
     u = TermUniverse()
     a, b, c, d, e, f = (u.var(n) for n in "abcdef")
     a_or_f = u.join([a, f])
@@ -586,6 +588,56 @@ def test_pending_cut_premise_keeps_its_sequents_open():
     engine = Engine(u, [(b, f), (f, d_and_c), (a, b), (f, d_or_f), (b, d)])
     assert engine.query(b, d_and_c)
     assert engine.query(d_or_f, d)  # f <= d & c <= d
+
+
+@pytest.mark.parametrize("method", ["_expand", "_add_clause"])
+def test_interrupted_search_leaves_the_engine_sound(monkeypatch, method):
+    # An interrupt on every k-th call of `method` (before an expansion, or in
+    # the middle of one) puts the sequent back on the stack; each
+    # interrupted query asked again, and every later query, match forward
+    # saturation. No expansion here adds k clauses, so a retry gets through.
+    rng = random.Random(77)
+    atoms = ["a", "b", "x", "y"]
+    original = getattr(Engine, method)
+    interrupts = 0
+    ks = range(16, 56)
+    for k in ks:
+        u = TermUniverse()
+        f = u.declare("F", "+")
+        roots = [random_term(u, rng, 6, atoms, [f]) for _ in range(2)]
+        axioms = [(u.var(rng.choice(atoms)), u.var(rng.choice(atoms))) for _ in range(2)]
+        axioms.append((u.app(f, [u.var("a")]), random_term(u, rng, 3, atoms, [f])))
+        terms = roots + [t for pair in axioms for t in pair]
+        pool = sorted(set().union(*(u.subterms(t) for t in terms)))
+        calls = [0]
+
+        def flaky(self, *args):
+            calls[0] += 1
+            if calls[0] % k == 0:
+                raise KeyboardInterrupt
+            return original(self, *args)
+
+        monkeypatch.setattr(Engine, method, flaky)
+        engine = Engine(u, axioms)
+        for _ in range(60):
+            s, t = rng.choice(pool), rng.choice(pool)
+            for _attempt in range(20):
+                try:
+                    got = engine.query(s, t)
+                    break
+                except KeyboardInterrupt:
+                    interrupts += 1
+            else:
+                pytest.fail("every retry was interrupted")
+            assert got == oracle.saturates(u, s, t, axioms)
+    assert interrupts > 2 * len(ks)
+
+
+def test_bl_engine_refuses_a_negated_axiom(u):
+    x, y = u.var("x"), u.var("y")
+    with pytest.raises(NegationPresent):
+        Engine(u, [(u.neg(x), y)], mode="bl")
+    assert Engine(u, [(u.neg(x), y)]).query(u.neg(x), y)
 
 
 def test_wide_meet_stops_at_first_derivation(u):
@@ -624,7 +676,8 @@ def test_term_ids_beyond_the_encoding_are_rejected(u):
 
 
 def test_engine_stays_sound_after_a_failed_query(u):
-    # The negation is met below the goal, in the F rule's premise.
+    # The negation sits below the goal, in the F rule's premise; the query
+    # is refused before its search starts, and later queries still answer.
     f = u.declare("F", "+")
     x, y = u.var("x"), u.var("y")
     engine = Engine(u, mode="bl")
