@@ -617,8 +617,10 @@ def check(
 
     On this path `stats` describes the order test: `sequents` counts the
     goals it decided in this call, `clauses` the alternatives generated for
-    them, `steps` the subgoal lookups and `derived` the goals proved.
-    Verdicts are memoized per universe, so a repeated query counts 0.
+    them, `steps` the subgoal lookups and `derived` the goals proved; a
+    goal with a literal side, decided by literal masks, counts one goal and
+    one alternative. Verdicts are memoized per universe, so a repeated query
+    counts 0.
     `order_proof` reads the proof of such a query off the same test."""
     axioms = list(axioms or ())
     if axioms or mode != "ol":

@@ -24,14 +24,23 @@ limited by memory, not by the interpreter's stack.
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
 backward search over the negation-free sequent rules, with negated variables
-and dual symbols treated as opaque atoms (`leq`). Verdicts are cached per
-universe and the cache is freed with the universe, keeping a normalization
-run quadratic overall. On beta's images this order is the ortholattice
-order, so `entail.check` decides axiom-free queries with the same test.
+and dual symbols treated as opaque atoms (`leq`). A goal with a literal
+side (a variable or a negated variable) needs no search: each term's
+literal masks, folded once, hold the literals it is a lower bound of
+(`lower`) and an upper bound of (`upper`). `s <= l` holds by Hyp when `s`
+is `l`, by bottom, never for top, an application or another literal, for a
+join when every child is `<= l` and for a meet when some child is; so a
+meet ORs its children's `lower` masks, a join ANDs them, and `upper` is the
+dual. The goal is one AND with `l`'s bit. Verdicts are cached per universe
+and the cache is freed with the universe, keeping a normalization run
+quadratic overall. On beta's images this order is the ortholattice order,
+so `entail.check` decides axiom-free queries with the same test.
 """
 from __future__ import annotations
 
 import functools
+import operator
+import threading
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
@@ -70,6 +79,11 @@ class _Context:
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
         self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
+        # literal masks of each term the order test has seen: (bit, lower, upper)
+        self.masks: dict[TermId, tuple[int, int, int]] = {}
+        # one bit per literal, assigned under the lock so threads agree on it
+        self._bits: dict[TermId, int] = {}
+        self._bits_lock = threading.Lock()
         # delta's images of a term and of its complement
         self.delta: dict[TermId, tuple[TermId, TermId]] = {}
         # beta's, zeta's and eta's images, one memo per combining rule
@@ -82,17 +96,42 @@ class _Context:
     def leq(self, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
         """Decide `s <= t` over bounded lattices with constructors.
 
-        Depth-first AND/OR search on an explicit stack. A goal holds when
-        every pair of one of its `_alternatives` holds; each subgoal is
-        strictly smaller than its goal, so the search terminates and every
-        verdict it reaches is final and memoized. `tally`, when given, gains
-        this call's work: goals decided, alternatives generated, subgoal
-        lookups and goals proved."""
+        Both sides' literal masks (`_mask`) are folded first, so a `NOT`
+        anywhere raises `NegationPresent`. A goal with a literal side, this
+        one or any subgoal, is decided by one AND: `s <= l` iff
+        `lower(s) & bit(l)`, and `l <= t` iff `upper(t) & bit(l)`. That is
+        the search's own verdict, case by case: `s <= l` holds by Hyp when
+        `s` is `l`, by bottom, never for top, an application or another
+        literal (no rule applies), for a join when every child is `<= l`
+        (left join) and for a meet when some child is (Whitman: `l` is no
+        join). Dually for `l <= t`. Such a goal pushes no frame, and only a
+        top-level one is memoized. Any other goal holds when every pair of
+        one of its `_alternatives` holds, found by a depth-first AND/OR
+        search on an explicit stack; each subgoal is strictly smaller than
+        its goal, so the search terminates and every verdict it reaches is
+        final and memoized. `tally`, when given, gains
+        this call's work: goals decided, alternatives generated (one for a
+        mask-decided goal), subgoal lookups and goals proved."""
         memo = self.leq_memo
         verdict = memo.get((s, t))
         if verdict is not None:
             return verdict
-        node = self.u.node
+        masks, fold = self.masks, self.u.fold
+        ms, mt = fold(s, masks, self._mask), fold(t, masks, self._mask)
+        if ms[0] or mt[0]:
+            verdict = memo[s, t] = bool(ms[1] & mt[0] if mt[0] else mt[2] & ms[0])
+            work = (1, 1, 0, verdict)
+        else:
+            work = self._search(s, t)
+            verdict = memo[s, t]
+        if tally is not None:
+            for i, w in enumerate(work):
+                tally[i] += w
+        return verdict
+
+    def _search(self, s: TermId, t: TermId) -> tuple[int, int, int, int]:
+        """Memoize `s <= t`, neither side a literal; return `leq`'s tally."""
+        memo, masks, node = self.leq_memo, self.masks, self.u.node
         alts = _alternatives(node, s, t)
         goals, generated, lookups, proved = 1, len(alts), 0, 0
         stack = [[s, t, alts, 0, 0]]  # goal, alternatives, position
@@ -107,16 +146,21 @@ class _Context:
                     verdict = True
                 else:
                     lookups += 1
-                    got = memo.get(alts[ai][pi])
-                    if got is None:
-                        break
+                    cs, ct = alts[ai][pi]
+                    ms, mt = masks[cs], masks[ct]
+                    if ms[0] or mt[0]:
+                        got = ms[1] & mt[0] if mt[0] else mt[2] & ms[0]
+                        goals, generated, proved = goals + 1, generated + 1, proved + (got != 0)
+                    else:
+                        got = memo.get((cs, ct))
+                        if got is None:
+                            break
                     if got:
                         pi += 1
                     else:
                         ai, pi = ai + 1, 0
             if verdict is None:
                 frame[3], frame[4] = ai, pi
-                cs, ct = alts[ai][pi]
                 alts = _alternatives(node, cs, ct)
                 goals += 1
                 generated += len(alts)
@@ -125,12 +169,28 @@ class _Context:
                 memo[frame[0], frame[1]] = verdict
                 proved += verdict
                 stack.pop()
-        if tally is not None:
-            tally[0] += goals
-            tally[1] += generated
-            tally[2] += lookups
-            tally[3] += proved
-        return verdict
+        return goals, generated, lookups, proved
+
+    def _mask(self, s: TermId, node, kids: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+        """`s`'s literal masks: its own bit if it is a literal, else 0; the
+        literals `l` with `s <= l` (lower); those with `l <= s` (upper)."""
+        kind = node.kind
+        if kind == VAR or kind == NEGVAR:
+            with self._bits_lock:
+                bit = self._bits.setdefault(s, 1 << len(self._bits))
+            return bit, bit, bit
+        if kind == NOT:
+            raise NegationPresent("negation reached the bounded-lattice order test")
+        if kind == BOT:
+            return 0, -1, 0
+        if kind == TOP:
+            return 0, 0, -1
+        if kind == APP:
+            return 0, 0, 0
+        meet = kind == MEET
+        lower = functools.reduce(operator.or_ if meet else operator.and_, (k[1] for k in kids))
+        upper = functools.reduce(operator.and_ if meet else operator.or_, (k[2] for k in kids))
+        return 0, lower, upper
 
     def sorted_node(self, kind: str, kids: list[TermId]) -> TermId:
         """The meet or join (`kind`) of `kids`, children in structural order."""
@@ -195,8 +255,6 @@ def _alternatives(node, s: TermId, t: TermId) -> list[tuple[tuple[TermId, TermId
     `s` is below some disjunct of `t`, or both are applications of one
     symbol whose arguments compare by variance."""
     sn, tn = node(s), node(t)
-    if sn.kind == NOT or tn.kind == NOT:
-        raise NegationPresent("negation reached the bounded-lattice order test")
     if s == t or sn.kind == BOT or tn.kind == TOP:
         return [()]
     if sn.kind == JOIN:
@@ -221,11 +279,11 @@ def _alternatives(node, s: TermId, t: TermId) -> list[tuple[tuple[TermId, TermId
 
 def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
     """Decide `s <= t` for negation-free terms in the bounded-lattice order
-    with constructors: Whitman's conditions and the variance rule, negated
-    variables and dual symbols opaque atoms. This is the order test every
-    pass below makes, and verdicts are memoized per universe. On
-    beta-reduced pseudo-negation-normal terms it is the ortholattice order
-    too, which is how `entail.check` decides axiom-free queries.
+    with constructors, by `_Context.leq`; a `NOT` on either side raises
+    `NegationPresent`. This is the order test every pass below makes, and
+    verdicts are memoized per universe. On beta-reduced
+    pseudo-negation-normal terms it is the ortholattice order too, which is
+    how `entail.check` decides axiom-free queries.
 
     `tally`, a list of four counters, gains the work of this call: goals
     decided, alternatives generated, subgoal lookups, goals proved."""

@@ -196,16 +196,23 @@ def test_route_stats_count_the_order_test(u):
     xs = [u.var(f"x{i:02}") for i in range(50)]  # in structural order
     wide = u.meet(xs)
     proved = check(u, wide, xs[9])
-    # the goal and the ten conjuncts tried up to x9; the goal has one
-    # alternative per conjunct, x9 <= x9 one (Hyp), the others none
-    assert (proved.stats.sequents, proved.stats.derived) == (11, 2)
-    assert proved.stats.clauses == 50 + 1
+    # a literal right side: one goal, decided by one AND of masks and
+    # counted as one alternative, with no subgoal lookup
+    assert (proved.stats.sequents, proved.stats.derived) == (1, 1)
+    assert (proved.stats.clauses, proved.stats.steps) == (1, 0)
     assert check(u, wide, xs[9]).stats.sequents == 0  # memoized per universe
     refuted = check(u, wide, u.var("y"))
     assert not refuted.provable
     # beta leaves both sides as they are, so phase two repeats phase one's
     # goal and finds it memoized
-    assert refuted.stats.derived == 0 and refuted.stats.sequents == 51
+    assert refuted.stats.derived == 0 and refuted.stats.sequents == 1
+    # Neither side a literal: the goal is searched, with one alternative per
+    # conjunct and one per disjunct. Its subgoals x00..x09 <= x09 | y each
+    # have a literal side: one lookup, one goal and one alternative each,
+    # and x09's holds.
+    searched = check(u, wide, u.join([xs[9], u.var("y")]))
+    assert (searched.stats.sequents, searched.stats.derived) == (1 + 10, 1 + 1)
+    assert (searched.stats.clauses, searched.stats.steps) == (50 + 2 + 10, 10)
 
 
 def _rules(proof):

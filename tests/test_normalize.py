@@ -1,5 +1,7 @@
+import concurrent.futures
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -239,8 +241,29 @@ def test_order_test_matches_bounded_lattice_engine(u, variables, symbols, negati
 
 
 def test_order_test_rejects_negation(u):
-    with pytest.raises(NegationPresent):
-        _context(u).leq(parse_term("~x", u), u.var("x"))
+    # a Not anywhere on either side is refused, even where no rule of the
+    # search would reach it
+    for query in ("~x <= x", "x <= x | ~y", "x & ~y <= x"):
+        s, t = (parse_term(side, u) for side in query.split("<="))
+        with pytest.raises(NegationPresent):
+            _context(u).leq(s, t)
+
+
+def test_order_test_masks_wider_than_a_machine_word(u):
+    xs = [u.var(f"x{i}") for i in range(5000)]
+    x, y, top, bot = xs[4321], u.var("y"), u.top(), u.bot()
+    wide_meet, wide_join = u.meet(xs), u.join(xs)
+    cases = [
+        (wide_meet, x, True), (x, wide_meet, False),
+        (wide_join, x, False), (x, wide_join, True),
+        (top, wide_meet, False), (wide_join, bot, False),
+    ]
+    for wide in (wide_meet, wide_join):
+        cases += [(wide, y, False), (y, wide, False), (wide, top, True), (bot, wide, True)]
+    ctx = _context(u)
+    for s, t, want in cases:
+        assert ctx.leq(s, t) is want, (print_term(u, s)[:20], print_term(u, t)[:20])
+        assert check(u, s, t).provable is want
 
 
 def test_order_test_is_not_recursive(u):
@@ -250,6 +273,30 @@ def test_order_test_is_not_recursive(u):
         s, t = u.app(f, [s]), u.app(f, [t])
     assert _context(u).leq(s, t) is True
     assert _context(u).leq(t, s) is False
+
+
+def test_threads_sharing_a_universe_agree_on_literal_bits():
+    # Each query folds fresh literals, so threads hand out bits at once.
+    def queries(u):
+        xs = [u.var(f"x{i}") for i in range(2000)]
+        return [(u.meet(xs[i : i + 3]), u.join([xs[(7 * i) % 2000], xs[(11 * i + 5) % 2000]]))
+                for i in range(1998)]
+
+    reference = TermUniverse()
+    want = [_context(reference).leq(s, t) for s, t in queries(reference)]
+    assert 0 < sum(want) < len(want)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            u = TermUniverse()
+            pairs, ctx = queries(u), _context(u)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda st: ctx.leq(*st), pairs, timeout=60))
+            assert got == want
+            assert len(set(ctx._bits.values())) == len(ctx._bits) == 2000
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_normalizer_caches_die_with_their_universe():
@@ -320,6 +367,16 @@ def test_beta_of_a_wide_meet_of_literals_is_linear(u):
     assert len(_context(u).leq_memo) == 0  # literal children need no order test
     assert beta(u, u.meet([wide, u.var("y")])) == u.bot()
     assert beta(u, u.join(xs + [u.negvar("x7")])) == u.top()
+
+
+def test_beta_of_a_meet_of_joins_is_linear(u):
+    # S_1024: the meet of 512 joins a_i | b_i. Each child's complement
+    # ~a_i & ~b_i is tested against the whole meet, and its first literal
+    # goal fails on the masks, so each child leaves one memo entry.
+    whole = u.meet([u.join([u.var(f"a{i}"), u.var(f"b{i}")]) for i in range(512)])
+    before = len(_context(u).leq_memo)
+    assert beta(u, whole) == _context(u).sorted_node("meet", list(u.node(whole).children))
+    assert len(_context(u).leq_memo) - before <= 1024
 
 
 @pytest.mark.parametrize("kind", ["join", "meet"])
