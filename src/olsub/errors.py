@@ -59,7 +59,7 @@ class AxiomsNotSupported(OlsubError):
 
 
 class InputTooDeep(OlsubError):
-    """Input is nested deeper than the recursive parser or printer allows."""
+    """Input is nested deeper than the interpreter's recursion limit allows."""
 
 
 class TermIdOverflow(OlsubError):

@@ -11,9 +11,15 @@ associate left and flatten. Source files are line-oriented:
     type NAME[A,B] <: TERM     bounded abstract type definition
 
 Equality axioms are sugar for the two inequalities.
+
+A text is tokenized by one regex pass into `(kind, text, offset)` triples;
+line and column are computed from the offset only when an error is raised.
+The parser and the printer each run one loop over an explicit stack, so
+nesting depth is bounded by memory, not by the interpreter's recursion limit.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -59,205 +65,199 @@ class AxiomSet:
         return pair in self.pairs
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+# One group per token class; blanks and comments match none, and group 4
+# takes a character that starts no token.
+_TOKEN = re.compile(r"(\n)|([^\W\d][\w']*)|(<=|<:|:>|[&|~()\[\],=:+-])|[ \t\r]+|#[^\n]*|(.)")
 
 
-def _tokenize(text: str, line_offset: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = line_offset
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(_Token("newline", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
+def _position(text: str, offset: int, line_offset: int) -> tuple[int, int]:
+    """Line and column of a text offset; computed only for error messages."""
+    return line_offset + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str, line_offset: int = 1) -> list[tuple[str, str, int]]:
+    """`(kind, text, offset)` triples ending in an `eof` token."""
+    tokens: list[tuple[str, str, int]] = []
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "name"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in ("<=", "<:", ":>"):
-            tokens.append(_Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "&|~()[],=:+-":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        word = m.group(group)
+        if group == 3:
+            append((word, word, m.start()))
+        elif group == 2 and (word[0].isalpha() or word[0] == "_"):
+            append((word if word in _KEYWORDS else "name", word, m.start()))
+        elif group == 1:
+            append(("newline", word, m.start()))
+        else:  # group 4, or a word led by a numeral `\d` lets through, such as a superscript
+            position = _position(text, m.start(), line_offset)
+            raise ParseError(f"unexpected character {word[0]!r}", *position)
+    append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], universe: TermUniverse):
-        self.tokens = tokens
+    def __init__(self, text: str, universe: TermUniverse, line_offset: int = 1):
+        self.text = text
+        self.line_offset = line_offset
+        self.tokens = _tokenize(text, line_offset)
         self.pos = 0
         self.u = universe
 
-    def peek(self) -> _Token:
+    def error(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *_position(self.text, offset, self.line_offset))
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
-        return self.next()
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def end(self, kinds: tuple[str, ...]) -> None:
+        kind, text, offset = self.tokens[self.pos]
+        if kind not in kinds:
+            raise self.error(f"trailing input {text!r}", offset)
 
     def skip_newlines(self) -> None:
-        while self.peek().kind == "newline":
-            self.next()
+        while self.tokens[self.pos][0] == "newline":
+            self.pos += 1
 
-    # term := join ; join := meet ('|' meet)* ; meet := unary ('&' unary)*
     def term(self) -> TermId:
-        parts = [self.meet()]
-        while self.peek().kind == "|":
-            self.next()
-            parts.append(self.meet())
-        return parts[0] if len(parts) == 1 else self.u.join(parts)
+        """term := meet ('|' meet)* ; meet := '~'* atom ('&' '~'* atom)* ;
+        atom := top | bot | NAME | NAME '(' args ')' | '(' term ')'.
 
-    def meet(self) -> TermId:
-        parts = [self.unary()]
-        while self.peek().kind == "&":
-            self.next()
-            parts.append(self.unary())
-        return parts[0] if len(parts) == 1 else self.u.meet(parts)
-
-    def unary(self) -> TermId:
-        if self.peek().kind != "~":
-            return self.atom()
-        count = 0  # a loop, not recursion: a run of `~` may be arbitrarily long
-        while self.peek().kind == "~":
-            self.next()
-            count += 1
-        t = self.atom()
-        for _ in range(count):
-            t = self.u.neg(t)
-        return t
-
-    def atom(self) -> TermId:
-        tok = self.peek()
-        if tok.kind == "top":
-            self.next()
-            return self.u.top()
-        if tok.kind == "bot":
-            self.next()
-            return self.u.bot()
-        if tok.kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        if tok.kind == "name":
-            self.next()
-            if self.peek().kind == "(":
-                self.next()
-                args: list[TermId] = []
-                if self.peek().kind != ")":
-                    args.append(self.term())
-                    while self.peek().kind == ",":
-                        self.next()
-                        args.append(self.term())
+        Parentheses and applications open a frame on an explicit stack that
+        holds the enclosing term's joins, its current meet's parts, the `~`
+        count before the bracket and, for an application, its arguments so
+        far and name, so nesting depth is bounded by memory."""
+        tokens, u = self.tokens, self.u
+        pos = self.pos
+        stack: list[tuple] = []
+        joins: list[TermId] = []
+        meets: list[TermId] = []
+        while True:
+            nots = 0
+            kind, text, offset = tokens[pos]
+            while kind == "~":
+                nots += 1
+                pos += 1
+                kind, text, offset = tokens[pos]
+            pos += 1
+            if kind == "name":
+                if tokens[pos][0] != "(":
+                    t = self.apply(text, offset, []) if text in u.symbols else u.var(text)
+                elif tokens[pos + 1][0] == ")":
+                    pos += 2
+                    t = self.apply(text, offset, [])
+                else:
+                    pos += 1
+                    stack.append((joins, meets, nots, [], text, offset))
+                    joins, meets = [], []
+                    continue
+            elif kind == "(":
+                stack.append((joins, meets, nots, None, text, offset))
+                joins, meets = [], []
+                continue
+            elif kind == "top":
+                t = u.top()
+            elif kind == "bot":
+                t = u.bot()
+            else:
+                raise self.error(f"expected a term, found {text!r}", offset)
+            while True:  # `t` completes an atom: close every meet, term and frame it ends
+                for _ in range(nots):
+                    t = u.neg(t)
+                meets.append(t)
+                kind = tokens[pos][0]
+                if kind == "&":
+                    pos += 1
+                    break
+                joins.append(meets[0] if len(meets) == 1 else u.meet(meets))
+                meets = []
+                if kind == "|":
+                    pos += 1
+                    break
+                t = joins[0] if len(joins) == 1 else u.join(joins)
+                if not stack:
+                    self.pos = pos
+                    return t
+                joins, meets, nots, args, text, offset = stack.pop()
+                if args is not None:
+                    args.append(t)
+                    if kind == ",":
+                        pos += 1
+                        stack.append((joins, meets, nots, args, text, offset))
+                        joins, meets = [], []
+                        break
+                self.pos = pos
                 self.expect(")")
-                decl = self.u.symbols.get(tok.text)
-                if decl is None:
-                    raise ParseError(
-                        f"undeclared symbol {tok.text!r}", tok.line, tok.column
-                    ) from UndeclaredSymbol(tok.text)
-                if len(args) != decl.arity:
-                    raise ArityMismatch(
-                        f"{decl.name} expects {decl.arity} arguments, got {len(args)} "
-                        f"(line {tok.line}, column {tok.column})"
-                    )
-                return self.u.app(decl, args)
-            decl = self.u.symbols.get(tok.text)
-            if decl is not None:
-                if decl.arity != 0:
-                    raise ArityMismatch(
-                        f"{decl.name} expects {decl.arity} arguments, got 0 "
-                        f"(line {tok.line}, column {tok.column})"
-                    )
-                return self.u.app(decl, [])
-            return self.u.var(tok.text)
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.column)
+                pos += 1
+                if args is not None:
+                    t = self.apply(text, offset, args)
+
+    def apply(self, name: str, offset: int, args: list[TermId]) -> TermId:
+        decl = self.u.symbols.get(name)
+        if decl is None:
+            raise self.error(f"undeclared symbol {name!r}", offset) from UndeclaredSymbol(name)
+        if len(args) != decl.arity:
+            line, column = _position(self.text, offset, self.line_offset)
+            raise ArityMismatch(
+                f"{decl.name} expects {decl.arity} arguments, got {len(args)} "
+                f"(line {line}, column {column})"
+            )
+        return self.u.app(decl, args)
 
     def variance_list(self) -> list[Variance]:
         self.expect("(")
         out: list[Variance] = []
-        if self.peek().kind != ")":
+        if self.peek()[0] != ")":
             out.append(self.variance())
-            while self.peek().kind == ",":
+            while self.peek()[0] == ",":
                 self.next()
                 out.append(self.variance())
         self.expect(")")
         return out
 
     def variance(self) -> Variance:
-        tok = self.next()
-        if tok.kind == "+":
+        kind, text, offset = self.next()
+        if kind == "+":
             return Variance.COVARIANT
-        if tok.kind == "-":
+        if kind == "-":
             return Variance.CONTRAVARIANT
-        if tok.kind == "name" and tok.text == "o":
+        if kind == "name" and text == "o":
             return Variance.INVARIANT
-        raise ParseError(f"expected a variance (o, + or -), found {tok.text!r}", tok.line, tok.column)
+        raise self.error(f"expected a variance (o, + or -), found {text!r}", offset)
 
 
 def parse_term(text: str, universe: TermUniverse) -> TermId:
     """Parse one term. All constructor names used must be declared."""
-    p = _Parser(_tokenize(text), universe)
+    p = _Parser(text, universe)
     p.skip_newlines()
     t = p.term()
     p.skip_newlines()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    p.end(("eof",))
     return t
 
 
 def parse_query(text: str, universe: TermUniverse) -> tuple[TermId, TermId]:
     """Parse a query string `S <= T`."""
-    p = _Parser(_tokenize(text), universe)
+    p = _Parser(text, universe)
     p.skip_newlines()
     lhs = p.term()
     p.expect("<=")
     rhs = p.term()
     p.skip_newlines()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    p.end(("eof",))
     return lhs, rhs
 
 
@@ -272,54 +272,49 @@ def parse_source(text: str, universe: TermUniverse) -> tuple[AxiomSet, list["_de
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        p = _Parser(_tokenize(raw.split("#", 1)[0], line_offset=lineno), universe)
-        head = p.peek()
-        if head.kind == "fun":
+        p = _Parser(raw.split("#", 1)[0], universe, line_offset=lineno)
+        head = p.peek()[0]
+        if head == "fun":
             p.next()
-            name = p.expect("name").text
+            name = p.expect("name")[1]
             p.expect(":")
             vs = p.variance_list()
             universe.declare(name, vs)
-        elif head.kind == "type":
+        elif head == "type":
             p.next()
             definitions.append(_parse_definition(p, universe, definitions))
         else:
             lhs = p.term()
-            op = p.next()
-            if op.kind == "<=":
+            op, text, offset = p.next()
+            if op == "<=":
                 axioms.add(lhs, p.term())
-            elif op.kind == "=":
+            elif op == "=":
                 axioms.add_equality(lhs, p.term())
             else:
-                raise ParseError(
-                    f"expected '<=' or '=', found {op.text!r}", op.line, op.column
-                )
-        tok = p.peek()
-        if tok.kind not in ("eof", "newline"):
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+                raise p.error(f"expected '<=' or '=', found {text!r}", offset)
+        p.end(("eof", "newline"))
     return axioms, definitions
 
 
 def _parse_definition(
     p: _Parser, universe: TermUniverse, previous: list["_defs.Definition"]
 ) -> "_defs.Definition":
-    name_tok = p.expect("name")
-    name = name_tok.text
+    _, name, name_offset = p.expect("name")
     if any(d.name == name for d in previous):
         raise DuplicateDefinition(name)
     p.expect("[")
-    params = [p.expect("name").text]
-    while p.peek().kind == ",":
+    params = [p.expect("name")[1]]
+    while p.peek()[0] == ",":
         p.next()
-        params.append(p.expect("name").text)
+        params.append(p.expect("name")[1])
     p.expect("]")
     if len(set(params)) != len(params):
-        raise ParseError("duplicate definition parameter", name_tok.line, name_tok.column)
-    op = p.next()
-    if op.kind not in ("<:", ":>"):
-        raise ParseError(f"expected '<:' or ':>', found {op.text!r}", op.line, op.column)
+        raise p.error("duplicate definition parameter", name_offset)
+    op, text, offset = p.next()
+    if op not in ("<:", ":>"):
+        raise p.error(f"expected '<:' or ':>', found {text!r}", offset)
     bound = p.term()
-    kind = "upper" if op.kind == "<:" else "lower"
+    kind = "upper" if op == "<:" else "lower"
     definition = _defs.Definition(name, tuple(params), bound, kind)
     _defs.declare_definition_symbol(universe, definition)
     return definition
@@ -340,39 +335,54 @@ def print_term(universe: TermUniverse, t: TermId, rename: dict[str, str] | None 
     printed form of a pseudo-negation-normal term reads as ordinary negation
     (and re-parses to its Not-encoded preimage).
     """
-    return _print(universe, t, _PREC_JOIN, rename or {})
-
-
-def _print(u: TermUniverse, t: TermId, prec: int, rename: dict[str, str]) -> str:
-    node = u.node(t)
-    kind = node.kind
-    if kind == VAR:
+    rename = rename or {}
+    node = universe.node(t)
+    if node.kind == VAR:  # the commonest proof-sequent element needs no stack
         return rename.get(node.name, node.name)
-    if kind == NEGVAR:
-        return "~" + rename.get(node.name, node.name)
-    if kind == TOP:
-        return "top"
-    if kind == BOT:
-        return "bot"
-    if kind == NOT:
-        count = 0  # a loop, not recursion: a run of `~` may be arbitrarily long
-        while node.kind == NOT:
-            t = node.children[0]
-            node = u.node(t)
-            count += 1
-        return "~" * count + _print(u, t, _PREC_UNARY, rename)
-    if kind == APP:
-        decl = node.symbol
-        args = ", ".join(_print(u, a, _PREC_JOIN, rename) for a in node.children)
-        if decl.dual_of is not None:
-            shown = rename.get(decl.dual_of, decl.dual_of)
-            return f"~{shown}({args})"
-        shown = rename.get(decl.name, decl.name)
-        return f"{shown}({args})"
-    if kind == MEET:
-        body = " & ".join(_print(u, c, _PREC_MEET + 1, rename) for c in node.children)
-        return f"({body})" if prec > _PREC_MEET else body
-    if kind == JOIN:
-        body = " | ".join(_print(u, c, _PREC_JOIN + 1, rename) for c in node.children)
-        return f"({body})" if prec > _PREC_JOIN else body
-    raise AssertionError(f"unknown node kind {kind}")
+    return _print(universe, t, rename)
+
+
+def _print(u: TermUniverse, t: TermId, rename: dict[str, str]) -> str:
+    """Render on an explicit stack of text pieces and `(term, precedence)` items."""
+    out: list[str] = []
+    stack: list = [(t, _PREC_JOIN)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, prec = item
+        node = u.node(t)
+        kind = node.kind
+        if kind == VAR:
+            out.append(rename.get(node.name, node.name))
+        elif kind == NEGVAR:
+            out.append("~" + rename.get(node.name, node.name))
+        elif kind == TOP:
+            out.append("top")
+        elif kind == BOT:
+            out.append("bot")
+        elif kind == NOT:
+            out.append("~")
+            stack.append((node.children[0], _PREC_UNARY))
+        else:
+            if kind == APP:
+                dual = node.symbol.dual_of
+                if dual is None:
+                    out.append(rename.get(node.name, node.name) + "(")
+                else:
+                    out.append("~" + rename.get(dual, dual) + "(")
+                stack.append(")")
+                sep, inner = ", ", _PREC_JOIN
+            else:
+                own = _PREC_MEET if kind == MEET else _PREC_JOIN
+                if prec > own:
+                    out.append("(")
+                    stack.append(")")
+                sep, inner = (" & " if kind == MEET else " | "), own + 1
+            kids = node.children
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], inner))
+                if i:
+                    stack.append(sep)
+    return "".join(out)

@@ -142,32 +142,41 @@ class TermUniverse:
     # ------------------------------------------------------------------
     # interning
 
-    def _intern(self, node: TermNode, size: int) -> TermId:
-        key = (node.kind, node.name, node.children)
+    def _intern(self, kind: str, name: str | None, children: tuple[TermId, ...],
+                size: int, symbol: SymbolDecl | None = None) -> TermId:
+        """The id of the node `(kind, name, children)`; `size` is the node's own
+        count, to which its children's sizes are added.
+
+        A hit is read without the lock and builds nothing. A miss takes the
+        lock and looks again, then builds the node and appends it (and its
+        size) before publishing the id, so whoever reads an id finds its node."""
+        key = (kind, name, children)
+        tid = self._ids.get(key)
+        if tid is not None:
+            return tid
         with self._lock:
             tid = self._ids.get(key)
-            if tid is not None:
-                return tid
-            tid = len(self._nodes)
-            self._nodes.append(node)
-            self._sizes.append(size)
-            self._ids[key] = tid
+            if tid is None:
+                tid = len(self._nodes)
+                self._nodes.append(TermNode(kind, name, symbol, children))
+                self._sizes.append(size + sum(self._sizes[c] for c in children))
+                self._ids[key] = tid
             return tid
 
     def var(self, name: str) -> TermId:
-        return self._intern(TermNode(VAR, name=name), 1)
+        return self._intern(VAR, name, (), 1)
 
     def negvar(self, name: str) -> TermId:
-        return self._intern(TermNode(NEGVAR, name=name), 1)
+        return self._intern(NEGVAR, name, (), 1)
 
     def top(self) -> TermId:
-        return self._intern(TermNode(TOP), 1)
+        return self._intern(TOP, None, (), 1)
 
     def bot(self) -> TermId:
-        return self._intern(TermNode(BOT), 1)
+        return self._intern(BOT, None, (), 1)
 
     def neg(self, child: TermId) -> TermId:
-        return self._intern(TermNode(NOT, children=(child,)), 1 + self._sizes[child])
+        return self._intern(NOT, None, (child,), 1)
 
     def _nary(self, kind: str, unit_kind: str, children: Iterable[TermId]) -> TermId:
         flat: list[TermId] = []
@@ -181,8 +190,7 @@ class TermUniverse:
             return self.top() if unit_kind == TOP else self.bot()
         if len(flat) == 1:
             return flat[0]
-        size = (len(flat) - 1) + sum(self._sizes[c] for c in flat)
-        return self._intern(TermNode(kind, children=tuple(flat)), size)
+        return self._intern(kind, None, tuple(flat), len(flat) - 1)
 
     def meet(self, children: Iterable[TermId]) -> TermId:
         """n-ary meet; nested meets are flattened, a singleton is returned as-is."""
@@ -201,8 +209,7 @@ class TermUniverse:
             raise ArityMismatch(
                 f"{decl.name} expects {decl.arity} arguments, got {len(args)}"
             )
-        size = 1 + sum(self._sizes[a] for a in args)
-        return self._intern(TermNode(APP, name=decl.name, symbol=decl, children=args), size)
+        return self._intern(APP, decl.name, args, 1, decl)
 
     # ------------------------------------------------------------------
     # structure

@@ -127,6 +127,16 @@ def test_deep_input_ends_in_verdict_or_error(tmp_path, capsys, probe):
     assert main(argv) in (0, 2)
 
 
+def test_deep_nesting_parses_and_prints(tmp_path, capsys):
+    assert main(["check", "(" * 3000 + "x" + ")" * 3000 + " <= x"]) == 0
+    assert capsys.readouterr().out.split() == ["provable"]
+    sig = tmp_path / "f.sig"
+    sig.write_text("fun F : (+)\n")
+    deep = "F(" * 600 + "x" + ")" * 600
+    assert main(["normalize", "--sig", str(sig), deep]) == 0
+    assert capsys.readouterr().out == deep + "\n"
+
+
 def test_long_negation_runs_parse_without_recursion(capsys):
     assert main(["check", "~" * 3000 + "x <= x"]) == 0
     # An odd run is one negation. (Refuting `~^3001 x <= x` is timed below.)

@@ -1,7 +1,7 @@
 import pytest
 
 from olsub import oracle, parse_query, parse_source, parse_term, print_term
-from olsub.errors import ArityMismatch, DuplicateDefinition, ParseError
+from olsub.errors import ArityMismatch, DuplicateDefinition, ParseError, UndeclaredSymbol
 from olsub.normalize import delta
 
 
@@ -35,6 +35,53 @@ def test_parse_errors_carry_position(u):
         parse_term("Arrow(x)", u)
     with pytest.raises(ArityMismatch):
         parse_term("Arrow", u)
+
+
+# Each bad input with the exception, message, line and column it raises;
+# F is (+) and G is (-,+).
+BAD_INPUTS = [
+    (parse_term, "x ? y", ParseError, "unexpected character '?'", 1, 3),
+    (parse_source, "fun H : (+)\nx <= y\n  H(x) $ y\n", ParseError,
+     "unexpected character '$'", 3, 8),
+    (parse_term, "x | 1y", ParseError, "unexpected character '1'", 1, 5),
+    (parse_term, "x y", ParseError, "trailing input 'y'", 1, 3),
+    (parse_query, "x <= y )", ParseError, "trailing input ')'", 1, 8),
+    (parse_term, "x &", ParseError, "expected a term, found ''", 1, 4),
+    (parse_term, "x\t&\t~", ParseError, "expected a term, found ''", 1, 6),
+    (parse_term, "x &\n\n  y", ParseError, "expected a term, found '\\n'", 1, 4),
+    (parse_term, "(x | y", ParseError, "expected ')', found ''", 1, 7),
+    (parse_term, "F(x, (y)", ParseError, "expected ')', found ''", 1, 9),
+    (parse_query, "F(x <= y", ParseError, "expected ')', found '<='", 1, 5),
+    (parse_term, "\n\n  x & H(y)", ParseError, "undeclared symbol 'H'", 3, 7),
+    (parse_source, "A <= B\nA <= B & H(y)\n", ParseError, "undeclared symbol 'H'", 2, 10),
+    (parse_term, "G(x)", ArityMismatch, "G expects 2 arguments, got 1", 1, 1),
+    (parse_source, "fun K : (-,+)\n\nA <= K(x)\n", ArityMismatch,
+     "K expects 2 arguments, got 1", 3, 6),
+    (parse_term, "~~G", ArityMismatch, "G expects 2 arguments, got 0", 1, 3),
+    (parse_source, "fun K : (+, x)\n", ParseError,
+     "expected a variance (o, + or -), found 'x'", 1, 13),
+    (parse_source, "x <: y\n", ParseError, "expected '<=' or '=', found '<:'", 1, 3),
+    (parse_source, "type U[A] = x\n", ParseError, "expected '<:' or ':>', found '='", 1, 11),
+    (parse_source, "fun S : (+)\ntype U[A, B, A] <: S(A)\n", ParseError,
+     "duplicate definition parameter", 2, 6),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message, line, column", BAD_INPUTS)
+def test_parse_errors_are_pinned(u, parse, text, error, message, line, column):
+    u.declare("F", "+")
+    u.declare("G", "-+")
+    with pytest.raises(error) as exc:
+        parse(text, u)
+    assert str(exc.value) == f"{message} (line {line}, column {column})"
+    if error is ParseError:
+        assert (exc.value.line, exc.value.column) == (line, column)
+    if message.startswith("undeclared"):
+        assert isinstance(exc.value.__cause__, UndeclaredSymbol)
+
+
+def test_nesting_depth_is_bounded_by_memory(u):
+    assert parse_term("(" * 100_000 + "x" + ")" * 100_000, u) == u.var("x")
 
 
 def test_parse_query(u):

@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from olsub import Variance
+from olsub import TermUniverse, Variance
 from olsub.errors import ArityMismatch, ConflictingDeclaration
 
 from helpers import random_term
@@ -96,3 +99,76 @@ def test_interning_random_structures(u):
         a = random_term(u, rng1, 9, ["x", "y"], [f])
         b = random_term(u, rng2, 9, ["x", "y"], [f])
         assert a == b  # same construction sequence interns to the same id
+
+
+def _shape(rng, depth, parent=None):
+    """A nested-tuple term in which no meet is a meet's child and no join a
+    join's, so no flattening happens and distinct shapes are distinct nodes."""
+    kinds = ["var"] if depth == 0 else ["var", "not", "meet", "join", "F", "G"]
+    kind = rng.choice([k for k in kinds if k != parent])
+    if kind == "var":
+        return kind, rng.choice("xyz")
+    if kind == "not":
+        return kind, _shape(rng, depth - 1)
+    if kind in ("F", "G"):
+        return kind, tuple(_shape(rng, depth - 1) for _ in range(1 if kind == "F" else 2))
+    return kind, tuple(_shape(rng, depth - 1, kind) for _ in range(rng.randint(2, 3)))
+
+
+def _build(u, shape):
+    """Intern `shape` bottom up, reading back each node as soon as its id is known."""
+    kind, rest = shape
+    if kind == "var":
+        t = u.var(rest)
+    elif kind == "not":
+        t = u.neg(_build(u, rest))
+    else:
+        kids = [_build(u, c) for c in rest]
+        t = u.meet(kids) if kind == "meet" else u.join(kids) if kind == "join" else u.app(kind, kids)
+    assert u.node(t).kind == (kind if kind in ("var", "not", "meet", "join") else "app")
+    return t
+
+
+def _subshapes(shape, into):
+    into.add(shape)
+    kind, rest = shape
+    for child in ((rest,) if kind == "not" else () if kind == "var" else rest):
+        _subshapes(child, into)
+
+
+def _intern_together(u, shapes, workers=8):
+    """The ids each of `workers` threads gets for `shapes`; the threads start
+    together, in the same order, while the interpreter switches between them
+    as often as it can."""
+    start = threading.Barrier(workers)
+
+    def build_all():
+        start.wait(timeout=60)
+        return [_build(u, shape) for shape in shapes]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(build_all) for _ in range(workers)]
+            return [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_interning_agrees():
+    # One round catches a lost re-check or an id published before its node
+    # only most of the time, so the test runs several.
+    for seed in range(6):
+        u = TermUniverse()
+        u.declare("F", "+")
+        u.declare("G", "-+")
+        rng = random.Random(seed)
+        shapes = [_shape(rng, 7) for _ in range(300)]
+        ids = _intern_together(u, shapes)
+        assert all(got == ids[0] for got in ids)
+        distinct = set()
+        for shape in shapes:
+            _subshapes(shape, distinct)
+        assert len(u) == len(distinct)
+        assert len(set(ids[0])) == len(set(shapes))
