@@ -615,6 +615,16 @@ def check(
     images neither Replace nor a negation rule proves anything the lattice
     test does not, and phase two decides the query.
 
+    Phase two runs only after beta collapsed a node; otherwise each beta
+    image is a lattice-equal re-sorted copy, and phase two would repeat
+    phase one's "no". Beta collapses nothing in a term that holds no bound
+    and no atom together with its complement (x and ~x, a symbol and its
+    dual), since Whitman's test closes only on atoms or bounds; the lemma
+    is proved in `normalize.beta`, and `normalize.can_collapse` checks it,
+    so on such queries beta does not run at all. When beta does run,
+    images as large as their inputs show that nothing collapsed (beta
+    never grows a term, and a collapse shrinks it).
+
     On this path `stats` describes the order test: `sequents` counts the
     goals it decided in this call, `clauses` the alternatives generated for
     them, `steps` the subgoal lookups and `derived` the goals proved; a
@@ -628,18 +638,29 @@ def check(
         provable = engine.query(s, t)
         return Verdict(provable, engine.stats())
     tally = [0, 0, 0, 0]  # in the order of Stats' fields
-    return Verdict(_order_phase(universe, s, t, tally) > 0, Stats(*tally))
+    ds, dt = _delta(universe, s), _delta(universe, t)
+    return Verdict(_order_phase(universe, ds, dt, tally) > 0, Stats(*tally))
 
 
-def _order_phase(u: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = None) -> int:
-    """The phase of `check`'s order test that proves the axiom-free s <= t:
-    1 for leq(delta s, delta t), 2 for leq on their beta images, 0 if
-    neither does."""
-    # delta is the identity on Not-free terms; skip building complements
-    ds, dt = (normalize.delta(u, x) if u.contains_not(x) else x for x in (s, t))
+def _delta(u: TermUniverse, x: TermId) -> TermId:
+    """delta's image of `x`; `x` itself when it is Not-free, since delta is
+    the identity there, without building complements."""
+    return normalize.delta(u, x) if u.contains_not(x) else x
+
+
+def _order_phase(u: TermUniverse, ds: TermId, dt: TermId, tally: list[int] | None = None) -> int:
+    """The phase of `check`'s order test that proves the axiom-free query
+    whose delta images are `ds <= dt`: 1 for leq(ds, dt), 2 for leq on
+    their beta images, 0 if neither does. Phase two runs only when beta
+    collapsed a node of either side; otherwise it would repeat phase one."""
     if normalize.leq(u, ds, dt, tally):
         return 1
-    return 2 if normalize.leq(u, normalize.beta(u, ds), normalize.beta(u, dt), tally) else 0
+    if not (normalize.can_collapse(u, ds) or normalize.can_collapse(u, dt)):
+        return 0
+    bs, bt = normalize.beta(u, ds), normalize.beta(u, dt)
+    if u.size(bs) == u.size(ds) and u.size(bt) == u.size(dt):
+        return 0
+    return 2 if normalize.leq(u, bs, bt, tally) else 0
 
 
 # ----------------------------------------------------------------------
@@ -742,12 +763,13 @@ def order_proof(universe: TermUniverse, s: TermId, t: TermId) -> ProofTree:
     stay those of `check`."""
     u = universe
     node = u.node
-    phase = _order_phase(u, s, t)
+    ds, dt = _delta(u, s), _delta(u, t)
+    phase = _order_phase(u, ds, dt)
     if not phase:
         raise NotProvable("goal has no derivation; check the verdict first")
     two = phase == 2
-    # delta is the identity on Not-free terms, as in `_order_phase`
-    plain = not (u.contains_not(s) or u.contains_not(t))
+    # `_delta` returns a Not-free term itself, and rebuilds any other
+    plain = ds == s and dt == t
     images: dict[tuple[TermId, int, bool], TermId] = {}
 
     def image(x: TermId, complement: int, opened: bool) -> TermId:

@@ -374,8 +374,49 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
 
     The output is beta-reduced: no join keeps a child whose complement is
     below it under `leq`, dually for meets. That is the hypothesis of the
-    coincidence lemma in `entail.check`."""
+    coincidence lemma in `entail.check`.
+
+    Lemma (`can_collapse`): beta collapses a node only if the term holds a
+    bound, or an atom together with its complement (a variable as VAR and
+    as NEGVAR, a symbol and its dual). Call the atoms (VAR, NEGVAR,
+    application heads) and bounds a term reaches through meets and joins
+    alone its top level. Whitman's test closes only by Hyp, by a bound, or
+    by the rule for two applications of one symbol, after steps through
+    meets and joins, so `a <= b` needs a top-level atom of `a` to meet one
+    of `b` (same variable, or same symbol), or a top-level bound. The
+    top-level atoms of `~c` are the complements of `c`'s, and those are
+    top-level atoms of any join `J` with child `c`; so `~c <= J` needs a
+    bound or a complementary pair among `J`'s top-level atoms. Dually for
+    meets. Without either anywhere in the term, by induction bottom-up
+    nothing collapses, and beta's image is a re-sorted copy, lattice-equal
+    to the input and of the same size."""
     return _rewrite(_context(universe), t, _beta_node)
+
+
+def can_collapse(universe: TermUniverse, t: TermId) -> bool:
+    """False when beta cannot collapse any node of the pseudo-negation-normal
+    `t`: it holds no bound and no atom together with its complement (see
+    `beta`). One walk over `t`'s distinct subterms; a `NOT` raises
+    `NegationPresent`, as in beta."""
+    node = universe.node
+    signs: dict[tuple[str, str], bool] = {}  # (VAR or APP, base name) -> positive
+    for s in universe.subterms(t):
+        n = node(s)
+        kind = n.kind
+        if kind == VAR or kind == NEGVAR:
+            key, positive = (VAR, n.name), kind == VAR
+        elif kind == APP:
+            base = n.symbol.dual_of
+            key, positive = (APP, base or n.name), base is None
+        elif kind == TOP or kind == BOT:
+            return True
+        elif kind == NOT:
+            raise NegationPresent("beta expects a pseudo-negation-normal term")
+        else:
+            continue
+        if signs.setdefault(key, positive) != positive:
+            return True
+    return False
 
 
 def beta_open(universe: TermUniverse, t: TermId) -> TermId:

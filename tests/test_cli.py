@@ -114,7 +114,17 @@ def test_normalize_mode_and_axiom_errors(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Arrow(x, y)"
 
 
-@pytest.mark.parametrize("probe", ["nested-not", "nested-parens", "nested-constructor"])
+def _alternating(depth: int) -> str:
+    """x1 & (x2 | (x3 & ... x{depth})), meets and joins alternating."""
+    text = f"x{depth}"
+    for i in range(depth - 1, 0, -1):
+        text = f"x{i} {'&' if i % 2 else '|'} ({text})"
+    return text
+
+
+@pytest.mark.parametrize(
+    "probe", ["nested-not", "nested-parens", "nested-constructor", "alternating-refuted"]
+)
 def test_deep_input_ends_in_verdict_or_error(tmp_path, capsys, probe):
     # exit 1 would read as "not provable"
     sig = tmp_path / "f.sig"
@@ -123,8 +133,13 @@ def test_deep_input_ends_in_verdict_or_error(tmp_path, capsys, probe):
         "nested-not": ["normalize", "~" * 3000 + "x"],
         "nested-parens": ["check", "(" * 3000 + "x" + ")" * 3000 + " <= x"],
         "nested-constructor": ["normalize", "--sig", str(sig), "F(" * 600 + "x" + ")" * 600],
+        "alternating-refuted": ["check", _alternating(3000) + " <= y"],
     }[probe]
-    assert main(argv) in (0, 2)
+    if probe == "alternating-refuted":
+        assert main(argv) == 1
+        assert capsys.readouterr().out.split() == ["not", "provable"]
+    else:
+        assert main(argv) in (0, 2)
 
 
 def test_deep_nesting_parses_and_prints(tmp_path, capsys):

@@ -7,6 +7,7 @@ from olsub import (
     Sequent,
     TermUniverse,
     check,
+    normalize,
     oracle,
     order_proof,
     parse_query,
@@ -203,8 +204,8 @@ def test_route_stats_count_the_order_test(u):
     assert check(u, wide, xs[9]).stats.sequents == 0  # memoized per universe
     refuted = check(u, wide, u.var("y"))
     assert not refuted.provable
-    # beta leaves both sides as they are, so phase two repeats phase one's
-    # goal and finds it memoized
+    # neither side holds a bound or a complementary pair, so beta cannot
+    # collapse anything and phase two does not run
     assert refuted.stats.derived == 0 and refuted.stats.sequents == 1
     # Neither side a literal: the goal is searched, with one alternative per
     # conjunct and one per disjunct. Its subgoals x00..x09 <= x09 | y each
@@ -213,6 +214,33 @@ def test_route_stats_count_the_order_test(u):
     searched = check(u, wide, u.join([xs[9], u.var("y")]))
     assert (searched.stats.sequents, searched.stats.derived) == (1 + 10, 1 + 1)
     assert (searched.stats.clauses, searched.stats.steps) == (50 + 2 + 10, 10)
+
+
+def test_refuted_queries_with_nothing_to_collapse_skip_beta(u, monkeypatch):
+    def no_beta(*args):
+        raise AssertionError("beta ran")
+
+    monkeypatch.setattr(normalize, "beta", no_beta)
+    pairs = [(f"X{i}", f"X{i + 1}") for i in range(1, 16, 2)]
+    s16 = " & ".join(f"({a} | {b})" for a, b in pairs)
+    t16 = " & ".join(f"({b} | {a})" for a, b in pairs).replace("(X2 | X1)", "(X2 | Y)")
+    wide = " & ".join(f"x{i}" for i in range(50))
+    for text in (f"{s16} <= {t16}", f"{wide} <= y"):
+        assert not check(u, *parse_query(text, u)).provable
+
+
+def test_phase_two_runs_only_after_a_collapse(u, monkeypatch):
+    calls = []
+    real = normalize.leq
+    monkeypatch.setattr(normalize, "leq", lambda *args: calls.append(args) or real(*args))
+    # ~x and x: beta runs, but collapses nothing, so phase one's "no" stands
+    assert not check(u, *parse_query("(x | y) & ~x <= z", u)).provable
+    assert len(calls) == 1
+    # beta collapses x | ~x to top, and phase two decides
+    for text, provable in (("top <= y | (x | ~x)", True), ("x | ~x <= y", False)):
+        calls.clear()
+        assert check(u, *parse_query(text, u)).provable == provable
+        assert len(calls) == 2
 
 
 def _rules(proof):

@@ -8,7 +8,17 @@ import pytest
 
 from olsub import Engine, TermUniverse, check, oracle, parse_term, print_term
 from olsub.errors import NegationPresent
-from olsub.normalize import _context, _structural_key, beta, delta, eta, normalize_bl, normalize_ol, zeta
+from olsub.normalize import (
+    _context,
+    _structural_key,
+    beta,
+    can_collapse,
+    delta,
+    eta,
+    normalize_bl,
+    normalize_ol,
+    zeta,
+)
 
 from helpers import law_chain, random_pnnf, random_term
 
@@ -65,6 +75,35 @@ def test_beta_dual_complement(u):
     dual = u.app(u.dual(arrow), [u.var("x"), u.var("y")])
     assert beta(u, u.meet([dual, app])) == u.bot()
     assert beta(u, u.join([dual, app])) == u.top()
+
+
+def test_can_collapse_finds_complements_and_bounds(u):
+    u.declare("F", "+")
+    u.declare("G", "-+")
+    for text in ("x | ~x", "F(x) | ~F(y)", "x & top", "G(x | ~y, y)", "~G(x, y) & F(G(y, x))"):
+        assert can_collapse(u, delta(u, parse_term(text, u))), text
+    for text in ("x | y", "~x & (~y | F(z))", "F(x) | G(F(y), x)", "~F(x) & ~F(~y | x)"):
+        assert not can_collapse(u, delta(u, parse_term(text, u))), text
+    with pytest.raises(NegationPresent):
+        can_collapse(u, parse_term("x | ~(y & z)", u))
+
+
+def test_beta_keeps_the_size_where_nothing_can_collapse(u):
+    # the lemma in `beta`: no bound and no atom with its complement means no
+    # collapse, and beta never grows a term, so the size is unchanged
+    rng = random.Random(83)
+    symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+    variables = [f"v{i}" for i in range(8)]
+    kept = collapsed = 0
+    for _ in range(3000):
+        t = random_pnnf(u, rng, rng.randint(3, 24), variables, symbols)
+        b = beta(u, t)
+        if not can_collapse(u, t):
+            kept += 1
+            assert u.size(b) == u.size(t), print_term(u, t)
+        else:
+            collapsed += u.size(b) < u.size(t)
+    assert kept >= 200 and collapsed >= 200  # both sides of the check are exercised
 
 
 def test_zeta_promotes_conjuncts(u):
