@@ -158,8 +158,10 @@ def cmd_check(args) -> int:
 
 def _proof_json(universe, proof, rename) -> str:
     """The proof as JSON text, `{"rule", "sequent", "children"}` per node,
-    written from one walk, so a proof of any depth renders."""
+    written from one walk, so a proof of any depth renders. Each distinct
+    term is printed and escaped once."""
     parts: list[str] = []
+    shown: dict[int, str] = {}  # term id -> its printed form as a JSON string
     closed = -1  # depth of the node closed last, -1 after an opening
     for node, depth in entail.walk_proof(proof):
         if node is None:
@@ -168,9 +170,14 @@ def _proof_json(universe, proof, rename) -> str:
             continue
         if closed == depth:
             parts.append(", ")
-        sequent = [[print_term(universe, e.term, rename), e.side] for e in node.sequent.elements()]
+        sequent = []
+        for e in node.sequent.elements():
+            text = shown.get(e.term)
+            if text is None:
+                text = shown[e.term] = json.dumps(print_term(universe, e.term, rename))
+            sequent.append(f'[{text}, "{e.side}"]')
         parts.append(
-            f'{{"rule": {json.dumps(node.rule)}, "sequent": {json.dumps(sequent)}, "children": ['
+            f'{{"rule": {json.dumps(node.rule)}, "sequent": [{", ".join(sequent)}], "children": ['
         )
         closed = -1
     return "".join(parts)

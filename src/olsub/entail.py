@@ -12,21 +12,50 @@ proof closes; what it pushed and did not expand stays on the search stack
 for the next query on the same `Engine`. A sequent closed by a zero-premise
 rule (Hyp, LeftBot, RightTop, an axiom) gets no other clause.
 
-Two rules are never written out ahead of time; each records a clause only
-when it fires. Replace concludes any sequent holding G from {G,G}. AxiomCut
-through an axiom U <= V concludes {x, y} from {x, U^R} and {V^L, y}. Each
-of those premises depends on one term only, so it is pushed once per term,
-not once per sequent, and the cut runs as a semi-naive join: per axiom, the
-terms x whose left premise is derived and the terms y whose right premise is
-derived; each newly derived premise is matched against the other side, and
-the cut fires on every expanded sequent {x, y} it completes.
+Atom axioms A <= B, a variable on each side (a nominal class hierarchy),
+are never cut through. They close leaves: a sequent {A^L, C^R} of two
+distinct variables is closed by one zero-premise Axiom clause when C is
+reachable from A over the atom axioms. A variable's closure is built once,
+lazily, by a breadth-first walk that records the axiom by which each
+variable was first reached, so a proof unrolls a leaf into a shortest chain
+of AxiomCuts over Hyp leaves (`reconstruct_proof`). This is complete:
+
+    Lemma. Take as initial sequents the leaves {Z^L, C^R}, C reachable
+    from Z over the atom axioms. Then a cut through an atom axiom A <= B,
+    from {x, A^R} and {B^L, y} to {x, y}, is admissible. Induct on the
+    derivation of {x, A^R}, cutting every copy of A^R in it at once. The
+    cut permutes up past each rule whose principal term is not a copy of
+    A^R. A variable on the right is principal only in Hyp {A^L, A^R}, in a
+    leaf {Z^L, A^R}, and as the G of a Replace from {A^R, A^R}, which the
+    cut turns into a Replace from {y, y}. At Hyp or a leaf the cut leaves
+    {Z^L, y} for some Z reaching B. That follows from the derivation of
+    {B^L, y}, putting Z^L for B^L up to where B^L is principal: Hyp
+    {B^L, B^R} becomes the leaf {Z^L, B^R}, a leaf {B^L, C^R} composes by
+    transitivity into the leaf {Z^L, C^R}, and a Replace from {B^L, B^L}
+    becomes one from {Z^L, Z^L}. (Atomic axioms as initial sequents, closed
+    under transitivity, keep cut admissible: Negri and von Plato, "Cut
+    elimination in the presence of axioms", Bull. Symbolic Logic 4(4),
+    1998.)
+
+Only compound axioms, with a side that is not a variable, go through
+AxiomCut. Two rules are never written out ahead of time; each records a
+clause only when it fires. Replace concludes any sequent holding G from
+{G,G}. AxiomCut through a compound axiom U <= V concludes {x, y} from
+{x, U^R} and {V^L, y}. Each of those premises depends on one term only, so
+it is pushed once per term, not once per sequent, and the cut runs as a
+semi-naive join: per compound axiom, the terms x whose left premise is
+derived and the terms y whose right premise is derived; each newly derived
+premise is matched against the other side, and the cut fires on every
+expanded sequent {x, y} it completes. An all-atom axiom set pushes no cut
+premise at all.
 
 A refuted query needs the whole backward-reachable closure, and gets it,
 together with whatever earlier queries on its engine left on the stack.
 Over that closure, propagation takes time linear in the clauses, at most
 16 n^2 of them (see tests), and the joins take at most |L_i| * |R_i| <= (2n)^2
-probes per axiom i: O(n^2 * (1 + |axioms|)) work overall, of which only the
-clauses and the cuts that fire are stored.
+probes per compound axiom i: O(n^2 * (1 + m)) work overall for m compound
+axioms, of which only the clauses and the cuts that fire are stored. Each
+variable whose closure is asked for adds one walk over the atom axioms.
 
 Two rule sets are supported. Mode "ol" is the full ortholattice system:
 negation rules, Replace, constructor monotonicity, and AxiomCut. Mode "bl"
@@ -67,6 +96,7 @@ from .terms import (
     NEGVAR,
     NOT,
     TOP,
+    VAR,
     TermId,
     TermUniverse,
     Variance,
@@ -212,13 +242,21 @@ class Engine:
     holding a negation, as an axiom or in a goal, with `NegationPresent`
     before any of it is searched.
 
+    Atom axioms, between two variables, are not joined: a sequent {A^L, C^R}
+    with C reachable from A over them is closed by one Axiom clause, from
+    the closure of A, built once per engine (see the module docstring for
+    why that is complete). Only compound axioms push cut premises and run
+    AxiomCut joins.
+
     `clauses` holds every generated clause as `(head, body, rule, aux)` over
     integer-packed sequents, and `derived` maps each derived sequent to the
     index of its first deriving clause; `reconstruct_proof` reads a proof of
     any query the engine has answered yes from these two. A Replace or
     AxiomCut clause is added only when it fires, with its premises derived.
-    `steps` counts propagation work: watch decrements, join probes and the
-    Replace and AxiomCut derivations.
+    An Axiom clause's `aux` is the compound axiom's index, or None for a
+    leaf closed from the atom axioms' closure. `steps` counts propagation
+    work: watch decrements, join probes, the Replace and AxiomCut
+    derivations, and each sequent the closure closes.
     """
 
     def __init__(self, universe: TermUniverse, axioms=None, mode: str = "ol"):
@@ -231,17 +269,26 @@ class Engine:
         for pair in self.axioms:
             _check_ids(*pair)
             self._reject_not(*pair)
-        self._ax_anns = [(_ann(v, 1), _ann(w, 0)) for (v, w) in self.axioms]  # (U^R, V^L)
+        # Atom axioms A <= B between two variables close sequents from their
+        # closure; only compound axioms are AxiomCut joins.
+        self._succ: dict[int, list[tuple[int, int]]] = {}  # A -> [(B, i)], atom axioms i
+        self._reach: dict[int, dict] = {}  # A -> {C: (predecessor, i)}, built lazily
+        self._ax_anns: dict[int, tuple[int, int]] = {}  # compound i = (U, V) -> (U^R, V^L)
         self._axiom_of_seq: dict[int, int] = {}
-        self._cut_u: dict[int, list[int]] = {}  # U^R -> axioms i = (U, V)
-        self._cut_v: dict[int, list[int]] = {}  # V^L -> axioms i = (U, V)
+        self._cut_u: dict[int, list[int]] = {}  # U^R -> compound axioms i = (U, V)
+        self._cut_v: dict[int, list[int]] = {}  # V^L -> compound axioms i = (U, V)
+        node = universe.node
         for i, (v, w) in enumerate(self.axioms):
+            if node(v).kind == VAR and node(w).kind == VAR:
+                self._succ.setdefault(v, []).append((w, i))
+                continue
+            self._ax_anns[i] = (_ann(v, 1), _ann(w, 0))
             self._axiom_of_seq.setdefault(_seq(_ann(v, 0), _ann(w, 1)), i)
             self._cut_u.setdefault(_ann(v, 1), []).append(i)
             self._cut_v.setdefault(_ann(w, 0), []).append(i)
-        # AxiomCut joins, for axiom i = (U, V): L_i holds each x with {x, U^R}
-        # derived, R_i each y with {V^L, y} derived, and {x, y} follows.
-        self._cut_sides = [([], []) for _ in self.axioms]  # i -> (L_i, R_i)
+        # AxiomCut joins, for compound axiom i = (U, V): L_i holds each x with
+        # {x, U^R} derived, R_i each y with {V^L, y} derived, and {x, y} follows.
+        self._cut_sides = {i: ([], []) for i in self._ax_anns}  # i -> (L_i, R_i)
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
         self._cut_pushed: set[int] = set()  # terms whose cut premises were pushed
@@ -335,6 +382,12 @@ class Engine:
         if ra[1] is not None or rb[1] is not None:
             self._add_clause(s, (), ra[1] or rb[1], None)
             return
+        if a < _SIDE_BIT <= b and a in self._succ and (b ^ _SIDE_BIT) in self._closure(a):
+            # {A^L, C^R} with C reachable from A over atom axioms: one leaf,
+            # unrolled into a chain of AxiomCuts by `reconstruct_proof`.
+            self._add_clause(s, (), AXIOM, None)
+            self.steps += 1
+            return
         if self._cut_left:
             for x, y in ((a, b), (b, a)):
                 i = self._cut_between(x, y)
@@ -416,12 +469,40 @@ class Engine:
         out: list[int] = []
         if self.mode == "bl":
             left = x < _SIDE_BIT
-            for u_r, v_l in self._ax_anns:
+            for u_r, v_l in self._ax_anns.values():
                 out.append(_seq(x, u_r) if left else _seq(v_l, x))
             return out
-        for u_r, v_l in self._ax_anns:
+        for u_r, v_l in self._ax_anns.values():
             out += (_seq(x, u_r), _seq(v_l, x))
         return out
+
+    def _closure(self, a: int) -> dict:
+        """The variables reachable from variable `a` over atom axioms, each
+        mapped to (the variable it was first reached from, that axiom's
+        index); `a` maps to None. Breadth first, so walking back from any of
+        them gives a shortest chain."""
+        reach = self._reach.get(a)
+        if reach is None:
+            reach = self._reach[a] = {a: None}
+            frontier = [a]
+            succ = self._succ
+            for z in frontier:
+                for w, i in succ.get(z, ()):
+                    if w not in reach:
+                        reach[w] = (z, i)
+                        frontier.append(w)
+        return reach
+
+    def _axiom_chain(self, a: TermId, c: TermId) -> list[int]:
+        """The indices of the atom axioms along a shortest chain from
+        variable `a` up to variable `c`, which must be reachable."""
+        reach = self._closure(a)
+        chain: list[int] = []
+        while c != a:
+            c, i = reach[c]
+            chain.append(i)
+        chain.reverse()
+        return chain
 
     def _cut_between(self, x: int, y: int) -> int | None:
         """An axiom i = (U, V) with {x, U^R} and {V^L, y} both derived."""
@@ -680,8 +761,11 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
     Each derived sequent points at the clause that first derived it, whose
     premises were all derived before it; walking those clauses back from the
     goal, on an explicit stack, gives a cut-free proof. Only the sequents on
-    the proof path are decoded. An Axiom clause becomes the equivalent
-    AxiomCut over two Hyp leaves. Shared subderivations are shared subtrees.
+    the proof path are decoded. An Axiom clause becomes a chain of AxiomCuts
+    over Hyp leaves: one cut for a compound axiom's own sequent, and for a
+    sequent {A^L, C^R} closed from the atom axioms' closure, one cut per
+    axiom of a shortest chain A <= ... <= C. Shared subderivations are shared
+    subtrees.
     """
     if not engine.query(s, t):
         raise NotProvable("goal has no derivation; check the verdict first")
@@ -702,18 +786,20 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
             stack += todo
             continue
         stack.pop()
-        if rule in (AXIOM, AXIOM_CUT):
-            aux = axioms[aux]
         if rule == AXIOM:
-            v, w = aux
-            rule = AXIOM_CUT
-            children = [
-                ProofTree(Sequent.of(v, L, v, R), HYP, []),
-                ProofTree(Sequent.of(w, L, w, R), HYP, []),
-            ]
-        else:
-            children = [memo[p] for p in body]
-        memo[cur] = ProofTree(_to_sequent(cur), rule, children, aux)
+            seq = _to_sequent(cur)  # {Z0^L, Zk^R}
+            low = seq.a.term
+            chain = [aux] if aux is not None else engine._axiom_chain(low, seq.b.term)
+            proof = ProofTree(Sequent.of(low, L, low, R), HYP, [])
+            for i in chain:
+                w = axioms[i][1]
+                hyp = ProofTree(Sequent.of(w, L, w, R), HYP, [])
+                proof = ProofTree(Sequent.of(low, L, w, R), AXIOM_CUT, [proof, hyp], axioms[i])
+            memo[cur] = proof
+            continue
+        if rule == AXIOM_CUT:
+            aux = axioms[aux]
+        memo[cur] = ProofTree(_to_sequent(cur), rule, [memo[p] for p in body], aux)
     return memo[goal]
 
 
@@ -1028,14 +1114,18 @@ def format_proof(universe: TermUniverse, proof: ProofTree, rename=None) -> str:
     from .syntax import print_term
 
     lines: list[str] = []
+    shown: dict[TermId, str] = {}  # each distinct term is printed once
     for node, depth in walk_proof(proof):
         if node is None:
             continue
         rule = node.rule
         if rule == F_RULE and node.aux is not None:
             rule = f"F[{node.aux}]"
-        shown = ", ".join(
-            f"{print_term(universe, e.term, rename)}^{e.side}" for e in node.sequent.elements()
-        )
-        lines.append("  " * depth + f"{rule}: {shown}")
+        texts = []
+        for e in node.sequent.elements():
+            text = shown.get(e.term)
+            if text is None:
+                text = shown[e.term] = print_term(universe, e.term, rename)
+            texts.append(f"{text}^{e.side}")
+        lines.append("  " * depth + f"{rule}: {', '.join(texts)}")
     return "\n".join(lines)

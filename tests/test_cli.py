@@ -1,10 +1,11 @@
 import json
+import re
 import sys
 import time
 
 import pytest
 
-from olsub import entail
+from olsub import cli, entail, syntax
 from olsub.cli import fit_loglog_slope, main, run_bench, sn_tn_source, sn_tn_terms
 from olsub.terms import TermUniverse
 
@@ -228,6 +229,73 @@ def test_proof_json_text_matches_json_dumps(capsys):
     assert main(["explain", "--format", "json", query]) == 0
     text = capsys.readouterr().out.strip()
     assert text == json.dumps(json.loads(text))
+
+
+def test_proof_rendering_prints_each_term_once(monkeypatch, capsys, tmp_path):
+    # `explain` output is byte-identical to a plain rendering of the same
+    # proof (`ms` aside), and each distinct term of the proof is printed once.
+    pinned = (
+        '{"verdict": "provable", "stats": {"sequents": 3, "clauses": 3, "steps": 2, '
+        '"derived": 3, "ms": 0}, "proof": {"rule": "RightAnd", "sequent": [["x & y", "L"], '
+        '["y & x", "R"]], "children": [{"rule": "LeftAnd", "sequent": [["x & y", "L"], '
+        '["y", "R"]], "children": [{"rule": "Hyp", "sequent": [["y", "L"], ["y", "R"]], '
+        '"children": []}]}, {"rule": "LeftAnd", "sequent": [["x & y", "L"], ["x", "R"]], '
+        '"children": [{"rule": "Hyp", "sequent": [["x", "L"], ["x", "R"]], "children": []}]}]}}'
+    )
+    assert main(["explain", "--format", "json", "x & y <= y & x"]) == 0
+    out = capsys.readouterr().out
+    assert re.sub(r'"ms": [0-9.e-]+', '"ms": 0', out.strip()) == pinned
+    path = tmp_path / "h.ax"
+    path.write_text("fun F : (+)\nA <= B\nB <= C\nC <= D\nF(D) <= E | F(A)\n")
+    seen, printed = [], []
+    verify, real_print = entail.verify_proof, cli.print_term
+
+    def verifying(u, proof, *args):
+        seen.append((u, proof))
+        return verify(u, proof, *args)
+
+    def printing(u, t, *args):
+        printed.append(t)
+        return real_print(u, t, *args)
+
+    monkeypatch.setattr(entail, "verify_proof", verifying)
+    monkeypatch.setattr(cli, "print_term", printing)
+    monkeypatch.setattr(syntax, "print_term", printing)  # format_proof imports it from here
+
+    def plain(u, node):
+        return {
+            "rule": node.rule,
+            "sequent": [[real_print(u, e.term), e.side] for e in node.sequent.elements()],
+            "children": [plain(u, child) for child in node.children],
+        }
+
+    def plain_text(u, node, depth=0):
+        rule = f"F[{node.aux}]" if node.rule == "F" else node.rule
+        shown = ", ".join(f"{real_print(u, e.term)}^{e.side}" for e in node.sequent.elements())
+        lines = ["  " * depth + f"{rule}: {shown}"]
+        return lines + [line for c in node.children for line in plain_text(u, c, depth + 1)]
+
+    for argv in (
+        ["(x | y) & ~(z & ~x) <= ~z | (y | x)"],
+        ["--axioms", str(path), "F(A) & A <= (E | F(A)) & D"],
+    ):
+        for fmt in ("json", "text"):
+            seen.clear()
+            printed.clear()
+            assert main(["explain", "--format", fmt] + argv) == 0
+            out = capsys.readouterr().out
+            (u, proof), = seen
+            terms = set()
+            for node, _ in entail.walk_proof(proof):
+                if node is not None:
+                    terms.update(e.term for e in node.sequent.elements())
+            assert sorted(printed) == sorted(terms)
+            if fmt == "json":
+                payload = json.loads(out)
+                payload["proof"] = plain(u, proof)
+                assert out == json.dumps(payload) + "\n"
+            else:
+                assert out.splitlines() == ["provable"] + plain_text(u, proof)
 
 
 def test_long_negation_runs_normalize_without_recursion(capsys):

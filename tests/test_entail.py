@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -69,7 +70,10 @@ def test_left_and_clauses(u):
 
 
 def test_axiom_cut_clause_shape(u):
-    a, b, c = u.var("A"), u.var("B"), u.var("C")
+    # Atom axioms close sequents from their closure, so the join runs on a
+    # chain of compound axioms F(A) <= F(B) <= F(C), F covariant.
+    f = u.declare("F", "+")
+    a, b, c = (u.app(f, [u.var(n)]) for n in "ABC")
     axioms = [(a, b), (b, c)]
     engine = Engine(u, axioms)
     engine.query(a, c)
@@ -451,27 +455,33 @@ def test_clause_count_bound(u):
 
 
 def test_atom_chain_cuts_stay_quadratic(u):
-    # A0 <= A1 <= ... <= A49: AxiomCut fires from derived premises, so the
-    # clauses stay within 2 k^2, and `steps` counts the join work that the
-    # stored clauses do not show.
+    # A0 <= A1 <= ... <= A49: the closure closes {A0^L, A49^R} in one step.
+    # On F(A0) <= ... <= F(A49), F covariant, AxiomCut fires from derived
+    # premises, so the clauses stay within 2 k^2, and `steps` counts the
+    # join work that the stored clauses do not show.
     k = 50
+    f = u.declare("F", "+")
     atoms = [u.var(f"A{i}") for i in range(k)]
-    axioms = list(zip(atoms, atoms[1:]))
-    for s, t, want in ((atoms[0], atoms[-1], True), (atoms[-1], atoms[0], False)):
-        engine = Engine(u, axioms)
-        assert engine.query(s, t) == want
-        stats = engine.stats()
-        assert stats.clauses <= 2 * k * k
-        assert stats.steps >= stats.derived
+    for chain in (atoms, [u.app(f, [a]) for a in atoms]):
+        axioms = list(zip(chain, chain[1:]))
+        for s, t, want in ((chain[0], chain[-1], True), (chain[-1], chain[0], False)):
+            engine = Engine(u, axioms)
+            assert engine.query(s, t) == want
+            stats = engine.stats()
+            assert stats.clauses <= 2 * k * k
+            assert stats.steps >= stats.derived
 
 
 def test_bl_cuts_keep_one_term_per_side(u):
     # In mode "bl" a term pushes only the cut premise that keeps one term
     # per side; the refuted chain used to expand 2450 same-side sequents.
+    # Atom axioms push no cut premises at all, so the chain is F(A0) <= ...
+    # <= F(A49), F covariant, whose axioms are joined.
     k = 50
-    atoms = [u.var(f"A{i}") for i in range(k)]
-    engine = Engine(u, list(zip(atoms, atoms[1:])), mode="bl")
-    assert not engine.query(atoms[-1], atoms[0])
+    f = u.declare("F", "+")
+    chain = [u.app(f, [u.var(f"A{i}")]) for i in range(k)]
+    engine = Engine(u, list(zip(chain, chain[1:])), mode="bl")
+    assert not engine.query(chain[-1], chain[0])
     sequents = [_to_sequent(s) for s in engine._visited]
     assert len(sequents) > k
     assert all(seq.a.side != seq.b.side for seq in sequents)
@@ -480,6 +490,90 @@ def test_bl_cuts_keep_one_term_per_side(u):
     engine = Engine(u, [(u.top(), u.bot())], mode="bl")
     assert engine.query(y, x)
     assert all(_to_sequent(s).a.side != _to_sequent(s).b.side for s in engine._visited)
+
+
+def test_atom_chain_of_a_thousand_closes_in_one_step(u):
+    # Both directions on fresh engines; the proof unrolls the chain into
+    # one AxiomCut per axiom.
+    k = 1000
+    atoms = [u.var(f"A{i}") for i in range(k)]
+    axioms = list(zip(atoms, atoms[1:]))
+    started = time.perf_counter()
+    up = Engine(u, axioms)
+    assert up.query(atoms[0], atoms[-1])
+    assert not Engine(u, axioms).query(atoms[-1], atoms[0])
+    assert time.perf_counter() - started < 1.0
+    assert up.stats().steps >= up.stats().derived
+    proof = reconstruct_proof(up, atoms[0], atoms[-1])
+    assert _rules(proof).count(AXIOM_CUT) == k - 1
+    assert verify_proof(u, proof, axioms)
+
+
+def test_shortcut_axiom_gives_a_one_cut_proof(u):
+    a, b, c = u.var("A"), u.var("B"), u.var("C")
+    for axioms in ([(a, b), (b, c), (a, c)], [(a, c), (a, b), (b, c)]):
+        proof = reconstruct_proof(Engine(u, axioms), a, c)
+        assert _rules(proof) == [AXIOM_CUT, HYP, HYP]
+        assert proof.aux == (a, c)
+        assert verify_proof(u, proof, axioms)
+    # without the shortcut the proof is the two-cut chain
+    proof = reconstruct_proof(Engine(u, [(a, b), (b, c)]), a, c)
+    assert _rules(proof) == [AXIOM_CUT, AXIOM_CUT, HYP, HYP, HYP]
+    assert verify_proof(u, proof, [(a, b), (b, c)])
+
+
+def _axiom_sets(u, rng, atoms, symbols):
+    """Random axiom sets: atom-only (with self-loops and a cycle) or mixed
+    with compound axioms holding top, bot, negation and the symbols."""
+    pairs = [(u.var(rng.choice(atoms)), u.var(rng.choice(atoms))) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.3:
+        name = rng.choice(atoms)
+        pairs.append((u.var(name), u.var(name)))
+    if rng.random() < 0.4:
+        cycle = rng.sample(atoms, 3)
+        pairs += [(u.var(p), u.var(q)) for p, q in zip(cycle, cycle[1:] + cycle[:1])]
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            compound = random_term(u, rng, rng.randint(2, 4), atoms, symbols)
+            other = random_term(u, rng, rng.randint(1, 3), atoms, symbols)
+            pairs.append((compound, other) if rng.random() < 0.5 else (other, compound))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_atom_closure_matches_saturation():
+    # Fresh engines (through `check`) and shared engines against forward
+    # saturation, which cuts through every axiom; every "yes" has a proof
+    # that the independent checker accepts.
+    rng = random.Random(1301)
+    atoms = ["a", "b", "c", "d", "x"]
+    queries = proofs = 0
+    for _ in range(200):
+        u = TermUniverse()
+        symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+        axioms = _axiom_sets(u, rng, atoms, symbols)
+        roots = [random_term(u, rng, rng.randint(1, 6), atoms, symbols) for _ in range(3)]
+        terms = roots + [t for pair in axioms for t in pair]
+        pool = sorted(set().union(*(u.subterms(t) for t in terms)))
+        provable = oracle.saturate(u, roots + [u.var(n) for n in atoms], axioms)
+        shared = Engine(u, axioms)
+        for _ in range(25):
+            s, t = rng.choice(pool), rng.choice(pool)
+            want = ((s, "L"), (t, "R")) in provable
+            assert shared.query(s, t) == want, (print_term(u, s), print_term(u, t))
+            queries += 1
+            if want:
+                assert verify_proof(u, reconstruct_proof(shared, s, t), axioms)
+                proofs += 1
+        for _ in range(5):
+            s, t = rng.choice(pool), rng.choice(pool)
+            want = oracle.saturates(u, s, t, axioms)
+            assert check(u, s, t, axioms).provable == want
+            if want:
+                assert verify_proof(u, reconstruct_proof(Engine(u, axioms), s, t), axioms)
+            queries += 1
+    assert queries == 200 * 30
+    assert proofs > 500
 
 
 def test_stats_shape(u):
