@@ -10,7 +10,6 @@ from .entail import (
     Sequent,
     Verdict,
     check,
-    order_proof,
     reconstruct_proof,
     verify_proof,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "normalize_bl",
     "normalize_ol",
     "o6",
-    "order_proof",
     "parse_query",
     "parse_source",
     "parse_term",

@@ -9,16 +9,14 @@
 Exit codes: 0 provable (or success), 1 not provable, 2 error (an internal
 error included).
 
-`check` and `explain` decide a query with axioms on the Horn engine, and
-read its proof back from that search (`entail.reconstruct_proof`). An
-axiom-free query is decided by the normalizer's order test
-(`entail.check`), and its proof is read off the same test
-(`entail.order_proof`), so no engine is built for it. `bench` runs the
-engine itself, since it reports the engine's clause growth.
+`check` and `explain` hand a query to `entail.check`, which picks the
+procedure, and print the proof `Verdict.proof()` reads off it. `bench`
+runs the Horn engine itself, since it reports the engine's clause growth.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -117,33 +115,20 @@ def cmd_check(args) -> int:
         (s, t), pairs, hidden = defs_mod.desugar(universe, definitions, (s, t), pairs)
     rename = {} if args.show_internals else hidden
     started = time.perf_counter()
-    if pairs:
-        engine = entail.Engine(universe, pairs)
-        verdict = entail.Verdict(engine.query(s, t), engine.stats())
-    else:
-        verdict = entail.check(universe, s, t)
+    verdict = entail.check(universe, s, t, pairs)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    provable, stats = verdict.provable, verdict.stats
+    provable = verdict.provable
     proof = None
     want_proof = args.command == "explain" or getattr(args, "proof", False)
     if provable and want_proof:
-        if pairs:
-            proof = entail.reconstruct_proof(engine, s, t)
-        else:
-            proof = entail.order_proof(universe, s, t)
+        proof = verdict.proof()
         if not entail.verify_proof(universe, proof, pairs):
             print("internal error: proof failed verification", file=sys.stderr)
             return 2
     if args.format == "json":
         payload = {
             "verdict": "provable" if provable else "not provable",
-            "stats": {
-                "sequents": stats.sequents,
-                "clauses": stats.clauses,
-                "steps": stats.steps,
-                "derived": stats.derived,
-                "ms": round(elapsed_ms, 3),
-            },
+            "stats": {**dataclasses.asdict(verdict.stats), "ms": round(elapsed_ms, 3)},
         }
         text = json.dumps(payload)
         if proof is not None:

@@ -198,7 +198,10 @@ def desugar(
     hidden: dict[str, str] = {}
     for d in reversed(definitions):
         decl = universe.symbols[d.name]
-        fresh = universe.declare(d.name + FRESH_SUFFIX, decl.variances)
+        name = d.name + FRESH_SUFFIX
+        while name in universe.symbols:  # the input's own T' is not fresh
+            name += FRESH_SUFFIX
+        fresh = universe.declare(name, decl.variances)
         hidden[fresh.name] = d.name
         params = [universe.var(p) for p in d.params]
         opaque = universe.app(fresh, params)

@@ -67,16 +67,16 @@ reference that the normalizer's own order test is checked against.
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
 
-`check` runs an `Engine` only on queries that carry axioms or ask for mode
-"bl". An axiom-free ortholattice query is decided by the normalizer's
-Whitman order test on beta-reduced terms, which coincides with the
-ortholattice order there (see `check`), so it never pays for a Horn-clause
-closure. Axioms and the "bl" reference stay on the engine.
+`check` alone picks a procedure, by the axioms: a query with axioms runs on
+a fresh `Engine`; an axiom-free one is decided by the normalizer's Whitman
+order test on beta-reduced terms, which coincides with the ortholattice
+order there (see `check`), so it never pays for a Horn-clause closure.
 
-A proof is a by-product of whichever procedure decided the query. On the
-engine, `Engine.derived` maps each derived sequent to the clause that first
-derived it, and `reconstruct_proof` walks those clauses back from the goal.
-For an axiom-free query, `order_proof` reads the proof off the memoized
+A proof is a by-product of whichever procedure decided the query, and
+`Verdict.proof` reads it off that one. On the engine, `Engine.derived` maps
+each derived sequent to the clause that first derived it, and
+`reconstruct_proof` (public, for shared engines) walks those clauses back
+from the goal. For an axiom-free query the proof is read off the memoized
 order test, one rule per sequent of the proof. Either way a proof costs a
 walk over its own sequents, not a second search. `verify_proof` re-checks a
 proof tree rule by rule and shares no code with either.
@@ -84,7 +84,8 @@ proof tree rule by rule and shares no code with either.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import normalize
 from .errors import NegationPresent, NotProvable, TermIdOverflow
@@ -195,8 +196,18 @@ class Stats:
 
 @dataclass
 class Verdict:
+    """A query's answer, what deciding it cost, and its proof on demand."""
+
     provable: bool
     stats: Stats
+    _reader: Callable[[], ProofTree] | None = field(default=None, repr=False, compare=False)
+
+    def proof(self) -> ProofTree:
+        """A cut-free proof of the query, read off the procedure that decided
+        it, with no second search. Raises `NotProvable` on a refuted verdict."""
+        if self._reader is None:
+            raise NotProvable("goal has no derivation; check the verdict first")
+        return self._reader()
 
 
 @dataclass
@@ -651,19 +662,13 @@ class Engine:
 # one-shot operations
 
 
-def check(
-    universe: TermUniverse,
-    s: TermId,
-    t: TermId,
-    axioms=None,
-    mode: str = "ol",
-) -> Verdict:
+def check(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> Verdict:
     """Decide s <= t under the axioms. Complete: `provable=False` is definitive.
 
-    With axioms, or in mode "bl", the query runs on a fresh `Engine`, and
-    `stats` counts its sequents, clauses, propagation steps and derived
-    sequents. An axiom-free query in mode "ol" is decided by the
-    normalizer's order test `normalize.leq` instead, in two phases:
+    With axioms, the query runs on a fresh `Engine`, and `stats` counts its
+    sequents, clauses, propagation steps and derived sequents. An
+    axiom-free query is decided by the normalizer's order test
+    `normalize.leq` instead, in two phases:
 
         s <= t  iff  leq(delta s, delta t)  or  leq(beta delta s, beta delta t)
 
@@ -712,15 +717,22 @@ def check(
     goal with a literal side, decided by literal masks, counts one goal and
     one alternative. Verdicts are memoized per universe, so a repeated query
     counts 0.
-    `order_proof` reads the proof of such a query off the same test."""
+
+    On a "yes", `Verdict.proof()` reads the proof off the procedure that
+    decided: `reconstruct_proof` on the engine built here, which the
+    verdict keeps alive, or the order test's reader handed this call's
+    delta images and deciding phase."""
     axioms = list(axioms or ())
-    if axioms or mode != "ol":
-        engine = Engine(universe, axioms, mode)
+    if axioms:
+        engine = Engine(universe, axioms)
         provable = engine.query(s, t)
-        return Verdict(provable, engine.stats())
+        reader = (lambda: reconstruct_proof(engine, s, t)) if provable else None
+        return Verdict(provable, engine.stats(), reader)
     tally = [0, 0, 0, 0]  # in the order of Stats' fields
     ds, dt = _delta(universe, s), _delta(universe, t)
-    return Verdict(_order_phase(universe, ds, dt, tally) > 0, Stats(*tally))
+    phase = _order_phase(universe, ds, dt, tally)
+    reader = (lambda: _order_proof(universe, s, t, ds, dt, phase)) if phase else None
+    return Verdict(phase > 0, Stats(*tally), reader)
 
 
 def _delta(u: TermUniverse, x: TermId) -> TermId:
@@ -808,18 +820,20 @@ _INVERTIBLE = {(JOIN, 0): LEFT_OR, (MEET, 1): RIGHT_AND}
 _PICK = {(MEET, 0): LEFT_AND, (JOIN, 1): RIGHT_OR}
 
 
-def order_proof(universe: TermUniverse, s: TermId, t: TermId) -> ProofTree:
-    """A cut-free ortholattice proof of the axiom-free query s <= t, read off
-    the order test that decides it in `check`, with no Horn-clause search.
+def _order_proof(
+    universe: TermUniverse, s: TermId, t: TermId, ds: TermId, dt: TermId, phase: int
+) -> ProofTree:
+    """The proof behind `Verdict.proof()` for an axiom-free query s <= t that
+    `check` proved in `phase` (1 or 2) from the delta images `ds <= dt`:
+    read off the order test that decided it, with no Horn-clause search.
 
     The reader walks sequents over the original terms, each oriented: an
     element (X, side) in the left position stands for delta's image of X
     when its side is L and for the image of ~X when it is R; in the right
-    position, for X's image when its side is R and ~X's when it is L. When
-    `leq(delta s, delta t)` holds these are the images; otherwise beta is
-    applied on top, as in phase two of `check`. The memoized order test on
-    the two images is the oracle: the reader enters only sequents it
-    accepts, and applies to each the first rule that fits:
+    position, for X's image when its side is R and ~X's when it is L. In
+    phase 1 these are the images; in phase 2 beta is applied on top. The
+    memoized order test on the two images is the oracle: the reader enters
+    only sequents it accepts, and applies to each the first rule that fits:
 
     1. LeftNot or RightNot on a negation, a negated variable or a dual
        symbol; both images stay as they are.
@@ -849,10 +863,6 @@ def order_proof(universe: TermUniverse, s: TermId, t: TermId) -> ProofTree:
     stay those of `check`."""
     u = universe
     node = u.node
-    ds, dt = _delta(u, s), _delta(u, t)
-    phase = _order_phase(u, ds, dt)
-    if not phase:
-        raise NotProvable("goal has no derivation; check the verdict first")
     two = phase == 2
     # `_delta` returns a Not-free term itself, and rebuilds any other
     plain = ds == s and dt == t
@@ -943,7 +953,7 @@ def order_proof(universe: TermUniverse, s: TermId, t: TermId) -> ProofTree:
                     ):
                         mine, other = (x, side, False), (x, side, True)
                         return REPLACE, None, [(mine, other) if side == 0 else (other, mine)]
-        raise RuntimeError("order_proof found no rule for a sequent the order test accepts")
+        raise RuntimeError("_order_proof found no rule for a sequent the order test accepts")
 
     sides = (L, R)
     goal = ((s, 0, False), (t, 1, False))

@@ -16,7 +16,6 @@ from olsub import (
     TermUniverse,
     check,
     oracle,
-    order_proof,
     parse_source,
     parse_term,
     reconstruct_proof,
@@ -409,7 +408,7 @@ def test_criterion_9_proof_objects(law_suite, corpus, axiom_examples, capsys):
         proof = reconstruct_proof(Engine(universe, list(axioms)), s, t)
         assert verify_proof(universe, proof, list(axioms))
         if not axioms:  # the proof `explain` reads off the order test
-            assert verify_proof(universe, order_proof(universe, s, t))
+            assert verify_proof(universe, check(universe, s, t).proof())
             read_off += 1
 
     for s, t in law_suite.queries:

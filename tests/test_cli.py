@@ -71,6 +71,36 @@ def test_proof_takes_one_search(monkeypatch, capsys, tmp_path):
     assert len(engines) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "explain"])
+def test_one_check_call_decides_each_query(monkeypatch, capsys, tmp_path, command):
+    # `entail.check` alone picks the procedure, and builds the engine of a
+    # query with axioms while it runs.
+    calls, engines, running = [], [], []
+    check, init = entail.check, entail.Engine.__init__
+
+    def tracking_check(*args):
+        calls.append(args)
+        running.append(True)
+        try:
+            return check(*args)
+        finally:
+            running.pop()
+
+    def tracking_init(self, *args, **kwargs):
+        engines.append(bool(running))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(entail, "check", tracking_check)
+    monkeypatch.setattr(entail.Engine, "__init__", tracking_init)
+    assert main([command, "x & y <= y & x"]) == 0
+    assert len(calls) == 1 and engines == []
+    path = tmp_path / "f.ax"
+    path.write_text("A <= B\nB <= C\n")
+    assert main([command, "--axioms", str(path), "A <= C"]) == 0
+    assert len(calls) == 2 and engines == [True]
+    capsys.readouterr()
+
+
 def test_proof_leaves_stats_unchanged(capsys):
     query = "(x | y) & z <= z & (y | x)"
     assert main(["check", "--format", "json", query]) == 0
@@ -82,7 +112,7 @@ def test_proof_leaves_stats_unchanged(capsys):
 
 
 def test_internal_error_exits_2(monkeypatch, capsys):
-    def broken(self, s, t):
+    def broken(*args):
         raise ValueError("boom")
 
     monkeypatch.setattr(entail.Engine, "query", broken)
@@ -91,6 +121,23 @@ def test_internal_error_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:") and "boom" in captured.err
+
+
+def test_type_definition_gets_a_symbol_the_input_does_not_declare(tmp_path, capsys):
+    # `type T` desugars through a fresh T'; when the input declares T'
+    # itself, the fresh symbol is T'' and the input's T' keeps its meaning.
+    taken = tmp_path / "taken.ax"
+    taken.write_text("fun F : (+)\nfun T' : (+)\nT'(x) <= bot\ntype T[A] <: F(A)\n")
+    assert main(["check", "--axioms", str(taken), "T(x) <= bot"]) == 1
+    assert capsys.readouterr().out.strip() == "not provable"
+    unused = tmp_path / "unused.ax"
+    unused.write_text("fun T' : (-)\nfun F : (+)\ntype T[A] <: F(A)\n")
+    assert main(["check", "--axioms", str(unused), "T(x) <= F(x)"]) == 0
+    assert capsys.readouterr().out.strip() == "provable"
+    assert main(["explain", "--show-internals", "--axioms", str(unused), "T(x) <= F(x)"]) == 0
+    assert "T''(x)" in capsys.readouterr().out
+    assert main(["explain", "--axioms", str(unused), "T(x) <= F(x)"]) == 0
+    assert "T''" not in capsys.readouterr().out
 
 
 def test_normalize_command(capsys):

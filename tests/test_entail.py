@@ -10,7 +10,6 @@ from olsub import (
     check,
     normalize,
     oracle,
-    order_proof,
     parse_query,
     parse_term,
     print_term,
@@ -132,10 +131,10 @@ def test_bound_transitivity_via_axioms(u):
 
 def test_bl_mode_restriction(u):
     x, y = u.var("x"), u.var("y")
-    assert check(u, u.meet([x, y]), x, mode="bl").provable
+    assert Engine(u, mode="bl").query(u.meet([x, y]), x)
     # negated atoms are opaque in bl mode
-    assert not check(u, u.top(), u.join([x, u.negvar("x")]), mode="bl").provable
-    assert check(u, u.top(), u.join([x, u.negvar("x")]), mode="ol").provable
+    assert not Engine(u, mode="bl").query(u.top(), u.join([x, u.negvar("x")]))
+    assert check(u, u.top(), u.join([x, u.negvar("x")])).provable
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +157,12 @@ def test_route_matches_engine_on_all_small_pairs(u):
         for t in terms:
             want = engine.query(s, t)
             one, two = _phases(u, s, t)
-            assert check(u, s, t).provable == want
+            verdict = check(u, s, t)
+            assert verdict.provable == want
             assert two == want  # phase two alone is complete (coincidence lemma)
             assert want or not one  # phase one is sound
             if want:
-                assert verify_proof(u, order_proof(u, s, t))
+                assert verify_proof(u, verdict.proof())
                 proofs += 1
             pairs += 1
     assert pairs == 80_656
@@ -179,9 +179,10 @@ def test_route_matches_engine_on_random_pairs():
             gen = random_term if rng.random() < 0.5 else random_pnnf
             s, t = (gen(u, rng, rng.randint(1, 40), ["x", "y", "z"], symbols) for _ in "st")
             want = engine.query(s, t)
-            assert check(u, s, t).provable == want, (print_term(u, s), print_term(u, t))
+            verdict = check(u, s, t)
+            assert verdict.provable == want, (print_term(u, s), print_term(u, t))
             if want:
-                assert verify_proof(u, order_proof(u, s, t)), (print_term(u, s), print_term(u, t))
+                assert verify_proof(u, verdict.proof()), (print_term(u, s), print_term(u, t))
 
 
 def test_route_phase_two_decides_complemented_queries(u):
@@ -192,9 +193,9 @@ def test_route_phase_two_decides_complemented_queries(u):
         assert verdict.stats.derived >= 1 and verdict.stats.sequents >= verdict.stats.derived
         one, two = _phases(u, s, t)
         assert not one and two
-    # mode "bl" stays on the engine, where negated atoms are opaque
+    # the "bl" engine, where negated atoms are opaque, refutes it
     top, x = u.top(), u.var("x")
-    assert not check(u, top, u.join([x, u.negvar("x")]), mode="bl").provable
+    assert not Engine(u, mode="bl").query(top, u.join([x, u.negvar("x")]))
 
 
 def test_route_stats_count_the_order_test(u):
@@ -267,7 +268,7 @@ def test_order_proof_replaces_through_a_collapsed_node(u):
         ("top <= x | ~x", RIGHT_OR, RIGHT_NOT),
     ):
         s, t = parse_query(query, u)
-        proof = order_proof(u, s, t)
+        proof = check(u, s, t).proof()
         assert _rules(proof) == [REPLACE, picks, picks, peel, HYP], query
         assert proof.sequent == Sequent.goal(s, t)
         premise = proof.children[0].sequent
@@ -279,7 +280,7 @@ def test_order_proof_peels_negated_variables_and_dual_symbols(u):
     x = u.var("x")
     negvar = u.negvar("x")
     top = u.top()
-    proof = order_proof(u, top, u.join([x, negvar]))
+    proof = check(u, top, u.join([x, negvar])).proof()
     assert _rules(proof) == [REPLACE, RIGHT_OR, RIGHT_OR, RIGHT_NOT, HYP]
     assert proof.children[0].children[0].children[0].sequent == Sequent.of(negvar, "R", x, "R")
     assert verify_proof(u, proof)
@@ -288,7 +289,7 @@ def test_order_proof_peels_negated_variables_and_dual_symbols(u):
     f = u.declare("F", "+")
     y = u.var("y")
     s, t = u.app(u.dual(f), [x]), u.neg(u.app(f, [u.meet([x, y])]))
-    proof = order_proof(u, s, t)
+    proof = check(u, s, t).proof()
     assert _rules(proof) == [LEFT_NOT, RIGHT_NOT, F_RULE, LEFT_AND, HYP]
     assert proof.children[0].children[0].aux == "F"
     assert verify_proof(u, proof)
@@ -297,13 +298,15 @@ def test_order_proof_peels_negated_variables_and_dual_symbols(u):
 def test_order_proof_of_a_refuted_query_raises(u):
     x, y = u.var("x"), u.var("y")
     with pytest.raises(NotProvable):
-        order_proof(u, x, y)
+        check(u, x, y).proof()
+    with pytest.raises(NotProvable):  # the engine route's verdict too
+        check(u, y, x, [(x, y)]).proof()
 
 
 def test_order_proof_shares_subproofs(u):
     x, y = u.var("x"), u.var("y")
     twice = u.join([y, x])
-    proof = order_proof(u, x, u.meet([twice, twice]))
+    proof = check(u, x, u.meet([twice, twice])).proof()
     assert [child.rule for child in proof.children] == [RIGHT_OR, RIGHT_OR]
     assert proof.children[0] is proof.children[1]  # one subproof per sequent
     assert verify_proof(u, proof)
@@ -568,9 +571,11 @@ def test_atom_closure_matches_saturation():
         for _ in range(5):
             s, t = rng.choice(pool), rng.choice(pool)
             want = oracle.saturates(u, s, t, axioms)
-            assert check(u, s, t, axioms).provable == want
+            verdict = check(u, s, t, axioms)
+            assert verdict.provable == want
             if want:
                 assert verify_proof(u, reconstruct_proof(Engine(u, axioms), s, t), axioms)
+                assert verify_proof(u, verdict.proof(), axioms)
             queries += 1
     assert queries == 200 * 30
     assert proofs > 500
