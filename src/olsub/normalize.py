@@ -13,13 +13,19 @@ The composition maps equivalent terms to one identical term id, never grows
 the pseudo-negation-normal image, and outputs the smallest term of the
 equivalence class under the node-count convention of `TermUniverse.size`.
 
-Each pass is one memoized bottom-up walk (`TermUniverse.fold`) with a rule
-per node: delta maps every subterm to the pair of its own and its
-complement's normal form; beta, zeta and eta share the leaf, negation and
-constructor cases and differ only in how they combine the rewritten children
-of a meet or join. Children are sorted by a structural comparison that
-follows one path down in a loop. Nothing recurses, so nesting depth is
-limited by memory, not by the interpreter's stack.
+`normalize_ol` is delta, then one memoized bottom-up walk
+(`TermUniverse.fold`) whose rule at each meet or join applies beta, zeta
+and eta in turn to the node over its children's normal forms; leaves and
+constructor heads are rebuilt over them. `normalize_bl` is the same walk
+with zeta and eta. Delta is a fold too, mapping every subterm to the pair
+of its own and its complement's normal form. The public passes `beta`,
+`zeta` and `eta` are each a walk of their own rule, and compose to the
+same form: `normalize_ol(t)` is `eta(zeta(beta(delta(t))))`. In the walk,
+beta sorts a node's children once, by a structural comparison that follows
+one path down in a loop, and interns only the sorted node; zeta and eta
+start from that node, and zeta sorts again only after a promotion. Nothing
+recurses, so nesting depth is limited by memory, not by the interpreter's
+stack.
 
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
@@ -43,6 +49,7 @@ import operator
 import threading
 import weakref
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import NegationPresent
@@ -71,7 +78,7 @@ class NormalTerm:
 
 
 class _Context:
-    """Per-universe caches: order-test verdicts and pass memos.
+    """Per-universe caches: order-test verdicts, pass memos and the sort key.
 
     The universe is held weakly, so a context never keeps its own key in
     `_contexts` alive."""
@@ -86,8 +93,9 @@ class _Context:
         self._bits_lock = threading.Lock()
         # delta's images of a term and of its complement
         self.delta: dict[TermId, tuple[TermId, TermId]] = {}
-        # beta's, zeta's and eta's images, one memo per combining rule
+        # images of each bottom-up rewrite, one memo per node rule
         self.rewrites: dict[object, dict[TermId, TermId]] = defaultdict(dict)
+        self.key = _structural_key(universe)
 
     @property
     def u(self) -> TermUniverse:
@@ -192,14 +200,25 @@ class _Context:
         upper = functools.reduce(operator.and_ if meet else operator.or_, (k[2] for k in kids))
         return 0, lower, upper
 
+    def flat_sorted(self, kind: str, kids: list[TermId]) -> list[TermId]:
+        """`kids` with the children of any `kind` node spliced in, in
+        structural order."""
+        node = self.u.node
+        flat: list[TermId] = []
+        for c in kids:
+            n = node(c)
+            if n.kind == kind:
+                flat.extend(n.children)
+            else:
+                flat.append(c)
+        flat.sort(key=self.key)
+        return flat
+
     def sorted_node(self, kind: str, kids: list[TermId]) -> TermId:
-        """The meet or join (`kind`) of `kids`, children in structural order."""
-        u = self.u
-        t = u.meet(kids) if kind == MEET else u.join(kids)
-        node = u.node(t)
-        if node.kind == kind:
-            return u.rebuild(t, sorted(node.children, key=_structural_key(u)))
-        return t
+        """The meet or join (`kind`) of `kids`, children in structural order.
+        Only the sorted node is interned."""
+        flat = self.flat_sorted(kind, kids)
+        return self.u.meet(flat) if kind == MEET else self.u.join(flat)
 
 
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
@@ -213,12 +232,13 @@ def _structural_key(u: TermUniverse):
     Two distinct interned terms of one kind and name differ first at some
     pair of distinct children, and that pair alone decides their order, so
     the comparison follows one path down, in a loop: any depth compares in
-    memory, not on the interpreter's stack."""
-    node = u.node
+    memory, not on the interpreter's stack. The key holds `u`'s node list,
+    not `u`, so a `_Context` can keep it without keeping its universe alive."""
+    nodes = u._nodes
 
     def compare(a: TermId, b: TermId) -> int:
         while a != b:
-            na, nb = node(a), node(b)
+            na, nb = nodes[a], nodes[b]
             if na.kind != nb.kind:
                 return -1 if _RANK[na.kind] < _RANK[nb.kind] else 1
             if na.name != nb.name:
@@ -460,16 +480,19 @@ def zeta(universe: TermUniverse, t: TermId) -> TermId:
     inside meets. Iterated to a fixpoint, since a replacement can expose
     another; the first scan tests against the original join, later scans
     against the updated one."""
-    return _rewrite(_context(universe), t, _zeta_fix)
+    return _rewrite(_context(universe), t, _zeta_node)
 
 
-def _zeta_fix(ctx: _Context, children: list[TermId], outer: str) -> TermId:
+def _zeta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
+    return _zeta(ctx, ctx.sorted_node(kind, kids), kind)
+
+
+def _zeta(ctx: _Context, whole: TermId, outer: str) -> TermId:
+    """Zeta's fixpoint from `whole`, a sorted node of kind `outer`; any
+    other term is returned as it is."""
     u = ctx.u
     inner = MEET if outer == JOIN else JOIN
-    while True:
-        whole = ctx.sorted_node(outer, children)
-        if u.node(whole).kind != outer:
-            return whole
+    while u.node(whole).kind == outer:
         replaced = False
         next_children: list[TermId] = []
         for c in u.node(whole).children:
@@ -491,8 +514,9 @@ def _zeta_fix(ctx: _Context, children: list[TermId], outer: str) -> TermId:
                 next_children.append(promoted)
                 replaced = True
         if not replaced:
-            return whole
-        children = next_children
+            break
+        whole = ctx.sorted_node(outer, next_children)
+    return whole
 
 
 def eta(universe: TermUniverse, t: TermId) -> TermId:
@@ -501,19 +525,17 @@ def eta(universe: TermUniverse, t: TermId) -> TermId:
     normalization are identical, so this deduplicates); dually a meet keeps
     minimal children. Unary nodes collapse to their child and children end
     up in canonical structural order."""
-    return _rewrite(_context(universe), t, _eta_filter)
+    return _rewrite(_context(universe), t, _eta_node)
 
 
-def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
-    u = ctx.u
-    # A child may itself have reduced to this kind; splice it in.
-    flat: list[TermId] = []
-    for c in kids:
-        if u.node(c).kind == kind:
-            flat.extend(u.node(c).children)
-        else:
-            flat.append(c)
-    flat.sort(key=_structural_key(u))
+def _eta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
+    # A child may itself have reduced to this kind; flat_sorted splices it in.
+    return _antichain(ctx, ctx.flat_sorted(kind, kids), kind)
+
+
+def _antichain(ctx: _Context, flat: Sequence[TermId], kind: str) -> TermId:
+    """The join (dually meet) of the maximal (minimal) members of `flat`,
+    which is flat and sorted, keeping the first of equivalent members."""
     keep_max = kind == JOIN
     kept: list[TermId] = []
     for i, c in enumerate(flat):
@@ -529,6 +551,7 @@ def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
                     break
         if not redundant:
             kept.append(c)
+    u = ctx.u
     return u.join(kept) if kind == JOIN else u.meet(kept)
 
 
@@ -536,21 +559,41 @@ def _eta_filter(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 # full normal forms
 
 
+def _zeta_eta(ctx: _Context, whole: TermId) -> TermId:
+    """Zeta, then eta, of `whole`, a sorted meet or join over normal
+    children; any other term is normal already. Zeta starts from `whole`
+    without sorting it again. It replaces children one for one, so its
+    result is a sorted flat node of the same kind, whose children eta
+    filters as they stand."""
+    u = ctx.u
+    kind = u.node(whole).kind
+    if kind != MEET and kind != JOIN:
+        return whole
+    return _antichain(ctx, u.node(_zeta(ctx, whole, kind)).children, kind)
+
+
+def _bl_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
+    return _zeta_eta(ctx, ctx.sorted_node(kind, kids))
+
+
+def _normal_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
+    return _zeta_eta(ctx, _beta_node(ctx, kids, kind))
+
+
 def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
-    """Normal form over bounded lattices with constructors (negation-free)."""
+    """Normal form over bounded lattices with constructors (negation-free):
+    one bottom-up walk applying zeta, then eta, at each meet and join."""
     if universe.contains_not(t):
         raise NegationPresent(
             "bounded-lattice normalization takes negation-free terms; "
             "use normalize_ol or pre-apply delta"
         )
-    ctx = _context(universe)
-    return NormalTerm(_rewrite(ctx, _rewrite(ctx, t, _zeta_fix), _eta_filter), BL)
+    return NormalTerm(_rewrite(_context(universe), t, _bl_node), BL)
 
 
 def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:
-    """Canonical minimal form over ortholattices with constructors."""
+    """Canonical minimal form over ortholattices with constructors: delta,
+    then one bottom-up walk applying beta, zeta and eta in turn at each meet
+    and join. Equal to `eta(zeta(beta(delta(t))))`."""
     ctx = _context(universe)
-    t = _delta(ctx, t)[0]
-    for rule in (_beta_node, _zeta_fix, _eta_filter):
-        t = _rewrite(ctx, t, rule)
-    return NormalTerm(t, OL)
+    return NormalTerm(_rewrite(ctx, _delta(ctx, t)[0], _normal_node), OL)

@@ -14,6 +14,7 @@ from olsub.normalize import (
     beta,
     can_collapse,
     delta,
+    delta_pair,
     eta,
     normalize_bl,
     normalize_ol,
@@ -436,3 +437,41 @@ def test_beta_collapses_exactly_the_complemented_nodes(u, kind):
         else:
             assert (beta(u, t) == bot) == engine.query(t, bot), print_term(u, t)
     assert seen == 5976
+
+
+def test_normal_forms_equal_the_composed_passes(u):
+    # normalize_ol applies beta, zeta and eta node by node in one walk; the
+    # standalone passes, composed, must give the same form.
+    rng = random.Random(71)
+    symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+    fresh = TermUniverse()
+    for name, variances in (("F", "+"), ("G", "-+"), ("H", "o")):
+        fresh.declare(name, variances)
+    for _ in range(300):
+        t = random_term(u, rng, rng.randint(3, 30), ["x", "y", "z", "w"], symbols)
+        form = normalize_ol(u, t).term
+        assert form == eta(u, zeta(u, beta(u, delta(u, t)))), print_term(u, t)
+        other = parse_term(print_term(u, t), fresh)
+        composed = eta(fresh, zeta(fresh, beta(fresh, delta(fresh, other))))
+        assert print_term(fresh, composed) == print_term(u, form)
+        p = random_term(u, rng, rng.randint(3, 30), ["x", "y", "z", "w"], symbols,
+                        allow_not=False)
+        assert normalize_bl(u, p).term == eta(u, zeta(u, p)), print_term(u, p)
+
+
+def test_sorted_nodes_are_interned_once(u):
+    x, y, z = u.var("x"), u.var("y"), u.var("z")
+    before = len(u)
+    assert _context(u).sorted_node("join", [z, y, x]) == u.join([x, y, z])
+    assert len(u) == before + 1
+    # Beta sorts the inner meet, then the outer join, whose rewritten
+    # children come in unsorted order. Delta's images, which beta's test
+    # reads, are interned first; every node beta adds is sorted.
+    t = u.join([u.meet([z, y]), x])
+    delta_pair(u, t)
+    before = len(u)
+    got = beta(u, t)
+    added = [u.node(i).children for i in range(before, len(u))
+             if u.node(i).kind in ("meet", "join")]
+    assert got == u.join([x, u.meet([y, z])])
+    assert added and all(list(c) == sorted(c, key=_structural_key(u)) for c in added)
