@@ -77,9 +77,11 @@ A proof is a by-product of whichever procedure decided the query, and
 each derived sequent to the clause that first derived it, and
 `reconstruct_proof` (public, for shared engines) walks those clauses back
 from the goal. For an axiom-free query the proof is read off the memoized
-order test, one rule per sequent of the proof. Either way a proof costs a
-walk over its own sequents, not a second search. `verify_proof` re-checks a
-proof tree rule by rule and shares no code with either.
+order test, one rule per sequent of the proof. Both readers build the tree
+with one walk (`_read_proof`), which plans each sequent once, so a proof
+costs a walk over its own sequents, not a second search, and a sequent
+reached twice is one shared subtree. `verify_proof` re-checks a proof tree
+rule by rule and shares no code with either reader.
 """
 from __future__ import annotations
 
@@ -154,6 +156,13 @@ REPLACE = "Replace"
 F_RULE = "F"
 AXIOM_CUT = "AxiomCut"
 AXIOM = "Axiom"
+
+# The rule a bound, meet or join takes as principal element (kind, side),
+# side 0 being L: a unit rule closes the sequent, an invertible rule takes
+# every child as a premise, a pick takes one child.
+_UNIT = {(BOT, 0): LEFT_BOT, (TOP, 1): RIGHT_TOP}
+_INVERTIBLE = {(JOIN, 0): LEFT_OR, (MEET, 1): RIGHT_AND}
+_PICK = {(MEET, 0): LEFT_AND, (JOIN, 1): RIGHT_OR}
 
 
 @dataclass(frozen=True)
@@ -231,10 +240,6 @@ def _unnegated(u: TermUniverse, node) -> TermId | None:
     return None
 
 
-def _holds_not(t: TermId, node, kids: list[bool]) -> bool:
-    return node.kind == NOT or any(kids)
-
-
 class Engine:
     """Goal-directed clause generator and unit propagator over one universe.
 
@@ -276,7 +281,6 @@ class Engine:
         self.u = universe
         self.mode = mode
         self.axioms = list(dict.fromkeys(axioms or ()))  # drop exact duplicates, keep order
-        self._has_not: dict[TermId, bool] = {}  # "bl" only: term -> whether it holds a NOT
         for pair in self.axioms:
             _check_ids(*pair)
             self._reject_not(*pair)
@@ -318,10 +322,8 @@ class Engine:
     def _reject_not(self, *tids: int) -> None:
         """Mode "bl" has no negation rule: refuse a term holding a NOT before
         any of it reaches the search."""
-        if self.mode == "bl":
-            for t in tids:
-                if self.u.fold(t, self._has_not, _holds_not):
-                    raise NegationPresent("negation reached the bounded-lattice rule set")
+        if self.mode == "bl" and any(self.u.contains_not(t) for t in tids):
+            raise NegationPresent("negation reached the bounded-lattice rule set")
 
     # -- clause generation -------------------------------------------------
 
@@ -330,44 +332,25 @@ class Engine:
         side = ann >> _TID_BITS
         node = self.u.node(tid)
         kind = node.kind
-        ol = self.mode == "ol"
-        templates: list[tuple] = []
-        unit = None
-        symbol_name = None
-        args = None
-        variances = None
-        if kind == MEET:
-            if side == 0:
-                # dict.fromkeys: duplicate children would yield duplicate clauses
-                templates = [
-                    (LEFT_AND, i, (_ann(c, 0),))
-                    for i, c in enumerate(dict.fromkeys(node.children))
-                ]
-            else:
-                templates = [(RIGHT_AND, None, tuple(_ann(c, 1) for c in node.children))]
-        elif kind == JOIN:
-            if side == 0:
-                templates = [(LEFT_OR, None, tuple(_ann(c, 0) for c in node.children))]
-            else:
-                templates = [
-                    (RIGHT_OR, i, (_ann(c, 1),))
-                    for i, c in enumerate(dict.fromkeys(node.children))
-                ]
+        key = (kind, side)
+        kids = node.children
+        templates: tuple = ()
+        symbol_name = args = variances = None
+        if key in _INVERTIBLE:
+            templates = ((_INVERTIBLE[key], None, tuple(_ann(c, side) for c in kids)),)
+        elif key in _PICK:
+            # dict.fromkeys: duplicate children would yield duplicate clauses
+            templates = tuple(
+                (_PICK[key], i, (_ann(c, side),)) for i, c in enumerate(dict.fromkeys(kids))
+            )
         elif kind in (NOT, NEGVAR, APP):
-            inner = _unnegated(self.u, node) if ol else None
+            inner = _unnegated(self.u, node) if self.mode == "ol" else None
             if inner is not None:
-                templates = [
-                    (LEFT_NOT if side == 0 else RIGHT_NOT, None, (_ann(inner, 1 - side),))
-                ]
+                rule = LEFT_NOT if side == 0 else RIGHT_NOT
+                templates = ((rule, None, (_ann(inner, 1 - side),)),)
             if kind == APP:
-                symbol_name = node.symbol.name
-                args = node.children
-                variances = node.symbol.variances
-        elif kind == BOT and side == 0:
-            unit = LEFT_BOT
-        elif kind == TOP and side == 1:
-            unit = RIGHT_TOP
-        record = (tuple(templates), unit, symbol_name, args, variances)
+                symbol_name, args, variances = node.symbol.name, kids, node.symbol.variances
+        record = (templates, _UNIT.get(key), symbol_name, args, variances)
         self._info[ann] = record
         return record
 
@@ -729,16 +712,10 @@ def check(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> Verdict:
         reader = (lambda: reconstruct_proof(engine, s, t)) if provable else None
         return Verdict(provable, engine.stats(), reader)
     tally = [0, 0, 0, 0]  # in the order of Stats' fields
-    ds, dt = _delta(universe, s), _delta(universe, t)
+    ds, dt = normalize.delta(universe, s), normalize.delta(universe, t)
     phase = _order_phase(universe, ds, dt, tally)
     reader = (lambda: _order_proof(universe, s, t, ds, dt, phase)) if phase else None
     return Verdict(phase > 0, Stats(*tally), reader)
-
-
-def _delta(u: TermUniverse, x: TermId) -> TermId:
-    """delta's image of `x`; `x` itself when it is Not-free, since delta is
-    the identity there, without building complements."""
-    return normalize.delta(u, x) if u.contains_not(x) else x
 
 
 def _order_phase(u: TermUniverse, ds: TermId, dt: TermId, tally: list[int] | None = None) -> int:
@@ -781,43 +758,52 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
     """
     if not engine.query(s, t):
         raise NotProvable("goal has no derivation; check the verdict first")
-    goal = _seq(_ann(s, 0), _ann(t, 1))
-    derived = engine.derived
     clauses = engine.clauses
     axioms = engine.axioms
-    memo: dict[int, ProofTree] = {}
-    stack = [goal]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        _, body, rule, aux = clauses[derived[cur]]
-        todo = [p for p in body if p not in memo]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
+
+    def plan(cur: int):
+        _, body, rule, aux = clauses[engine.derived[cur]]
+        seq = _to_sequent(cur)
         if rule == AXIOM:
-            seq = _to_sequent(cur)  # {Z0^L, Zk^R}
-            low = seq.a.term
+            low = seq.a.term  # seq is {Z0^L, Zk^R}
             chain = [aux] if aux is not None else engine._axiom_chain(low, seq.b.term)
             proof = ProofTree(Sequent.of(low, L, low, R), HYP, [])
             for i in chain:
                 w = axioms[i][1]
                 hyp = ProofTree(Sequent.of(w, L, w, R), HYP, [])
                 proof = ProofTree(Sequent.of(low, L, w, R), AXIOM_CUT, [proof, hyp], axioms[i])
-            memo[cur] = proof
+            return proof
+        return seq, rule, axioms[aux] if rule == AXIOM_CUT else aux, body
+
+    return _read_proof(_seq(_ann(s, 0), _ann(t, 1)), plan)
+
+
+def _read_proof(goal, plan: Callable) -> ProofTree:
+    """The proof tree of the state `goal`, built bottom-up on an explicit
+    stack. `plan(state)` gives either a finished `ProofTree` or
+    `(sequent, rule, aux, premise states)`. Each state is planned and built
+    once, so a state reached twice is one shared subtree."""
+    plans: dict = {}
+    memo: dict = {}
+    stack = [goal]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
             continue
-        if rule == AXIOM_CUT:
-            aux = axioms[aux]
-        memo[cur] = ProofTree(_to_sequent(cur), rule, [memo[p] for p in body], aux)
+        got = plans.get(cur)
+        if got is None:
+            got = plans[cur] = plan(cur)
+            if isinstance(got, ProofTree):
+                memo[cur] = got
+                continue
+        todo = [p for p in got[3] if p not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        memo[cur] = ProofTree(got[0], got[1], [memo[p] for p in got[3]], got[2])
     return memo[goal]
-
-
-# element (kind, side) -> its rule; side 0 is L, 1 is R
-_INVERTIBLE = {(JOIN, 0): LEFT_OR, (MEET, 1): RIGHT_AND}
-_PICK = {(MEET, 0): LEFT_AND, (JOIN, 1): RIGHT_OR}
 
 
 def _order_proof(
@@ -864,7 +850,9 @@ def _order_proof(
     u = universe
     node = u.node
     two = phase == 2
-    # `_delta` returns a Not-free term itself, and rebuilds any other
+    # `normalize.delta` returns a Not-free term as is and rebuilds any other:
+    # `plain` means both sides are Not-free, each uncomplemented element its
+    # own image
     plain = ds == s and dt == t
     images: dict[tuple[TermId, int, bool], TermId] = {}
 
@@ -916,11 +904,9 @@ def _order_proof(
             if p[0] == q[0] and p[1] != q[1]:
                 return HYP, None, []
             for x, side, _ in state:
-                kind = node(x).kind
-                if kind == BOT and side == 0:
-                    return LEFT_BOT, None, []
-                if kind == TOP and side == 1:
-                    return RIGHT_TOP, None, []
+                unit = _UNIT.get((node(x).kind, side))
+                if unit is not None:
+                    return unit, None, []
             for pos, (x, side, _) in enumerate(state):
                 n = node(x)
                 rule = _INVERTIBLE.get((n.kind, side))
@@ -956,28 +942,12 @@ def _order_proof(
         raise RuntimeError("_order_proof found no rule for a sequent the order test accepts")
 
     sides = (L, R)
-    goal = ((s, 0, False), (t, 1, False))
-    plans: dict = {}
-    memo: dict = {}
-    stack = [goal]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        plan = plans.get(cur)
-        if plan is None:
-            plan = plans[cur] = step(cur)
-        todo = [g for g in plan[2] if g not in memo]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        (x, sx, _), (y, sy, _) = cur
-        memo[cur] = ProofTree(
-            Sequent.of(x, sides[sx], y, sides[sy]), plan[0], [memo[g] for g in plan[2]], plan[1]
-        )
-    return memo[goal]
+
+    def plan(state):
+        (x, sx, _), (y, sy, _) = state
+        return (Sequent.of(x, sides[sx], y, sides[sy]), *step(state))
+
+    return _read_proof(((s, 0, False), (t, 1, False)), plan)
 
 
 # ----------------------------------------------------------------------

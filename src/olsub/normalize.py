@@ -320,9 +320,10 @@ def delta(universe: TermUniverse, t: TermId) -> TermId:
     Double negations vanish, De Morgan distributes through meets and joins,
     a negated constructor becomes its dual applied to the same (rewritten,
     un-negated) arguments, negated bounds swap. Idempotent, and equivalent
-    to the input as an ortholattice term.
+    to the input as an ortholattice term. Delta is the identity on a
+    Not-free term, which is returned as is, without building complements.
     """
-    return _delta(_context(universe), t)[0]
+    return _delta(_context(universe), t)[0] if universe.contains_not(t) else t
 
 
 def delta_pair(universe: TermUniverse, t: TermId) -> tuple[TermId, TermId]:

@@ -153,25 +153,30 @@ class Interpretation:
     fn_tables: dict = field(default_factory=dict)
 
 
+def _below(lattice: FiniteOrtholattice, variances: Sequence[Variance], xs, ys) -> bool:
+    """Whether argument tuple `xs` is below `ys` in the pointwise order the
+    variances give: covariant positions ordered, contravariant ones
+    reversed, invariant ones equal."""
+    leq = lattice.leq
+    for x, y, v in zip(xs, ys, variances):
+        if v is Variance.INVARIANT:
+            if x != y:
+                return False
+        elif not (leq[(x, y)] if v is Variance.COVARIANT else leq[(y, x)]):
+            return False
+    return True
+
+
 def check_v10(lattice: FiniteOrtholattice, variances: Sequence[Variance], table: dict) -> bool:
     """Exhaustive monotonicity check of a function table against variances."""
     leq = lattice.leq
     args_space = list(itertools.product(lattice.elements, repeat=len(variances)))
-    for xs in args_space:
-        for ys in args_space:
-            ok = True
-            for x, y, v in zip(xs, ys, variances):
-                if v is Variance.INVARIANT:
-                    ok = x == y
-                elif v is Variance.COVARIANT:
-                    ok = leq[(x, y)]
-                else:
-                    ok = leq[(y, x)]
-                if not ok:
-                    break
-            if ok and not leq[(table[xs], table[ys])]:
-                return False
-    return True
+    return all(
+        leq[(table[xs], table[ys])]
+        for xs in args_space
+        for ys in args_space
+        if _below(lattice, variances, xs, ys)
+    )
 
 
 def sample_monotone_tables(
@@ -184,29 +189,13 @@ def sample_monotone_tables(
     invariant positions are unconstrained. The result is checked exhaustively.
     """
     rng = random.Random(seed)
-    arity = symbol.arity
-    space = list(itertools.product(lattice.elements, repeat=arity))
+    space = list(itertools.product(lattice.elements, repeat=symbol.arity))
     raw = {xs: rng.choice(lattice.elements) for xs in space}
-    leq = lattice.leq
-
-    def dominated(xs, ys) -> bool:
-        for x, y, v in zip(xs, ys, symbol.variances):
-            if v is Variance.INVARIANT:
-                if x != y:
-                    return False
-            elif v is Variance.COVARIANT:
-                if not leq[(y, x)]:
-                    return False
-            else:
-                if not leq[(x, y)]:
-                    return False
-        return True
-
     table = {}
     for xs in space:
         acc = lattice.bot
         for ys in space:
-            if dominated(xs, ys):
+            if _below(lattice, symbol.variances, ys, xs):
                 acc = lattice.join[(acc, raw[ys])]
         table[xs] = acc
     assert check_v10(lattice, symbol.variances, table)
@@ -222,48 +211,36 @@ def evaluate(
 ) -> object:
     """Homomorphic evaluation; Not and negated atoms go through the
     complement table, a dual symbol evaluates to the complement of its
-    original's table."""
-    cache = {} if _cache is None else _cache
-    got = cache.get(t)
-    if got is not None:
-        return got
-    node = universe.node(t)
-    kind = node.kind
-    if kind == VAR:
-        try:
-            out = interp.valuation[node.name]
-        except KeyError:
-            raise MissingInterpretation(f"no value for variable {node.name}") from None
-    elif kind == NEGVAR:
-        try:
-            out = lattice.comp[interp.valuation[node.name]]
-        except KeyError:
-            raise MissingInterpretation(f"no value for variable {node.name}") from None
-    elif kind == TOP:
-        out = lattice.top
-    elif kind == BOT:
-        out = lattice.bot
-    elif kind == NOT:
-        out = lattice.comp[evaluate(universe, node.children[0], lattice, interp, cache)]
-    elif kind == MEET:
-        out = lattice.top
-        for c in node.children:
-            out = lattice.meet[(out, evaluate(universe, c, lattice, interp, cache))]
-    elif kind == JOIN:
-        out = lattice.bot
-        for c in node.children:
-            out = lattice.join[(out, evaluate(universe, c, lattice, interp, cache))]
-    else:  # APP
-        args = tuple(evaluate(universe, c, lattice, interp, cache) for c in node.children)
-        name = node.symbol.dual_of or node.symbol.name
+    original's table. One bottom-up walk on an explicit stack, memoized in
+    `_cache`, so any nesting depth evaluates."""
+
+    def value(s: TermId, node, kids: list) -> object:
+        kind = node.kind
+        if kind in (VAR, NEGVAR):
+            try:
+                out = interp.valuation[node.name]
+                return lattice.comp[out] if kind == NEGVAR else out
+            except KeyError:
+                raise MissingInterpretation(f"no value for variable {node.name}") from None
+        if kind == TOP:
+            return lattice.top
+        if kind == BOT:
+            return lattice.bot
+        if kind == NOT:
+            return lattice.comp[kids[0]]
+        if kind in (MEET, JOIN):
+            op, out = (lattice.meet, lattice.top) if kind == MEET else (lattice.join, lattice.bot)
+            for k in kids:
+                out = op[(out, k)]
+            return out
+        name = node.symbol.dual_of or node.symbol.name  # APP
         table = interp.fn_tables.get(name)
         if table is None:
             raise MissingInterpretation(f"no table for symbol {name}")
-        out = table[args]
-        if node.symbol.dual_of is not None:
-            out = lattice.comp[out]
-    cache[t] = out
-    return out
+        out = table[tuple(kids)]
+        return lattice.comp[out] if node.symbol.dual_of is not None else out
+
+    return universe.fold(t, {} if _cache is None else _cache, value)
 
 
 def random_interpretation(

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +270,29 @@ def test_long_negation_runs_are_explained_through_a_collapsed_node(capsys, fmt):
         rules = [line.split(":")[0].strip() for line in lines[1:]]
     assert rules[:3001] == ["LeftNot" if i % 2 == 0 else "RightNot" for i in range(3001)]
     assert rules[3001:] == ["Replace", "RightOr", "RightOr", "RightNot", "Hyp"]
+
+
+GOLDEN_EXPLAIN = [
+    json.loads(line)
+    for line in Path(__file__).with_name("explain_golden.jsonl").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_EXPLAIN, ids=[c["query"] for c in GOLDEN_EXPLAIN])
+def test_explain_json_matches_golden_output(tmp_path, capsys, case):
+    # One axiom-free query per rule of the order-test reader: the negation
+    # rules, LeftOr, RightAnd, LeftBot, F over a contravariant argument
+    # (which pins the premises' orientation) and Replace through a
+    # collapsed node. Everything but the timing must stay byte for byte.
+    argv = ["explain", "--format", "json"]
+    if case["declarations"]:
+        path = tmp_path / "decls.ax"
+        path.write_text(case["declarations"] + "\n")
+        argv += ["--axioms", str(path)]
+    assert main(argv + [case["query"]]) == case["code"]
+    payload = json.loads(capsys.readouterr().out)
+    del payload["stats"]["ms"]
+    assert json.dumps(payload) == json.dumps(case["output"])
 
 
 def test_proof_json_text_matches_json_dumps(capsys):

@@ -24,6 +24,7 @@ from olsub.entail import (
     LEFT_AND,
     LEFT_NOT,
     REPLACE,
+    RIGHT_AND,
     RIGHT_NOT,
     RIGHT_OR,
     ProofTree,
@@ -310,6 +311,18 @@ def test_order_proof_shares_subproofs(u):
     assert [child.rule for child in proof.children] == [RIGHT_OR, RIGHT_OR]
     assert proof.children[0] is proof.children[1]  # one subproof per sequent
     assert verify_proof(u, proof)
+
+
+def test_reconstructed_proof_shares_subproofs(u):
+    a, b, c, d = (u.var(n) for n in "abcd")
+    ab = u.meet([a, b])
+    goal = u.meet([u.join([ab, c]), u.join([ab, d])])
+    proof = reconstruct_proof(Engine(u, [(c, d)]), ab, goal)
+    assert proof.rule == RIGHT_AND
+    assert [child.rule for child in proof.children] == [RIGHT_OR, RIGHT_OR]
+    first, second = (child.children[0] for child in proof.children)
+    assert first.rule == HYP and first is second  # one subproof per sequent
+    assert verify_proof(u, proof, [(c, d)])
 
 
 def test_reflexivity_and_transitivity(u):

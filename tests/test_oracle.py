@@ -64,6 +64,17 @@ def test_evaluate_missing_interpretation(u):
         evaluate(u, u.var("q"), boolean2(), Interpretation({}, {}))
 
 
+def test_evaluate_deep_terms_without_recursion(u):
+    f = u.declare("F", "+")
+    apps = nots = u.var("x")
+    for _ in range(5000):
+        apps = u.app(f, [apps])
+        nots = u.neg(nots)
+    interp = Interpretation({"x": 0}, {"F": {(0,): 1, (1,): 0}})
+    assert evaluate(u, apps, boolean2(), interp) == 0  # an even number of flips
+    assert evaluate(u, nots, boolean2(), interp) == 0
+
+
 def test_evaluate_dual_symbol_is_complement(u):
     f = u.declare("F", "+")
     b2 = boolean2()
