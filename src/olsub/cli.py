@@ -197,15 +197,17 @@ def cmd_gen(args) -> int:
 
 
 def _parse_sizes(spec: str) -> list[int]:
+    """The sizes of a comma list of N and A..B (every second N from A to B)."""
     sizes: list[int] = []
     for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            sizes.extend(range(lo, hi + 1, 2))
-        elif chunk:
-            sizes.append(int(chunk))
+        lo, dots, hi = chunk.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            raise BadN(f"size {chunk.strip()!r} is not an integer or an A..B range") from None
+        if lo > hi:
+            raise BadN(f"size range {chunk.strip()!r} is empty")
+        sizes.extend(range(lo, hi + 1, 2))
     return sizes
 
 
@@ -242,7 +244,7 @@ def run_bench(sizes) -> tuple[list[dict], float]:
             }
         )
     slope = 0.0
-    if len(rows) >= 2:
+    if len({r["n"] for r in rows}) >= 2:  # a fit needs two distinct sizes
         slope = fit_loglog_slope([r["n"] for r in rows], [r["clauses"] for r in rows])
     return rows, slope
 

@@ -288,26 +288,25 @@ class Engine:
         # closure; only compound axioms are AxiomCut joins.
         self._succ: dict[int, list[tuple[int, int]]] = {}  # A -> [(B, i)], atom axioms i
         self._reach: dict[int, dict] = {}  # A -> {C: (predecessor, i)}, built lazily
-        self._ax_anns: dict[int, tuple[int, int]] = {}  # compound i = (U, V) -> (U^R, V^L)
+        # One AxiomCut join per compound axiom i = (U, V): L_i holds each x
+        # with {x, U^R} derived, R_i each y with {V^L, y} derived, and {x, y}
+        # follows. `_cut_at` maps U^R to (i, True) and V^L to (i, False).
+        self._cuts: dict[int, tuple] = {}  # i -> (U^R, V^L, L_i, R_i)
+        self._cut_at: dict[int, list[tuple[int, bool]]] = {}
         self._axiom_of_seq: dict[int, int] = {}
-        self._cut_u: dict[int, list[int]] = {}  # U^R -> compound axioms i = (U, V)
-        self._cut_v: dict[int, list[int]] = {}  # V^L -> compound axioms i = (U, V)
         node = universe.node
         for i, (v, w) in enumerate(self.axioms):
             if node(v).kind == VAR and node(w).kind == VAR:
                 self._succ.setdefault(v, []).append((w, i))
                 continue
-            self._ax_anns[i] = (_ann(v, 1), _ann(w, 0))
+            self._cuts[i] = (_ann(v, 1), _ann(w, 0), [], [])
+            self._cut_at.setdefault(_ann(v, 1), []).append((i, True))
+            self._cut_at.setdefault(_ann(w, 0), []).append((i, False))
             self._axiom_of_seq.setdefault(_seq(_ann(v, 0), _ann(w, 1)), i)
-            self._cut_u.setdefault(_ann(v, 1), []).append(i)
-            self._cut_v.setdefault(_ann(w, 0), []).append(i)
-        # AxiomCut joins, for compound axiom i = (U, V): L_i holds each x with
-        # {x, U^R} derived, R_i each y with {V^L, y} derived, and {x, y} follows.
-        self._cut_sides = {i: ([], []) for i in self._ax_anns}  # i -> (L_i, R_i)
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
         self._cut_pushed: set[int] = set()  # terms whose cut premises were pushed
-        # per-annotated-term record: (templates, unit rule, app symbol, args, variances)
+        # per-annotated-term record: (templates, unit rule, application node or None)
         self._info: dict[int, tuple] = {}
         self._visited: set[int] = set()  # expanded sequents
         self._holding: dict[int, list[int]] = {}  # x -> expanded sequents holding x
@@ -328,14 +327,12 @@ class Engine:
     # -- clause generation -------------------------------------------------
 
     def _record(self, ann: int) -> tuple:
-        tid = ann & (_SIDE_BIT - 1)
-        side = ann >> _TID_BITS
+        tid, side = _ann_parts(ann)
         node = self.u.node(tid)
         kind = node.kind
         key = (kind, side)
         kids = node.children
         templates: tuple = ()
-        symbol_name = args = variances = None
         if key in _INVERTIBLE:
             templates = ((_INVERTIBLE[key], None, tuple(_ann(c, side) for c in kids)),)
         elif key in _PICK:
@@ -348,9 +345,7 @@ class Engine:
             if inner is not None:
                 rule = LEFT_NOT if side == 0 else RIGHT_NOT
                 templates = ((rule, None, (_ann(inner, 1 - side),)),)
-            if kind == APP:
-                symbol_name, args, variances = node.symbol.name, kids, node.symbol.variances
-        record = (templates, _UNIT.get(key), symbol_name, args, variances)
+        record = (templates, _UNIT.get(key), node if kind == APP else None)
         self._info[ann] = record
         return record
 
@@ -386,7 +381,7 @@ class Engine:
             for x, y in ((a, b), (b, a)):
                 i = self._cut_between(x, y)
                 if i is not None:
-                    u_r, v_l = self._ax_anns[i]
+                    u_r, v_l, _, _ = self._cuts[i]
                     self._derive(s, (_seq(x, u_r), _seq(v_l, y)), AXIOM_CUT, i)
                     return
         holding = self._holding
@@ -425,22 +420,16 @@ class Engine:
                     rule,
                     aux,
                 )
-        if (
-            ra[2] is not None
-            and ra[2] == rb[2]
-            and a < _SIDE_BIT <= b  # one L, one R
-        ):
-            body: list[int] = []
-            for sl, tr, v in zip(ra[3], rb[3], ra[4]):
-                if v is Variance.COVARIANT:
+        fa, fb = ra[2], rb[2]
+        if fa is not None and fb is not None and fa.name == fb.name and a < _SIDE_BIT <= b:
+            body: list[int] = []  # one L, one R: the F rule
+            for sl, tr, v in zip(fa.children, fb.children, fa.symbol.variances):
+                if v is not Variance.CONTRAVARIANT:
                     body.append(_seq(sl, tr | _SIDE_BIT))
-                elif v is Variance.CONTRAVARIANT:
+                if v is not Variance.COVARIANT:
                     body.append(_seq(tr, sl | _SIDE_BIT))
-                else:
-                    body.append(_seq(sl, tr | _SIDE_BIT))
-                    body.append(_seq(tr, sl | _SIDE_BIT))
-            self._add_clause(s, tuple(body), F_RULE, ra[2])
-        if self._ax_anns:
+            self._add_clause(s, tuple(body), F_RULE, fa.name)
+        if self._cuts:
             # The cut premises of s depend on one of its terms only, so each
             # term pushes them once, for every sequent that will hold it.
             pushed = self._cut_pushed
@@ -460,14 +449,14 @@ class Engine:
         (dually for {a^L, b^L}). So a cut on {x^L, y^R} through {y^R, U^R}
         and {V^L, x^L} means x <= y directly, or x <= U and V <= y, which
         the one-term-per-side premises derive."""
+        ol = self.mode == "ol"
+        left = x < _SIDE_BIT
         out: list[int] = []
-        if self.mode == "bl":
-            left = x < _SIDE_BIT
-            for u_r, v_l in self._ax_anns.values():
-                out.append(_seq(x, u_r) if left else _seq(v_l, x))
-            return out
-        for u_r, v_l in self._ax_anns.values():
-            out += (_seq(x, u_r), _seq(v_l, x))
+        for u_r, v_l, _, _ in self._cuts.values():
+            if ol or left:
+                out.append(_seq(x, u_r))
+            if ol or not left:
+                out.append(_seq(v_l, x))
         return out
 
     def _closure(self, a: int) -> dict:
@@ -518,15 +507,11 @@ class Engine:
     def _join(self, x: int, i: int, left: bool) -> None:
         """x joins L_i (left) or R_i: AxiomCut i fires on every expanded,
         underived sequent {x, y} whose y is already on the other side."""
-        ours, theirs = self._cut_sides[i] if left else self._cut_sides[i][::-1]
+        u_r, v_l, ours, theirs = self._cuts[i]
+        if not left:
+            ours, theirs = theirs, ours
         ours.append(x)
-        index = self._cut_left if left else self._cut_right
-        got = index.get(x)
-        if got is None:
-            index[x] = {i}
-        else:
-            got.add(i)
-        u_r, v_l = self._ax_anns[i]
+        (self._cut_left if left else self._cut_right).setdefault(x, set()).add(i)
         visited = self._visited
         derived = self.derived
         for y in theirs:
@@ -563,7 +548,9 @@ class Engine:
         is empty. The stack outlives the search: a derived goal returns with
         its unexpanded premises still on it, and the next search pushes its
         own goal on top, so a "no" comes only once everything pushed so far
-        is expanded."""
+        is expanded. Only an interrupted expansion is put back on the stack:
+        an interrupt inside `_run` after `queue.popleft()` drops the rest of
+        that sequent's propagation, so a later verdict can be wrong."""
         derived = self.derived
         if goal in derived:
             return True
@@ -599,8 +586,7 @@ class Engine:
         holding = self._holding
         derive = self._derive
         replace = self.mode == "ol"
-        cut_u = self._cut_u
-        cut_v = self._cut_v
+        cut_at = self._cut_at
         join = self._join
         while queue:
             s = queue.popleft()
@@ -621,13 +607,11 @@ class Engine:
                     if head not in derived:
                         derive(head, (s,), REPLACE, None)
             self.steps += steps
-            if cut_u:
+            if cut_at:
                 # s = {x, U_i^R} puts x in L_i; s = {V_i^L, y} puts y in R_i.
                 for t, x in ((a, b), (b, a)) if a != b else ((a, a),):
-                    for i in cut_u.get(t, ()):
-                        join(x, i, True)
-                    for i in cut_v.get(t, ()):
-                        join(x, i, False)
+                    for i, left in cut_at.get(t, ()):
+                        join(x, i, left)
 
     # -- public queries ----------------------------------------------------
 

@@ -406,6 +406,20 @@ def test_bench_small(tmp_path, capsys):
     assert main(["bench", "sn-tn", "3"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["a", "", "8..4"])
+def test_bench_rejects_a_bad_size_list(sizes, capsys):
+    assert main(["bench", "sn-tn", sizes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err
+
+
+def test_bench_repeated_size_fits_no_slope(capsys):
+    assert main(["bench", "sn-tn", "8,8"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in out[1:-1]] == ["8", "8"]
+    assert out[-1] == "log-log slope (clauses vs n): 0.000"
+
+
 def test_fit_loglog_slope_exact():
     xs = [2, 4, 8, 16]
     ys = [x * x for x in xs]
