@@ -10,7 +10,9 @@ an expansion derives something. The search stops as soon as the goal is
 derived, so a provable query expands only what its search reaches before the
 proof closes; what it pushed and did not expand stays on the search stack
 for the next query on the same `Engine`. A sequent closed by a zero-premise
-rule (Hyp, LeftBot, RightTop, an axiom) gets no other clause.
+rule (Hyp, LeftBot, RightTop, an axiom) gets no other clause, and one that
+holds a join on the left or a meet on the right gets only its LeftOr or
+RightAnd clause, since those rules are invertible (lemma below).
 
 Atom axioms A <= B, a variable on each side (a nominal class hierarchy),
 are never cut through. They close leaves: a sequent {A^L, C^R} of two
@@ -40,14 +42,48 @@ of AxiomCuts over Hyp leaves (`reconstruct_proof`). This is complete:
 Only compound axioms, with a side that is not a variable, go through
 AxiomCut. Two rules are never written out ahead of time; each records a
 clause only when it fires. Replace concludes any sequent holding G from
-{G,G}. AxiomCut through a compound axiom U <= V concludes {x, y} from
-{x, U^R} and {V^L, y}. Each of those premises depends on one term only, so
-it is pushed once per term, not once per sequent, and the cut runs as a
-semi-naive join: per compound axiom, the terms x whose left premise is
-derived and the terms y whose right premise is derived; each newly derived
-premise is matched against the other side, and the cut fires on every
-expanded sequent {x, y} it completes. An all-atom axiom set pushes no cut
-premise at all.
+{G,G}. AxiomCut through a compound axiom i = U <= V concludes {x, y} from
+{x, U^R} and {V^L, y}, and runs as a semi-naive join: L_i holds the terms
+x whose {x, U^R} is derived, R_i the terms y whose {V^L, y} is derived;
+each newly derived premise is matched against the other side, and the cut
+fires on every expanded sequent {x, y} it completes. The first premise
+depends on x only, so each term pushes it once, not once per sequent. The
+second is pushed on demand: {x, y} pushes {V^L, y} only once x is in L_i,
+when it is expanded or, if x enters L_i later, from the join. A term whose
+{x, U^R} is never derived pushes no partner premise at all, and an all-atom
+axiom set pushes no cut premise at all.
+
+Two lemmas make this complete. Read the calculus with Hyp on atoms only (a
+compound Hyp is its atomic expansion) and an axiom sequent {U^L, V^R} as
+the AxiomCut of two Hyps; the engine's compound Hyp and axiom clauses close
+such sequents outright, before any inversion.
+
+    Lemma (invertibility). In the cut-free calculus with Replace, AxiomCut
+    through the compound axioms and the atom-closure leaves, if
+    {(a1 | ... | ak)^L, y} has a derivation of height h, every {aj^L, y}
+    has one of height at most h; dually for {x, (a1 & ... & ak)^R}. By
+    induction on h, over the last rule. LeftOr on the join gives the
+    premises themselves. A rule on y keeps the join in its premises, which
+    are lower: invert them, then apply the rule. Replace from {y, y}
+    concludes {aj^L, y} as well. Replace from {G, G} with G the join:
+    invert both copies, which are lower, to {aj^L, aj^L}, then Replace.
+    AxiomCut whose side term is the join: invert that premise, then cut.
+    No leaf and no unit rule has the join as its principal term.
+
+    Lemma (completeness at an empty stack). When the stack is empty, every
+    derivable expanded sequent is derived. Every pushed sequent has been
+    expanded by then, so induct on the (height, size) of a derivation. A
+    sequent closed outright is derived. An invertible one pushed the
+    premises of its one clause, which are derivable, no higher (first
+    lemma) and smaller. Any other sequent's last rule has lower premises:
+    a pick, negation or F premise was pushed with its clause, and the
+    Replace premise {G, G} was pushed too; once it is derived, Replace
+    fires here or in propagation. For AxiomCut i, the sequent {x, y}
+    pushed {x, U^R} unless x had pushed it already, so x is in L_i. Then
+    {V^L, y} was pushed, by the expansion if x was in L_i already and
+    otherwise by the join, which visits every expanded, open sequent
+    holding x. So y is in R_i, and the cut fires. (Mode "bl" needs only
+    the cut whose x is the L-term; see `_expand`.)
 
 A refuted query needs the whole backward-reachable closure, and gets it,
 together with whatever earlier queries on its engine left on the stack.
@@ -305,11 +341,14 @@ class Engine:
             self._axiom_of_seq.setdefault(_seq(_ann(v, 0), _ann(w, 1)), i)
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
-        self._cut_pushed: set[int] = set()  # terms whose cut premises were pushed
-        # per-annotated-term record: (templates, unit rule, application node or None)
+        self._cut_pushed: set[int] = set()  # terms x that pushed every {x, U_i^R}
+        # per-annotated-term record: (templates, unit rule, application node or
+        # None, whether its one template is LeftOr or RightAnd)
         self._info: dict[int, tuple] = {}
         self._visited: set[int] = set()  # expanded sequents
-        self._holding: dict[int, list[int]] = {}  # x -> expanded sequents holding x
+        # x -> expanded sequents holding x, except those closed outright or
+        # decided by an invertible rule
+        self._holding: dict[int, list[int]] = {}
         self.clauses: list[tuple] = []  # (head, body tuple, rule, aux)
         self._counters: list[int] = []
         self._watch: dict[int, list[int]] = {}
@@ -345,7 +384,7 @@ class Engine:
             if inner is not None:
                 rule = LEFT_NOT if side == 0 else RIGHT_NOT
                 templates = ((rule, None, (_ann(inner, 1 - side),)),)
-        record = (templates, _UNIT.get(key), node if kind == APP else None)
+        record = (templates, _UNIT.get(key), node if kind == APP else None, key in _INVERTIBLE)
         self._info[ann] = record
         return record
 
@@ -384,6 +423,12 @@ class Engine:
                     u_r, v_l, _, _ = self._cuts[i]
                     self._derive(s, (_seq(x, u_r), _seq(v_l, y)), AXIOM_CUT, i)
                     return
+        # LeftOr and RightAnd are invertible: their one clause decides s.
+        for r, other in ((ra, b), (rb, a)):
+            if r[3]:
+                rule, aux, comps = r[0][0]
+                self._add_clause(s, tuple(_seq(c, other) for c in comps), rule, aux)
+                return
         holding = self._holding
         for g in (a, b) if a != b else (a,):
             hs = holding.get(g)
@@ -429,35 +474,30 @@ class Engine:
                 if v is not Variance.COVARIANT:
                     body.append(_seq(tr, sl | _SIDE_BIT))
             self._add_clause(s, tuple(body), F_RULE, fa.name)
-        if self._cuts:
-            # The cut premises of s depend on one of its terms only, so each
-            # term pushes them once, for every sequent that will hold it.
+        cuts = self._cuts
+        if cuts:
+            # Each term x pushes {x, U_i^R} once, for every sequent that will
+            # hold it; s pushes its partner premise {V_i^L, y} only once x is
+            # in L_i, here or in _join when x enters L_i later.
+            #
+            # In mode "bl" only an L-term x pushes {x, U_i^R}, and then its
+            # partner's y is an R-term, so every sequent keeps one term per
+            # side. The same-side premises add nothing there: with no Hyp,
+            # F or negation rule for them, only a unit rule closes a
+            # same-side sequent, and by induction {a^R, b^R} is derivable
+            # only if every z <= a is or every z <= b is (dually for
+            # {a^L, b^L}). So a cut on {x^L, y^R} through {y^R, U^R} and
+            # {V^L, x^L} means x <= y directly, or x <= U and V <= y, which
+            # the one-term-per-side premises derive.
             pushed = self._cut_pushed
-            for x in (a, b):
+            stack = self._to_visit
+            for x, y in ((a, b), (b, a)) if a != b else ((a, a),):
                 if x not in pushed:
-                    self._to_visit += self._cut_premises(x)
+                    if self.mode == "ol" or x < _SIDE_BIT:
+                        stack += [_seq(x, u_r) for u_r, _, _, _ in cuts.values()]
                     pushed.add(x)
-
-    def _cut_premises(self, x: int) -> list[int]:
-        """{x, U^R} and {V^L, x} for every axiom U <= V.
-
-        In mode "bl" only {x, U^R} for an L-term x and {V^L, x} for an
-        R-term x, so every sequent keeps one term per side. The same-side
-        premises add nothing there: with no Hyp, F or negation rule for
-        them, only a unit rule closes a same-side sequent, and by induction
-        {a^R, b^R} is derivable only if every z <= a is or every z <= b is
-        (dually for {a^L, b^L}). So a cut on {x^L, y^R} through {y^R, U^R}
-        and {V^L, x^L} means x <= y directly, or x <= U and V <= y, which
-        the one-term-per-side premises derive."""
-        ol = self.mode == "ol"
-        left = x < _SIDE_BIT
-        out: list[int] = []
-        for u_r, v_l, _, _ in self._cuts.values():
-            if ol or left:
-                out.append(_seq(x, u_r))
-            if ol or not left:
-                out.append(_seq(v_l, x))
-        return out
+                for i in self._cut_left.get(x, ()):
+                    stack.append(_seq(cuts[i][1], y))
 
     def _closure(self, a: int) -> dict:
         """The variables reachable from variable `a` over atom axioms, each
@@ -520,6 +560,13 @@ class Engine:
                 p, q = (x, y) if left else (y, x)
                 self._derive(h, (_seq(p, u_r), _seq(v_l, q)), AXIOM_CUT, i)
         self.steps += len(theirs)
+        if left:
+            # the partner premise {V_i^L, y} of every open sequent {x, y}
+            stack = self._to_visit
+            for h in self._holding.get(x, ()):
+                if h not in derived:
+                    p, q = h >> _ANN_BITS, h & _ANN_MASK
+                    stack.append(_seq(v_l, q if p == x else p))
 
     def _add_clause(self, head: int, body: tuple, rule: str, aux) -> None:
         clauses = self.clauses
@@ -550,7 +597,9 @@ class Engine:
         own goal on top, so a "no" comes only once everything pushed so far
         is expanded. Only an interrupted expansion is put back on the stack:
         an interrupt inside `_run` after `queue.popleft()` drops the rest of
-        that sequent's propagation, so a later verdict can be wrong."""
+        that sequent's propagation, so a later verdict can be wrong. The
+        partner premises that `_join` pushes run inside `_run` too, so the
+        same hazard covers them."""
         derived = self.derived
         if goal in derived:
             return True

@@ -23,6 +23,7 @@ from olsub.entail import (
     HYP,
     LEFT_AND,
     LEFT_NOT,
+    LEFT_OR,
     REPLACE,
     RIGHT_AND,
     RIGHT_NOT,
@@ -717,12 +718,12 @@ def test_pending_replace_subgoal_keeps_its_waiters_open(u):
 
 
 def test_pending_cut_premise_keeps_its_sequents_open():
-    # A search can stop with the cut premises {x, U^R} and {V^L, x} of a
-    # term x still unexpanded, after a sequent holding x was expanded; they
-    # are pushed only once, so the next query must expand them from the
-    # stack. In the first case ("bl" mode) no Replace subgoal reaches them
-    # either. Term ids fix the search order, so every variable is created,
-    # in this order, before the compound terms.
+    # A search can stop with a cut premise {x, U^R}, or a partner premise
+    # {V^L, y} pushed once {x, U^R} was derived, still unexpanded after a
+    # sequent {x, y} was expanded; each is pushed only once, so the next
+    # query must expand it from the stack. In the first case ("bl" mode) no
+    # Replace subgoal reaches them either. Term ids fix the search order, so
+    # every variable is created, in this order, before the compound terms.
     u = TermUniverse()
     a, b, c, d, e, f = (u.var(n) for n in "abcdef")
     a_or_f = u.join([a, f])
@@ -735,6 +736,89 @@ def test_pending_cut_premise_keeps_its_sequents_open():
     engine = Engine(u, [(b, f), (f, d_and_c), (a, b), (f, d_or_f), (b, d)])
     assert engine.query(b, d_and_c)
     assert engine.query(d_or_f, d)  # f <= d & c <= d
+
+
+def test_invertible_rule_alone_decides_its_sequent(u):
+    # {(x | y)^L, (x & z)^R} fits LeftOr and RightAnd; it gets one clause,
+    # with no pick and no Replace subgoal beside it.
+    x, y, z = u.var("x"), u.var("y"), u.var("z")
+    engine = Engine(u)
+    engine.query(u.join([x, y]), u.meet([x, z]))
+    head = Sequent.goal(u.join([x, y]), u.meet([x, z]))
+    rules = [rule for h, _, rule in decoded_clauses(engine) if h == head]
+    assert rules == [LEFT_OR]
+    # a pick is not invertible: {(x & y)^L, (x | z)^R} keeps every clause
+    engine.query(u.meet([x, y]), u.join([x, z]))
+    head = Sequent.goal(u.meet([x, y]), u.join([x, z]))
+    rules = [rule for h, _, rule in decoded_clauses(engine) if h == head]
+    assert sorted(rules) == [LEFT_AND, LEFT_AND, RIGHT_OR, RIGHT_OR]
+
+
+def test_refuted_query_pushes_cut_partners_on_demand(u):
+    # S_64 <= T_64 & w, w fresh, under List(x_i) <= y_i: no {x, List(x_i)^R}
+    # is derivable, so no partner premise {y_i^L, y} is ever pushed. Pushing
+    # both premises of every term expanded 22,366 sequents.
+    lst = u.declare("List", "+")
+    s, t = sn_tn_terms(u, 64)
+    axioms = [(u.app(lst, [u.var(f"x{i}")]), u.var(f"y{i}")) for i in range(8)]
+    engine = Engine(u, axioms)
+    assert not engine.query(s, u.meet([t, u.var("w")]))
+    assert engine.stats().sequents < 18_000
+
+
+def test_refuted_query_inherits_little_work_from_provable_ones(u):
+    # 64 provable S_n <= T_n under List(A) <= B, then the refuted B <= A on
+    # the same engine, which expands what they left on the stack. With both
+    # cut premises pushed for every term, that was 6,933 sequents.
+    lst = u.declare("List", "+")
+    a, b = u.var("A"), u.var("B")
+    engine = Engine(u, [(u.app(lst, [a]), b)])
+    for n in range(2, 129, 2):
+        assert engine.query(*sn_tn_terms(u, n))
+    before = engine.stats().sequents
+    assert not engine.query(b, a)
+    assert engine.stats().sequents - before < 1_000
+
+
+@pytest.mark.parametrize("mode", ["ol", "bl"])
+def test_on_demand_cut_partners_match_saturation(mode):
+    # Shared engines under 1-4 compound axioms with a constructor on either
+    # side, answering provable and refuted queries in turn. A query that
+    # stops early leaves partner premises, pushed by `_join` in the middle
+    # of propagation, for later queries. Mode "bl" sees negation-free terms
+    # only, where the bounded-lattice and ortholattice calculi agree (a
+    # bounded lattice embeds in the horizontal sum of it and its dual, an
+    # ortholattice).
+    rng = random.Random(1808 if mode == "ol" else 1809)
+    atoms = ["a", "b", "c", "x", "y"]
+    cuts = 0
+    for _ in range(120):
+        u = TermUniverse()
+        symbols = [u.declare("F", "+"), u.declare("G", "-+")]
+
+        def term(budget):
+            return random_term(u, rng, budget, atoms, symbols, allow_not=mode == "ol")
+
+        axioms = []
+        for _ in range(rng.randint(1, 4)):
+            decl = rng.choice(symbols)
+            bound = u.app(decl, [term(2) for _ in range(decl.arity)])
+            other = term(rng.randint(1, 4))
+            axioms.append((bound, other) if rng.random() < 0.5 else (other, bound))
+        roots = [term(6) for _ in range(2)]
+        terms = roots + [t for pair in axioms for t in pair]
+        pool = sorted(set().union(*(u.subterms(t) for t in terms)))
+        provable = oracle.saturate(u, roots, axioms)
+        yes = sorted((s, t) for (s, sa), (t, sb) in provable if (sa, sb) == ("L", "R"))
+        engine = Engine(u, axioms, mode)
+        for i in range(60):
+            s, t = rng.choice(yes) if i % 2 == 0 else (rng.choice(pool), rng.choice(pool))
+            want = ((s, "L"), (t, "R")) in provable
+            assert engine.query(s, t) == want, (print_term(u, s), print_term(u, t))
+            if want:
+                assert verify_proof(u, reconstruct_proof(engine, s, t), axioms)
+        cuts += sum(rule == AXIOM_CUT for _, _, rule, _ in engine.clauses)
+    assert cuts > 100
 
 
 @pytest.mark.parametrize("method", ["_expand", "_add_clause"])
