@@ -126,7 +126,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import normalize
-from .errors import NegationPresent, NotProvable, TermIdOverflow
+from .errors import EngineInterrupted, NegationPresent, NotProvable, TermIdOverflow
 from .terms import (
     APP,
     BOT,
@@ -294,6 +294,11 @@ class Engine:
     holding a negation, as an axiom or in a goal, with `NegationPresent`
     before any of it is searched.
 
+    An interrupt during an expansion leaves the engine sound: the sequent
+    goes back on the stack. One during propagation does not, since the rest
+    of the popped sequent's propagation is lost; every later query then
+    raises `EngineInterrupted`.
+
     Atom axioms, between two variables, are not joined: a sequent {A^L, C^R}
     with C reachable from A over them is closed by one Axiom clause, from
     the closure of A, built once per engine (see the module docstring for
@@ -355,6 +360,7 @@ class Engine:
         self.derived: dict[int, int] = {}  # sequent -> index of first deriving clause
         self._queue: deque = deque()
         self._to_visit: list[int] = []  # the search stack, kept across queries
+        self._interrupted = False  # set when an interrupt cuts `_run` short
         self.steps = 0
 
     def _reject_not(self, *tids: int) -> None:
@@ -595,11 +601,14 @@ class Engine:
         is empty. The stack outlives the search: a derived goal returns with
         its unexpanded premises still on it, and the next search pushes its
         own goal on top, so a "no" comes only once everything pushed so far
-        is expanded. Only an interrupted expansion is put back on the stack:
-        an interrupt inside `_run` after `queue.popleft()` drops the rest of
-        that sequent's propagation, so a later verdict can be wrong. The
-        partner premises that `_join` pushes run inside `_run` too, so the
-        same hazard covers them."""
+        is expanded. An interrupted expansion is put back on the stack. An
+        interrupt inside `_run` after `queue.popleft()` drops the rest of
+        that sequent's propagation (with any partner premises `_join` would
+        push), so it marks the engine interrupted, and every later search
+        raises `EngineInterrupted` instead of answering from that state."""
+        if self._interrupted:
+            raise EngineInterrupted("an interrupt cut this engine's propagation short; "
+                                    "build a new Engine")
         derived = self.derived
         if goal in derived:
             return True
@@ -621,7 +630,11 @@ class Engine:
                 stack.append(cur)
                 raise
             if queue:
-                run()
+                try:
+                    run()
+                except BaseException:
+                    self._interrupted = True
+                    raise
                 if goal in derived:
                     return True
         return False
@@ -729,9 +742,10 @@ def check(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> Verdict:
 
     On this path `stats` describes the order test: `sequents` counts the
     goals it decided in this call, `clauses` the alternatives generated for
-    them, `steps` the subgoal lookups and `derived` the goals proved; a
-    goal with a literal side, decided by literal masks, counts one goal and
-    one alternative. Verdicts are memoized per universe, so a repeated query
+    them, `steps` the subgoal lookups and `derived` the goals proved. A
+    goal decided by masks counts one goal and one alternative: one with a
+    literal side, and one whose sides share no top-level head (see
+    `normalize`). Verdicts are memoized per universe, so a repeated query
     counts 0.
 
     On a "yes", `Verdict.proof()` reads the proof off the procedure that
@@ -893,7 +907,7 @@ def _order_proof(
         key = (x, complement, opened)
         got = images.get(key)
         if got is None:
-            got = x if plain and not complement else normalize.delta_pair(u, x)[complement]
+            got = x if plain and not complement else normalize.delta(u, x, complement)
             if two:
                 got = (normalize.beta_open if opened else normalize.beta)(u, got)
             images[key] = got

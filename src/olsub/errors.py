@@ -64,3 +64,8 @@ class InputTooDeep(OlsubError):
 
 class TermIdOverflow(OlsubError):
     """A term id does not fit the engine's packed sequent encoding."""
+
+
+class EngineInterrupted(OlsubError):
+    """An interrupt cut an engine's propagation short; its derived facts may
+    be incomplete, so the engine answers no further queries."""

@@ -13,39 +13,55 @@ The composition maps equivalent terms to one identical term id, never grows
 the pseudo-negation-normal image, and outputs the smallest term of the
 equivalence class under the node-count convention of `TermUniverse.size`.
 
-`normalize_ol` is delta, then one memoized bottom-up walk
-(`TermUniverse.fold`) whose rule at each meet or join applies beta, zeta
-and eta in turn to the node over its children's normal forms; leaves and
-constructor heads are rebuilt over them. `normalize_bl` is the same walk
-with zeta and eta. Delta is a fold too, mapping every subterm to the pair
-of its own and its complement's normal form. The public passes `beta`,
-`zeta` and `eta` are each a walk of their own rule, and compose to the
-same form: `normalize_ol(t)` is `eta(zeta(beta(delta(t))))`. In the walk,
-beta sorts a node's children once, by a structural comparison that follows
-one path down in a loop, and interns only the sorted node; zeta and eta
-start from that node, and zeta sorts again only after a promotion. Nothing
-recurses, so nesting depth is limited by memory, not by the interpreter's
-stack.
+`normalize_ol` is one memoized bottom-up walk over (subterm, polarity)
+pairs (`_walk`), which is delta and the normal-form rule in one pass: a
+`NOT` flips the polarity, a variable, bound or application at polarity 1
+becomes its complement or dual, and a meet or join at polarity 1 becomes
+the dual kind over its children's complements. At each meet or join the
+rule applies beta, zeta and eta in turn to the node over its operands'
+normal forms. No image of the whole input under delta is built: a
+complement is interned only where the form needs one. `delta`, `delta_pair`
+and beta's complement of a child are the same walk with a rule that keeps
+the meet or join as it stands, and `normalize_bl` is the walk with zeta and
+eta. The public passes `beta`, `zeta` and `eta` are each a walk of their own
+rule, and compose to the same form: `normalize_ol(t)` is
+`eta(zeta(beta(delta(t))))`. In the walk, beta sorts a node's children
+once, by a structural comparison that follows one path down in a loop, and
+interns only the sorted node; zeta and eta start from that node, and zeta
+sorts again only after a promotion. Nothing recurses, so nesting depth is
+limited by memory, not by the interpreter's stack.
 
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
 backward search over the negation-free sequent rules, with negated variables
-and dual symbols treated as opaque atoms (`leq`). A goal with a literal
-side (a variable or a negated variable) needs no search: each term's
-literal masks, folded once, hold the literals it is a lower bound of
-(`lower`) and an upper bound of (`upper`). `s <= l` holds by Hyp when `s`
-is `l`, by bottom, never for top, an application or another literal, for a
-join when every child is `<= l` and for a meet when some child is; so a
-meet ORs its children's `lower` masks, a join ANDs them, and `upper` is the
-dual. The goal is one AND with `l`'s bit. Verdicts are cached per universe
-and the cache is freed with the universe, keeping a normalization run
-quadratic overall. On beta's images this order is the ortholattice order,
-so `entail.check` decides axiom-free queries with the same test.
+and dual symbols treated as opaque atoms (`leq`). Each term's masks are
+folded once, and two kinds of goal need no search:
+
+- A goal with a literal side (a variable or a negated variable). The masks
+  hold the literals a term is a lower bound of (`lower`) and an upper bound
+  of (`upper`). `s <= l` holds by Hyp when `s` is `l`, by bottom, never for
+  top, an application or another literal, for a join when every child is
+  `<= l` and for a meet when some child is; so a meet ORs its children's
+  `lower` masks, a join ANDs them, and `upper` is the dual. The goal is one
+  AND with `l`'s bit.
+- A goal whose sides share no head. A term's heads are the literals,
+  symbols (a dual symbol by its own name) and bounds it reaches through
+  meets and joins alone. Lemma: `s <= t` holds only if the two share a
+  head, `s` has a top-level bottom or `t` a top-level top. The search
+  closes a goal only by Hyp (`s` is `t`), by bottom on the left, by top on
+  the right, or by the rule for two applications of one symbol; every other
+  step replaces a side by one of its meet or join children, whose heads
+  are among its own, bounds included. So one AND of head masks refutes
+  the goal.
+
+Verdicts are cached per universe and the cache is freed with the universe,
+keeping a normalization run quadratic overall. On beta's images this order
+is the ortholattice order, so `entail.check` decides axiom-free queries
+with the same test.
 """
 from __future__ import annotations
 
 import functools
-import operator
 import threading
 import weakref
 from collections import defaultdict
@@ -86,15 +102,17 @@ class _Context:
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
         self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
-        # literal masks of each term the order test has seen: (bit, lower, upper)
-        self.masks: dict[TermId, tuple[int, int, int]] = {}
-        # one bit per literal, assigned under the lock so threads agree on it
+        # masks of each term the order test has seen: (bit, lower, upper, heads)
+        self.masks: dict[TermId, tuple[int, int, int, int]] = {}
+        # one bit per literal and one per symbol name, the literal's also its
+        # head bit, handed out under the lock so threads agree on them
         self._bits: dict[TermId, int] = {}
+        self._heads: dict[str, int] = {}
+        self._next_bit = _FIRST_HEAD
         self._bits_lock = threading.Lock()
-        # delta's images of a term and of its complement
-        self.delta: dict[TermId, tuple[TermId, TermId]] = {}
-        # images of each bottom-up rewrite, one memo per node rule
-        self.rewrites: dict[object, dict[TermId, TermId]] = defaultdict(dict)
+        # images of the polarity walk, one memo per node rule, keyed by
+        # 2 * term + polarity
+        self.rewrites: dict[object, dict[int, TermId]] = defaultdict(dict)
         self.key = _structural_key(universe)
 
     @property
@@ -104,22 +122,29 @@ class _Context:
     def leq(self, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
         """Decide `s <= t` over bounded lattices with constructors.
 
-        Both sides' literal masks (`_mask`) are folded first, so a `NOT`
-        anywhere raises `NegationPresent`. A goal with a literal side, this
-        one or any subgoal, is decided by one AND: `s <= l` iff
-        `lower(s) & bit(l)`, and `l <= t` iff `upper(t) & bit(l)`. That is
-        the search's own verdict, case by case: `s <= l` holds by Hyp when
-        `s` is `l`, by bottom, never for top, an application or another
-        literal (no rule applies), for a join when every child is `<= l`
-        (left join) and for a meet when some child is (Whitman: `l` is no
-        join). Dually for `l <= t`. Such a goal pushes no frame, and only a
-        top-level one is memoized. Any other goal holds when every pair of
-        one of its `_alternatives` holds, found by a depth-first AND/OR
-        search on an explicit stack; each subgoal is strictly smaller than
-        its goal, so the search terminates and every verdict it reaches is
-        final and memoized. `tally`, when given, gains
-        this call's work: goals decided, alternatives generated (one for a
-        mask-decided goal), subgoal lookups and goals proved."""
+        Both sides' masks (`_mask`) are folded first, so a `NOT` anywhere
+        raises `NegationPresent`. Two kinds of goal, this one or any
+        subgoal, are decided by one AND of masks:
+
+        - A goal with a literal side: `s <= l` iff `lower(s) & bit(l)`, and
+          `l <= t` iff `upper(t) & bit(l)`. That is the search's own
+          verdict, case by case: `s <= l` holds by Hyp when `s` is `l`, by
+          bottom, never for top, an application or another literal (no
+          rule applies), for a join when every child is `<= l` (left join)
+          and for a meet when some child is (Whitman: `l` is no join).
+          Dually for `l <= t`.
+        - A goal whose sides share no head, where `s` has no top-level
+          bottom and `t` no top-level top: it fails, by the lemma in the
+          module docstring.
+
+        Such a goal pushes no frame, and only a top-level one is memoized.
+        Any other goal holds when every pair of one of its `_alternatives`
+        holds, found by a depth-first AND/OR search on an explicit stack;
+        each subgoal is strictly smaller than its goal, so the search
+        terminates and every verdict it reaches is final and memoized.
+        `tally`, when given, gains this call's work: goals decided,
+        alternatives generated (one for a mask-decided goal), subgoal
+        lookups and goals proved."""
         memo = self.leq_memo
         verdict = memo.get((s, t))
         if verdict is not None:
@@ -129,6 +154,9 @@ class _Context:
         if ms[0] or mt[0]:
             verdict = memo[s, t] = bool(ms[1] & mt[0] if mt[0] else mt[2] & ms[0])
             work = (1, 1, 0, verdict)
+        elif not (ms[3] & (mt[3] | _BOT_HEAD) or mt[3] & _TOP_HEAD):
+            verdict = memo[s, t] = False
+            work = (1, 1, 0, 0)
         else:
             work = self._search(s, t)
             verdict = memo[s, t]
@@ -159,6 +187,9 @@ class _Context:
                     if ms[0] or mt[0]:
                         got = ms[1] & mt[0] if mt[0] else mt[2] & ms[0]
                         goals, generated, proved = goals + 1, generated + 1, proved + (got != 0)
+                    elif not (ms[3] & (mt[3] | _BOT_HEAD) or mt[3] & _TOP_HEAD):
+                        got = 0
+                        goals, generated = goals + 1, generated + 1
                     else:
                         got = memo.get((cs, ct))
                         if got is None:
@@ -179,26 +210,46 @@ class _Context:
                 stack.pop()
         return goals, generated, lookups, proved
 
-    def _mask(self, s: TermId, node, kids: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-        """`s`'s literal masks: its own bit if it is a literal, else 0; the
-        literals `l` with `s <= l` (lower); those with `l <= s` (upper)."""
+    def _mask(self, s: TermId, node, kids: list[tuple]) -> tuple[int, int, int, int]:
+        """`s`'s masks: its own bit if it is a literal, else 0; the literals
+        `l` with `s <= l` (lower); those with `l <= s` (upper); and its
+        heads, the literals, symbols (by name) and bounds it reaches through
+        meets and joins (bottom is `_BOT_HEAD`, top `_TOP_HEAD`)."""
         kind = node.kind
         if kind == VAR or kind == NEGVAR:
-            with self._bits_lock:
-                bit = self._bits.setdefault(s, 1 << len(self._bits))
-            return bit, bit, bit
+            with self._bits_lock:  # a literal's bit is its head bit too
+                bit = self._bits.get(s)
+                if bit is None:
+                    bit = self._bits[s] = self._next_bit
+                    self._next_bit <<= 1
+            return bit, bit, bit, bit
         if kind == NOT:
             raise NegationPresent("negation reached the bounded-lattice order test")
         if kind == BOT:
-            return 0, -1, 0
+            return 0, -1, 0, _BOT_HEAD
         if kind == TOP:
-            return 0, 0, -1
+            return 0, 0, -1, _TOP_HEAD
         if kind == APP:
-            return 0, 0, 0
-        meet = kind == MEET
-        lower = functools.reduce(operator.or_ if meet else operator.and_, (k[1] for k in kids))
-        upper = functools.reduce(operator.and_ if meet else operator.or_, (k[2] for k in kids))
-        return 0, lower, upper
+            with self._bits_lock:
+                head = self._heads.get(node.name)
+                if head is None:
+                    head = self._heads[node.name] = self._next_bit
+                    self._next_bit <<= 1
+            return 0, 0, 0, head
+        # one pass over the children: a meet ORs lower and ANDs upper, a join
+        # the reverse, and both OR the heads
+        _, lower, upper, heads = kids[0]
+        if kind == MEET:
+            for _, lo, up, hd in kids:
+                lower |= lo
+                upper &= up
+                heads |= hd
+        else:
+            for _, lo, up, hd in kids:
+                lower &= lo
+                upper |= up
+                heads |= hd
+        return 0, lower, upper, heads
 
     def flat_sorted(self, kind: str, kids: list[TermId]) -> list[TermId]:
         """`kids` with the children of any `kind` node spliced in, in
@@ -220,6 +271,9 @@ class _Context:
         flat = self.flat_sorted(kind, kids)
         return self.u.meet(flat) if kind == MEET else self.u.join(flat)
 
+
+# head bits of the bounds; literals and symbols take the bits from _FIRST_HEAD up
+_BOT_HEAD, _TOP_HEAD, _FIRST_HEAD = 1, 2, 4
 
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
 
@@ -311,72 +365,152 @@ def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = 
 
 
 # ----------------------------------------------------------------------
-# delta: pseudo-negation-normal form
+# the polarity walk, and delta: pseudo-negation-normal form
 
 
-def delta(universe: TermUniverse, t: TermId) -> TermId:
+_DUAL_KIND = {MEET: JOIN, JOIN: MEET}
+
+
+def _walk(ctx: _Context, t: TermId, rule, pol: int = 0, negation: bool = True) -> TermId:
+    """The image of `t` at polarity `pol` (0 for `t`, 1 for its complement
+    `~t`) with negation pushed down as delta does, and `rule(ctx, kids,
+    kind)` building each meet or join over its operands' images; with
+    `_delta_node` the walk is delta itself.
+
+    Each (subterm, polarity) pair is imaged once, memoized per rule under
+    the key `2 * subterm + pol`, on an explicit stack. A `NOT` flips the
+    polarity. A variable or bound at polarity 1 is its complement. An
+    application at polarity 1 is its dual symbol over its arguments at
+    polarity 0. A meet or join at polarity 1 is the dual kind over its
+    children at polarity 1. A meet or join gathers its operands through
+    `NOT`s: an operand of its own kind, once its polarity is applied, is
+    spliced in (`_operands`), so the rule sees the flat node that
+    `TermUniverse.meet` would build from delta's image. Only pairs the
+    image needs are visited: a complement is built only where one is
+    asked for. With `negation` false, as for beta, zeta and eta, which take
+    pseudo-negation-normal terms, a `NOT` raises `NegationPresent`."""
+    u = ctx.u
+    nodes = u._nodes
+    memo = ctx.rewrites[rule]
+    t, pol = _strip(nodes, t, pol, negation)
+    root = 2 * t + pol
+    got = memo.get(root)
+    if got is not None:
+        return got
+    if not nodes[t].children:
+        got = memo[root] = _complement(u, nodes[t]) if pol else t
+        return got
+    stack: list[list] = [[root, None]]  # key, then the keys of its operands
+    while stack:
+        frame = stack[-1]
+        key, ops = frame
+        s, p = key >> 1, key & 1
+        n = nodes[s]
+        if ops is None:
+            if key in memo:
+                stack.pop()
+                continue
+            ops = frame[1] = _operands(nodes, n, p, negation)
+            # a leaf at polarity 0 is itself; any other operand is looked up,
+            # and a missing one is imaged here if a leaf, else pushed
+            kids = [memo.get(k) if k & 1 or nodes[k >> 1].children else k >> 1 for k in ops]
+            if None in kids:
+                todo = []
+                for i, k in enumerate(ops):
+                    if kids[i] is None:
+                        m = nodes[k >> 1]
+                        if m.children:
+                            todo.append([k, None])
+                        else:
+                            kids[i] = memo[k] = _complement(u, m)
+                if todo:
+                    todo.reverse()
+                    stack.extend(todo)
+                    continue
+        else:
+            kids = [memo.get(k, k >> 1) for k in ops]
+        stack.pop()
+        kind = n.kind
+        if kind == APP:
+            memo[key] = u.app(u.dual(n.symbol), kids) if p else u.rebuild(s, kids)
+        else:
+            memo[key] = rule(ctx, kids, _DUAL_KIND[kind] if p else kind)
+    return memo[root]
+
+
+def _complement(u: TermUniverse, n) -> TermId:
+    """The complement of a childless node: a variable, negated variable,
+    bound, or application of a nullary symbol (its dual, applied)."""
+    kind = n.kind
+    if kind == VAR:
+        return u.negvar(n.name)
+    if kind == NEGVAR:
+        return u.var(n.name)
+    if kind == APP:
+        return u.app(u.dual(n.symbol), ())
+    return u.bot() if kind == TOP else u.top()
+
+
+def _delta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
+    """Delta's rule: the meet or join over its operands' images, as it
+    stands; interning hands back the node itself when they are unchanged."""
+    return ctx.u.meet(kids) if kind == MEET else ctx.u.join(kids)
+
+
+def _strip(nodes, t: TermId, pol: int, negation: bool) -> tuple[TermId, int]:
+    """`t` at `pol` with its `NOT`s stripped, each flipping the polarity;
+    with `negation` false a `NOT` raises `NegationPresent`."""
+    while nodes[t].kind == NOT:
+        if not negation:
+            raise NegationPresent("beta, zeta and eta expect a pseudo-negation-normal term")
+        t, pol = nodes[t].children[0], pol ^ 1
+    return t, pol
+
+
+def _operands(nodes, n, p: int, negation: bool) -> list[int]:
+    """The walk's keys of the operands of node `n` at polarity `p`: an
+    application's arguments at polarity 0, a meet's or join's children at
+    `p`, each with its `NOT`s stripped (`_strip`), and any child whose kind
+    at its polarity is the node's own spliced in, in order. Only a `NOT`
+    child can splice: interned meets and joins are flat."""
+    kind = n.kind
+    q = 0 if kind == APP else p
+    if NOT not in [nodes[c].kind for c in n.children]:
+        return [2 * c + q for c in n.children]
+    ops: list[int] = []
+    todo = [2 * c + q for c in reversed(n.children)]
+    while todo:
+        key = todo.pop()
+        c, r = _strip(nodes, key >> 1, key & 1, negation)
+        m = nodes[c]
+        if kind != APP and m.kind in _DUAL_KIND and (m.kind == kind) == (r == p):
+            todo.extend(2 * g + r for g in reversed(m.children))
+        else:
+            ops.append(2 * c + r)
+    return ops
+
+
+def delta(universe: TermUniverse, t: TermId, complement: int = 0) -> TermId:
     """Push negation down to variables and constructor heads.
 
     Double negations vanish, De Morgan distributes through meets and joins,
     a negated constructor becomes its dual applied to the same (rewritten,
     un-negated) arguments, negated bounds swap. Idempotent, and equivalent
-    to the input as an ortholattice term. Delta is the identity on a
-    Not-free term, which is returned as is, without building complements.
-    """
-    return _delta(_context(universe), t)[0] if universe.contains_not(t) else t
+    to the input as an ortholattice term; a Not-free term is its own image.
+    With `complement` 1 the result is the image of `~t`, built without
+    interning `~t`. One polarity walk (`_walk`), which builds no complement
+    the image does not hold."""
+    return _walk(_context(universe), t, _delta_node, complement)
 
 
 def delta_pair(universe: TermUniverse, t: TermId) -> tuple[TermId, TermId]:
     """Delta's images of `t` and of its complement `~t`, memoized per
     universe like `delta`."""
-    return _delta(_context(universe), t)
-
-
-def _delta(ctx: _Context, t: TermId) -> tuple[TermId, TermId]:
-    """The pseudo-negation-normal forms of `t` and of its complement."""
-    u = ctx.u
-
-    def image(s: TermId, node, kids: list[tuple[TermId, TermId]]) -> tuple[TermId, TermId]:
-        kind = node.kind
-        if kind == NOT:
-            return kids[0][1], kids[0][0]
-        if kind == VAR:
-            return s, u.negvar(node.name)
-        if kind == NEGVAR:
-            return s, u.var(node.name)
-        if kind == TOP:
-            return s, u.bot()
-        if kind == BOT:
-            return s, u.top()
-        pos = [p for p, _ in kids]
-        if kind == APP:
-            neg = u.app(u.dual(node.symbol), pos)
-        elif kind == MEET:
-            neg = u.join([n for _, n in kids])
-        else:
-            neg = u.meet([n for _, n in kids])
-        return u.rebuild(s, pos), neg
-
-    return u.fold(t, ctx.delta, image)
+    return delta(universe, t), delta(universe, t, 1)
 
 
 # ----------------------------------------------------------------------
 # beta, zeta, eta: bottom-up rewrites of meets and joins
-
-
-def _rewrite(ctx: _Context, t: TermId, combine) -> TermId:
-    """Rebuild `t` bottom-up, replacing each meet or join by
-    `combine(ctx, rewritten_children, kind)`; memoized per rule."""
-    u = ctx.u
-
-    def image(s: TermId, node, kids: list[TermId]) -> TermId:
-        if node.kind == MEET or node.kind == JOIN:
-            return combine(ctx, kids, node.kind)
-        if node.kind == NOT:
-            raise NegationPresent("beta, zeta and eta expect a pseudo-negation-normal term")
-        return u.rebuild(s, kids)
-
-    return u.fold(t, ctx.rewrites[combine], image)
 
 
 def beta(universe: TermUniverse, t: TermId) -> TermId:
@@ -411,7 +545,7 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
     meets. Without either anywhere in the term, by induction bottom-up
     nothing collapses, and beta's image is a re-sorted copy, lattice-equal
     to the input and of the same size."""
-    return _rewrite(_context(universe), t, _beta_node)
+    return _walk(_context(universe), t, _beta_node, negation=False)
 
 
 def can_collapse(universe: TermUniverse, t: TermId) -> bool:
@@ -447,8 +581,9 @@ def beta_open(universe: TermUniverse, t: TermId) -> TermId:
     ctx = _context(universe)
     node = ctx.u.node(t)
     if node.kind != MEET and node.kind != JOIN:
-        return _rewrite(ctx, t, _beta_node)
-    return ctx.sorted_node(node.kind, [_rewrite(ctx, c, _beta_node) for c in node.children])
+        return _walk(ctx, t, _beta_node, negation=False)
+    kids = [_walk(ctx, c, _beta_node, negation=False) for c in node.children]
+    return ctx.sorted_node(node.kind, kids)
 
 
 def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
@@ -464,7 +599,7 @@ def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
     # wide node of literals linear instead of scanning all siblings per child.
     present = set(node.children)
     for c in node.children:
-        complement = _delta(ctx, c)[1]
+        complement = _walk(ctx, c, _delta_node, 1)
         ckind = u.node(c).kind
         if ckind == VAR or ckind == NEGVAR:
             hit = complement in present
@@ -481,7 +616,7 @@ def zeta(universe: TermUniverse, t: TermId) -> TermId:
     inside meets. Iterated to a fixpoint, since a replacement can expose
     another; the first scan tests against the original join, later scans
     against the updated one."""
-    return _rewrite(_context(universe), t, _zeta_node)
+    return _walk(_context(universe), t, _zeta_node, negation=False)
 
 
 def _zeta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
@@ -526,7 +661,7 @@ def eta(universe: TermUniverse, t: TermId) -> TermId:
     normalization are identical, so this deduplicates); dually a meet keeps
     minimal children. Unary nodes collapse to their child and children end
     up in canonical structural order."""
-    return _rewrite(_context(universe), t, _eta_node)
+    return _walk(_context(universe), t, _eta_node, negation=False)
 
 
 def _eta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
@@ -589,12 +724,11 @@ def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
             "bounded-lattice normalization takes negation-free terms; "
             "use normalize_ol or pre-apply delta"
         )
-    return NormalTerm(_rewrite(_context(universe), t, _bl_node), BL)
+    return NormalTerm(_walk(_context(universe), t, _bl_node, negation=False), BL)
 
 
 def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Canonical minimal form over ortholattices with constructors: delta,
     then one bottom-up walk applying beta, zeta and eta in turn at each meet
     and join. Equal to `eta(zeta(beta(delta(t))))`."""
-    ctx = _context(universe)
-    return NormalTerm(_rewrite(ctx, _delta(ctx, t)[0], _normal_node), OL)
+    return NormalTerm(_walk(_context(universe), t, _normal_node), OL)

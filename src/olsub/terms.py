@@ -179,6 +179,12 @@ class TermUniverse:
         return self._intern(NOT, None, (child,), 1)
 
     def _nary(self, kind: str, unit_kind: str, children: Iterable[TermId]) -> TermId:
+        children = tuple(children)
+        # an interned node of this kind is flat, so `children` that are
+        # already one's children name it; read without flattening
+        tid = self._ids.get((kind, None, children))
+        if tid is not None:
+            return tid
         flat: list[TermId] = []
         for c in children:
             node = self._nodes[c]

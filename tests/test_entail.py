@@ -32,7 +32,7 @@ from olsub.entail import (
     _to_sequent,
     find_invalid_node,
 )
-from olsub.errors import NegationPresent, NotProvable, TermIdOverflow
+from olsub.errors import EngineInterrupted, NegationPresent, NotProvable, TermIdOverflow
 from olsub.normalize import beta, delta, leq
 
 from helpers import random_pnnf, random_term
@@ -862,6 +862,32 @@ def test_interrupted_search_leaves_the_engine_sound(monkeypatch, method):
                 pytest.fail("every retry was interrupted")
             assert got == oracle.saturates(u, s, t, axioms)
     assert interrupts > 2 * len(ks)
+
+
+def test_interrupted_propagation_retires_the_engine(u, monkeypatch):
+    # An interrupt inside `_run` after it pops a sequent loses the rest of
+    # that sequent's propagation, so the shared engine refuses every later
+    # query, one it had already answered too, with a typed error.
+    f = u.declare("F", "+")
+    fv, t, w = u.app(f, [u.var("v")]), u.var("t"), u.var("w")
+    engine = Engine(u, [(fv, t), (u.var("a"), u.var("b"))])
+    assert engine.query(u.meet([fv, w]), u.join([t, w]))
+    original = Engine._run
+
+    def interrupted(self):
+        self._queue.popleft()
+        monkeypatch.setattr(Engine, "_run", original)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Engine, "_run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        engine.query(fv, t)
+    assert Engine._run is original
+    for s, goal in ((fv, t), (u.meet([fv, w]), u.join([t, w])), (t, fv)):
+        with pytest.raises(EngineInterrupted):
+            engine.query(s, goal)
+    fresh = Engine(u, engine.axioms)
+    assert fresh.query(fv, t) and not fresh.query(t, fv)
 
 
 def test_bl_engine_refuses_a_negated_axiom(u):

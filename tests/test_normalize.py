@@ -8,6 +8,7 @@ import pytest
 
 from olsub import Engine, TermUniverse, check, oracle, parse_term, print_term
 from olsub.errors import NegationPresent
+from olsub.terms import APP, JOIN, MEET, NEGVAR, VAR
 from olsub.normalize import (
     _context,
     _structural_key,
@@ -42,6 +43,33 @@ def test_delta_dual_symbols(u):
 def test_delta_bounds(u):
     assert delta(u, u.neg(u.top())) == u.bot()
     assert delta(u, u.neg(u.bot())) == u.top()
+
+
+def test_nullary_symbols_are_complemented_by_their_duals(u):
+    c = u.declare("Int", "")
+    app, dual = u.app(c, []), u.app(u.dual(c), [])
+    x = u.var("x")
+    assert delta(u, parse_term("~Int()", u)) == dual
+    assert delta_pair(u, app) == (app, dual)
+    assert delta(u, u.join([u.neg(app), x])) == u.join([dual, x])
+    assert normalize_ol(u, parse_term("~Int()", u)).term == dual
+    assert normalize_ol(u, u.meet([app, x])).term == u.meet([x, app])  # sorted
+    assert beta(u, u.meet([app, x])) == u.meet([x, app])
+    assert normalize_ol(u, parse_term("Int() & ~Int()", u)).term == u.bot()
+    assert not check(u, u.meet([app, x]), u.bot()).provable
+    assert not check(u, u.top(), u.neg(app)).provable
+    assert check(u, u.meet([app, u.neg(app)]), u.bot()).provable
+
+
+def test_nullary_symbols_normalize_as_saturation_decides(u):
+    c = u.declare("Int", "")
+    f = u.declare("F", "+")
+    terms = list(oracle.enumerate_terms(u, ["x"], [c, f], 4, negation="not"))
+    assert len(terms) > 100
+    for t in terms:
+        n = normalize_ol(u, t).term
+        for a, b in ((t, n), (n, t), (t, u.bot()), (u.top(), t)):
+            assert check(u, a, b).provable == oracle.saturates(u, a, b), print_term(u, t)
 
 
 def test_delta_idempotent_and_equivalent(u):
@@ -337,6 +365,123 @@ def test_threads_sharing_a_universe_agree_on_literal_bits():
             assert len(set(ctx._bits.values())) == len(ctx._bits) == 2000
     finally:
         sys.setswitchinterval(switch)
+
+
+def _top_level_heads(u, t):
+    """The literals, symbol names and bounds `t` reaches through meets and
+    joins alone."""
+    out, todo = set(), [t]
+    while todo:
+        node = u.node(todo.pop())
+        if node.kind in (MEET, JOIN):
+            todo.extend(node.children)
+        else:
+            out.add(node.name if node.kind == APP else (node.kind, node.name))
+    return out
+
+
+def test_goals_sharing_no_head_are_refuted_without_search():
+    # Whitman's condition: s <= t needs an atom, symbol or bound the two
+    # sides share at top level, unless s reaches bottom or t reaches top.
+    # Such a goal is one AND of head masks: one goal and one alternative,
+    # no subgoal lookup.
+    fired = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        u = TermUniverse()
+        symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+        terms = list(dict.fromkeys(
+            random_pnnf(u, rng, rng.randint(10, 30), ["x", "y", "z"], symbols)
+            for _ in range(90)))
+        assert any(u.node(t).kind == APP and u.node(t).symbol.dual_of for t in terms)
+        ctx, engine = _context(u), Engine(u, mode="bl")
+        for s in terms:
+            for t in terms:
+                tally = [0, 0, 0, 0]
+                got = ctx.leq(s, t, tally)
+                assert got == engine.query(s, t), (print_term(u, s), print_term(u, t))
+                hs, ht = _top_level_heads(u, s), _top_level_heads(u, t)
+                literal = {u.node(s).kind, u.node(t).kind} & {VAR, NEGVAR}
+                if not (literal or hs & ht or ("bot", None) in hs or ("top", None) in ht):
+                    assert not got
+                    assert tally == [1, 1, 0, 0], (print_term(u, s), print_term(u, t))
+                    fired += 1
+    assert fired > 4000
+
+
+def test_threads_sharing_a_universe_agree_on_head_bits():
+    # Each query folds fresh symbols and literals, so threads hand out head
+    # bits at once; no two symbols or literals may share one.
+    def queries(u):
+        fs = [u.declare(f"F{i}", "+") for i in range(600)]
+        x, y = u.var("x"), u.var("y")
+        return [(u.meet([u.app(fs[i], [x]), u.app(fs[i + 1], [y])]),
+                 u.join([u.app(fs[(7 * i) % 600], [x]), u.app(fs[(11 * i + 5) % 600], [y])]))
+                for i in range(599)]
+
+    reference = TermUniverse()
+    want = [_context(reference).leq(s, t) for s, t in queries(reference)]
+    assert 0 < sum(want) < len(want)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            u = TermUniverse()
+            pairs, ctx = queries(u), _context(u)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda st: ctx.leq(*st), pairs, timeout=60))
+            assert got == want
+            bits = list(ctx._bits.values()) + list(ctx._heads.values())
+            assert len(ctx._heads) == 600 and len(ctx._bits) == 2
+            assert len(set(bits)) == len(bits)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_delta_interns_only_its_image(u):
+    # The complement of a Not-free subterm is built only where the image
+    # holds it: here, of `c` alone.
+    rng = random.Random(5)
+    symbols = [u.declare("F", "+"), u.declare("G", "-+")]
+    big = u.meet([random_term(u, rng, 200, ["x", "y", "z"], symbols, allow_not=False)
+                  for _ in range(3)])
+    c = u.join([u.var("x"), u.app(symbols[0], [u.var("y")])])
+    t = u.meet([big, u.neg(c)])
+    before = len(u)
+    image = delta(u, t)
+    assert set(range(before, len(u))) <= u.subterms(image)
+    assert image == u.meet(list(u.node(big).children) + [u.negvar("x"),
+                                                        u.app(u.dual(symbols[0]), [u.var("y")])])
+
+
+def test_walk_splices_operands_through_negations(u):
+    # A meet gathers a complemented join's children, and a doubly negated
+    # meet's, as the flat node of delta's image; so does the normal form.
+    x, y, z, w = (u.var(n) for n in "xyzw")
+    t = parse_term("x & ~(y | ~(z & ~~(w & y)))", u)
+    flat = u.meet([x, u.negvar("y"), z, w, y])
+    assert delta(u, t) == flat
+    assert delta_pair(u, u.neg(t)) == (u.join([u.negvar("x"), y, u.negvar("z"),
+                                              u.negvar("w"), u.negvar("y")]), flat)
+    assert normalize_ol(u, t).term == u.bot()
+
+
+def test_alternating_negations_and_applications_do_not_recurse(u):
+    f = u.declare("F", "+")
+    x = u.var("x")
+    t = x
+    for _ in range(5000):
+        t = u.neg(u.app(f, [t]))
+    image, complement = delta_pair(u, t)
+    assert delta(u, t) == image
+    assert normalize_ol(u, t).term == image
+    dual = u.dual(f)
+    for top, symbol in ((image, dual), (complement, f)):
+        node, depth = u.node(top), 0
+        while node.kind == APP:
+            assert node.symbol == (symbol if depth == 0 else dual)
+            node, depth = u.node(node.children[0]), depth + 1
+        assert (depth, node.kind) == (5000, VAR)
 
 
 def test_normalizer_caches_die_with_their_universe():
