@@ -82,8 +82,9 @@ such sequents outright, before any inversion.
     pushed {x, U^R} unless x had pushed it already, so x is in L_i. Then
     {V^L, y} was pushed, by the expansion if x was in L_i already and
     otherwise by the join, which visits every expanded, open sequent
-    holding x. So y is in R_i, and the cut fires. (Mode "bl" needs only
-    the cut whose x is the L-term; see `_expand`.)
+    holding x. So y is in R_i, and the cut fires. (A sequent under the
+    bounded-lattice rules needs only the cut whose x is its L-term; see
+    the corollary below.)
 
 A refuted query needs the whole backward-reachable closure, and gets it,
 together with whatever earlier queries on its engine left on the stack.
@@ -93,12 +94,49 @@ probes per compound axiom i: O(n^2 * (1 + m)) work overall for m compound
 axioms, of which only the clauses and the cuts that fire are stored. Each
 variable whose closure is asked for adds one walk over the atom axioms.
 
-Two rule sets are supported. Mode "ol" is the full ortholattice system:
-negation rules, Replace, constructor monotonicity, and AxiomCut. Mode "bl"
-is the bounded-lattice restriction: sequents keep exactly one term per side,
-there is no Replace and no negation rule, negated variables and dual
-symbols are opaque atoms, and a negation is refused up front. It is the
-reference that the normalizer's own order test is checked against.
+The rule set is chosen per sequent. The full ortholattice set has the
+negation rules, Replace, constructor monotonicity and AxiomCut. The
+bounded-lattice rules are its restriction to sequents of one term per
+side: no Replace, no negation rule, and AxiomCut only with the L-term as
+x, so every premise keeps one term per side as well. A sequent {a^L, b^R}
+takes the bounded-lattice rules when a and b are plain, holding no NOT,
+negated variable or dual symbol, and every axiom is plain too; any other
+sequent takes the full set. Mode "bl" gives every sequent the
+bounded-lattice rules, with negated variables and dual symbols as opaque
+atoms and a negation refused up front. It is the reference that the
+normalizer's own order test is checked against.
+
+    Lemma (conservativity). For plain s, t and plain axioms A, the
+    ortholattice calculus proves s <= t under A iff the bounded-lattice
+    calculus does. "If": every bounded-lattice rule is an ortholattice
+    rule. "Only if": if the bounded-lattice calculus does not prove
+    s <= t, its Lindenbaum algebra M is a bounded lattice, with a map f
+    per symbol that is monotone, antitone or arbitrary in each argument
+    by its variance, that models A and has s </= t. M embeds (e) as a
+    {0,1}-sublattice of the horizontal sum O = M + M^d, the two copies
+    glued at their bounds and elements of distinct copies incomparable.
+    O is an ortholattice: the complement of a in M is a in the dual copy,
+    and back. The map r: O -> M that is the identity on M and sends the
+    dual copy's other elements to 0 is monotone, so f_O = e.f.r keeps
+    each argument's variance and agrees with f on M. So O, valuing the
+    atoms as M does, models A and has s </= t, and by soundness the
+    ortholattice calculus does not prove s <= t under A.
+
+    Corollary. In one engine, a plain sequent {a^L, b^R} under plain axioms
+    pushes only plain sequents of one term per side: its pick, LeftOr,
+    RightAnd and F premises each hold a part of a and a part of b, one per
+    side, and its cut premises {a^L, U_i^R} and {V_i^L, b^R} hold axiom
+    sides. So at an empty stack it is derived iff the bounded-lattice
+    calculus proves it (the completeness lemma, read for those rules), which
+    by the lemma is iff the ortholattice calculus does. A full-rule sequent
+    keeps the completeness lemma as it stands, since a plain premise it
+    pushes is derived whenever it is derivable. A rule that fires on a plain
+    sequent from outside its rule set (Replace once a {G,G} is derived, a
+    cut joined through its R-term) is sound, and only derives it sooner; a
+    partner premise `_join` pushes for it through its R-term is work its
+    proof does not need. No same-side sequent is given the bounded-lattice
+    rules: "{a^L, b^L} iff a & b <= bot" is false for plain a, b, since
+    orthologic is not pseudocomplemented.
 
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
@@ -263,6 +301,15 @@ class ProofTree:
     aux: object = None
 
 
+def _plain_image(_tid: TermId, node, kids: list[bool]) -> bool:
+    """`TermUniverse.fold` image: whether a term holds no NOT, negated
+    variable or dual symbol."""
+    kind = node.kind
+    if kind == NOT or kind == NEGVAR or (kind == APP and node.symbol.dual_of is not None):
+        return False
+    return all(kids)
+
+
 def _unnegated(u: TermUniverse, node) -> TermId | None:
     """What LeftNot or RightNot leaves of a node: a negation's operand, a
     negated variable's variable, a dual-symbol application's original; None
@@ -290,7 +337,11 @@ class Engine:
     complete, and every sequent is expanded at most once per engine. The
     price: a refuted query also expands what earlier provable queries left.
 
-    The axiom set and mode are fixed per engine. Mode "bl" refuses a term
+    The axiom set and mode are fixed per engine; the rule set is chosen
+    per sequent (module docstring). When every axiom is plain, holding no
+    NOT, negated variable or dual symbol, a sequent of one plain term per
+    side takes the bounded-lattice rules and any other the full set. Mode
+    "bl" gives every sequent the bounded-lattice rules, and refuses a term
     holding a negation, as an axiom or in a goal, with `NegationPresent`
     before any of it is searched.
 
@@ -347,6 +398,11 @@ class Engine:
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
         self._cut_pushed: set[int] = set()  # terms x that pushed every {x, U_i^R}
+        # A sequent of a plain L-term and a plain R-term under plain axioms
+        # takes the bounded-lattice rules (`_expand`); plain means holding no
+        # NOT, negated variable or dual symbol, memoized per term.
+        self._plain: dict[int, bool] = {}
+        self._plain_axioms = all(self._is_plain(t) for pair in self.axioms for t in pair)
         # per-annotated-term record: (templates, unit rule, application node or
         # None, whether its one template is LeftOr or RightAnd)
         self._info: dict[int, tuple] = {}
@@ -369,6 +425,12 @@ class Engine:
         if self.mode == "bl" and any(self.u.contains_not(t) for t in tids):
             raise NegationPresent("negation reached the bounded-lattice rule set")
 
+    def _is_plain(self, tid: int) -> bool:
+        """Whether the term holds no NOT, negated variable or dual symbol. In
+        mode "bl", where the last two are opaque atoms and a NOT is refused,
+        every term is."""
+        return self.mode == "bl" or self.u.fold(tid, self._plain, _plain_image)
+
     # -- clause generation -------------------------------------------------
 
     def _record(self, ann: int) -> tuple:
@@ -390,7 +452,13 @@ class Engine:
             if inner is not None:
                 rule = LEFT_NOT if side == 0 else RIGHT_NOT
                 templates = ((rule, None, (_ann(inner, 1 - side),)),)
-        record = (templates, _UNIT.get(key), node if kind == APP else None, key in _INVERTIBLE)
+        record = (
+            templates,
+            _UNIT.get(key),
+            node if kind == APP else None,
+            key in _INVERTIBLE,
+            self._plain_axioms and self._is_plain(tid),
+        )
         self._info[ann] = record
         return record
 
@@ -442,7 +510,12 @@ class Engine:
                 holding[g] = [s]
             else:
                 hs.append(s)
-        if self.mode == "ol" and a != b:
+        # One plain L-term and one plain R-term under plain axioms: the
+        # bounded-lattice rules alone, so no Replace subgoal and only the
+        # L-term's cut premises (the conservativity lemma and its corollary
+        # in the module docstring). Every sequent takes them in mode "bl".
+        lattice = ra[4] and rb[4] and a < _SIDE_BIT <= b
+        if not lattice and a != b:
             # Replace: {G,G} concludes s for G in s. Its clause is added once
             # {G,G} is derived, here or in _run, never ahead of time.
             aa = (a << _ANN_BITS) | a
@@ -484,23 +557,18 @@ class Engine:
         if cuts:
             # Each term x pushes {x, U_i^R} once, for every sequent that will
             # hold it; s pushes its partner premise {V_i^L, y} only once x is
-            # in L_i, here or in _join when x enters L_i later.
-            #
-            # In mode "bl" only an L-term x pushes {x, U_i^R}, and then its
-            # partner's y is an R-term, so every sequent keeps one term per
-            # side. The same-side premises add nothing there: with no Hyp,
-            # F or negation rule for them, only a unit rule closes a
-            # same-side sequent, and by induction {a^R, b^R} is derivable
-            # only if every z <= a is or every z <= b is (dually for
-            # {a^L, b^L}). So a cut on {x^L, y^R} through {y^R, U^R} and
-            # {V^L, x^L} means x <= y directly, or x <= U and V <= y, which
-            # the one-term-per-side premises derive.
+            # in L_i, here or in _join when x enters L_i later. Under the
+            # bounded-lattice rules only the L-term is an x, so an R-term is
+            # marked only once a full-rule sequent makes it push.
             pushed = self._cut_pushed
             stack = self._to_visit
-            for x, y in ((a, b), (b, a)) if a != b else ((a, a),):
+            if lattice:
+                cut_terms = ((a, b),)
+            else:
+                cut_terms = ((a, b), (b, a)) if a != b else ((a, a),)
+            for x, y in cut_terms:
                 if x not in pushed:
-                    if self.mode == "ol" or x < _SIDE_BIT:
-                        stack += [_seq(x, u_r) for u_r, _, _, _ in cuts.values()]
+                    stack += [_seq(x, u_r) for u_r, _, _, _ in cuts.values()]
                     pushed.add(x)
                 for i in self._cut_left.get(x, ()):
                     stack.append(_seq(cuts[i][1], y))
@@ -647,7 +715,6 @@ class Engine:
         derived = self.derived
         holding = self._holding
         derive = self._derive
-        replace = self.mode == "ol"
         cut_at = self._cut_at
         join = self._join
         while queue:
@@ -663,7 +730,7 @@ class Engine:
                         queue.append(head)
             a = s >> _ANN_BITS
             b = s & _ANN_MASK
-            if a == b and replace:
+            if a == b:
                 # {G,G} derived: Replace closes every expanded sequent holding G.
                 for head in holding.get(a, ()):
                     if head not in derived:

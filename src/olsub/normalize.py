@@ -104,9 +104,11 @@ class _Context:
         self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
         # masks of each term the order test has seen: (bit, lower, upper, heads)
         self.masks: dict[TermId, tuple[int, int, int, int]] = {}
-        # one bit per literal and one per symbol name, the literal's also its
-        # head bit, handed out under the lock so threads agree on them
-        self._bits: dict[TermId, int] = {}
+        # two adjacent bits per variable name and per symbol name, handed out
+        # under the lock so threads agree on them: the low bit for the
+        # variable (the symbol), the high bit for its negation (its dual). A
+        # literal's bit is its head bit too.
+        self._bits: dict[str, int] = {}
         self._heads: dict[str, int] = {}
         self._next_bit = _FIRST_HEAD
         self._bits_lock = threading.Lock()
@@ -217,11 +219,13 @@ class _Context:
         meets and joins (bottom is `_BOT_HEAD`, top `_TOP_HEAD`)."""
         kind = node.kind
         if kind == VAR or kind == NEGVAR:
-            with self._bits_lock:  # a literal's bit is its head bit too
-                bit = self._bits.get(s)
+            with self._bits_lock:
+                bit = self._bits.get(node.name)
                 if bit is None:
-                    bit = self._bits[s] = self._next_bit
-                    self._next_bit <<= 1
+                    bit = self._bits[node.name] = self._next_bit
+                    self._next_bit <<= 2
+            if kind == NEGVAR:
+                bit <<= 1
             return bit, bit, bit, bit
         if kind == NOT:
             raise NegationPresent("negation reached the bounded-lattice order test")
@@ -230,12 +234,14 @@ class _Context:
         if kind == TOP:
             return 0, 0, -1, _TOP_HEAD
         if kind == APP:
+            base = node.symbol.dual_of
+            name = base or node.name
             with self._bits_lock:
-                head = self._heads.get(node.name)
+                head = self._heads.get(name)
                 if head is None:
-                    head = self._heads[node.name] = self._next_bit
-                    self._next_bit <<= 1
-            return 0, 0, 0, head
+                    head = self._heads[name] = self._next_bit
+                    self._next_bit <<= 2
+            return 0, 0, 0, head << 1 if base else head
         # one pass over the children: a meet ORs lower and ANDs upper, a join
         # the reverse, and both OR the heads
         _, lower, upper, heads = kids[0]
@@ -250,6 +256,12 @@ class _Context:
                 upper |= up
                 heads |= hd
         return 0, lower, upper, heads
+
+    def clash(self, heads: int) -> bool:
+        """Whether the head mask `heads` holds a bound, or an atom together
+        with its complement: both bits of a pair. The pairs' low bits are
+        the even bits below `_next_bit`."""
+        return bool(heads & _BOUND_HEADS or heads & (heads >> 1) & (self._next_bit - 1) // 3)
 
     def flat_sorted(self, kind: str, kids: list[TermId]) -> list[TermId]:
         """`kids` with the children of any `kind` node spliced in, in
@@ -272,8 +284,10 @@ class _Context:
         return self.u.meet(flat) if kind == MEET else self.u.join(flat)
 
 
-# head bits of the bounds; literals and symbols take the bits from _FIRST_HEAD up
+# head bits of the bounds; literals and symbols take adjacent pairs of bits from
+# _FIRST_HEAD up
 _BOT_HEAD, _TOP_HEAD, _FIRST_HEAD = 1, 2, 4
+_BOUND_HEADS = _BOT_HEAD | _TOP_HEAD
 
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
 
@@ -544,7 +558,10 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
     bound or a complementary pair among `J`'s top-level atoms. Dually for
     meets. Without either anywhere in the term, by induction bottom-up
     nothing collapses, and beta's image is a re-sorted copy, lattice-equal
-    to the input and of the same size."""
+    to the input and of the same size. Per node, the walk builds no child's
+    complement and makes no order test at a node whose top-level heads hold
+    neither (`_Context.clash`: an atom and its complement own adjacent head
+    bits, so that is one AND)."""
     return _walk(_context(universe), t, _beta_node, negation=False)
 
 
@@ -591,6 +608,10 @@ def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
     whole = ctx.sorted_node(kind, kids)
     node = u.node(whole)
     if node.kind != kind:
+        return whole
+    # By the lemma in `beta`, no child's complement reaches the node unless
+    # its heads hold a bound or a complementary pair.
+    if not ctx.clash(u.fold(whole, ctx.masks, ctx._mask)[3]):
         return whole
     # A literal child needs no order test. Its complement l is a literal,
     # and by Whitman's condition l is below the join only if l is a child,

@@ -307,7 +307,7 @@ def test_criterion_5_normalization_minimality(sweep, capsys):
 def test_criterion_6_idempotence_and_equivalence(sweep, capsys):
     failures = 0
     ubl = sweep.bl_universe
-    engine_bl = Engine(ubl)  # full rule set; terms are negation-free
+    engine_bl = Engine(ubl)  # negation-free terms: the bounded-lattice rules
     for t in sweep.bl_terms:
         n = normalize_bl(ubl, t).term
         if normalize_bl(ubl, n).term != n:

@@ -766,6 +766,20 @@ def test_refuted_query_pushes_cut_partners_on_demand(u):
     assert engine.stats().sequents < 18_000
 
 
+def test_plain_axiom_probe_keeps_one_term_per_side(u):
+    # The refuted S_64 <= T_64 & w (w fresh) under List(x_i) <= y_i holds no
+    # ~, so every sequent takes the bounded-lattice rules: no Replace
+    # subgoal and no same-side cut premise. The full rule set expanded
+    # 15,416 sequents.
+    lst = u.declare("List", "+")
+    s, t = sn_tn_terms(u, 64)
+    axioms = [(u.app(lst, [u.var(f"x{i}")]), u.var(f"y{i}")) for i in range(8)]
+    engine = Engine(u, axioms)
+    assert not engine.query(s, u.meet([t, u.var("w")]))
+    assert engine.stats().sequents < 12_000
+    assert all(_to_sequent(q).a.side != _to_sequent(q).b.side for q in engine._visited)
+
+
 def test_refuted_query_inherits_little_work_from_provable_ones(u):
     # 64 provable S_n <= T_n under List(A) <= B, then the refuted B <= A on
     # the same engine, which expands what they left on the stack. With both
@@ -945,3 +959,59 @@ def test_engine_stays_sound_after_a_failed_query(u):
     assert not engine.query(x, y)
     with pytest.raises(NegationPresent):
         engine.query(*bad)
+
+
+@pytest.mark.parametrize("negated_axioms", [False, True])
+def test_plain_sequents_under_plain_axioms_match_saturation(negated_axioms):
+    # Shared default-mode engines under atom axioms, compound axioms over
+    # F(+), G(-,+) and H(o), and complemented pairs (top <= a | b,
+    # a & b <= bot), answering plain queries, which take the bounded-lattice
+    # rules when every axiom is plain, interleaved with queries holding ~,
+    # which keep the full rule set on the same engine. In the second arm
+    # some axiom holds ~ (the pairs become ~a <= b and a <= ~b), so every
+    # sequent keeps the full rule set; a plain query then needs Replace or
+    # a same-side cut premise, as top <= a | b under ~a <= b does.
+    rng = random.Random(2020 + negated_axioms)
+    atoms = ["a", "b", "c", "x", "y"]
+    queries = proofs = 0
+    for _ in range(60):
+        u = TermUniverse()
+        symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+
+        def term(budget, allow_not=False):
+            return random_term(u, rng, budget, atoms, symbols, allow_not=allow_not)
+
+        axioms = [
+            (u.var(rng.choice(atoms)), u.var(rng.choice(atoms))) for _ in range(rng.randint(0, 3))
+        ]
+        for _ in range(rng.randint(1, 3)):
+            decl = rng.choice(symbols)
+            bound = u.app(decl, [term(2) for _ in range(decl.arity)])
+            other = term(rng.randint(1, 4))
+            axioms.append((bound, other) if rng.random() < 0.5 else (other, bound))
+        p, q = (u.var(n) for n in rng.sample(atoms, 2))
+        complemented = [u.join([p, q]), u.meet([p, q])]
+        if negated_axioms:
+            axioms += [(u.neg(p), q), (p, u.neg(q))]
+        elif rng.random() < 0.7:
+            axioms += [(u.top(), complemented[0]), (complemented[1], u.bot())]
+        rng.shuffle(axioms)
+        plain_roots = [term(6) for _ in range(2)] + complemented + [u.top(), u.bot()]
+        negated_roots = [term(6, allow_not=True) for _ in range(2)]
+        plain_pool = sorted(set().union(*(u.subterms(r) for r in plain_roots)))
+        pool = sorted(set().union(*(u.subterms(r) for r in plain_roots + negated_roots)))
+        provable = oracle.saturate(u, plain_roots + negated_roots, axioms)
+        engine = Engine(u, axioms)
+        for i in range(40):
+            if i % 2 == 0:
+                s, t = rng.choice(plain_pool), rng.choice(plain_pool)
+            else:
+                s, t = rng.choice(pool), rng.choice(pool)
+            want = ((s, "L"), (t, "R")) in provable
+            assert engine.query(s, t) == want, (print_term(u, s), print_term(u, t))
+            queries += 1
+            if want:
+                assert verify_proof(u, reconstruct_proof(engine, s, t), axioms)
+                proofs += 1
+    assert queries == 60 * 40
+    assert proofs > 300

@@ -555,13 +555,33 @@ def test_beta_of_a_wide_meet_of_literals_is_linear(u):
 
 
 def test_beta_of_a_meet_of_joins_is_linear(u):
-    # S_1024: the meet of 512 joins a_i | b_i. Each child's complement
-    # ~a_i & ~b_i is tested against the whole meet, and its first literal
-    # goal fails on the masks, so each child leaves one memo entry.
+    # S_1024: the meet of 512 joins a_i | b_i. It holds no complementary
+    # pair, so no child's complement is tested against the whole meet; a
+    # test would fail on its first literal goal, one memo entry per child.
     whole = u.meet([u.join([u.var(f"a{i}"), u.var(f"b{i}")]) for i in range(512)])
     before = len(_context(u).leq_memo)
     assert beta(u, whole) == _context(u).sorted_node("meet", list(u.node(whole).children))
     assert len(_context(u).leq_memo) - before <= 1024
+
+
+def test_beta_tests_only_nodes_whose_heads_can_clash(u):
+    # The lemma in `beta`: a child's complement reaches its meet or join
+    # only if the node's heads hold a bound or a complementary pair. Without
+    # one, beta builds no complement and makes no order test at the node.
+    f = u.declare("F", "+")
+    joins = [u.join([u.var(f"a{i}"), u.app(f, [u.var(f"b{i}")])]) for i in range(64)]
+    ctx = _context(u)
+    assert beta(u, u.meet(joins)) == ctx.sorted_node(MEET, joins)
+    assert not ctx.leq_memo
+    for i in range(len(u)):
+        node = u.node(i)
+        assert node.kind != NEGVAR and (node.kind != APP or node.symbol.dual_of is None)
+    # a complementary pair of heads: every child is tested, as before
+    not_a0, not_fb0 = u.negvar("a0"), u.app(u.dual(f), [u.var("b0")])
+    assert beta(u, u.meet(joins + [not_a0])) == ctx.sorted_node(MEET, joins + [not_a0])
+    assert ctx.leq_memo
+    assert beta(u, u.meet(joins + [not_a0, not_fb0])) == u.bot()
+    assert beta(u, u.join([u.app(f, [u.var("b0")]), not_fb0])) == u.top()
 
 
 @pytest.mark.parametrize("kind", ["join", "meet"])
