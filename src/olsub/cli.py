@@ -12,6 +12,12 @@ error included).
 `check` and `explain` hand a query to `entail.check`, which picks the
 procedure, and print the proof `Verdict.proof()` reads off it. `bench`
 runs the Horn engine itself, since it reports the engine's clause growth.
+
+`main` builds only the parser of the subcommand its first argument names
+(`build_parser(command)`), and all five when that argument names none:
+no arguments, `-h`, `--`, an option or a typo. Usage, help and error text
+are those of the full parser either way. Nothing is cached: every call
+builds its parser, so a one-shot process saves as much as a loop of calls.
 """
 from __future__ import annotations
 
@@ -29,40 +35,59 @@ from .syntax import AxiomSet, parse_query, parse_source, parse_term, print_term
 from .terms import TermUniverse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _query_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("query", help='query of the form "S <= T"')
+    p.add_argument("--axioms", help="source file with declarations and axioms")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--show-internals", action="store_true", dest="show_internals",
+                   help="display fresh symbols introduced by type definitions")
+
+
+def _check_args(p: argparse.ArgumentParser) -> None:
+    _query_args(p)
+    p.add_argument("--proof", action="store_true", help="print a checked proof")
+
+
+def _normalize_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("term", help="term to normalize")
+    p.add_argument("--mode", choices=["ol", "bl"], default="ol")
+    p.add_argument("--sig", help="source file with symbol declarations only")
+    p.add_argument("--axioms", help=argparse.SUPPRESS)  # rejected: axiom-free op
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=["sn-tn"])
+    p.add_argument("n", type=int)
+
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=["sn-tn"])
+    p.add_argument("sizes", help="comma list and/or A..B ranges, e.g. 8,16 or 8..32")
+    p.add_argument("--csv", help="write the CSV report to a file")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `olsub` parser with the subcommand `command` alone, or with all
+    five when `command` names none of them. With one subcommand the top-level
+    usage still lists all five, as the full parser prints it."""
     parser = argparse.ArgumentParser(
         prog="olsub",
         description="Subtyping and normalization over ortholattices with "
         "variance-annotated type constructors.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="decide a subtyping query")
-    p_explain = sub.add_parser("explain", help="decide a query and print its proof")
-    for p in (p_check, p_explain):
-        p.add_argument("query", help='query of the form "S <= T"')
-        p.add_argument("--axioms", help="source file with declarations and axioms")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--show-internals", action="store_true", dest="show_internals",
-                       help="display fresh symbols introduced by type definitions")
-    p_check.add_argument("--proof", action="store_true", help="print a checked proof")
-
-    p_norm = sub.add_parser("normalize", help="print the canonical minimal form")
-    p_norm.add_argument("term", help="term to normalize")
-    p_norm.add_argument("--mode", choices=["ol", "bl"], default="ol")
-    p_norm.add_argument("--sig", help="source file with symbol declarations only")
-    p_norm.add_argument("--axioms", help=argparse.SUPPRESS)  # rejected: axiom-free op
-    p_norm.add_argument("--format", choices=["text", "json"], default="text")
-
-    p_gen = sub.add_parser("gen", help="emit a benchmark query")
-    p_gen.add_argument("family", choices=["sn-tn"])
-    p_gen.add_argument("n", type=int)
-
-    p_bench = sub.add_parser("bench", help="time benchmark queries, report CSV")
-    p_bench.add_argument("family", choices=["sn-tn"])
-    p_bench.add_argument("sizes", help="comma list and/or A..B ranges, e.g. 8,16 or 8..32")
-    p_bench.add_argument("--csv", help="write the CSV report to a file")
-
+    if command in _COMMANDS:
+        names = [command]
+        # the usage line the full parser prints; never set on the full
+        # parser, where a metavar would also rename the argument in its
+        # "required" and "invalid choice" errors
+        extra = {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    else:
+        names, extra = list(_COMMANDS), {}
+    sub = parser.add_subparsers(dest="command", required=True, **extra)
+    for name in names:
+        help_text, add_args, _ = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -270,21 +295,22 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "check": cmd_check,
-    "explain": cmd_check,
-    "normalize": cmd_normalize,
-    "gen": cmd_gen,
-    "bench": cmd_bench,
+# name -> (help, arguments, handler), in the order `olsub -h` lists them
+_COMMANDS = {
+    "check": ("decide a subtyping query", _check_args, cmd_check),
+    "explain": ("decide a query and print its proof", _query_args, cmd_check),
+    "normalize": ("print the canonical minimal form", _normalize_args, cmd_normalize),
+    "gen": ("emit a benchmark query", _gen_args, cmd_gen),
+    "bench": ("time benchmark queries, report CSV", _bench_args, cmd_bench),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         try:
-            return _HANDLERS[args.command](args)
+            return _COMMANDS[args.command][2](args)
         except RecursionError as exc:
             raise InputTooDeep("input is nested too deeply") from exc
     except (OlsubError, OSError) as exc:

@@ -132,11 +132,11 @@ normalizer's own order test is checked against.
     keeps the completeness lemma as it stands, since a plain premise it
     pushes is derived whenever it is derivable. A rule that fires on a plain
     sequent from outside its rule set (Replace once a {G,G} is derived, a
-    cut joined through its R-term) is sound, and only derives it sooner; a
-    partner premise `_join` pushes for it through its R-term is work its
-    proof does not need. No same-side sequent is given the bounded-lattice
-    rules: "{a^L, b^L} iff a & b <= bot" is false for plain a, b, since
-    orthologic is not pseudocomplemented.
+    cut joined through its R-term) is sound, and only derives it sooner. A
+    partner premise {V_i^L, a^L} for a cut through its R-term is work its
+    proof does not need, so `_join` pushes none. No same-side sequent is
+    given the bounded-lattice rules: "{a^L, b^L} iff a & b <= bot" is false
+    for plain a, b, since orthologic is not pseudocomplemented.
 
 Provability is decided, not approximated: a negative verdict means the
 inequality fails in some ortholattice model of the axioms.
@@ -634,13 +634,20 @@ class Engine:
                 p, q = (x, y) if left else (y, x)
                 self._derive(h, (_seq(p, u_r), _seq(v_l, q)), AXIOM_CUT, i)
         self.steps += len(theirs)
-        if left:
-            # the partner premise {V_i^L, y} of every open sequent {x, y}
+        holders = self._holding.get(x) if left else None
+        if holders:
+            # the partner premise {V_i^L, y} of every open sequent {x, y},
+            # but for a plain sequent whose R-term is x: its proof cuts only
+            # through its L-term (the corollary in the module docstring)
             stack = self._to_visit
-            for h in self._holding.get(x, ()):
+            info = self._info
+            plain_r = x >= _SIDE_BIT and info[x][4]
+            for h in holders:
                 if h not in derived:
                     p, q = h >> _ANN_BITS, h & _ANN_MASK
-                    stack.append(_seq(v_l, q if p == x else p))
+                    y = q if p == x else p
+                    if not (plain_r and y < _SIDE_BIT and info[y][4]):
+                        stack.append(_seq(v_l, y))
 
     def _add_clause(self, head: int, body: tuple, rule: str, aux) -> None:
         clauses = self.clauses
@@ -1069,7 +1076,16 @@ def _order_proof(
 
 
 def verify_proof(universe: TermUniverse, proof: ProofTree, axioms=None) -> bool:
-    """Check a proof tree rule by rule against the cut-free schemas."""
+    """Check a proof tree rule by rule against the cut-free schemas.
+
+    Each premise is compared, as (term, side) pairs in canonical order, with
+    what its rule allows; no expected sequent is built. A LeftAnd or RightOr
+    pick holds if its one premise is the conclusion's other element,
+    unchanged, together with some child of the principal term on the
+    principal's side: the child is looked up among the principal's
+    children, never read from `aux`. LeftOr, RightAnd, F and AxiomCut
+    premises must match their schema one for one and in order, and a
+    negation rule's premise is the un-negated term on the other side."""
     return find_invalid_node(universe, proof, axioms) is None
 
 
@@ -1090,13 +1106,18 @@ def find_invalid_node(universe: TermUniverse, proof: ProofTree, axioms=None) -> 
     return None
 
 
+def _is_sequent(seq: Sequent, t1: TermId, side1: str, t2: TermId, side2: str) -> bool:
+    """Whether `seq` is `Sequent.of(t1, side1, t2, side2)`, built or not."""
+    if (side1, t1) > (side2, t2):
+        t1, side1, t2, side2 = t2, side2, t1, side1
+    a, b = seq.a, seq.b
+    return a.term == t1 and a.side == side1 and b.term == t2 and b.side == side2
+
+
 def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool:
     a, b = node.sequent.elements()
     kids = node.children
     rule = node.rule
-
-    def child_seqs() -> list[Sequent]:
-        return [c.sequent for c in kids]
 
     if rule == HYP:
         return not kids and a.term == b.term and {a.side, b.side} == {L, R}
@@ -1120,16 +1141,19 @@ def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool
             n = u.node(principal.term)
             if principal.side != side or n.kind != kind:
                 continue
+            ct, cs = context.term, context.side
             if branching:
-                expected = [
-                    Sequent.of(c, side, context.term, context.side) for c in n.children
-                ]
-                if child_seqs() == expected:
+                if len(kids) == len(n.children) and all(
+                    _is_sequent(k.sequent, c, side, ct, cs) for k, c in zip(kids, n.children)
+                ):
                     return True
-            else:
-                if len(kids) == 1 and any(
-                    kids[0].sequent == Sequent.of(c, side, context.term, context.side)
-                    for c in n.children
+            elif len(kids) == 1:
+                # a pick: some element of the premise is a child of the
+                # principal term, and the premise is that child and the context
+                seq = kids[0].sequent
+                if any(
+                    e.term in n.children and _is_sequent(seq, e.term, side, ct, cs)
+                    for e in seq.elements()
                 ):
                     return True
         return False
@@ -1148,8 +1172,8 @@ def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool
                 inner = u.app(u.symbols[n.symbol.dual_of], n.children)
             else:
                 continue
-            if len(kids) == 1 and kids[0].sequent == Sequent.of(
-                inner, flipped, context.term, context.side
+            if len(kids) == 1 and _is_sequent(
+                kids[0].sequent, inner, flipped, context.term, context.side
             ):
                 return True
         return False
@@ -1161,26 +1185,28 @@ def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool
         nr = u.node(right.term)
         if nl.kind != APP or nr.kind != APP or nl.symbol.name != nr.symbol.name:
             return False
-        expected = []
+        expected = []  # (L term, R term) of each premise, in order
         for sl, tr, v in zip(nl.children, nr.children, nl.symbol.variances):
             if v is Variance.INVARIANT:
-                expected.append(Sequent.of(sl, L, tr, R))
-                expected.append(Sequent.of(tr, L, sl, R))
+                expected += [(sl, tr), (tr, sl)]
             elif v is Variance.COVARIANT:
-                expected.append(Sequent.of(sl, L, tr, R))
+                expected.append((sl, tr))
             else:
-                expected.append(Sequent.of(tr, L, sl, R))
-        return child_seqs() == expected
+                expected.append((tr, sl))
+        return len(kids) == len(expected) and all(
+            _is_sequent(k.sequent, x, L, y, R) for k, (x, y) in zip(kids, expected)
+        )
     if rule == AXIOM_CUT:
         if len(kids) != 2 or not isinstance(node.aux, tuple) or len(node.aux) != 2:
             return False
         v, w = node.aux
         if (v, w) not in axioms:
             return False
+        first, second = kids[0].sequent, kids[1].sequent
         for gamma, delta in ((a, b), (b, a)):
-            premise1 = Sequent.of(gamma.term, gamma.side, v, R)
-            premise2 = Sequent.of(w, L, delta.term, delta.side)
-            if child_seqs() == [premise1, premise2]:
+            if _is_sequent(first, gamma.term, gamma.side, v, R) and _is_sequent(
+                second, w, L, delta.term, delta.side
+            ):
                 return True
         return False
     return False

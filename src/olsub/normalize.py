@@ -510,10 +510,13 @@ def delta(universe: TermUniverse, t: TermId, complement: int = 0) -> TermId:
     Double negations vanish, De Morgan distributes through meets and joins,
     a negated constructor becomes its dual applied to the same (rewritten,
     un-negated) arguments, negated bounds swap. Idempotent, and equivalent
-    to the input as an ortholattice term; a Not-free term is its own image.
-    With `complement` 1 the result is the image of `~t`, built without
-    interning `~t`. One polarity walk (`_walk`), which builds no complement
-    the image does not hold."""
+    to the input as an ortholattice term. A Not-free term is its own image,
+    and is returned as is, without a walk (`TermUniverse.contains_not` is
+    recorded at interning). With `complement` 1 the result is the image of
+    `~t`, built without interning `~t`. One polarity walk (`_walk`), which
+    builds no complement the image does not hold."""
+    if not complement and not universe.contains_not(t):
+        return t
     return _walk(_context(universe), t, _delta_node, complement)
 
 

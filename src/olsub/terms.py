@@ -91,6 +91,7 @@ class TermUniverse:
         self._lock = threading.Lock()
         self._nodes: list[TermNode] = []
         self._sizes: list[int] = []
+        self._with_not: set[TermId] = set()  # the terms holding a NOT
         self._ids: dict[tuple, TermId] = {}
         self.symbols: dict[str, SymbolDecl] = {}
 
@@ -148,8 +149,9 @@ class TermUniverse:
         count, to which its children's sizes are added.
 
         A hit is read without the lock and builds nothing. A miss takes the
-        lock and looks again, then builds the node and appends it (and its
-        size) before publishing the id, so whoever reads an id finds its node."""
+        lock and looks again, then builds the node and records it (its size,
+        and whether it holds a NOT) before publishing the id, so whoever reads
+        an id finds its node."""
         key = (kind, name, children)
         tid = self._ids.get(key)
         if tid is not None:
@@ -160,6 +162,9 @@ class TermUniverse:
                 tid = len(self._nodes)
                 self._nodes.append(TermNode(kind, name, symbol, children))
                 self._sizes.append(size + sum(self._sizes[c] for c in children))
+                with_not = self._with_not
+                if kind == NOT or (with_not and not with_not.isdisjoint(children)):
+                    with_not.add(tid)
                 self._ids[key] = tid
             return tid
 
@@ -288,7 +293,8 @@ class TermUniverse:
         return self.app(node.symbol, kids)
 
     def contains_not(self, t: TermId) -> bool:
-        return any(self._nodes[s].kind == NOT for s in self.subterms(t))
+        """Whether `t` holds a NOT node; recorded when `t` was interned."""
+        return t in self._with_not
 
     def __len__(self) -> int:
         return len(self._nodes)

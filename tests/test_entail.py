@@ -451,6 +451,110 @@ def test_verify_rejects_foreign_axiom(u):
     assert not verify_proof(u, node, [(b, a)])
 
 
+def _tree(t1, s1, t2, s2, rule, kids=(), aux=None):
+    return ProofTree(Sequent.of(t1, s1, t2, s2), rule, list(kids), aux)
+
+
+def _hyp(t):
+    return _tree(t, "L", t, "R", HYP)
+
+
+def _schema_cases(u):
+    """(name, proof, path of its invalid node) for the verifier's rejections
+    of LeftAnd, RightOr, LeftOr, RightAnd, F and the negation rules."""
+    x, y, z = u.var("x"), u.var("y"), u.var("z")
+    m = u.meet([x, u.join([y, z])])  # x & (y | z): y is a grandchild, not a child
+    j = u.join([x, u.meet([y, z])])  # x | (y & z): likewise
+    xy, yx = u.join([x, y]), u.join([y, x])
+    mxy, myx = u.meet([x, y]), u.meet([y, x])
+    f = u.declare("F", "+")
+    h = u.declare("H", "o")
+    fm, fx = u.app(f, [mxy]), u.app(f, [x])
+    hx = u.app(h, [x])
+    nx = u.neg(x)
+
+    def left_or(kids):
+        return _tree(xy, "L", yx, "R", LEFT_OR, kids)
+
+    def right_and(kids):
+        return _tree(mxy, "L", myx, "R", RIGHT_AND, kids)
+
+    or_kids = [
+        _tree(x, "L", yx, "R", RIGHT_OR, [_hyp(x)]),
+        _tree(y, "L", yx, "R", RIGHT_OR, [_hyp(y)]),
+    ]
+    and_kids = [
+        _tree(mxy, "L", y, "R", LEFT_AND, [_hyp(y)]),
+        _tree(mxy, "L", x, "R", LEFT_AND, [_hyp(x)]),
+    ]
+    valid = [
+        ("left-and", _tree(m, "L", x, "R", LEFT_AND, [_hyp(x)])),
+        ("right-or", _tree(x, "L", j, "R", RIGHT_OR, [_hyp(x)])),
+        ("left-or", left_or(or_kids)),
+        ("right-and", right_and(and_kids)),
+        ("f-covariant", _tree(fm, "L", fx, "R", F_RULE,
+                              [_tree(mxy, "L", x, "R", LEFT_AND, [_hyp(x)])], "F")),
+        ("f-invariant", _tree(hx, "L", hx, "R", F_RULE, [_hyp(x), _hyp(x)], "H")),
+        ("left-not", _tree(nx, "L", nx, "R", LEFT_NOT,
+                           [_tree(x, "R", nx, "R", RIGHT_NOT, [_hyp(x)])])),
+    ]
+    invalid = [
+        # a LeftAnd or RightOr whose premise holds a non-child
+        ("left-and-grandchild", _tree(m, "L", y, "R", LEFT_AND, [_hyp(y)]), "root"),
+        ("left-and-stranger", _tree(m, "L", z, "R", LEFT_AND, [_hyp(z)]), "root"),
+        ("right-or-grandchild", _tree(y, "L", j, "R", RIGHT_OR, [_hyp(y)]), "root"),
+        ("right-or-itself", _tree(x, "L", j, "R", RIGHT_OR,
+                                  [_tree(x, "L", j, "R", RIGHT_OR, [_hyp(x)])]), "root"),
+        # a pick whose child is on the wrong side
+        ("left-and-child-right", _tree(m, "L", x, "R", LEFT_AND,
+                                       [_tree(x, "R", x, "R", REPLACE, [])]), "root"),
+        ("right-or-child-left", _tree(x, "L", j, "R", RIGHT_OR,
+                                      [_tree(x, "L", x, "L", REPLACE, [])]), "root"),
+        # a pick whose premise changed the context element
+        ("left-and-new-context", _tree(m, "L", z, "R", LEFT_AND, [_hyp(x)]), "root"),
+        ("right-or-context-side", _tree(x, "L", j, "R", RIGHT_OR,
+                                        [_tree(x, "R", x, "R", REPLACE, [])]), "root"),
+        # a LeftOr or RightAnd missing one premise, or with them reordered
+        ("left-or-missing", left_or(or_kids[:1]), "root"),
+        ("left-or-reordered", left_or(or_kids[::-1]), "root"),
+        ("right-and-missing", right_and(and_kids[1:]), "root"),
+        ("right-and-reordered", right_and(and_kids[::-1]), "root"),
+        ("right-and-extra", right_and(and_kids + and_kids[:1]), "root"),
+        # below a valid node, the bad one is named
+        ("nested-left-and", right_and([and_kids[0], _tree(mxy, "L", x, "R", LEFT_AND,
+                                                          [_hyp(y)])]), "root.1"),
+        # an F node with a premise of the wrong variance, or a missing one
+        ("f-covariant-flipped", _tree(fm, "L", fx, "R", F_RULE,
+                                      [_tree(x, "L", mxy, "R", RIGHT_AND, [])], "F"), "root"),
+        ("f-invariant-one-way", _tree(hx, "L", hx, "R", F_RULE, [_hyp(x)], "H"), "root"),
+        # a negation rule whose premise did not flip the side
+        ("left-not-unflipped", _tree(nx, "L", nx, "R", LEFT_NOT,
+                                     [_tree(x, "L", nx, "R", RIGHT_NOT, [])]), "root"),
+    ]
+    return valid, invalid
+
+
+def test_verify_accepts_each_rule_schema(u):
+    valid, _ = _schema_cases(u)
+    for name, proof in valid:
+        assert find_invalid_node(u, proof) is None, name
+
+
+def test_verify_names_the_node_that_breaks_its_schema(u):
+    _, invalid = _schema_cases(u)
+    for name, proof, path in invalid:
+        assert find_invalid_node(u, proof) == path, name
+        assert not verify_proof(u, proof), name
+
+
+def test_verify_rejects_a_cut_with_premises_swapped(u):
+    a, b = u.var("A"), u.var("B")
+    cut = _tree(a, "L", b, "R", AXIOM_CUT, [_hyp(a), _hyp(b)], (a, b))
+    assert find_invalid_node(u, cut, [(a, b)]) is None
+    swapped = _tree(a, "L", b, "R", AXIOM_CUT, [_hyp(b), _hyp(a)], (a, b))
+    assert find_invalid_node(u, swapped, [(a, b)]) == "root"
+
+
 def test_verify_rejects_unknown_rule(u):
     x = u.var("x")
     assert not verify_proof(u, ProofTree(Sequent.goal(x, x), "Magic", []))
@@ -764,6 +868,37 @@ def test_refuted_query_pushes_cut_partners_on_demand(u):
     engine = Engine(u, axioms)
     assert not engine.query(s, u.meet([t, u.var("w")]))
     assert engine.stats().sequents < 18_000
+
+
+def test_join_pushes_no_partner_for_a_plain_sequents_r_term(u, monkeypatch):
+    # The plain {a^L, b^R} from the first query is open when the second,
+    # full-rule query puts b^R in L_i of the plain axiom top <= F(a). A cut
+    # through b^R would need {F(a)^L, a^L}; the sequent's proof cuts only
+    # through a^L, so `_join` does not push that premise.
+    from olsub.entail import _ANN_BITS, _ANN_MASK, _SIDE_BIT, _seq
+
+    pushes = []
+    join = Engine._join
+
+    def counting(self, x, i, left):
+        holders = [h for h in self._holding.get(x, ()) if h not in self.derived]
+        n = len(self._to_visit)
+        join(self, x, i, left)
+        pushed = set(self._to_visit[n:])
+        v_l = self._cuts[i][1]
+        for h in holders:
+            p, q = h >> _ANN_BITS, h & _ANN_MASK
+            plain = p < _SIDE_BIT <= q and self._info[p][4] and self._info[q][4]
+            if left and plain and x == q and _seq(v_l, p) in pushed:
+                pushes.append(h)
+
+    monkeypatch.setattr(Engine, "_join", counting)
+    u.declare("F", "+")
+    engine = Engine(u, [(u.top(), parse_term("F(a)", u))])
+    assert not engine.query(*parse_query("a <= c | b", u))
+    assert not engine.query(*parse_query("F(~a) <= b", u))
+    assert pushes == []
+    assert engine.query(*parse_query("top <= F(a) | b", u))
 
 
 def test_plain_axiom_probe_keeps_one_term_per_side(u):

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from olsub import Engine, TermUniverse, check, oracle, parse_term, print_term
+from olsub import Engine, TermUniverse, check, normalize, oracle, parse_term, print_term
 from olsub.errors import NegationPresent
 from olsub.terms import APP, JOIN, MEET, NEGVAR, VAR
 from olsub.normalize import (
@@ -452,6 +452,32 @@ def test_delta_interns_only_its_image(u):
     assert set(range(before, len(u))) <= u.subterms(image)
     assert image == u.meet(list(u.node(big).children) + [u.negvar("x"),
                                                         u.app(u.dual(symbols[0]), [u.var("y")])])
+
+
+def test_delta_returns_a_not_free_term_without_a_walk(u, monkeypatch):
+    # A Not-free term is delta's image of itself: no node is interned or
+    # looked up, and the walk memoizes nothing.
+    t = u.meet([u.var(f"x{i}") for i in range(200)])
+    f = u.declare("F", "+")
+    s = u.join([t, u.negvar("y"), u.app(u.dual(f), [u.var("z")])])
+    delta(u, u.var("w"))  # the universe's context exists already
+    memos = normalize._context(u).rewrites
+    before = (len(u), sum(len(m) for m in memos.values()))
+    calls = []
+
+    def counting(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("_intern", "meet", "join", "app", "rebuild"):
+        monkeypatch.setattr(u, name, counting(name, getattr(u, name)))
+    assert delta(u, t) == t and delta(u, s) == s
+    assert calls == []
+    assert (len(u), sum(len(m) for m in memos.values())) == before
+    assert u.contains_not(u.meet([t, u.neg(u.var("x0"))]))
+    assert not u.contains_not(t)
 
 
 def test_walk_splices_operands_through_negations(u):
