@@ -307,12 +307,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
             return _COMMANDS[args.command][2](args)
         except RecursionError as exc:
             raise InputTooDeep("input is nested too deeply") from exc
+    except SystemExit as exc:  # argparse's exit on a usage error or -h
+        return exc.code
     except (OlsubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -301,25 +301,15 @@ class ProofTree:
     aux: object = None
 
 
-def _plain_image(_tid: TermId, node, kids: list[bool]) -> bool:
-    """`TermUniverse.fold` image: whether a term holds no NOT, negated
-    variable or dual symbol."""
-    kind = node.kind
-    if kind == NOT or kind == NEGVAR or (kind == APP and node.symbol.dual_of is not None):
-        return False
-    return all(kids)
-
-
-def _unnegated(u: TermUniverse, node) -> TermId | None:
-    """What LeftNot or RightNot leaves of a node: a negation's operand, a
-    negated variable's variable, a dual-symbol application's original; None
-    for any other node."""
+def _unnegated(u: TermUniverse, t: TermId) -> TermId | None:
+    """What LeftNot or RightNot leaves of `t`: a negation's operand, a
+    negated variable's variable, a dual-symbol application's original
+    (`TermUniverse.opposite`); None for any other term."""
+    node = u.node(t)
     if node.kind == NOT:
         return node.children[0]
-    if node.kind == NEGVAR:
-        return u.var(node.name)
-    if node.kind == APP and node.symbol.dual_of is not None:
-        return u.app(u.symbols[node.symbol.dual_of], node.children)
+    if node.kind == NEGVAR or (node.kind == APP and node.symbol.dual_of is not None):
+        return u.opposite(t)
     return None
 
 
@@ -400,8 +390,7 @@ class Engine:
         self._cut_pushed: set[int] = set()  # terms x that pushed every {x, U_i^R}
         # A sequent of a plain L-term and a plain R-term under plain axioms
         # takes the bounded-lattice rules (`_expand`); plain means holding no
-        # NOT, negated variable or dual symbol, memoized per term.
-        self._plain: dict[int, bool] = {}
+        # NOT, negated variable or dual symbol (`TermUniverse.plain`).
         self._plain_axioms = all(self._is_plain(t) for pair in self.axioms for t in pair)
         # per-annotated-term record: (templates, unit rule, application node or
         # None, whether its one template is LeftOr or RightAnd)
@@ -429,7 +418,7 @@ class Engine:
         """Whether the term holds no NOT, negated variable or dual symbol. In
         mode "bl", where the last two are opaque atoms and a NOT is refused,
         every term is."""
-        return self.mode == "bl" or self.u.fold(tid, self._plain, _plain_image)
+        return self.mode == "bl" or self.u.plain(tid)
 
     # -- clause generation -------------------------------------------------
 
@@ -448,7 +437,7 @@ class Engine:
                 (_PICK[key], i, (_ann(c, side),)) for i, c in enumerate(dict.fromkeys(kids))
             )
         elif kind in (NOT, NEGVAR, APP):
-            inner = _unnegated(self.u, node) if self.mode == "ol" else None
+            inner = _unnegated(self.u, tid) if self.mode == "ol" else None
             if inner is not None:
                 rule = LEFT_NOT if side == 0 else RIGHT_NOT
                 templates = ((rule, None, (_ann(inner, 1 - side),)),)
@@ -498,7 +487,8 @@ class Engine:
                     self._derive(s, (_seq(x, u_r), _seq(v_l, y)), AXIOM_CUT, i)
                     return
         # LeftOr and RightAnd are invertible: their one clause decides s.
-        for r, other in ((ra, b), (rb, a)):
+        sides = ((ra, b), (rb, a))
+        for r, other in sides:
             if r[3]:
                 rule, aux, comps = r[0][0]
                 self._add_clause(s, tuple(_seq(c, other) for c in comps), rule, aux)
@@ -526,24 +516,11 @@ class Engine:
                     self._add_clause(s, (gg,), REPLACE, None)
                     return
             self._to_visit += (aa, bb)
-        for rule, aux, comps in ra[0]:
-            self._add_clause(
-                s,
-                tuple((c << _ANN_BITS) | b if c <= b else (b << _ANN_BITS) | c for c in comps),
-                rule,
-                aux,
-            )
-        if a != b:
-            for rule, aux, comps in rb[0]:
-                self._add_clause(
-                    s,
-                    tuple(
-                        (c << _ANN_BITS) | a if c <= a else (a << _ANN_BITS) | c
-                        for c in comps
-                    ),
-                    rule,
-                    aux,
-                )
+        for r, other in sides if a != b else sides[:1]:
+            for rule, aux, comps in r[0]:
+                premises = tuple((c << _ANN_BITS) | other if c <= other
+                                 else (other << _ANN_BITS) | c for c in comps)
+                self._add_clause(s, premises, rule, aux)
         fa, fb = ra[2], rb[2]
         if fa is not None and fb is not None and fa.name == fb.name and a < _SIDE_BIT <= b:
             body: list[int] = []  # one L, one R: the F rule
@@ -824,8 +801,8 @@ def check(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> Verdict:
 
     On a "yes", `Verdict.proof()` reads the proof off the procedure that
     decided: `reconstruct_proof` on the engine built here, which the
-    verdict keeps alive, or the order test's reader handed this call's
-    delta images and deciding phase."""
+    verdict keeps alive, or the order test's reader handed the deciding
+    phase."""
     axioms = list(axioms or ())
     if axioms:
         engine = Engine(universe, axioms)
@@ -835,7 +812,7 @@ def check(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> Verdict:
     tally = [0, 0, 0, 0]  # in the order of Stats' fields
     ds, dt = normalize.delta(universe, s), normalize.delta(universe, t)
     phase = _order_phase(universe, ds, dt, tally)
-    reader = (lambda: _order_proof(universe, s, t, ds, dt, phase)) if phase else None
+    reader = (lambda: _order_proof(universe, s, t, phase)) if phase else None
     return Verdict(phase > 0, Stats(*tally), reader)
 
 
@@ -927,11 +904,9 @@ def _read_proof(goal, plan: Callable) -> ProofTree:
     return memo[goal]
 
 
-def _order_proof(
-    universe: TermUniverse, s: TermId, t: TermId, ds: TermId, dt: TermId, phase: int
-) -> ProofTree:
+def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> ProofTree:
     """The proof behind `Verdict.proof()` for an axiom-free query s <= t that
-    `check` proved in `phase` (1 or 2) from the delta images `ds <= dt`:
+    `check` proved in `phase` (1 or 2) from the delta images of its sides:
     read off the order test that decided it, with no Horn-clause search.
 
     The reader walks sequents over the original terms, each oriented: an
@@ -971,17 +946,13 @@ def _order_proof(
     u = universe
     node = u.node
     two = phase == 2
-    # `normalize.delta` returns a Not-free term as is and rebuilds any other:
-    # `plain` means both sides are Not-free, each uncomplemented element its
-    # own image
-    plain = ds == s and dt == t
     images: dict[tuple[TermId, int, bool], TermId] = {}
 
     def image(x: TermId, complement: int, opened: bool) -> TermId:
         key = (x, complement, opened)
         got = images.get(key)
         if got is None:
-            got = x if plain and not complement else normalize.delta(u, x, complement)
+            got = normalize.delta(u, x, complement)
             if two:
                 got = (normalize.beta_open if opened else normalize.beta)(u, got)
             images[key] = got
@@ -1018,7 +989,7 @@ def _order_proof(
                 return found
         else:
             for pos, (x, side, _) in enumerate(state):
-                inner = _unnegated(u, node(x))
+                inner = _unnegated(u, x)
                 if inner is not None:
                     rule = LEFT_NOT if side == 0 else RIGHT_NOT
                     return rule, None, [put(state, pos, (inner, 1 - side, False))]

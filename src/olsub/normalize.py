@@ -20,9 +20,9 @@ becomes its complement or dual, and a meet or join at polarity 1 becomes
 the dual kind over its children's complements. At each meet or join the
 rule applies beta, zeta and eta in turn to the node over its operands'
 normal forms. No image of the whole input under delta is built: a
-complement is interned only where the form needs one. `delta`, `delta_pair`
-and beta's complement of a child are the same walk with a rule that keeps
-the meet or join as it stands, and `normalize_bl` is the walk with zeta and
+complement is interned only where the form needs one. `delta` and beta's
+complement of a child are the same walk with a rule that keeps the meet or
+join as it stands, and `normalize_bl` is the walk with zeta and
 eta. The public passes `beta`, `zeta` and `eta` are each a walk of their own
 rule, and compose to the same form: `normalize_ol(t)` is
 `eta(zeta(beta(delta(t))))`. In the walk, beta sorts a node's children
@@ -102,8 +102,9 @@ class _Context:
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
         self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
-        # masks of each term the order test has seen: (bit, lower, upper, heads)
-        self.masks: dict[TermId, tuple[int, int, int, int]] = {}
+        # masks of each term the order test has seen: (bit, lower, upper,
+        # heads, atoms)
+        self.masks: dict[TermId, tuple[int, int, int, int, int]] = {}
         # two adjacent bits per variable name and per symbol name, handed out
         # under the lock so threads agree on them: the low bit for the
         # variable (the symbol), the high bit for its negation (its dual). A
@@ -212,11 +213,13 @@ class _Context:
                 stack.pop()
         return goals, generated, lookups, proved
 
-    def _mask(self, s: TermId, node, kids: list[tuple]) -> tuple[int, int, int, int]:
+    def _mask(self, s: TermId, node, kids: list[tuple]) -> tuple[int, int, int, int, int]:
         """`s`'s masks: its own bit if it is a literal, else 0; the literals
-        `l` with `s <= l` (lower); those with `l <= s` (upper); and its
-        heads, the literals, symbols (by name) and bounds it reaches through
-        meets and joins (bottom is `_BOT_HEAD`, top `_TOP_HEAD`)."""
+        `l` with `s <= l` (lower); those with `l <= s` (upper); its heads,
+        the literals, symbols (by name) and bounds it reaches through meets
+        and joins (bottom is `_BOT_HEAD`, top `_TOP_HEAD`); and its atoms,
+        the head bits of every literal, symbol and bound it holds anywhere,
+        under applications too."""
         kind = node.kind
         if kind == VAR or kind == NEGVAR:
             with self._bits_lock:
@@ -226,13 +229,13 @@ class _Context:
                     self._next_bit <<= 2
             if kind == NEGVAR:
                 bit <<= 1
-            return bit, bit, bit, bit
+            return bit, bit, bit, bit, bit
         if kind == NOT:
             raise NegationPresent("negation reached the bounded-lattice order test")
         if kind == BOT:
-            return 0, -1, 0, _BOT_HEAD
+            return 0, -1, 0, _BOT_HEAD, _BOT_HEAD
         if kind == TOP:
-            return 0, 0, -1, _TOP_HEAD
+            return 0, 0, -1, _TOP_HEAD, _TOP_HEAD
         if kind == APP:
             base = node.symbol.dual_of
             name = base or node.name
@@ -241,21 +244,28 @@ class _Context:
                 if head is None:
                     head = self._heads[name] = self._next_bit
                     self._next_bit <<= 2
-            return 0, 0, 0, head << 1 if base else head
+            if base:
+                head <<= 1
+            atoms = head
+            for k in kids:
+                atoms |= k[4]
+            return 0, 0, 0, head, atoms
         # one pass over the children: a meet ORs lower and ANDs upper, a join
-        # the reverse, and both OR the heads
-        _, lower, upper, heads = kids[0]
+        # the reverse, and both OR the heads and the atoms
+        _, lower, upper, heads, atoms = kids[0]
         if kind == MEET:
-            for _, lo, up, hd in kids:
+            for _, lo, up, hd, at in kids:
                 lower |= lo
                 upper &= up
                 heads |= hd
+                atoms |= at
         else:
-            for _, lo, up, hd in kids:
+            for _, lo, up, hd, at in kids:
                 lower &= lo
                 upper |= up
                 heads |= hd
-        return 0, lower, upper, heads
+                atoms |= at
+        return 0, lower, upper, heads, atoms
 
     def clash(self, heads: int) -> bool:
         """Whether the head mask `heads` holds a bound, or an atom together
@@ -412,7 +422,7 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0, negation: bool = True) -
     if got is not None:
         return got
     if not nodes[t].children:
-        got = memo[root] = _complement(u, nodes[t]) if pol else t
+        got = memo[root] = u.opposite(t) if pol else t
         return got
     stack: list[list] = [[root, None]]  # key, then the keys of its operands
     while stack:
@@ -432,11 +442,10 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0, negation: bool = True) -
                 todo = []
                 for i, k in enumerate(ops):
                     if kids[i] is None:
-                        m = nodes[k >> 1]
-                        if m.children:
+                        if nodes[k >> 1].children:
                             todo.append([k, None])
                         else:
-                            kids[i] = memo[k] = _complement(u, m)
+                            kids[i] = memo[k] = u.opposite(k >> 1)
                 if todo:
                     todo.reverse()
                     stack.extend(todo)
@@ -450,19 +459,6 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0, negation: bool = True) -
         else:
             memo[key] = rule(ctx, kids, _DUAL_KIND[kind] if p else kind)
     return memo[root]
-
-
-def _complement(u: TermUniverse, n) -> TermId:
-    """The complement of a childless node: a variable, negated variable,
-    bound, or application of a nullary symbol (its dual, applied)."""
-    kind = n.kind
-    if kind == VAR:
-        return u.negvar(n.name)
-    if kind == NEGVAR:
-        return u.var(n.name)
-    if kind == APP:
-        return u.app(u.dual(n.symbol), ())
-    return u.bot() if kind == TOP else u.top()
 
 
 def _delta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
@@ -520,12 +516,6 @@ def delta(universe: TermUniverse, t: TermId, complement: int = 0) -> TermId:
     return _walk(_context(universe), t, _delta_node, complement)
 
 
-def delta_pair(universe: TermUniverse, t: TermId) -> tuple[TermId, TermId]:
-    """Delta's images of `t` and of its complement `~t`, memoized per
-    universe like `delta`."""
-    return delta(universe, t), delta(universe, t, 1)
-
-
 # ----------------------------------------------------------------------
 # beta, zeta, eta: bottom-up rewrites of meets and joins
 
@@ -571,27 +561,10 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
 def can_collapse(universe: TermUniverse, t: TermId) -> bool:
     """False when beta cannot collapse any node of the pseudo-negation-normal
     `t`: it holds no bound and no atom together with its complement (see
-    `beta`). One walk over `t`'s distinct subterms; a `NOT` raises
-    `NegationPresent`, as in beta."""
-    node = universe.node
-    signs: dict[tuple[str, str], bool] = {}  # (VAR or APP, base name) -> positive
-    for s in universe.subterms(t):
-        n = node(s)
-        kind = n.kind
-        if kind == VAR or kind == NEGVAR:
-            key, positive = (VAR, n.name), kind == VAR
-        elif kind == APP:
-            base = n.symbol.dual_of
-            key, positive = (APP, base or n.name), base is None
-        elif kind == TOP or kind == BOT:
-            return True
-        elif kind == NOT:
-            raise NegationPresent("beta expects a pseudo-negation-normal term")
-        else:
-            continue
-        if signs.setdefault(key, positive) != positive:
-            return True
-    return False
+    `beta`). One `clash` of the atoms mask the order test folds for `t`
+    (`_Context._mask`), so a `NOT` raises `NegationPresent`, as in beta."""
+    ctx = _context(universe)
+    return ctx.clash(universe.fold(t, ctx.masks, ctx._mask)[4])
 
 
 def beta_open(universe: TermUniverse, t: TermId) -> TermId:

@@ -27,6 +27,7 @@ MEET = "meet"
 JOIN = "join"
 NOT = "not"
 APP = "app"
+_OPPOSITE = {VAR: NEGVAR, NEGVAR: VAR, TOP: BOT, BOT: TOP}  # a literal's kind -> its complement's
 
 
 class Variance(Enum):
@@ -83,8 +84,11 @@ class TermNode:
 class TermUniverse:
     """Interner and signature table.
 
-    Writes (interning, declarations) are serialized behind a lock; after a
-    build phase, ids and nodes may be read concurrently.
+    Interning records each term's size, whether it holds a NOT
+    (`contains_not`) and whether it holds any negation: a NOT, a negated
+    variable or an application of a dual symbol (`plain`). Writes
+    (interning, declarations) are serialized behind a lock; after a build
+    phase, ids and nodes may be read concurrently.
     """
 
     def __init__(self):
@@ -92,6 +96,7 @@ class TermUniverse:
         self._nodes: list[TermNode] = []
         self._sizes: list[int] = []
         self._with_not: set[TermId] = set()  # the terms holding a NOT
+        self._negated: set[TermId] = set()  # those holding any negation
         self._ids: dict[tuple, TermId] = {}
         self.symbols: dict[str, SymbolDecl] = {}
 
@@ -140,6 +145,16 @@ class TermUniverse:
             self.symbols[dual_name] = dual
             return dual
 
+    def opposite(self, t: TermId) -> TermId:
+        """The complement of a literal: a variable and its negated variable
+        map to each other, an application to its dual symbol over the same
+        arguments, top and bottom to each other. Any other node raises
+        `KeyError`."""
+        node = self._nodes[t]
+        if node.kind == APP:
+            return self.app(self.dual(node.symbol), node.children)
+        return self._intern(_OPPOSITE[node.kind], node.name, (), 1)
+
     # ------------------------------------------------------------------
     # interning
 
@@ -150,8 +165,8 @@ class TermUniverse:
 
         A hit is read without the lock and builds nothing. A miss takes the
         lock and looks again, then builds the node and records it (its size,
-        and whether it holds a NOT) before publishing the id, so whoever reads
-        an id finds its node."""
+        and whether it holds a NOT or any negation) before publishing the id,
+        so whoever reads an id finds its node."""
         key = (kind, name, children)
         tid = self._ids.get(key)
         if tid is not None:
@@ -162,9 +177,13 @@ class TermUniverse:
                 tid = len(self._nodes)
                 self._nodes.append(TermNode(kind, name, symbol, children))
                 self._sizes.append(size + sum(self._sizes[c] for c in children))
-                with_not = self._with_not
+                with_not, negated = self._with_not, self._negated
                 if kind == NOT or (with_not and not with_not.isdisjoint(children)):
                     with_not.add(tid)
+                    negated.add(tid)
+                elif (kind == NEGVAR or (symbol is not None and symbol.dual_of is not None)
+                      or (negated and not negated.isdisjoint(children))):
+                    negated.add(tid)
                 self._ids[key] = tid
             return tid
 
@@ -295,6 +314,10 @@ class TermUniverse:
     def contains_not(self, t: TermId) -> bool:
         """Whether `t` holds a NOT node; recorded when `t` was interned."""
         return t in self._with_not
+
+    def plain(self, t: TermId) -> bool:
+        """Whether `t` holds no NOT, negated variable or dual symbol; recorded at interning."""
+        return t not in self._negated
 
     def __len__(self) -> int:
         return len(self._nodes)

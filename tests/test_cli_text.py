@@ -45,14 +45,10 @@ ARGVS = [
 
 
 def run(argv) -> dict:
-    """What `cli.main(argv)` prints and the code it exits with, whether it
-    returns it or argparse raises `SystemExit`."""
+    """What `cli.main(argv)` prints and the code it returns."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -69,6 +65,15 @@ def test_cli_text_matches_golden(monkeypatch, case):
     # argparse wraps help and usage at the terminal width it reads from COLUMNS
     monkeypatch.setenv("COLUMNS", "80")
     assert run(case["argv"]) == case
+
+
+def test_usage_errors_and_help_return_their_code(capsys):
+    # argparse exits on these; main returns the code instead, so an
+    # in-process caller's run goes on
+    for argv in ([], ["explai", "x <= y"], ["check", "--format", "yaml", "x <= y"]):
+        assert cli.main(argv) == 2, argv
+    assert cli.main(["-h"]) == 0
+    capsys.readouterr()
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):

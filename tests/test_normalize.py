@@ -8,14 +8,13 @@ import pytest
 
 from olsub import Engine, TermUniverse, check, normalize, oracle, parse_term, print_term
 from olsub.errors import NegationPresent
-from olsub.terms import APP, JOIN, MEET, NEGVAR, VAR
+from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, TOP, VAR
 from olsub.normalize import (
     _context,
     _structural_key,
     beta,
     can_collapse,
     delta,
-    delta_pair,
     eta,
     normalize_bl,
     normalize_ol,
@@ -50,7 +49,7 @@ def test_nullary_symbols_are_complemented_by_their_duals(u):
     app, dual = u.app(c, []), u.app(u.dual(c), [])
     x = u.var("x")
     assert delta(u, parse_term("~Int()", u)) == dual
-    assert delta_pair(u, app) == (app, dual)
+    assert (delta(u, app), delta(u, app, 1)) == (app, dual)
     assert delta(u, u.join([u.neg(app), x])) == u.join([dual, x])
     assert normalize_ol(u, parse_term("~Int()", u)).term == dual
     assert normalize_ol(u, u.meet([app, x])).term == u.meet([x, app])  # sorted
@@ -115,6 +114,42 @@ def test_can_collapse_finds_complements_and_bounds(u):
         assert not can_collapse(u, delta(u, parse_term(text, u))), text
     with pytest.raises(NegationPresent):
         can_collapse(u, parse_term("x | ~(y & z)", u))
+
+
+def _signed_atom_walk(u, t) -> bool:
+    """Whether `t` holds a bound, or an atom under both signs (a variable as
+    VAR and as NEGVAR, a symbol and its dual), found by a walk over its
+    subterms that keys each atom by (VAR or APP, base name)."""
+    signs = {}
+    for s in u.subterms(t):
+        n = u.node(s)
+        if n.kind in (TOP, BOT):
+            return True
+        if n.kind in (VAR, NEGVAR):
+            key, positive = (VAR, n.name), n.kind == VAR
+        elif n.kind == APP:
+            base = n.symbol.dual_of
+            key, positive = (APP, base or n.name), base is None
+        else:
+            continue
+        if signs.setdefault(key, positive) != positive:
+            return True
+    return False
+
+
+def test_can_collapse_agrees_with_a_signed_atom_walk(u):
+    # the atoms mask of the order test against an independent walk, on terms
+    # with bounds, negated variables, duals and atoms nested in applications
+    rng = random.Random(89)
+    symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+    variables = [f"v{i}" for i in range(8)]
+    hits = 0
+    for _ in range(3000):
+        t = random_pnnf(u, rng, rng.randint(1, 24), variables, symbols)
+        expected = _signed_atom_walk(u, t)
+        assert can_collapse(u, t) == expected, print_term(u, t)
+        hits += expected
+    assert 300 <= hits <= 2700  # both verdicts are exercised
 
 
 def test_beta_keeps_the_size_where_nothing_can_collapse(u):
@@ -487,8 +522,8 @@ def test_walk_splices_operands_through_negations(u):
     t = parse_term("x & ~(y | ~(z & ~~(w & y)))", u)
     flat = u.meet([x, u.negvar("y"), z, w, y])
     assert delta(u, t) == flat
-    assert delta_pair(u, u.neg(t)) == (u.join([u.negvar("x"), y, u.negvar("z"),
-                                              u.negvar("w"), u.negvar("y")]), flat)
+    assert (delta(u, u.neg(t)), delta(u, u.neg(t), 1)) == (
+        u.join([u.negvar("x"), y, u.negvar("z"), u.negvar("w"), u.negvar("y")]), flat)
     assert normalize_ol(u, t).term == u.bot()
 
 
@@ -498,7 +533,7 @@ def test_alternating_negations_and_applications_do_not_recurse(u):
     t = x
     for _ in range(5000):
         t = u.neg(u.app(f, [t]))
-    image, complement = delta_pair(u, t)
+    image, complement = delta(u, t), delta(u, t, 1)
     assert delta(u, t) == image
     assert normalize_ol(u, t).term == image
     dual = u.dual(f)
@@ -659,7 +694,8 @@ def test_sorted_nodes_are_interned_once(u):
     # children come in unsorted order. Delta's images, which beta's test
     # reads, are interned first; every node beta adds is sorted.
     t = u.join([u.meet([z, y]), x])
-    delta_pair(u, t)
+    delta(u, t)
+    delta(u, t, 1)
     before = len(u)
     got = beta(u, t)
     added = [u.node(i).children for i in range(before, len(u))

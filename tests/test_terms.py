@@ -5,8 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from olsub import TermUniverse, Variance
+from olsub import TermUniverse, Variance, oracle
 from olsub.errors import ArityMismatch, ConflictingDeclaration
+from olsub.normalize import delta
+from olsub.terms import APP, NEGVAR, NOT
 
 from helpers import random_term
 
@@ -85,6 +87,36 @@ def test_dual_symbols(u):
     assert u.dual(p).variances == (Variance.CONTRAVARIANT, Variance.CONTRAVARIANT)
     inv = u.declare("Inv", "o")
     assert u.dual(inv).variances == (Variance.INVARIANT,)
+
+
+@pytest.mark.parametrize("negation", ["not", "literals"])
+def test_plainness_is_recorded_at_interning(u, negation):
+    f, g = u.declare("F", "+"), u.declare("G", "-+")
+    plain: dict[int, bool] = {}
+
+    def fold(t):  # no NOT, negated variable or dual symbol anywhere in t
+        if t not in plain:
+            n = u.node(t)
+            own = n.kind in (NOT, NEGVAR) or (n.kind == APP and n.symbol.dual_of is not None)
+            plain[t] = not own and all(fold(c) for c in n.children)
+        return plain[t]
+
+    for t in oracle.enumerate_terms(u, ["x", "y"], [f, u.dual(g)], 5, negation=negation):
+        assert u.plain(t) == fold(t), t
+    assert 0 < sum(plain.values()) < len(plain)
+
+
+def test_opposite_is_the_complement_of_a_literal(u):
+    f, c = u.declare("F", "+-"), u.declare("C", "")
+    x = u.var("x")
+    literals = [x, u.negvar("x"), u.top(), u.bot(), u.app(c, []),
+                u.app(f, [x, u.meet([x, u.negvar("y")])]), u.app(u.dual(f), [x, x])]
+    for lit in literals:
+        assert u.opposite(lit) != lit
+        assert u.opposite(u.opposite(lit)) == lit
+        assert u.opposite(lit) == delta(u, u.neg(lit))
+    with pytest.raises(KeyError):
+        u.opposite(u.join([x, u.var("y")]))
 
 
 def test_variance_flip_involution():
@@ -172,3 +204,9 @@ def test_concurrent_interning_agrees():
             _subshapes(shape, distinct)
         assert len(u) == len(distinct)
         assert len(set(ids[0])) == len(set(shapes))
+        # what interning records of a node is there once its id is
+        for shape, t in zip(shapes, ids[0]):
+            parts = set()
+            _subshapes(shape, parts)
+            holds_not = any(kind == "not" for kind, _ in parts)
+            assert u.contains_not(t) == holds_not and u.plain(t) == (not holds_not)
