@@ -20,7 +20,6 @@ from .oracle import (
     boolean2,
     enumerate_terms,
     evaluate,
-    min_equivalent,
     o6,
     sample_monotone_tables,
     saturate,
@@ -53,7 +52,6 @@ __all__ = [
     "errors",
     "eta",
     "evaluate",
-    "min_equivalent",
     "normalize_bl",
     "normalize_ol",
     "o6",

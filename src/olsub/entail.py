@@ -101,10 +101,7 @@ side: no Replace, no negation rule, and AxiomCut only with the L-term as
 x, so every premise keeps one term per side as well. A sequent {a^L, b^R}
 takes the bounded-lattice rules when a and b are plain, holding no NOT,
 negated variable or dual symbol, and every axiom is plain too; any other
-sequent takes the full set. Mode "bl" gives every sequent the
-bounded-lattice rules, with negated variables and dual symbols as opaque
-atoms and a negation refused up front. It is the reference that the
-normalizer's own order test is checked against.
+sequent takes the full set.
 
     Lemma (conservativity). For plain s, t and plain axioms A, the
     ortholattice calculus proves s <= t under A iff the bounded-lattice
@@ -164,7 +161,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import normalize
-from .errors import EngineInterrupted, NegationPresent, NotProvable, TermIdOverflow
+from .errors import EngineInterrupted, NotProvable, TermIdOverflow
 from .terms import (
     APP,
     BOT,
@@ -327,13 +324,10 @@ class Engine:
     complete, and every sequent is expanded at most once per engine. The
     price: a refuted query also expands what earlier provable queries left.
 
-    The axiom set and mode are fixed per engine; the rule set is chosen
-    per sequent (module docstring). When every axiom is plain, holding no
-    NOT, negated variable or dual symbol, a sequent of one plain term per
-    side takes the bounded-lattice rules and any other the full set. Mode
-    "bl" gives every sequent the bounded-lattice rules, and refuses a term
-    holding a negation, as an axiom or in a goal, with `NegationPresent`
-    before any of it is searched.
+    The axiom set is fixed per engine; the rule set is chosen per sequent
+    (module docstring). When every axiom is plain, holding no NOT, negated
+    variable or dual symbol, a sequent of one plain term per side takes the
+    bounded-lattice rules and any other the full set.
 
     An interrupt during an expansion leaves the engine sound: the sequent
     goes back on the stack. One during propagation does not, since the rest
@@ -357,15 +351,11 @@ class Engine:
     derivations, and each sequent the closure closes.
     """
 
-    def __init__(self, universe: TermUniverse, axioms=None, mode: str = "ol"):
-        if mode not in ("ol", "bl"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, universe: TermUniverse, axioms=None):
         self.u = universe
-        self.mode = mode
         self.axioms = list(dict.fromkeys(axioms or ()))  # drop exact duplicates, keep order
         for pair in self.axioms:
             _check_ids(*pair)
-            self._reject_not(*pair)
         # Atom axioms A <= B between two variables close sequents from their
         # closure; only compound axioms are AxiomCut joins.
         self._succ: dict[int, list[tuple[int, int]]] = {}  # A -> [(B, i)], atom axioms i
@@ -391,7 +381,7 @@ class Engine:
         # A sequent of a plain L-term and a plain R-term under plain axioms
         # takes the bounded-lattice rules (`_expand`); plain means holding no
         # NOT, negated variable or dual symbol (`TermUniverse.plain`).
-        self._plain_axioms = all(self._is_plain(t) for pair in self.axioms for t in pair)
+        self._plain_axioms = all(universe.plain(t) for pair in self.axioms for t in pair)
         # per-annotated-term record: (templates, unit rule, application node or
         # None, whether its one template is LeftOr or RightAnd)
         self._info: dict[int, tuple] = {}
@@ -407,18 +397,6 @@ class Engine:
         self._to_visit: list[int] = []  # the search stack, kept across queries
         self._interrupted = False  # set when an interrupt cuts `_run` short
         self.steps = 0
-
-    def _reject_not(self, *tids: int) -> None:
-        """Mode "bl" has no negation rule: refuse a term holding a NOT before
-        any of it reaches the search."""
-        if self.mode == "bl" and any(self.u.contains_not(t) for t in tids):
-            raise NegationPresent("negation reached the bounded-lattice rule set")
-
-    def _is_plain(self, tid: int) -> bool:
-        """Whether the term holds no NOT, negated variable or dual symbol. In
-        mode "bl", where the last two are opaque atoms and a NOT is refused,
-        every term is."""
-        return self.mode == "bl" or self.u.plain(tid)
 
     # -- clause generation -------------------------------------------------
 
@@ -437,7 +415,7 @@ class Engine:
                 (_PICK[key], i, (_ann(c, side),)) for i, c in enumerate(dict.fromkeys(kids))
             )
         elif kind in (NOT, NEGVAR, APP):
-            inner = _unnegated(self.u, tid) if self.mode == "ol" else None
+            inner = _unnegated(self.u, tid)
             if inner is not None:
                 rule = LEFT_NOT if side == 0 else RIGHT_NOT
                 templates = ((rule, None, (_ann(inner, 1 - side),)),)
@@ -446,7 +424,7 @@ class Engine:
             _UNIT.get(key),
             node if kind == APP else None,
             key in _INVERTIBLE,
-            self._plain_axioms and self._is_plain(tid),
+            self._plain_axioms and self.u.plain(tid),
         )
         self._info[ann] = record
         return record
@@ -503,7 +481,7 @@ class Engine:
         # One plain L-term and one plain R-term under plain axioms: the
         # bounded-lattice rules alone, so no Replace subgoal and only the
         # L-term's cut premises (the conservativity lemma and its corollary
-        # in the module docstring). Every sequent takes them in mode "bl".
+        # in the module docstring).
         lattice = ra[4] and rb[4] and a < _SIDE_BIT <= b
         if not lattice and a != b:
             # Replace: {G,G} concludes s for G in s. Its clause is added once
@@ -731,7 +709,6 @@ class Engine:
     def query(self, s: TermId, t: TermId) -> bool:
         """Whether s <= t is provable under this engine's axioms."""
         _check_ids(s, t)
-        self._reject_not(s, t)
         return self._search(_seq(_ann(s, 0), _ann(t, 1)))
 
     def stats(self) -> Stats:

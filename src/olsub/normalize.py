@@ -589,20 +589,9 @@ def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
     # its heads hold a bound or a complementary pair.
     if not ctx.clash(u.fold(whole, ctx.masks, ctx._mask)[3]):
         return whole
-    # A literal child needs no order test. Its complement l is a literal,
-    # and by Whitman's condition l is below the join only if l is a child,
-    # or l <= d for some other child d; then ~d <= ~l by self-duality, and
-    # ~l is a child, so d's own test hits. Dually for meets. This keeps a
-    # wide node of literals linear instead of scanning all siblings per child.
-    present = set(node.children)
     for c in node.children:
         complement = _walk(ctx, c, _delta_node, 1)
-        ckind = u.node(c).kind
-        if ckind == VAR or ckind == NEGVAR:
-            hit = complement in present
-        else:
-            hit = ctx.leq(complement, whole) if kind == JOIN else ctx.leq(whole, complement)
-        if hit:
+        if ctx.leq(complement, whole) if kind == JOIN else ctx.leq(whole, complement):
             return u.top() if kind == JOIN else u.bot()
     return whole
 

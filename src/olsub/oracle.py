@@ -13,10 +13,10 @@ Three unrelated ways to answer the questions the package answers:
 * `enumerate_terms` streams every term up to a size bound exactly once, for
   exhaustive minimality and agreement sweeps.
 
-`min_equivalent` and `partition_terms` are helpers, not oracles: they decide
-equivalence with `entail.Engine`. The normalizer does not use `Engine` (its
-order tests are a Whitman check of its own), so comparing normal forms with
-their classes pits two independent procedures against each other.
+`partition_terms` is a helper, not an oracle: it decides equivalence with
+`entail.Engine`. The normalizer does not use `Engine` (its order tests are
+a Whitman check of its own), so comparing normal forms with their classes
+pits two independent procedures against each other.
 """
 from __future__ import annotations
 
@@ -440,7 +440,7 @@ def saturates(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> bool
 
 
 # ----------------------------------------------------------------------
-# exhaustive enumeration and brute-force minimality
+# exhaustive enumeration
 
 NEGATION_NONE = "none"  # bounded-lattice terms
 NEGATION_NOT = "not"  # ortholattice terms with Not nodes
@@ -509,30 +509,9 @@ def enumerate_terms(
         yield from terms
 
 
-def min_equivalent(
-    universe: TermUniverse,
-    t: TermId,
-    universe_of_terms: Sequence[TermId],
-    axioms=None,
-    mode: str = "ol",
-) -> TermId:
-    """Smallest member of t's equivalence class within the given term list.
-
-    Brute force by definition: candidates are scanned smallest-first and
-    matched with two entailment checks each. Test-support only.
-    """
-    engine = entail.Engine(universe, axioms, mode)
-    candidates = sorted(universe_of_terms, key=lambda c: (universe.size(c), c))
-    for cand in candidates:
-        if engine.query(cand, t) and engine.query(t, cand):
-            return cand
-    return t
-
-
 def partition_terms(
     universe: TermUniverse,
     terms: Sequence[TermId],
-    mode: str = "ol",
     models: Sequence[tuple[FiniteOrtholattice, Interpretation]] = (),
 ) -> list[list[TermId]]:
     """Group terms into provable-equivalence classes.
@@ -543,7 +522,7 @@ def partition_terms(
     class lists its members in the input order, so pre-sorting by size makes
     class minima the first members.
     """
-    engine = entail.Engine(universe, None, mode)
+    engine = entail.Engine(universe)
     caches = [dict() for _ in models]
 
     def signature(t: TermId) -> tuple:

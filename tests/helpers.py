@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from olsub.terms import BOT, JOIN, MEET, NOT, TOP, TermUniverse
+from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, NOT, TOP, TermUniverse
 
 
 def random_term(u: TermUniverse, rng: random.Random, budget: int, variables, symbols=(),
@@ -71,6 +71,27 @@ def random_pnnf(u: TermUniverse, rng: random.Random, budget: int, variables, sym
     a = random_pnnf(u, rng, half, variables, symbols)
     b = random_pnnf(u, rng, budget - 1 - half, variables, symbols)
     return u.meet([a, b]) if kind == 1 else u.join([a, b])
+
+
+def opaque(u: TermUniverse, *terms):
+    """Copies of `terms` with every negated atom renamed to a fresh plain
+    one: `~x` becomes the variable named "~x", an application of a dual
+    symbol `~F` one of the declared symbol `F~`, which has the dual's
+    variances. On such copies every sequent is plain with one term per side,
+    so `Engine(u)` runs the bounded-lattice rules alone, negated atoms
+    opaque: the reference the order test is checked against. A `NOT` has no
+    bounded-lattice rule and fails the copy."""
+
+    def image(t, node, kids):
+        assert node.kind != NOT, "the bounded-lattice calculus has no negation"
+        if node.kind == NEGVAR:
+            return u.var("~" + node.name)
+        if node.kind == APP and node.symbol.dual_of is not None:
+            return u.app(u.declare(node.symbol.dual_of + "~", node.symbol.variances), kids)
+        return u.rebuild(t, kids) if kids else t
+
+    memo: dict = {}
+    return [u.fold(t, memo, image) for t in terms]
 
 
 # ----------------------------------------------------------------------

@@ -32,10 +32,10 @@ from olsub.entail import (
     _to_sequent,
     find_invalid_node,
 )
-from olsub.errors import EngineInterrupted, NegationPresent, NotProvable, TermIdOverflow
+from olsub.errors import EngineInterrupted, NotProvable, TermIdOverflow
 from olsub.normalize import beta, delta, leq
 
-from helpers import random_pnnf, random_term
+from helpers import opaque, random_pnnf, random_term
 
 
 def decoded_clauses(engine):
@@ -129,14 +129,39 @@ def test_bound_transitivity_via_axioms(u):
     axioms = [(a, b), (b, c)]
     assert check(u, a, c, axioms).provable
     assert not check(u, c, a, axioms).provable
+    # an axiom holding a negation proves itself
+    nx = u.neg(u.var("x"))
+    assert Engine(u, [(nx, b)]).query(nx, b)
 
 
 def test_bl_mode_restriction(u):
     x, y = u.var("x"), u.var("y")
-    assert Engine(u, mode="bl").query(u.meet([x, y]), x)
-    # negated atoms are opaque in bl mode
-    assert not Engine(u, mode="bl").query(u.top(), u.join([x, u.negvar("x")]))
+    assert Engine(u).query(u.meet([x, y]), x)
+    # negated atoms are opaque in the bounded-lattice rules: the engine on
+    # opaque copies refutes what the ortholattice rules prove
+    assert not Engine(u).query(*opaque(u, u.top(), u.join([x, u.negvar("x")])))
     assert check(u, u.top(), u.join([x, u.negvar("x")])).provable
+
+
+def test_opaque_copies_take_only_the_bounded_lattice_rules(u):
+    # What criterion 10's reference computes: on opaque copies every
+    # sequent is plain with one term per side, so the engine runs no
+    # negation rule, no Replace and no cut.
+    rng = random.Random(61)
+    f = u.declare("F", "+")
+    g = u.declare("G", "-+")
+    engine = Engine(u)
+    provable = 0
+    for _ in range(200):
+        s, t = (beta(u, random_pnnf(u, rng, 12, ["x", "y", "z"], [f, g])) for _ in "st")
+        provable += engine.query(*opaque(u, s, t))
+    assert 0 < provable < 200
+    rules = {rule for _, _, rule, _ in engine.clauses}
+    assert F_RULE in rules
+    assert not rules & {LEFT_NOT, RIGHT_NOT, REPLACE, AXIOM_CUT}
+    for s in engine._visited:
+        seq = _to_sequent(s)
+        assert {seq.a.side, seq.b.side} == {"L", "R"}
 
 
 # ----------------------------------------------------------------------
@@ -195,9 +220,9 @@ def test_route_phase_two_decides_complemented_queries(u):
         assert verdict.stats.derived >= 1 and verdict.stats.sequents >= verdict.stats.derived
         one, two = _phases(u, s, t)
         assert not one and two
-    # the "bl" engine, where negated atoms are opaque, refutes it
+    # the bounded-lattice rules, where negated atoms are opaque, refute it
     top, x = u.top(), u.var("x")
-    assert not Engine(u, mode="bl").query(top, u.join([x, u.negvar("x")]))
+    assert not Engine(u).query(*opaque(u, top, u.join([x, u.negvar("x")])))
 
 
 def test_route_stats_count_the_order_test(u):
@@ -311,6 +336,20 @@ def test_order_proof_shares_subproofs(u):
     proof = check(u, x, u.meet([twice, twice])).proof()
     assert [child.rule for child in proof.children] == [RIGHT_OR, RIGHT_OR]
     assert proof.children[0] is proof.children[1]  # one subproof per sequent
+    assert verify_proof(u, proof)
+
+
+def test_order_proof_opens_a_collapsed_node_once(u, monkeypatch):
+    # The Replace premise on the collapsed join picks z and tests it against
+    # the join opened; each of the join's 402 children is a pick candidate,
+    # and the reader images the opened join once for all of them.
+    calls = []
+    real = normalize.beta_open
+    monkeypatch.setattr(normalize, "beta_open", lambda *args: calls.append(args) or real(*args))
+    ys = " | ".join(f"y{i}" for i in range(400))
+    s, t = parse_query(f"x <= {ys} | z | ~z", u)
+    proof = check(u, s, t).proof()
+    assert len(calls) == 1
     assert verify_proof(u, proof)
 
 
@@ -594,21 +633,22 @@ def test_atom_chain_cuts_stay_quadratic(u):
 
 
 def test_bl_cuts_keep_one_term_per_side(u):
-    # In mode "bl" a term pushes only the cut premise that keeps one term
+    # Under the bounded-lattice rules, which plain sequents under plain
+    # axioms take, a term pushes only the cut premise that keeps one term
     # per side; the refuted chain used to expand 2450 same-side sequents.
     # Atom axioms push no cut premises at all, so the chain is F(A0) <= ...
     # <= F(A49), F covariant, whose axioms are joined.
     k = 50
     f = u.declare("F", "+")
     chain = [u.app(f, [u.var(f"A{i}")]) for i in range(k)]
-    engine = Engine(u, list(zip(chain, chain[1:])), mode="bl")
+    engine = Engine(u, list(zip(chain, chain[1:])))
     assert not engine.query(chain[-1], chain[0])
     sequents = [_to_sequent(s) for s in engine._visited]
     assert len(sequents) > k
     assert all(seq.a.side != seq.b.side for seq in sequents)
     # the unit rules still close the cut premises: top <= bot proves all
     x, y = u.var("x"), u.var("y")
-    engine = Engine(u, [(u.top(), u.bot())], mode="bl")
+    engine = Engine(u, [(u.top(), u.bot())])
     assert engine.query(y, x)
     assert all(_to_sequent(s).a.side != _to_sequent(s).b.side for s in engine._visited)
 
@@ -825,13 +865,14 @@ def test_pending_cut_premise_keeps_its_sequents_open():
     # A search can stop with a cut premise {x, U^R}, or a partner premise
     # {V^L, y} pushed once {x, U^R} was derived, still unexpanded after a
     # sequent {x, y} was expanded; each is pushed only once, so the next
-    # query must expand it from the stack. In the first case ("bl" mode) no
-    # Replace subgoal reaches them either. Term ids fix the search order, so
-    # every variable is created, in this order, before the compound terms.
+    # query must expand it from the stack. In the first case (plain terms
+    # and axioms, so the bounded-lattice rules) no Replace subgoal reaches
+    # them either. Term ids fix the search order, so every variable is
+    # created, in this order, before the compound terms.
     u = TermUniverse()
     a, b, c, d, e, f = (u.var(n) for n in "abcdef")
     a_or_f = u.join([a, f])
-    engine = Engine(u, [(c, a_or_f), (c, b), (b, d), (d, c), (e, b)], mode="bl")
+    engine = Engine(u, [(c, a_or_f), (c, b), (b, d), (d, c), (e, b)])
     assert engine.query(a, a_or_f)
     assert engine.query(b, a_or_f)  # b <= d <= c <= a | f
     u = TermUniverse()
@@ -934,10 +975,10 @@ def test_on_demand_cut_partners_match_saturation(mode):
     # Shared engines under 1-4 compound axioms with a constructor on either
     # side, answering provable and refuted queries in turn. A query that
     # stops early leaves partner premises, pushed by `_join` in the middle
-    # of propagation, for later queries. Mode "bl" sees negation-free terms
-    # only, where the bounded-lattice and ortholattice calculi agree (a
-    # bounded lattice embeds in the horizontal sum of it and its dual, an
-    # ortholattice).
+    # of propagation, for later queries. The "bl" case draws negation-free
+    # terms only, which take the bounded-lattice rules; there the two
+    # calculi agree (a bounded lattice embeds in the horizontal sum of it
+    # and its dual, an ortholattice).
     rng = random.Random(1808 if mode == "ol" else 1809)
     atoms = ["a", "b", "c", "x", "y"]
     cuts = 0
@@ -959,7 +1000,7 @@ def test_on_demand_cut_partners_match_saturation(mode):
         pool = sorted(set().union(*(u.subterms(t) for t in terms)))
         provable = oracle.saturate(u, roots, axioms)
         yes = sorted((s, t) for (s, sa), (t, sb) in provable if (sa, sb) == ("L", "R"))
-        engine = Engine(u, axioms, mode)
+        engine = Engine(u, axioms)
         for i in range(60):
             s, t = rng.choice(yes) if i % 2 == 0 else (rng.choice(pool), rng.choice(pool))
             want = ((s, "L"), (t, "R")) in provable
@@ -1039,13 +1080,6 @@ def test_interrupted_propagation_retires_the_engine(u, monkeypatch):
     assert fresh.query(fv, t) and not fresh.query(t, fv)
 
 
-def test_bl_engine_refuses_a_negated_axiom(u):
-    x, y = u.var("x"), u.var("y")
-    with pytest.raises(NegationPresent):
-        Engine(u, [(u.neg(x), y)], mode="bl")
-    assert Engine(u, [(u.neg(x), y)]).query(u.neg(x), y)
-
-
 def test_wide_meet_stops_at_first_derivation(u):
     xs = [u.var(f"x{i}") for i in range(400)]
     wide = u.meet(xs)
@@ -1082,26 +1116,25 @@ def test_term_ids_beyond_the_encoding_are_rejected(u):
 
 
 def test_engine_stays_sound_after_a_failed_query(u):
-    # The negation sits below the goal, in the F rule's premise; the query
-    # is refused before its search starts, and later queries still answer.
-    f = u.declare("F", "+")
+    # A term id beyond the sequent encoding is refused before the search
+    # starts, and later queries still answer.
     x, y = u.var("x"), u.var("y")
-    engine = Engine(u, mode="bl")
-    bad = (u.app(f, [x]), u.app(f, [u.neg(x)]))
-    with pytest.raises(NegationPresent):
+    engine = Engine(u)
+    bad = (x, 1 << 30)
+    with pytest.raises(TermIdOverflow):
         engine.query(*bad)
     assert engine.query(u.meet([x, y]), x)
     assert not engine.query(x, y)
-    with pytest.raises(NegationPresent):
+    with pytest.raises(TermIdOverflow):
         engine.query(*bad)
 
 
 @pytest.mark.parametrize("negated_axioms", [False, True])
 def test_plain_sequents_under_plain_axioms_match_saturation(negated_axioms):
-    # Shared default-mode engines under atom axioms, compound axioms over
-    # F(+), G(-,+) and H(o), and complemented pairs (top <= a | b,
-    # a & b <= bot), answering plain queries, which take the bounded-lattice
-    # rules when every axiom is plain, interleaved with queries holding ~,
+    # Shared engines under atom axioms, compound axioms over F(+), G(-,+)
+    # and H(o), and complemented pairs (top <= a | b, a & b <= bot),
+    # answering plain queries, which take the bounded-lattice rules when
+    # every axiom is plain, interleaved with queries holding ~,
     # which keep the full rule set on the same engine. In the second arm
     # some axiom holds ~ (the pairs become ~a <= b and a <= ~b), so every
     # sequent keeps the full rule set; a plain query then needs Replace or

@@ -21,7 +21,7 @@ from olsub.normalize import (
     zeta,
 )
 
-from helpers import law_chain, random_pnnf, random_term
+from helpers import law_chain, opaque, random_pnnf, random_term
 
 
 def test_delta_de_morgan(u):
@@ -263,27 +263,27 @@ def test_beta_image_top_bottom_coincidence(u):
     rng = random.Random(53)
     f = u.declare("F", "+")
     g = u.declare("G", "-+")
-    ol = Engine(u, mode="ol")
-    bl = Engine(u, mode="bl")
+    ol, bl = Engine(u), Engine(u)  # bl queries opaque copies
     top, bot = u.top(), u.bot()
     for _ in range(200):
         t = beta(u, random_pnnf(u, rng, 10, ["x", "y", "z"], [f, g]))
-        assert ol.query(top, t) == bl.query(top, t)
-        assert ol.query(t, bot) == bl.query(t, bot)
+        [c] = opaque(u, t)
+        assert ol.query(top, t) == bl.query(top, c)
+        assert ol.query(t, bot) == bl.query(c, bot)
 
 
 def test_beta_image_pairwise_engine_agreement(u):
-    # on reduced terms the negation rules are never needed, so the full and
-    # the bounded-lattice engines prove exactly the same inequalities
+    # on reduced terms the negation rules are never needed, so the full
+    # rules and the bounded-lattice rules (the engine on opaque copies)
+    # prove exactly the same inequalities
     rng = random.Random(59)
     f = u.declare("F", "+")
     g = u.declare("G", "-+")
-    ol = Engine(u, mode="ol")
-    bl = Engine(u, mode="bl")
+    ol, bl = Engine(u), Engine(u)
     for _ in range(250):
         s = beta(u, random_pnnf(u, rng, 12, ["x", "y", "z"], [f, g]))
         t = beta(u, random_pnnf(u, rng, 12, ["x", "y", "z"], [f, g]))
-        assert ol.query(s, t) == bl.query(s, t)
+        assert ol.query(s, t) == bl.query(*opaque(u, s, t))
 
 
 def test_normalized_children_are_canonically_ordered(u):
@@ -313,7 +313,7 @@ def test_minimality_small_sweep(u):
         (b2, oracle.random_interpretation(u, b2, ["x", "y"], [f], seed))
         for seed in range(4)
     ]
-    classes = oracle.partition_terms(u, terms, mode="bl", models=models)
+    classes = oracle.partition_terms(u, terms, models=models)
     class_of = {t: cls for cls in classes for t in cls}
     for t in terms:
         assert u.size(normalize_bl(u, t).term) == u.size(class_of[t][0])
@@ -337,10 +337,12 @@ def test_order_test_matches_bounded_lattice_engine(u, variables, symbols, negati
     decls = [u.dual(u.symbol(s[1:])) if s.startswith("~") else u.symbol(s) for s in symbols]
     terms = list(oracle.enumerate_terms(u, variables, decls, max_size, negation=negation))
     ctx = _context(u)
-    engine = Engine(u, mode="bl")
+    engine = Engine(u)  # on opaque copies: the bounded-lattice rules alone
+    copy = dict(zip(terms, opaque(u, *terms)))
     for s in terms:
         for t in terms:
-            assert ctx.leq(s, t) == engine.query(s, t), (print_term(u, s), print_term(u, t))
+            assert ctx.leq(s, t) == engine.query(copy[s], copy[t]), (
+                print_term(u, s), print_term(u, t))
 
 
 def test_order_test_rejects_negation(u):
@@ -429,12 +431,13 @@ def test_goals_sharing_no_head_are_refuted_without_search():
             random_pnnf(u, rng, rng.randint(10, 30), ["x", "y", "z"], symbols)
             for _ in range(90)))
         assert any(u.node(t).kind == APP and u.node(t).symbol.dual_of for t in terms)
-        ctx, engine = _context(u), Engine(u, mode="bl")
+        ctx, engine = _context(u), Engine(u)
+        copy = dict(zip(terms, opaque(u, *terms)))
         for s in terms:
             for t in terms:
                 tally = [0, 0, 0, 0]
                 got = ctx.leq(s, t, tally)
-                assert got == engine.query(s, t), (print_term(u, s), print_term(u, t))
+                assert got == engine.query(copy[s], copy[t]), (print_term(u, s), print_term(u, t))
                 hs, ht = _top_level_heads(u, s), _top_level_heads(u, t)
                 literal = {u.node(s).kind, u.node(t).kind} & {VAR, NEGVAR}
                 if not (literal or hs & ht or ("bot", None) in hs or ("top", None) in ht):
@@ -610,9 +613,33 @@ def test_beta_of_a_wide_meet_of_literals_is_linear(u):
     xs = [u.var(f"x{i}") for i in range(200)]
     wide = u.meet(xs + [u.negvar("y")])
     assert beta(u, wide) == _context(u).sorted_node("meet", xs + [u.negvar("y")])
-    assert len(_context(u).leq_memo) == 0  # literal children need no order test
+    assert len(_context(u).leq_memo) == 0  # no complementary pair: no order test
     assert beta(u, u.meet([wide, u.var("y")])) == u.bot()
     assert beta(u, u.join(xs + [u.negvar("x7")])) == u.top()
+
+
+def test_beta_of_a_wide_node_with_a_clash_is_linear(u, monkeypatch):
+    # Every child of a node whose heads clash is tested against the node,
+    # but a literal child's test is one AND of masks: no search and one memo
+    # entry. Only an application child searches.
+    searches = []
+    real = normalize._Context._search
+    monkeypatch.setattr(normalize._Context, "_search",
+                        lambda self, s, t: searches.append((s, t)) or real(self, s, t))
+    f = u.declare("F", "+")
+    xs = [u.var(f"x{i}") for i in range(4000)]
+    ctx = _context(u)
+    for tail, apps, collapses in (
+        ([u.negvar("x3999")], 0, True),
+        ([u.app(f, [u.var("z")]), u.app(u.dual(f), [u.var("w")])], 2, False),
+    ):
+        kids = xs + tail
+        searches.clear()
+        before = len(ctx.leq_memo)
+        got = beta(u, u.join(kids))
+        assert got == (u.top() if collapses else ctx.sorted_node(JOIN, kids))
+        assert len(searches) == apps
+        assert len(ctx.leq_memo) - before <= len(kids) + 2
 
 
 def test_beta_of_a_meet_of_joins_is_linear(u):

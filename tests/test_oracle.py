@@ -10,7 +10,6 @@ from olsub.oracle import (
     check_v10,
     enumerate_terms,
     evaluate,
-    min_equivalent,
     o6,
     random_interpretation,
     sample_monotone_tables,
@@ -164,15 +163,3 @@ def test_soundness_in_models(u):
             continue
         for lat, interp in models:
             assert lat.leq[(evaluate(u, s, lat, interp), evaluate(u, t, lat, interp))]
-
-
-def test_min_equivalent_examples(u):
-    x = u.var("x")
-    pool = list(enumerate_terms(u, ["x", "y"], [], 3))
-    assert min_equivalent(u, u.join([x, x]), pool) == x
-    assert min_equivalent(u, x, pool) == x
-    target = parse_term("~(x | y)", u)
-    extended = list(enumerate_terms(u, ["x", "y"], [], 4, negation="literals"))
-    best = min_equivalent(u, target, extended)
-    assert u.size(best) == 3
-    assert best == u.meet([u.negvar("x"), u.negvar("y")])
