@@ -4,13 +4,13 @@ variance-annotated constructors and ground subtyping axioms."""
 from . import errors
 from .defs import Definition, desugar, substitute
 from .entail import (
-    AnnotatedTerm,
     Engine,
     ProofTree,
-    Sequent,
     Verdict,
     check,
+    elements,
     reconstruct_proof,
+    sequent,
     verify_proof,
 )
 from .normalize import NormalTerm, beta, delta, eta, normalize_bl, normalize_ol, zeta
@@ -29,7 +29,6 @@ from .syntax import AxiomSet, parse_query, parse_source, parse_term, print_term
 from .terms import SymbolDecl, TermId, TermUniverse, Variance
 
 __all__ = [
-    "AnnotatedTerm",
     "AxiomSet",
     "Definition",
     "Engine",
@@ -37,7 +36,6 @@ __all__ = [
     "Interpretation",
     "NormalTerm",
     "ProofTree",
-    "Sequent",
     "SymbolDecl",
     "TermId",
     "TermUniverse",
@@ -48,6 +46,7 @@ __all__ = [
     "check",
     "delta",
     "desugar",
+    "elements",
     "enumerate_terms",
     "errors",
     "eta",
@@ -63,6 +62,7 @@ __all__ = [
     "sample_monotone_tables",
     "saturate",
     "saturates",
+    "sequent",
     "substitute",
     "verify_proof",
     "zeta",

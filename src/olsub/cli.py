@@ -181,11 +181,11 @@ def _proof_json(universe, proof, rename) -> str:
         if closed == depth:
             parts.append(", ")
         sequent = []
-        for e in node.sequent.elements():
-            text = shown.get(e.term)
+        for t, side in entail.elements(node.sequent):
+            text = shown.get(t)
             if text is None:
-                text = shown[e.term] = json.dumps(print_term(universe, e.term, rename))
-            sequent.append(f'[{text}, "{e.side}"]')
+                text = shown[t] = json.dumps(print_term(universe, t, rename))
+            sequent.append(f'[{text}, "{"LR"[side]}"]')
         parts.append(
             f'{{"rule": {json.dumps(node.rule)}, "sequent": [{", ".join(sequent)}], "children": ['
         )

@@ -151,8 +151,10 @@ from the goal. For an axiom-free query the proof is read off the memoized
 order test, one rule per sequent of the proof. Both readers build the tree
 with one walk (`_read_proof`), which plans each sequent once, so a proof
 costs a walk over its own sequents, not a second search, and a sequent
-reached twice is one shared subtree. `verify_proof` re-checks a proof tree
-rule by rule and shares no code with either reader.
+reached twice is one shared subtree. A proof node carries the engine's
+packed sequent, built by `sequent` and read by `elements`. `verify_proof`
+re-checks a proof tree rule by rule; it shares that encoding with the
+readers but no rule logic.
 """
 from __future__ import annotations
 
@@ -176,14 +178,14 @@ from .terms import (
     Variance,
 )
 
-L = "L"
-R = "R"
-
-# Integer encodings: an annotated term packs (side, term id) so that integer
-# order equals (side, TermId) order; a sequent packs its two annotated terms
-# smallest-first, making the pair canonically unordered.
+# Integer encodings: an annotated term packs (side, term id), side 0 being
+# L and 1 being R, so that integer order equals (side, TermId) order; a
+# sequent packs its two annotated terms smallest-first, making the pair
+# canonically unordered. `sequent` and `elements` are the public encoder and
+# decoder; the engine's hot loops pack and unpack inline.
 _TID_BITS = 30
 _SIDE_BIT = 1 << _TID_BITS
+_TID_MASK = _SIDE_BIT - 1
 _ANN_BITS = _TID_BITS + 1
 _ANN_MASK = (1 << _ANN_BITS) - 1
 
@@ -201,16 +203,22 @@ def _ann(tid: int, side: int) -> int:
     return (side << _TID_BITS) | tid
 
 
-def _ann_parts(a: int) -> tuple[int, int]:
-    return a & (_SIDE_BIT - 1), a >> _TID_BITS
-
-
 def _seq(a: int, b: int) -> int:
     return (a << _ANN_BITS) | b if a <= b else (b << _ANN_BITS) | a
 
 
-def _seq_parts(s: int) -> tuple[int, int]:
-    return s >> _ANN_BITS, s & _ANN_MASK
+def sequent(t1: TermId, side1: int, t2: TermId, side2: int) -> int:
+    """The packed sequent {t1^side1, t2^side2}, sides 0 = L and 1 = R."""
+    a = side1 << _TID_BITS | t1
+    b = side2 << _TID_BITS | t2
+    return a << _ANN_BITS | b if a <= b else b << _ANN_BITS | a
+
+
+def elements(s: int) -> tuple[tuple[TermId, int], tuple[TermId, int]]:
+    """The two (term, side) pairs of the packed sequent `s`: L before R,
+    then by term id."""
+    a, b = s >> _ANN_BITS, s & _ANN_MASK
+    return (a & _TID_MASK, a >> _TID_BITS), (b & _TID_MASK, b >> _TID_BITS)
 
 
 # Rule tags.
@@ -234,36 +242,6 @@ AXIOM = "Axiom"
 _UNIT = {(BOT, 0): LEFT_BOT, (TOP, 1): RIGHT_TOP}
 _INVERTIBLE = {(JOIN, 0): LEFT_OR, (MEET, 1): RIGHT_AND}
 _PICK = {(MEET, 0): LEFT_AND, (JOIN, 1): RIGHT_OR}
-
-
-@dataclass(frozen=True)
-class AnnotatedTerm:
-    term: TermId
-    side: str  # L or R
-
-
-@dataclass(frozen=True)
-class Sequent:
-    """Unordered pair (multiset of size two) of annotated terms, stored
-    canonically: smallest first by (side, term id)."""
-
-    a: AnnotatedTerm
-    b: AnnotatedTerm
-
-    @staticmethod
-    def of(t1: TermId, side1: str, t2: TermId, side2: str) -> "Sequent":
-        x = AnnotatedTerm(t1, side1)
-        y = AnnotatedTerm(t2, side2)
-        if (x.side, x.term) <= (y.side, y.term):
-            return Sequent(x, y)
-        return Sequent(y, x)
-
-    @staticmethod
-    def goal(s: TermId, t: TermId) -> "Sequent":
-        return Sequent.of(s, L, t, R)
-
-    def elements(self) -> tuple[AnnotatedTerm, AnnotatedTerm]:
-        return (self.a, self.b)
 
 
 @dataclass
@@ -292,7 +270,7 @@ class Verdict:
 
 @dataclass
 class ProofTree:
-    sequent: Sequent
+    sequent: int  # packed: `sequent` builds it, `elements` reads it
     rule: str
     children: list["ProofTree"]
     aux: object = None
@@ -374,7 +352,7 @@ class Engine:
             self._cuts[i] = (_ann(v, 1), _ann(w, 0), [], [])
             self._cut_at.setdefault(_ann(v, 1), []).append((i, True))
             self._cut_at.setdefault(_ann(w, 0), []).append((i, False))
-            self._axiom_of_seq.setdefault(_seq(_ann(v, 0), _ann(w, 1)), i)
+            self._axiom_of_seq.setdefault(sequent(v, 0, w, 1), i)
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
         self._cut_pushed: set[int] = set()  # terms x that pushed every {x, U_i^R}
@@ -401,7 +379,7 @@ class Engine:
     # -- clause generation -------------------------------------------------
 
     def _record(self, ann: int) -> tuple:
-        tid, side = _ann_parts(ann)
+        tid, side = ann & _TID_MASK, ann >> _TID_BITS
         node = self.u.node(tid)
         kind = node.kind
         key = (kind, side)
@@ -504,9 +482,9 @@ class Engine:
             body: list[int] = []  # one L, one R: the F rule
             for sl, tr, v in zip(fa.children, fb.children, fa.symbol.variances):
                 if v is not Variance.CONTRAVARIANT:
-                    body.append(_seq(sl, tr | _SIDE_BIT))
+                    body.append(sequent(sl, 0, tr, 1))
                 if v is not Variance.COVARIANT:
-                    body.append(_seq(tr, sl | _SIDE_BIT))
+                    body.append(sequent(tr, 0, sl, 1))
             self._add_clause(s, tuple(body), F_RULE, fa.name)
         cuts = self._cuts
         if cuts:
@@ -709,7 +687,7 @@ class Engine:
     def query(self, s: TermId, t: TermId) -> bool:
         """Whether s <= t is provable under this engine's axioms."""
         _check_ids(s, t)
-        return self._search(_seq(_ann(s, 0), _ann(t, 1)))
+        return self._search(sequent(s, 0, t, 1))
 
     def stats(self) -> Stats:
         return Stats(len(self._visited), len(self.clauses), self.steps, len(self.derived))
@@ -812,24 +790,17 @@ def _order_phase(u: TermUniverse, ds: TermId, dt: TermId, tally: list[int] | Non
 # proofs
 
 
-def _to_sequent(s: int) -> Sequent:
-    a, b = _seq_parts(s)
-    ta, sa = _ann_parts(a)
-    tb, sb = _ann_parts(b)
-    return Sequent(AnnotatedTerm(ta, L if sa == 0 else R), AnnotatedTerm(tb, L if sb == 0 else R))
-
-
 def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
     """The proof of s <= t that `engine` found, read back from `engine.derived`.
 
     Each derived sequent points at the clause that first derived it, whose
     premises were all derived before it; walking those clauses back from the
-    goal, on an explicit stack, gives a cut-free proof. Only the sequents on
-    the proof path are decoded. An Axiom clause becomes a chain of AxiomCuts
-    over Hyp leaves: one cut for a compound axiom's own sequent, and for a
-    sequent {A^L, C^R} closed from the atom axioms' closure, one cut per
-    axiom of a shortest chain A <= ... <= C. Shared subderivations are shared
-    subtrees.
+    goal, on an explicit stack, gives a cut-free proof whose nodes carry the
+    engine's packed sequents as they are. An Axiom clause becomes a chain of
+    AxiomCuts over Hyp leaves: one cut for a compound axiom's own sequent,
+    and for a sequent {A^L, C^R} closed from the atom axioms' closure, one
+    cut per axiom of a shortest chain A <= ... <= C. Shared subderivations
+    are shared subtrees.
     """
     if not engine.query(s, t):
         raise NotProvable("goal has no derivation; check the verdict first")
@@ -838,26 +809,25 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
 
     def plan(cur: int):
         _, body, rule, aux = clauses[engine.derived[cur]]
-        seq = _to_sequent(cur)
         if rule == AXIOM:
-            low = seq.a.term  # seq is {Z0^L, Zk^R}
-            chain = [aux] if aux is not None else engine._axiom_chain(low, seq.b.term)
-            proof = ProofTree(Sequent.of(low, L, low, R), HYP, [])
+            (low, _), (high, _) = elements(cur)  # {Z0^L, Zk^R}
+            chain = [aux] if aux is not None else engine._axiom_chain(low, high)
+            proof = ProofTree(sequent(low, 0, low, 1), HYP, [])
             for i in chain:
                 w = axioms[i][1]
-                hyp = ProofTree(Sequent.of(w, L, w, R), HYP, [])
-                proof = ProofTree(Sequent.of(low, L, w, R), AXIOM_CUT, [proof, hyp], axioms[i])
+                hyp = ProofTree(sequent(w, 0, w, 1), HYP, [])
+                proof = ProofTree(sequent(low, 0, w, 1), AXIOM_CUT, [proof, hyp], axioms[i])
             return proof
-        return seq, rule, axioms[aux] if rule == AXIOM_CUT else aux, body
+        return cur, rule, axioms[aux] if rule == AXIOM_CUT else aux, body
 
-    return _read_proof(_seq(_ann(s, 0), _ann(t, 1)), plan)
+    return _read_proof(sequent(s, 0, t, 1), plan)
 
 
 def _read_proof(goal, plan: Callable) -> ProofTree:
     """The proof tree of the state `goal`, built bottom-up on an explicit
     stack. `plan(state)` gives either a finished `ProofTree` or
-    `(sequent, rule, aux, premise states)`. Each state is planned and built
-    once, so a state reached twice is one shared subtree."""
+    `(packed sequent, rule, aux, premise states)`. Each state is planned and
+    built once, so a state reached twice is one shared subtree."""
     plans: dict = {}
     memo: dict = {}
     stack = [goal]
@@ -1010,11 +980,9 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
                         return REPLACE, None, [(mine, other) if side == 0 else (other, mine)]
         raise RuntimeError("_order_proof found no rule for a sequent the order test accepts")
 
-    sides = (L, R)
-
     def plan(state):
         (x, sx, _), (y, sy, _) = state
-        return (Sequent.of(x, sides[sx], y, sides[sy]), *step(state))
+        return (sequent(x, sx, y, sy), *step(state))
 
     return _read_proof(((s, 0, False), (t, 1, False)), plan)
 
@@ -1026,27 +994,33 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
 def verify_proof(universe: TermUniverse, proof: ProofTree, axioms=None) -> bool:
     """Check a proof tree rule by rule against the cut-free schemas.
 
-    Each premise is compared, as (term, side) pairs in canonical order, with
-    what its rule allows; no expected sequent is built. A LeftAnd or RightOr
-    pick holds if its one premise is the conclusion's other element,
-    unchanged, together with some child of the principal term on the
-    principal's side: the child is looked up among the principal's
-    children, never read from `aux`. LeftOr, RightAnd, F and AxiomCut
-    premises must match their schema one for one and in order, and a
-    negation rule's premise is the un-negated term on the other side."""
+    Every node must carry a canonical packed sequent over terms of
+    `universe`. Its (term, side) pairs are read with `elements`, and each
+    premise is compared with the packed sequent its rule allows, built with
+    `sequent`. That encoding is all the verifier shares with the proof
+    readers; it shares no rule logic. A LeftAnd or RightOr pick holds if its
+    one premise is the conclusion's other element, unchanged, together with
+    some child of the principal term on the principal's side: the child is
+    looked up among the principal's children, never read from `aux`.
+    LeftOr, RightAnd, F and AxiomCut premises must match their schema one
+    for one and in order, and a negation rule's premise is the un-negated
+    term on the other side."""
     return find_invalid_node(universe, proof, axioms) is None
 
 
 def find_invalid_node(universe: TermUniverse, proof: ProofTree, axioms=None) -> str | None:
-    """Path of the first node violating its rule schema, or None if valid."""
+    """Path of the first node violating its rule schema, or None if valid.
+    A sequent that is not canonical, or names a term the universe does not
+    hold, violates every schema."""
     pairs = list(axioms or ())
+    size = len(universe)
     ok: set[int] = set()
     stack: list[tuple[ProofTree, str]] = [(proof, "root")]
     while stack:
         node, path = stack.pop()
         if id(node) in ok:
             continue
-        if not _node_matches_schema(universe, node, pairs):
+        if not _node_matches_schema(universe, size, node, pairs):
             return path
         ok.add(id(node))
         for i, child in enumerate(node.children):
@@ -1054,64 +1028,55 @@ def find_invalid_node(universe: TermUniverse, proof: ProofTree, axioms=None) -> 
     return None
 
 
-def _is_sequent(seq: Sequent, t1: TermId, side1: str, t2: TermId, side2: str) -> bool:
-    """Whether `seq` is `Sequent.of(t1, side1, t2, side2)`, built or not."""
-    if (side1, t1) > (side2, t2):
-        t1, side1, t2, side2 = t2, side2, t1, side1
-    a, b = seq.a, seq.b
-    return a.term == t1 and a.side == side1 and b.term == t2 and b.side == side2
-
-
-def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool:
-    a, b = node.sequent.elements()
+def _node_matches_schema(u: TermUniverse, size: int, node: ProofTree, axioms: list) -> bool:
+    s = node.sequent
+    if not 0 <= s < 1 << 2 * _ANN_BITS:
+        return False
+    a, b = elements(s)  # L before R
+    if a[0] >= size or b[0] >= size or sequent(*a, *b) != s:
+        return False  # names a term `u` does not hold, or is not canonical
     kids = node.children
     rule = node.rule
 
     if rule == HYP:
-        return not kids and a.term == b.term and {a.side, b.side} == {L, R}
+        return not kids and a[0] == b[0] and a[1] != b[1]
     if rule == LEFT_BOT:
-        return not kids and any(
-            e.side == L and u.node(e.term).kind == BOT for e in (a, b)
-        )
+        return not kids and any(side == 0 and u.node(t).kind == BOT for t, side in (a, b))
     if rule == RIGHT_TOP:
-        return not kids and any(
-            e.side == R and u.node(e.term).kind == TOP for e in (a, b)
-        )
+        return not kids and any(side == 1 and u.node(t).kind == TOP for t, side in (a, b))
     if rule == REPLACE:
         if len(kids) != 1:
             return False
-        return any(kids[0].sequent == Sequent(e, e) for e in (a, b))
+        return any(kids[0].sequent == sequent(t, side, t, side) for t, side in (a, b))
     if rule in (LEFT_AND, RIGHT_AND, LEFT_OR, RIGHT_OR):
         kind = MEET if rule in (LEFT_AND, RIGHT_AND) else JOIN
-        side = L if rule in (LEFT_AND, LEFT_OR) else R
+        side = 0 if rule in (LEFT_AND, LEFT_OR) else 1
         branching = rule in (RIGHT_AND, LEFT_OR)  # all children vs. one pick
-        for principal, context in ((a, b), (b, a)):
-            n = u.node(principal.term)
-            if principal.side != side or n.kind != kind:
+        for (pt, ps), (ct, cs) in ((a, b), (b, a)):
+            n = u.node(pt)
+            if ps != side or n.kind != kind:
                 continue
-            ct, cs = context.term, context.side
             if branching:
                 if len(kids) == len(n.children) and all(
-                    _is_sequent(k.sequent, c, side, ct, cs) for k, c in zip(kids, n.children)
+                    k.sequent == sequent(c, side, ct, cs) for k, c in zip(kids, n.children)
                 ):
                     return True
             elif len(kids) == 1:
                 # a pick: some element of the premise is a child of the
                 # principal term, and the premise is that child and the context
-                seq = kids[0].sequent
+                premise = kids[0].sequent
                 if any(
-                    e.term in n.children and _is_sequent(seq, e.term, side, ct, cs)
-                    for e in seq.elements()
+                    t in n.children and premise == sequent(t, side, ct, cs)
+                    for t, _ in elements(premise)
                 ):
                     return True
         return False
     if rule in (LEFT_NOT, RIGHT_NOT):
-        side = L if rule == LEFT_NOT else R
-        flipped = R if side == L else L
-        for principal, context in ((a, b), (b, a)):
-            if principal.side != side:
+        side = 0 if rule == LEFT_NOT else 1
+        for (pt, ps), (ct, cs) in ((a, b), (b, a)):
+            if ps != side:
                 continue
-            n = u.node(principal.term)
+            n = u.node(pt)
             if n.kind == NOT:
                 inner = n.children[0]
             elif n.kind == NEGVAR:
@@ -1120,17 +1085,14 @@ def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool
                 inner = u.app(u.symbols[n.symbol.dual_of], n.children)
             else:
                 continue
-            if len(kids) == 1 and _is_sequent(
-                kids[0].sequent, inner, flipped, context.term, context.side
-            ):
+            if len(kids) == 1 and kids[0].sequent == sequent(inner, 1 - side, ct, cs):
                 return True
         return False
     if rule == F_RULE:
-        if {a.side, b.side} != {L, R}:
+        if a[1] == b[1]:
             return False
-        left, right = (a, b) if a.side == L else (b, a)
-        nl = u.node(left.term)
-        nr = u.node(right.term)
+        nl = u.node(a[0])  # a is the L element, b the R element
+        nr = u.node(b[0])
         if nl.kind != APP or nr.kind != APP or nl.symbol.name != nr.symbol.name:
             return False
         expected = []  # (L term, R term) of each premise, in order
@@ -1142,7 +1104,7 @@ def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool
             else:
                 expected.append((tr, sl))
         return len(kids) == len(expected) and all(
-            _is_sequent(k.sequent, x, L, y, R) for k, (x, y) in zip(kids, expected)
+            k.sequent == sequent(x, 0, y, 1) for k, (x, y) in zip(kids, expected)
         )
     if rule == AXIOM_CUT:
         if len(kids) != 2 or not isinstance(node.aux, tuple) or len(node.aux) != 2:
@@ -1151,10 +1113,8 @@ def _node_matches_schema(u: TermUniverse, node: ProofTree, axioms: list) -> bool
         if (v, w) not in axioms:
             return False
         first, second = kids[0].sequent, kids[1].sequent
-        for gamma, delta in ((a, b), (b, a)):
-            if _is_sequent(first, gamma.term, gamma.side, v, R) and _is_sequent(
-                second, w, L, delta.term, delta.side
-            ):
+        for (gt, gs), (dt, ds) in ((a, b), (b, a)):
+            if first == sequent(gt, gs, v, 1) and second == sequent(w, 0, dt, ds):
                 return True
         return False
     return False
@@ -1190,10 +1150,10 @@ def format_proof(universe: TermUniverse, proof: ProofTree, rename=None) -> str:
         if rule == F_RULE and node.aux is not None:
             rule = f"F[{node.aux}]"
         texts = []
-        for e in node.sequent.elements():
-            text = shown.get(e.term)
+        for t, side in elements(node.sequent):
+            text = shown.get(t)
             if text is None:
-                text = shown[e.term] = print_term(universe, e.term, rename)
-            texts.append(f"{text}^{e.side}")
+                text = shown[t] = print_term(universe, t, rename)
+            texts.append(f"{text}^{'LR'[side]}")
         lines.append("  " * depth + f"{rule}: {', '.join(texts)}")
     return "\n".join(lines)

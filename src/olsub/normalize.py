@@ -395,7 +395,7 @@ def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = 
 _DUAL_KIND = {MEET: JOIN, JOIN: MEET}
 
 
-def _walk(ctx: _Context, t: TermId, rule, pol: int = 0, negation: bool = True) -> TermId:
+def _walk(ctx: _Context, t: TermId, rule, pol: int = 0) -> TermId:
     """The image of `t` at polarity `pol` (0 for `t`, 1 for its complement
     `~t`) with negation pushed down as delta does, and `rule(ctx, kids,
     kind)` building each meet or join over its operands' images; with
@@ -411,12 +411,11 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0, negation: bool = True) -
     spliced in (`_operands`), so the rule sees the flat node that
     `TermUniverse.meet` would build from delta's image. Only pairs the
     image needs are visited: a complement is built only where one is
-    asked for. With `negation` false, as for beta, zeta and eta, which take
-    pseudo-negation-normal terms, a `NOT` raises `NegationPresent`."""
+    asked for."""
     u = ctx.u
     nodes = u._nodes
     memo = ctx.rewrites[rule]
-    t, pol = _strip(nodes, t, pol, negation)
+    t, pol = _strip(nodes, t, pol)
     root = 2 * t + pol
     got = memo.get(root)
     if got is not None:
@@ -434,7 +433,7 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0, negation: bool = True) -
             if key in memo:
                 stack.pop()
                 continue
-            ops = frame[1] = _operands(nodes, n, p, negation)
+            ops = frame[1] = _operands(nodes, n, p)
             # a leaf at polarity 0 is itself; any other operand is looked up,
             # and a missing one is imaged here if a leaf, else pushed
             kids = [memo.get(k) if k & 1 or nodes[k >> 1].children else k >> 1 for k in ops]
@@ -467,17 +466,14 @@ def _delta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
     return ctx.u.meet(kids) if kind == MEET else ctx.u.join(kids)
 
 
-def _strip(nodes, t: TermId, pol: int, negation: bool) -> tuple[TermId, int]:
-    """`t` at `pol` with its `NOT`s stripped, each flipping the polarity;
-    with `negation` false a `NOT` raises `NegationPresent`."""
+def _strip(nodes, t: TermId, pol: int) -> tuple[TermId, int]:
+    """`t` at `pol` with its `NOT`s stripped, each flipping the polarity."""
     while nodes[t].kind == NOT:
-        if not negation:
-            raise NegationPresent("beta, zeta and eta expect a pseudo-negation-normal term")
         t, pol = nodes[t].children[0], pol ^ 1
     return t, pol
 
 
-def _operands(nodes, n, p: int, negation: bool) -> list[int]:
+def _operands(nodes, n, p: int) -> list[int]:
     """The walk's keys of the operands of node `n` at polarity `p`: an
     application's arguments at polarity 0, a meet's or join's children at
     `p`, each with its `NOT`s stripped (`_strip`), and any child whose kind
@@ -491,7 +487,7 @@ def _operands(nodes, n, p: int, negation: bool) -> list[int]:
     todo = [2 * c + q for c in reversed(n.children)]
     while todo:
         key = todo.pop()
-        c, r = _strip(nodes, key >> 1, key & 1, negation)
+        c, r = _strip(nodes, key >> 1, key & 1)
         m = nodes[c]
         if kind != APP and m.kind in _DUAL_KIND and (m.kind == kind) == (r == p):
             todo.extend(2 * g + r for g in reversed(m.children))
@@ -518,6 +514,14 @@ def delta(universe: TermUniverse, t: TermId, complement: int = 0) -> TermId:
 
 # ----------------------------------------------------------------------
 # beta, zeta, eta: bottom-up rewrites of meets and joins
+
+
+def _refuse_negation(universe: TermUniverse, t: TermId) -> None:
+    """Raise `NegationPresent` if `t` holds a `NOT`: beta, zeta and eta take
+    pseudo-negation-normal terms (`TermUniverse.contains_not`, recorded at
+    interning)."""
+    if universe.contains_not(t):
+        raise NegationPresent("beta, zeta and eta expect a pseudo-negation-normal term")
 
 
 def beta(universe: TermUniverse, t: TermId) -> TermId:
@@ -555,7 +559,8 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
     complement and makes no order test at a node whose top-level heads hold
     neither (`_Context.clash`: an atom and its complement own adjacent head
     bits, so that is one AND)."""
-    return _walk(_context(universe), t, _beta_node, negation=False)
+    _refuse_negation(universe, t)
+    return _walk(_context(universe), t, _beta_node)
 
 
 def can_collapse(universe: TermUniverse, t: TermId) -> bool:
@@ -571,11 +576,12 @@ def beta_open(universe: TermUniverse, t: TermId) -> TermId:
     """The node `_beta_node` tests for `t`: a pseudo-negation-normal meet or
     join over its children's beta images, sorted but never collapsed to
     bottom or top. Any other term maps to its beta image."""
+    _refuse_negation(universe, t)
     ctx = _context(universe)
     node = ctx.u.node(t)
     if node.kind != MEET and node.kind != JOIN:
-        return _walk(ctx, t, _beta_node, negation=False)
-    kids = [_walk(ctx, c, _beta_node, negation=False) for c in node.children]
+        return _walk(ctx, t, _beta_node)
+    kids = [_walk(ctx, c, _beta_node) for c in node.children]
     return ctx.sorted_node(node.kind, kids)
 
 
@@ -602,7 +608,8 @@ def zeta(universe: TermUniverse, t: TermId) -> TermId:
     inside meets. Iterated to a fixpoint, since a replacement can expose
     another; the first scan tests against the original join, later scans
     against the updated one."""
-    return _walk(_context(universe), t, _zeta_node, negation=False)
+    _refuse_negation(universe, t)
+    return _walk(_context(universe), t, _zeta_node)
 
 
 def _zeta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
@@ -647,7 +654,8 @@ def eta(universe: TermUniverse, t: TermId) -> TermId:
     normalization are identical, so this deduplicates); dually a meet keeps
     minimal children. Unary nodes collapse to their child and children end
     up in canonical structural order."""
-    return _walk(_context(universe), t, _eta_node, negation=False)
+    _refuse_negation(universe, t)
+    return _walk(_context(universe), t, _eta_node)
 
 
 def _eta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
@@ -710,7 +718,7 @@ def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
             "bounded-lattice normalization takes negation-free terms; "
             "use normalize_ol or pre-apply delta"
         )
-    return NormalTerm(_walk(_context(universe), t, _bl_node, negation=False), BL)
+    return NormalTerm(_walk(_context(universe), t, _bl_node), BL)
 
 
 def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:

@@ -336,13 +336,17 @@ def test_proof_rendering_prints_each_term_once(monkeypatch, capsys, tmp_path):
     def plain(u, node):
         return {
             "rule": node.rule,
-            "sequent": [[real_print(u, e.term), e.side] for e in node.sequent.elements()],
+            "sequent": [
+                [real_print(u, t), "LR"[side]] for t, side in entail.elements(node.sequent)
+            ],
             "children": [plain(u, child) for child in node.children],
         }
 
     def plain_text(u, node, depth=0):
         rule = f"F[{node.aux}]" if node.rule == "F" else node.rule
-        shown = ", ".join(f"{real_print(u, e.term)}^{e.side}" for e in node.sequent.elements())
+        shown = ", ".join(
+            f"{real_print(u, t)}^{'LR'[side]}" for t, side in entail.elements(node.sequent)
+        )
         lines = ["  " * depth + f"{rule}: {shown}"]
         return lines + [line for c in node.children for line in plain_text(u, c, depth + 1)]
 
@@ -359,7 +363,7 @@ def test_proof_rendering_prints_each_term_once(monkeypatch, capsys, tmp_path):
             terms = set()
             for node, _ in entail.walk_proof(proof):
                 if node is not None:
-                    terms.update(e.term for e in node.sequent.elements())
+                    terms.update(t for t, _ in entail.elements(node.sequent))
             assert sorted(printed) == sorted(terms)
             if fmt == "json":
                 payload = json.loads(out)

@@ -5,15 +5,16 @@ import pytest
 
 from olsub import (
     Engine,
-    Sequent,
     TermUniverse,
     check,
+    elements,
     normalize,
     oracle,
     parse_query,
     parse_term,
     print_term,
     reconstruct_proof,
+    sequent,
     verify_proof,
 )
 from olsub.cli import sn_tn_terms
@@ -22,15 +23,20 @@ from olsub.entail import (
     F_RULE,
     HYP,
     LEFT_AND,
+    LEFT_BOT,
     LEFT_NOT,
     LEFT_OR,
     REPLACE,
     RIGHT_AND,
     RIGHT_NOT,
     RIGHT_OR,
+    RIGHT_TOP,
+    _ANN_BITS,
+    _ANN_MASK,
     ProofTree,
-    _to_sequent,
+    _order_phase,
     find_invalid_node,
+    walk_proof,
 )
 from olsub.errors import EngineInterrupted, NotProvable, TermIdOverflow
 from olsub.normalize import beta, delta, leq
@@ -38,12 +44,14 @@ from olsub.normalize import beta, delta, leq
 from helpers import opaque, random_pnnf, random_term
 
 
-def decoded_clauses(engine):
-    """The engine's clauses as (head, body, rule) over `Sequent`s."""
-    return [
-        (_to_sequent(head), tuple(_to_sequent(p) for p in body), rule)
-        for head, body, rule, _ in engine.clauses
-    ]
+def _goal(s, t):
+    """The packed sequent {s^L, t^R}."""
+    return sequent(s, 0, t, 1)
+
+
+def clauses_of(engine):
+    """The engine's clauses as (head, body, rule) over packed sequents."""
+    return [(head, body, rule) for head, body, rule, _ in engine.clauses]
 
 
 def test_hyp_clause_present(u):
@@ -52,8 +60,8 @@ def test_hyp_clause_present(u):
     engine.query(x, x)
     assert any(
         rule == HYP and not body
-        for head, body, rule in decoded_clauses(engine)
-        if head == Sequent.goal(x, x)
+        for head, body, rule in clauses_of(engine)
+        if head == _goal(x, x)
     )
 
 
@@ -62,12 +70,12 @@ def test_left_and_clauses(u):
     m = u.meet([x, y])
     engine = Engine(u)
     engine.query(m, x)
-    head = Sequent.goal(m, x)
+    head = _goal(m, x)
     bodies = {
-        body for h, body, rule in decoded_clauses(engine) if h == head and rule == LEFT_AND
+        body for h, body, rule in clauses_of(engine) if h == head and rule == LEFT_AND
     }
-    assert (Sequent.goal(x, x),) in bodies
-    assert (Sequent.goal(y, x),) in bodies
+    assert (_goal(x, x),) in bodies
+    assert (_goal(y, x),) in bodies
 
 
 def test_axiom_cut_clause_shape(u):
@@ -78,12 +86,12 @@ def test_axiom_cut_clause_shape(u):
     axioms = [(a, b), (b, c)]
     engine = Engine(u, axioms)
     engine.query(a, c)
-    head = Sequent.goal(a, c)
+    head = _goal(a, c)
     cut_bodies = [
-        body for h, body, rule in decoded_clauses(engine) if h == head and rule == AXIOM_CUT
+        body for h, body, rule in clauses_of(engine) if h == head and rule == AXIOM_CUT
     ]
     # canonical instance for axiom (B, C): {A^L,C^R} <- {A^L,B^R}, {C^L,C^R}
-    assert (Sequent.goal(a, b), Sequent.goal(c, c)) in cut_bodies
+    assert (_goal(a, b), _goal(c, c)) in cut_bodies
 
 
 def test_query_examples(u):
@@ -160,8 +168,8 @@ def test_opaque_copies_take_only_the_bounded_lattice_rules(u):
     assert F_RULE in rules
     assert not rules & {LEFT_NOT, RIGHT_NOT, REPLACE, AXIOM_CUT}
     for s in engine._visited:
-        seq = _to_sequent(s)
-        assert {seq.a.side, seq.b.side} == {"L", "R"}
+        (_, side1), (_, side2) = elements(s)
+        assert {side1, side2} == {0, 1}
 
 
 # ----------------------------------------------------------------------
@@ -297,9 +305,9 @@ def test_order_proof_replaces_through_a_collapsed_node(u):
         s, t = parse_query(query, u)
         proof = check(u, s, t).proof()
         assert _rules(proof) == [REPLACE, picks, picks, peel, HYP], query
-        assert proof.sequent == Sequent.goal(s, t)
+        assert proof.sequent == _goal(s, t)
         premise = proof.children[0].sequent
-        assert premise.a == premise.b  # {G, G}
+        assert elements(premise)[0] == elements(premise)[1]  # {G, G}
         assert verify_proof(u, proof)
 
 
@@ -309,7 +317,7 @@ def test_order_proof_peels_negated_variables_and_dual_symbols(u):
     top = u.top()
     proof = check(u, top, u.join([x, negvar])).proof()
     assert _rules(proof) == [REPLACE, RIGHT_OR, RIGHT_OR, RIGHT_NOT, HYP]
-    assert proof.children[0].children[0].children[0].sequent == Sequent.of(negvar, "R", x, "R")
+    assert proof.children[0].children[0].children[0].sequent == sequent(negvar, 1, x, 1)
     assert verify_proof(u, proof)
     # ~F(x) as a dual symbol is below the negation of F(x & y): the F rule
     # joins F(x & y)^L, from the right, with F(x)^R, from the left.
@@ -437,7 +445,7 @@ def test_deep_proof_is_reconstructed_without_recursion(u):
     s, t = parse_query("~" * 3001 + "x <= ~x", u)
     engine = Engine(u)
     proof = reconstruct_proof(engine, s, t)
-    assert proof.sequent == Sequent.goal(s, t)
+    assert proof.sequent == _goal(s, t)
     assert verify_proof(u, proof)
 
 
@@ -450,13 +458,13 @@ def test_reconstruct_unprovable_raises(u):
 def test_verify_rejects_wrong_variance_direction(u):
     arrow = u.declare("Arrow", "-+")
     e, b = u.var("e"), u.var("b")
-    goal = Sequent.goal(u.app(arrow, [e, b]), u.app(arrow, [e, b]))
+    goal = _goal(u.app(arrow, [e, b]), u.app(arrow, [e, b]))
     valid = ProofTree(
         goal,
         "F",
         [
-            ProofTree(Sequent.goal(e, e), HYP, []),  # contravariant slot
-            ProofTree(Sequent.goal(b, b), HYP, []),  # covariant slot
+            ProofTree(_goal(e, e), HYP, []),  # contravariant slot
+            ProofTree(_goal(b, b), HYP, []),  # covariant slot
         ],
         "Arrow",
     )
@@ -465,8 +473,8 @@ def test_verify_rejects_wrong_variance_direction(u):
         goal,
         "F",
         [
-            ProofTree(Sequent.goal(b, b), HYP, []),  # covariant premise in contra slot
-            ProofTree(Sequent.goal(e, e), HYP, []),
+            ProofTree(_goal(b, b), HYP, []),  # covariant premise in contra slot
+            ProofTree(_goal(e, e), HYP, []),
         ],
         "Arrow",
     )
@@ -477,11 +485,11 @@ def test_verify_rejects_wrong_variance_direction(u):
 def test_verify_rejects_foreign_axiom(u):
     a, b = u.var("A"), u.var("B")
     node = ProofTree(
-        Sequent.goal(a, b),
+        _goal(a, b),
         AXIOM_CUT,
         [
-            ProofTree(Sequent.goal(a, a), HYP, []),
-            ProofTree(Sequent.goal(b, b), HYP, []),
+            ProofTree(_goal(a, a), HYP, []),
+            ProofTree(_goal(b, b), HYP, []),
         ],
         (a, b),
     )
@@ -491,7 +499,7 @@ def test_verify_rejects_foreign_axiom(u):
 
 
 def _tree(t1, s1, t2, s2, rule, kids=(), aux=None):
-    return ProofTree(Sequent.of(t1, s1, t2, s2), rule, list(kids), aux)
+    return ProofTree(sequent(t1, "LR".index(s1), t2, "LR".index(s2)), rule, list(kids), aux)
 
 
 def _hyp(t):
@@ -596,7 +604,66 @@ def test_verify_rejects_a_cut_with_premises_swapped(u):
 
 def test_verify_rejects_unknown_rule(u):
     x = u.var("x")
-    assert not verify_proof(u, ProofTree(Sequent.goal(x, x), "Magic", []))
+    assert not verify_proof(u, ProofTree(_goal(x, x), "Magic", []))
+
+
+def test_verify_rejects_malformed_sequents(u):
+    # A sequent naming a term the universe does not hold, or a packed
+    # integer that is not canonical, makes its node invalid: the verifier
+    # answers False and never raises.
+    x = u.var("x")
+    m = u.meet([x, u.var("y")])
+    hyp = _goal(x, x)
+    low, high = hyp >> _ANN_BITS, hyp & _ANN_MASK
+    swapped = (high << _ANN_BITS) | low  # {x^L, x^R} with R packed first
+    assert elements(swapped) == ((x, 1), (x, 0))
+    rules = (HYP, LEFT_BOT, RIGHT_TOP, LEFT_AND, RIGHT_AND, LEFT_OR, RIGHT_OR, LEFT_NOT,
+             RIGHT_NOT, REPLACE, F_RULE, AXIOM_CUT)
+    assert verify_proof(u, ProofTree(_goal(m, x), LEFT_AND, [_hyp(x)]))
+    negative = sequent(x, -1, x, 1)  # packs back, but side -1 is no side
+    for bad in (_goal(x, 10**6), _goal(10**6, x), swapped, negative, -1, 1 << 62):
+        for rule in rules:
+            assert find_invalid_node(u, ProofTree(bad, rule, []), [(x, x)]) == "root", rule
+        # as a premise it matches no schema either
+        pick = ProofTree(_goal(m, x), LEFT_AND, [ProofTree(bad, HYP, [])])
+        assert find_invalid_node(u, pick) == "root"
+
+
+def test_proof_nodes_carry_canonical_packed_sequents():
+    # Every node of a proof from either reader holds a packed sequent that
+    # `elements` decodes, L before R and then by term id, and `sequent`
+    # packs back; the sweep covers both phases of the order test and an
+    # engine proof through atom and compound axioms.
+    rng = random.Random(7)
+    u = TermUniverse()
+    symbols = [u.declare("F", "+"), u.declare("G", "-+")]
+    proofs, phases = [], set()
+    complemented = ("x <= y | ~y", "F(x) & ~F(x) <= y", "top <= G(x, y) | ~G(x, y)")
+    queries = [parse_query(q, u) for q in complemented]  # phase two
+    for _ in range(300):
+        queries.append(tuple(
+            random_term(u, rng, rng.randint(1, 14), ["x", "y", "z"], symbols) for _ in "st"
+        ))
+    for s, t in queries:
+        verdict = check(u, s, t)
+        if verdict.provable:
+            phases.add(_order_phase(u, delta(u, s), delta(u, t)))
+            proofs.append((verdict.proof(), []))
+    assert phases == {1, 2}
+    s, t = parse_query("F(A) & ~C <= G(C, E) | ~A", u)
+    axioms = [(u.var("A"), u.var("B")), (u.var("B"), u.var("C")),
+              (parse_term("F(C)", u), parse_term("G(C, D)", u)), (u.var("D"), u.var("E"))]
+    verdict = check(u, s, t, axioms)
+    assert verdict.provable
+    proofs.append((verdict.proof(), axioms))
+    assert {AXIOM_CUT, F_RULE} <= {node.rule for node, _ in walk_proof(proofs[-1][0]) if node}
+    for proof, given in proofs:
+        for node, _ in walk_proof(proof):
+            if node is not None:
+                a, b = elements(node.sequent)
+                assert sequent(*a, *b) == node.sequent
+                assert (a[1], a[0]) <= (b[1], b[0])
+        assert verify_proof(u, proof, given)
 
 
 def test_clause_count_bound(u):
@@ -643,14 +710,14 @@ def test_bl_cuts_keep_one_term_per_side(u):
     chain = [u.app(f, [u.var(f"A{i}")]) for i in range(k)]
     engine = Engine(u, list(zip(chain, chain[1:])))
     assert not engine.query(chain[-1], chain[0])
-    sequents = [_to_sequent(s) for s in engine._visited]
+    sequents = [elements(s) for s in engine._visited]
     assert len(sequents) > k
-    assert all(seq.a.side != seq.b.side for seq in sequents)
+    assert all(a[1] != b[1] for a, b in sequents)
     # the unit rules still close the cut premises: top <= bot proves all
     x, y = u.var("x"), u.var("y")
     engine = Engine(u, [(u.top(), u.bot())])
     assert engine.query(y, x)
-    assert all(_to_sequent(s).a.side != _to_sequent(s).b.side for s in engine._visited)
+    assert all(a[1] != b[1] for a, b in map(elements, engine._visited))
 
 
 def test_atom_chain_of_a_thousand_closes_in_one_step(u):
@@ -889,13 +956,13 @@ def test_invertible_rule_alone_decides_its_sequent(u):
     x, y, z = u.var("x"), u.var("y"), u.var("z")
     engine = Engine(u)
     engine.query(u.join([x, y]), u.meet([x, z]))
-    head = Sequent.goal(u.join([x, y]), u.meet([x, z]))
-    rules = [rule for h, _, rule in decoded_clauses(engine) if h == head]
+    head = _goal(u.join([x, y]), u.meet([x, z]))
+    rules = [rule for h, _, rule in clauses_of(engine) if h == head]
     assert rules == [LEFT_OR]
     # a pick is not invertible: {(x & y)^L, (x | z)^R} keeps every clause
     engine.query(u.meet([x, y]), u.join([x, z]))
-    head = Sequent.goal(u.meet([x, y]), u.join([x, z]))
-    rules = [rule for h, _, rule in decoded_clauses(engine) if h == head]
+    head = _goal(u.meet([x, y]), u.join([x, z]))
+    rules = [rule for h, _, rule in clauses_of(engine) if h == head]
     assert sorted(rules) == [LEFT_AND, LEFT_AND, RIGHT_OR, RIGHT_OR]
 
 
@@ -916,7 +983,7 @@ def test_join_pushes_no_partner_for_a_plain_sequents_r_term(u, monkeypatch):
     # full-rule query puts b^R in L_i of the plain axiom top <= F(a). A cut
     # through b^R would need {F(a)^L, a^L}; the sequent's proof cuts only
     # through a^L, so `_join` does not push that premise.
-    from olsub.entail import _ANN_BITS, _ANN_MASK, _SIDE_BIT, _seq
+    from olsub.entail import _SIDE_BIT, _seq
 
     pushes = []
     join = Engine._join
@@ -953,7 +1020,7 @@ def test_plain_axiom_probe_keeps_one_term_per_side(u):
     engine = Engine(u, axioms)
     assert not engine.query(s, u.meet([t, u.var("w")]))
     assert engine.stats().sequents < 12_000
-    assert all(_to_sequent(q).a.side != _to_sequent(q).b.side for q in engine._visited)
+    assert all(a[1] != b[1] for a, b in map(elements, engine._visited))
 
 
 def test_refuted_query_inherits_little_work_from_provable_ones(u):

@@ -13,6 +13,7 @@ from olsub.normalize import (
     _context,
     _structural_key,
     beta,
+    beta_open,
     can_collapse,
     delta,
     eta,
@@ -210,6 +211,15 @@ def test_normalize_bl_examples(u):
 def test_normalize_bl_rejects_negation(u):
     with pytest.raises(NegationPresent):
         normalize_bl(u, parse_term("~x | x", u))
+
+
+@pytest.mark.parametrize("entry", [beta, beta_open, zeta, eta])
+def test_pseudo_negation_normal_passes_reject_negation(u, entry):
+    # a Not at the top or deep inside is refused at entry
+    u.declare("F", "-+")
+    for text in ("~(x & y)", "x | F(y, z & ~(x | y))"):
+        with pytest.raises(NegationPresent, match="pseudo-negation-normal"):
+            entry(u, parse_term(text, u))
 
 
 def test_normalize_ol_examples(u):
