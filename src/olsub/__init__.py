@@ -2,7 +2,7 @@
 variance-annotated constructors and ground subtyping axioms."""
 
 from . import errors
-from .defs import Definition, desugar, substitute
+from .defs import Definition, desugar
 from .entail import (
     Engine,
     ProofTree,
@@ -63,7 +63,6 @@ __all__ = [
     "saturate",
     "saturates",
     "sequent",
-    "substitute",
     "verify_proof",
     "zeta",
 ]

@@ -215,8 +215,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.family != "sn-tn":
-        raise BadN(f"unknown family {args.family}")
     sys.stdout.write(sn_tn_source(args.n))
     return 0
 

@@ -1,4 +1,4 @@
-"""Bounded abstract type definitions and capture-free symbol substitution.
+"""Bounded abstract type definitions, which `desugar` removes by substitution.
 
 A definition `type T[A,...] <: F` is eliminated without axioms: introduce a
 fresh unconstrained symbol T' with T's variances and substitute
@@ -83,12 +83,9 @@ def template_compatible(universe: TermUniverse, term: TermId, var: str, declared
     An unused parameter is both monotone and antitone, so it is compatible
     with every declared variance; invariant positions impose nothing.
     """
-    if declared is Variance.INVARIANT:
-        return True
-    occs = occurrence_polarities(universe, term, var)
-    if declared is Variance.COVARIANT:
-        return occs <= {"+"}
-    return occs <= {"-"}
+    return declared is Variance.INVARIANT or (
+        occurrence_polarities(universe, term, var) <= {declared.value}
+    )
 
 
 def subst_vars(universe: TermUniverse, term: TermId, mapping: dict[str, TermId]) -> TermId:
@@ -104,42 +101,13 @@ def subst_vars(universe: TermUniverse, term: TermId, mapping: dict[str, TermId])
     return universe.fold(term, {}, image)
 
 
-def substitute(
-    universe: TermUniverse,
-    term: TermId,
-    symbol: SymbolDecl | str,
-    params: Sequence[str],
-    body: TermId,
-) -> TermId:
-    """Replace every application of `symbol` by the template `body` over `params`.
-
-    Arguments are substituted before the application holding them. The
-    template must be variance-compatible with the symbol it replaces.
-    """
-    decl = universe.symbols[symbol] if isinstance(symbol, str) else symbol
-    _check_template(universe, decl, params, body)
-    return _substitution(universe, decl, params, body)(term)
-
-
-def _check_template(
-    universe: TermUniverse, decl: SymbolDecl, params: Sequence[str], body: TermId
-) -> None:
-    if len(params) != decl.arity:
-        raise VarianceMismatch(
-            f"template for {decl.name} has {len(params)} holes, arity is {decl.arity}"
-        )
-    for param, declared in zip(params, decl.variances):
-        if not template_compatible(universe, body, param, declared):
-            raise VarianceMismatch(
-                f"template for {decl.name} is not {declared.name.lower()} in {param}"
-            )
-
-
 def _substitution(
     universe: TermUniverse, decl: SymbolDecl, params: Sequence[str], body: TermId
 ):
-    """`substitute` for an already checked template, as a function of the
-    term; every term it is applied to shares one memo."""
+    """Replacement of every application of `decl` by the template `body`
+    over `params` (of its dual by the template's negation), arguments
+    before the application holding them, as a function of the term; every
+    term it is applied to shares one memo."""
     memo: dict[TermId, TermId] = {}
 
     def image(t: TermId, node, kids: list[TermId]) -> TermId:
@@ -209,7 +177,11 @@ def desugar(
             body = universe.meet([d.bound, opaque])
         else:
             body = universe.join([d.bound, opaque])
-        _check_template(universe, decl, d.params, body)
+        for param, declared in zip(d.params, decl.variances):
+            if not template_compatible(universe, body, param, declared):
+                raise VarianceMismatch(
+                    f"template for {decl.name} is not {declared.name.lower()} in {param}"
+                )
         replace = _substitution(universe, decl, d.params, body)
         goal_s, goal_t = replace(goal_s), replace(goal_t)
         pairs = [(replace(a), replace(b)) for (a, b) in pairs]

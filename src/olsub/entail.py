@@ -190,15 +190,6 @@ _ANN_BITS = _TID_BITS + 1
 _ANN_MASK = (1 << _ANN_BITS) - 1
 
 
-def _check_ids(*tids: int) -> None:
-    # Children are interned before their parents, so checking roots suffices.
-    for tid in tids:
-        if tid >= _SIDE_BIT:
-            raise TermIdOverflow(
-                f"term id {tid} does not fit the {_TID_BITS}-bit sequent encoding"
-            )
-
-
 def _ann(tid: int, side: int) -> int:
     return (side << _TID_BITS) | tid
 
@@ -208,7 +199,13 @@ def _seq(a: int, b: int) -> int:
 
 
 def sequent(t1: TermId, side1: int, t2: TermId, side2: int) -> int:
-    """The packed sequent {t1^side1, t2^side2}, sides 0 = L and 1 = R."""
+    """The packed sequent {t1^side1, t2^side2}, sides 0 = L and 1 = R.
+    Raises `TermIdOverflow` on a term id outside 0 <= t < 2**30 or a side
+    other than 0 or 1, which would pack to another sequent's integer."""
+    if (t1 | t2) >> _TID_BITS or (side1 | side2) >> 1:
+        raise TermIdOverflow(
+            f"{{{t1}^{side1}, {t2}^{side2}}} does not fit the {_TID_BITS}-bit sequent encoding"
+        )
     a = side1 << _TID_BITS | t1
     b = side2 << _TID_BITS | t2
     return a << _ANN_BITS | b if a <= b else b << _ANN_BITS | a
@@ -270,6 +267,9 @@ class Verdict:
 
 @dataclass
 class ProofTree:
+    """One rule application. `aux` holds the F rule's symbol name or the
+    AxiomCut's axiom pair, and None for every other rule."""
+
     sequent: int  # packed: `sequent` builds it, `elements` reads it
     rule: str
     children: list["ProofTree"]
@@ -324,16 +324,16 @@ class Engine:
     any query the engine has answered yes from these two. A Replace or
     AxiomCut clause is added only when it fires, with its premises derived.
     An Axiom clause's `aux` is the compound axiom's index, or None for a
-    leaf closed from the atom axioms' closure. `steps` counts propagation
-    work: watch decrements, join probes, the Replace and AxiomCut
-    derivations, and each sequent the closure closes.
+    leaf closed from the atom axioms' closure; an AxiomCut clause's is its
+    axiom's index, an F clause's the symbol name, and any other clause's
+    None. `steps` counts propagation work: watch decrements, join probes,
+    the Replace and AxiomCut derivations, and each sequent the closure
+    closes.
     """
 
     def __init__(self, universe: TermUniverse, axioms=None):
         self.u = universe
         self.axioms = list(dict.fromkeys(axioms or ()))  # drop exact duplicates, keep order
-        for pair in self.axioms:
-            _check_ids(*pair)
         # Atom axioms A <= B between two variables close sequents from their
         # closure; only compound axioms are AxiomCut joins.
         self._succ: dict[int, list[tuple[int, int]]] = {}  # A -> [(B, i)], atom axioms i
@@ -346,13 +346,14 @@ class Engine:
         self._axiom_of_seq: dict[int, int] = {}
         node = universe.node
         for i, (v, w) in enumerate(self.axioms):
+            s = sequent(v, 0, w, 1)  # refuses an id the encoding cannot hold
             if node(v).kind == VAR and node(w).kind == VAR:
                 self._succ.setdefault(v, []).append((w, i))
                 continue
             self._cuts[i] = (_ann(v, 1), _ann(w, 0), [], [])
             self._cut_at.setdefault(_ann(v, 1), []).append((i, True))
             self._cut_at.setdefault(_ann(w, 0), []).append((i, False))
-            self._axiom_of_seq.setdefault(sequent(v, 0, w, 1), i)
+            self._axiom_of_seq.setdefault(s, i)
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
         self._cut_pushed: set[int] = set()  # terms x that pushed every {x, U_i^R}
@@ -386,17 +387,15 @@ class Engine:
         kids = node.children
         templates: tuple = ()
         if key in _INVERTIBLE:
-            templates = ((_INVERTIBLE[key], None, tuple(_ann(c, side) for c in kids)),)
+            templates = ((_INVERTIBLE[key], tuple(_ann(c, side) for c in kids)),)
         elif key in _PICK:
             # dict.fromkeys: duplicate children would yield duplicate clauses
-            templates = tuple(
-                (_PICK[key], i, (_ann(c, side),)) for i, c in enumerate(dict.fromkeys(kids))
-            )
+            templates = tuple((_PICK[key], (_ann(c, side),)) for c in dict.fromkeys(kids))
         elif kind in (NOT, NEGVAR, APP):
             inner = _unnegated(self.u, tid)
             if inner is not None:
                 rule = LEFT_NOT if side == 0 else RIGHT_NOT
-                templates = ((rule, None, (_ann(inner, 1 - side),)),)
+                templates = ((rule, (_ann(inner, 1 - side),)),)
         record = (
             templates,
             _UNIT.get(key),
@@ -446,8 +445,8 @@ class Engine:
         sides = ((ra, b), (rb, a))
         for r, other in sides:
             if r[3]:
-                rule, aux, comps = r[0][0]
-                self._add_clause(s, tuple(_seq(c, other) for c in comps), rule, aux)
+                rule, comps = r[0][0]
+                self._add_clause(s, tuple(_seq(c, other) for c in comps), rule, None)
                 return
         holding = self._holding
         for g in (a, b) if a != b else (a,):
@@ -473,10 +472,10 @@ class Engine:
                     return
             self._to_visit += (aa, bb)
         for r, other in sides if a != b else sides[:1]:
-            for rule, aux, comps in r[0]:
+            for rule, comps in r[0]:
                 premises = tuple((c << _ANN_BITS) | other if c <= other
                                  else (other << _ANN_BITS) | c for c in comps)
-                self._add_clause(s, premises, rule, aux)
+                self._add_clause(s, premises, rule, None)
         fa, fb = ra[2], rb[2]
         if fa is not None and fb is not None and fa.name == fb.name and a < _SIDE_BIT <= b:
             body: list[int] = []  # one L, one R: the F rule
@@ -686,7 +685,8 @@ class Engine:
 
     def query(self, s: TermId, t: TermId) -> bool:
         """Whether s <= t is provable under this engine's axioms."""
-        _check_ids(s, t)
+        # Children are interned before their parents, so packing the goal
+        # checks every id the search will pack.
         return self._search(sequent(s, 0, t, 1))
 
     def stats(self) -> Stats:
@@ -918,10 +918,10 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
         `pos` whose premise the order test accepts, or None."""
         x, side, _ = state[pos]
         n = node(x)
-        for i, c in enumerate(dict.fromkeys(n.children)):
+        for c in dict.fromkeys(n.children):
             premise = put(state, pos, (c, side, False))
             if holds(premise):
-                return _PICK[n.kind, side], i, [premise]
+                return _PICK[n.kind, side], None, [premise]
         return None
 
     def step(state) -> tuple[str, object, list]:
@@ -1000,8 +1000,8 @@ def verify_proof(universe: TermUniverse, proof: ProofTree, axioms=None) -> bool:
     `sequent`. That encoding is all the verifier shares with the proof
     readers; it shares no rule logic. A LeftAnd or RightOr pick holds if its
     one premise is the conclusion's other element, unchanged, together with
-    some child of the principal term on the principal's side: the child is
-    looked up among the principal's children, never read from `aux`.
+    some child of the principal term on the principal's side, looked up
+    among the principal's children.
     LeftOr, RightAnd, F and AxiomCut premises must match their schema one
     for one and in order, and a negation rule's premise is the un-negated
     term on the other side."""
@@ -1110,8 +1110,8 @@ def _node_matches_schema(u: TermUniverse, size: int, node: ProofTree, axioms: li
         if len(kids) != 2 or not isinstance(node.aux, tuple) or len(node.aux) != 2:
             return False
         v, w = node.aux
-        if (v, w) not in axioms:
-            return False
+        if (v, w) not in axioms or not (0 <= v < size and 0 <= w < size):
+            return False  # an unlisted axiom, or one over a term `u` does not hold
         first, second = kids[0].sequent, kids[1].sequent
         for (gt, gs), (dt, ds) in ((a, b), (b, a)):
             if first == sequent(gt, gs, v, 1) and second == sequent(w, 0, dt, ds):

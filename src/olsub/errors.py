@@ -63,7 +63,7 @@ class InputTooDeep(OlsubError):
 
 
 class TermIdOverflow(OlsubError):
-    """A term id does not fit the engine's packed sequent encoding."""
+    """A term id or side does not fit the packed sequent encoding."""
 
 
 class EngineInterrupted(OlsubError):

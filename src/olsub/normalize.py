@@ -589,8 +589,6 @@ def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
     u = ctx.u
     whole = ctx.sorted_node(kind, kids)
     node = u.node(whole)
-    if node.kind != kind:
-        return whole
     # By the lemma in `beta`, no child's complement reaches the node unless
     # its heads hold a bound or a complementary pair.
     if not ctx.clash(u.fold(whole, ctx.masks, ctx._mask)[3]):

@@ -45,12 +45,6 @@ class Variance(Enum):
         return Variance.INVARIANT
 
 
-def _coerce_variance(v: Union[Variance, str]) -> Variance:
-    if isinstance(v, Variance):
-        return v
-    return Variance(v)
-
-
 @dataclass(frozen=True)
 class SymbolDecl:
     """A declared constructor: name, arity and per-argument variance.
@@ -105,7 +99,7 @@ class TermUniverse:
 
     def declare(self, name: str, variances: Sequence[Union[Variance, str]]) -> SymbolDecl:
         """Declare a constructor. Idempotent; conflicting re-declaration is an error."""
-        vs = tuple(_coerce_variance(v) for v in variances)
+        vs = tuple(Variance(v) for v in variances)
         if name.startswith("~"):
             raise ConflictingDeclaration(f"symbol name {name!r} is reserved for duals")
         with self._lock:
@@ -120,9 +114,6 @@ class TermUniverse:
             decl = SymbolDecl(name, len(vs), vs)
             self.symbols[name] = decl
             return decl
-
-    def symbol(self, name: str) -> SymbolDecl:
-        return self.symbols[name]
 
     def dual(self, decl: SymbolDecl) -> SymbolDecl:
         """The symbol standing for the complement of `decl`, with flipped variances.

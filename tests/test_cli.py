@@ -163,6 +163,15 @@ def test_normalize_mode_and_axiom_errors(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Arrow(x, y)"
 
 
+def test_normalize_sig_with_an_axiom_exits_2(tmp_path, capsys):
+    sig = tmp_path / "sig.ax"
+    sig.write_text("fun F : (+)\nA <= B\n")
+    assert main(["normalize", "--sig", str(sig), "F(x)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "may contain only fun declarations" in captured.err
+
+
 def _alternating(depth: int) -> str:
     """x1 & (x2 | (x3 & ... x{depth})), meets and joins alternating."""
     text = f"x{depth}"

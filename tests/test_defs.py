@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from olsub import check, parse_source, parse_term
+from olsub import check, parse_query, parse_source, parse_term
 from olsub.defs import (
     Definition,
     desugar,
     infer_variance,
     occurrence_polarities,
     subst_vars,
-    substitute,
 )
-from olsub.errors import RecursiveDefinition, VarianceMismatch
+from olsub.errors import ConflictingDeclaration, RecursiveDefinition, VarianceMismatch
 from olsub.oracle import saturates
 from olsub.terms import Variance
 
@@ -19,34 +18,40 @@ from helpers import random_term
 
 
 def test_substitute_class_encoding(u):
-    s = u.declare("S", "+")
-    u.declare("T", "+")
-    big_u = u.declare("U", "+")
-    u.declare("U'", "+")
-    template = parse_term("U'(A) & S(A)", u)
-    out = substitute(u, parse_term("U(x)", u), big_u, ["A"], template)
-    assert out == parse_term("U'(x) & S(x)", u)
+    u.declare("S", "+")
+    u.declare("U", "+")
+    definition = Definition("U", ("A",), parse_term("S(A)", u))
+    (gs, gt), _, hidden = desugar(u, [definition], (parse_term("U(x)", u), u.var("y")), [])
+    assert hidden == {"U'": "U"}
+    assert gs == parse_term("S(x) & U'(x)", u)  # bound & U'(...)
+    assert gt == u.var("y")
 
 
 def test_substitute_symbol_absent(u):
     u.declare("U", "+")
+    definition = Definition("U", ("A",), parse_term("x & A", u))
     t = parse_term("x | y", u)
-    assert substitute(u, t, "U", ["A"], parse_term("x & A", u)) == t
+    axiom = (u.var("a"), parse_term("b & c", u))
+    assert desugar(u, [definition], (t, t), [axiom])[:2] == ((t, t), [axiom])
 
 
 def test_substitute_variance_mismatch(u):
     u.declare("Arrow", "-+")
     u.declare("V", "+")
     antitone = parse_term("Arrow(A, x)", u)  # A sits in a contravariant slot
+    definition = Definition("V", ("A",), antitone)
     with pytest.raises(VarianceMismatch):
-        substitute(u, parse_term("V(x)", u), "V", ["A"], antitone)
+        desugar(u, [definition], (parse_term("V(x)", u), u.var("y")), [])
 
 
 def test_substitute_recurses_into_arguments(u):
-    f = u.declare("F", "+")
-    out = substitute(u, parse_term("F(F(x))", u), f, ["A"], parse_term("A | y", u))
-    # innermost first: F(x) -> x | y, then F(x | y) -> (x | y) | y
-    assert out == u.join([u.var("x"), u.var("y"), u.var("y")])
+    u.declare("F", "+")
+    definition = Definition("F", ("A",), parse_term("A | y", u))
+    (out, _), _, _ = desugar(u, [definition], (parse_term("F(F(x))", u), u.var("y")), [])
+    # innermost first: F(x) -> (x | y) & F'(x), then F(that) -> (that | y) & F'(that)
+    x, y, fresh = u.var("x"), u.var("y"), u.symbols["F'"]
+    inner = u.meet([u.join([x, y]), u.app(fresh, [x])])
+    assert out == u.meet([u.join([inner, y]), u.app(fresh, [inner])])
 
 
 def _chain(u, symbol, depth, leaf):
@@ -62,7 +67,12 @@ def test_walks_handle_deep_chains(u):
     x, y = u.var("x"), u.var("y")
     deep = _chain(u, f, 5000, x)
     assert subst_vars(u, deep, {"x": y}) == _chain(u, f, 5000, y)
-    assert substitute(u, deep, f, ["A"], u.app(h, [u.var("A")])) == _chain(u, h, 5000, x)
+    definition = Definition("F", ("A",), u.app(h, [u.var("A")]))
+    (out, _), _, _ = desugar(u, [definition], (deep, y), [])
+    fresh, expected = u.symbols["F'"], x
+    for _ in range(5000):  # each F(t) becomes H(t) & F'(t), arguments first
+        expected = u.meet([u.app(h, [expected]), u.app(fresh, [expected])])
+    assert out == expected
     assert occurrence_polarities(u, deep, "x") == {"+"}
     assert occurrence_polarities(u, u.app(f, [deep]), "x") == {"-"}
 
@@ -73,6 +83,26 @@ def test_infer_variance(u):
     assert infer_variance(u, parse_term("Arrow(A, x)", u), "A") is Variance.CONTRAVARIANT
     assert infer_variance(u, parse_term("A & Arrow(A, x)", u), "A") is Variance.INVARIANT
     assert infer_variance(u, parse_term("x", u), "A") is Variance.COVARIANT  # unused
+
+
+def test_variance_inferred_under_negation_and_invariant_arguments(u):
+    text = "fun Box : (o)\ntype N[A] <: ~A\ntype M[A] <: Box(A)\na <= b\n"
+    axioms, definitions = parse_source(text, u)
+    assert u.symbols["N"].variances == (Variance.CONTRAVARIANT,)
+    assert u.symbols["M"].variances == (Variance.INVARIANT,)
+
+    def provable(query):
+        goal, pairs, _ = desugar(u, definitions, parse_query(query, u), axioms.pairs)
+        return check(u, *goal, pairs).provable
+
+    assert provable("N(b) <= N(a)")  # antitone: a <= b gives ~b <= ~a
+    assert not provable("N(a) <= N(b)")
+    assert not provable("M(a) <= M(b)")  # invariant: a <= b says nothing
+
+
+def test_predeclared_variance_must_match_the_bound(u):
+    with pytest.raises(ConflictingDeclaration):
+        parse_source("fun T : (+)\ntype T[A] <: ~A\n", u)
 
 
 def test_desugar_appendix_example(u):

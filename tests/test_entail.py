@@ -577,6 +577,19 @@ def _schema_cases(u):
         # a negation rule whose premise did not flip the side
         ("left-not-unflipped", _tree(nx, "L", nx, "R", LEFT_NOT,
                                      [_tree(x, "L", nx, "R", RIGHT_NOT, [])]), "root"),
+        # a Replace with a second premise
+        ("replace-two-premises", _tree(x, "L", y, "R", REPLACE,
+                                       [_tree(x, "L", x, "L", REPLACE, []),
+                                        _tree(y, "R", y, "R", REPLACE, [])]), "root"),
+        # an F node over two same-side elements, two symbols, or a non-application
+        ("f-same-side", _tree(fx, "L", fm, "L", F_RULE,
+                              [_tree(x, "L", mxy, "R", RIGHT_AND, [])], "F"), "root"),
+        ("f-two-symbols", _tree(fx, "L", hx, "R", F_RULE, [_hyp(x)], "F"), "root"),
+        ("f-not-an-application", _tree(x, "L", fx, "R", F_RULE, [_hyp(x)], "F"), "root"),
+        # an AxiomCut whose aux is not an axiom pair
+        ("cut-aux-triple", _tree(x, "L", y, "R", AXIOM_CUT, [_hyp(x), _hyp(y)], (x, y, z)),
+         "root"),
+        ("cut-aux-list", _tree(x, "L", y, "R", AXIOM_CUT, [_hyp(x), _hyp(y)], [x, y]), "root"),
     ]
     return valid, invalid
 
@@ -620,7 +633,9 @@ def test_verify_rejects_malformed_sequents(u):
     rules = (HYP, LEFT_BOT, RIGHT_TOP, LEFT_AND, RIGHT_AND, LEFT_OR, RIGHT_OR, LEFT_NOT,
              RIGHT_NOT, REPLACE, F_RULE, AXIOM_CUT)
     assert verify_proof(u, ProofTree(_goal(m, x), LEFT_AND, [_hyp(x)]))
-    negative = sequent(x, -1, x, 1)  # packs back, but side -1 is no side
+    # {x^-1, x^R} packed by hand (`sequent` refuses side -1): it packs
+    # back, but side -1 is no side
+    negative = (-1 << 30 | x) << _ANN_BITS | (1 << 30 | x)
     for bad in (_goal(x, 10**6), _goal(10**6, x), swapped, negative, -1, 1 << 62):
         for rule in rules:
             assert find_invalid_node(u, ProofTree(bad, rule, []), [(x, x)]) == "root", rule
@@ -1175,11 +1190,30 @@ def test_lazy_replace_proofs_verify(u):
 
 def test_term_ids_beyond_the_encoding_are_rejected(u):
     x = u.var("x")
-    too_big = 1 << 30
-    with pytest.raises(TermIdOverflow):
-        Engine(u).query(too_big, x)
-    with pytest.raises(TermIdOverflow):
-        Engine(u, [(x, too_big)])
+    for bad in (1 << 30, -1):
+        with pytest.raises(TermIdOverflow):
+            Engine(u).query(bad, x)
+        with pytest.raises(TermIdOverflow):
+            Engine(u, [(x, bad)])
+
+
+def test_sequent_refuses_parts_outside_the_encoding(u):
+    # An id of 2**30 or more or a side other than 0 or 1 would pack to
+    # another sequent's integer, and a negative id to a negative integer.
+    x = u.var("x")
+    for parts in ((1 << 30, 0, x, 1), (-1, 0, x, 1), (x, 2, x, 1), (x, 0, x, -1)):
+        with pytest.raises(TermIdOverflow):
+            sequent(*parts)
+
+
+def test_verify_rejects_a_cut_through_an_axiom_out_of_range(u):
+    # The cited axiom comes from the caller's list, so its ids are checked
+    # before they are packed: the verifier answers False and never raises.
+    x, y = u.var("x"), u.var("y")
+    for bad in ((x, 1 << 30), (-1, y), (x, len(u))):
+        cut = _tree(x, "L", y, "R", AXIOM_CUT, [_hyp(x), _hyp(y)], bad)
+        assert find_invalid_node(u, cut, [bad]) == "root", bad
+        assert not verify_proof(u, cut, [bad])
 
 
 def test_engine_stays_sound_after_a_failed_query(u):

@@ -344,7 +344,7 @@ def test_order_test_matches_bounded_lattice_engine(u, variables, symbols, negati
     u.declare("F", "+")
     u.declare("G", "-+")
     u.declare("H", "o")
-    decls = [u.dual(u.symbol(s[1:])) if s.startswith("~") else u.symbol(s) for s in symbols]
+    decls = [u.dual(u.symbols[s[1:]]) if s.startswith("~") else u.symbols[s] for s in symbols]
     terms = list(oracle.enumerate_terms(u, variables, decls, max_size, negation=negation))
     ctx = _context(u)
     engine = Engine(u)  # on opaque copies: the bounded-lattice rules alone

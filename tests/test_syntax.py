@@ -1,6 +1,6 @@
 import pytest
 
-from olsub import oracle, parse_query, parse_source, parse_term, print_term
+from olsub import Variance, oracle, parse_query, parse_source, parse_term, print_term
 from olsub.errors import ArityMismatch, DuplicateDefinition, ParseError, UndeclaredSymbol
 from olsub.normalize import delta
 
@@ -96,6 +96,12 @@ def test_parse_source_declarations_and_axioms(u):
     assert len(axioms) == 1
     assert not definitions
     assert axioms.pairs[0] == (u.var("U"), u.var("S"))
+
+
+def test_invariant_declaration_line(u):
+    parse_source("fun H : (o)\nfun Map : (o, +)\n", u)
+    assert u.symbols["H"].variances == (Variance.INVARIANT,)
+    assert u.symbols["Map"].variances == (Variance.INVARIANT, Variance.COVARIANT)
 
 
 def test_equality_splits(u):

@@ -24,6 +24,12 @@ def test_declare_and_redeclare(u):
         u.declare("Arrow", "++")
 
 
+def test_dual_names_cannot_be_declared(u):
+    with pytest.raises(ConflictingDeclaration):
+        u.declare("~F", "+")  # "~F" names the dual of F
+    assert "~F" not in u.symbols
+
+
 def test_interning_laws(u):
     x, y = u.var("x"), u.var("y")
     assert u.meet([x, y]) == u.meet([x, y])
