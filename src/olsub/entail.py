@@ -757,7 +757,10 @@ def check(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> Verdict:
     On a "yes", `Verdict.proof()` reads the proof off the procedure that
     decided: `reconstruct_proof` on the engine built here, which the
     verdict keeps alive, or the order test's reader handed the deciding
-    phase."""
+    phase.
+
+    An id that is not a term of `universe` raises `TermIdOverflow`."""
+    universe.require(s, t)
     axioms = list(axioms or ())
     if axioms:
         engine = Engine(universe, axioms)
@@ -871,7 +874,9 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
        on the left or of a meet on the right (or the sequent holds by a
        collapsed bound), so they hold whenever the sequent does.
     4. A LeftAnd or RightOr pick, or the F rule, whose premises the order
-       test accepts.
+       test accepts: the element in the left position picks first, then
+       the one in the right position, each taking its first child whose
+       premise is accepted; the F rule comes last.
     5. Replace on an element G whose beta image collapsed to bottom or top.
        Its premise {G, G} picks a child of one copy, tested against the
        other copy *opened*: imaged by the node over its children's beta
@@ -887,11 +892,27 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
     is never replaced again, only by its children. So the multiset of
     weights falls at every step.
 
+    A phase-1 sequent {x^L, y^R} of two plain terms in their own positions
+    is replayed instead: its images are x and y themselves, so its goal is
+    x <= y, which the order test decided when it reached it (the query, a
+    premise the reader tested, or a part of a join or meet whose image the
+    test took apart). Rules 1 and 5 never apply to it, and rule 4's order
+    (the children of a meet x, then those of a join y, then F) is the
+    order of the search's alternatives (`normalize._alternatives`). The
+    search records for each goal it proves the first alternative that
+    proves it, so that alternative is the pick rule 4 would find; with a
+    literal side the masks name it. `_Context.first_alternative` reads
+    it, and the sequent gets the same rule and premises with no order
+    test. The F rule's premises keep rule 4's orientation, a contravariant
+    argument's R element first. Every other sequent (a negated element,
+    flipped positions, an opened copy, phase 2) takes the rules above.
+
     Subproofs are shared per oriented sequent, and the walk runs on an
     explicit stack. The order test gets no tally, so a verdict's `stats`
     stay those of `check`."""
     u = universe
-    node = u.node
+    node, plain = u.node, u.plain
+    first_alternative = normalize._context(u).first_alternative
     two = phase == 2
     images: dict[tuple[TermId, int, bool], TermId] = {}
 
@@ -923,6 +944,43 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
             if holds(premise):
                 return _PICK[n.kind, side], None, [premise]
         return None
+
+    def arguments(ln, rn) -> list:
+        """The F rule's premises for the L application `ln` and the R
+        application `rn` of one symbol, each an argument pair oriented
+        L-first: (a, L) before (b, R) for a covariant argument, (a, R) before
+        (b, L) for a contravariant one, both for an invariant one."""
+        pairs = []
+        for a, b, v in zip(ln.children, rn.children, ln.symbol.variances):
+            if v is not Variance.CONTRAVARIANT:
+                pairs.append(((a, 0, False), (b, 1, False)))
+            if v is not Variance.COVARIANT:
+                pairs.append(((a, 1, False), (b, 0, False)))
+        return pairs
+
+    def replay(x: TermId, y: TermId) -> tuple[str, object, list]:
+        """The rule `step` applies to the phase-1 sequent {x^L, y^R} of
+        plain terms, whose images are x and y: the rules of `step` in its
+        order, with the pick or F rule named by the order test's record."""
+        if x == y:
+            return HYP, None, []
+        nx, ny = node(x), node(y)
+        if nx.kind == BOT:
+            return LEFT_BOT, None, []
+        if ny.kind == TOP:
+            return RIGHT_TOP, None, []
+        if nx.kind == JOIN:
+            return LEFT_OR, None, [((c, 0, False), (y, 1, False)) for c in nx.children]
+        if ny.kind == MEET:
+            return RIGHT_AND, None, [((x, 0, False), (c, 1, False)) for c in ny.children]
+        i = first_alternative(x, y)
+        if nx.kind == MEET:
+            if i < len(nx.children):
+                return LEFT_AND, None, [((nx.children[i], 0, False), (y, 1, False))]
+            i -= len(nx.children)
+        if ny.kind == JOIN and i < len(ny.children):
+            return RIGHT_OR, None, [((x, 0, False), (ny.children[i], 1, False))]
+        return F_RULE, nx.name, arguments(nx, ny)
 
     def step(state) -> tuple[str, object, list]:
         """The rule applied to `state` (an oriented sequent of elements
@@ -960,13 +1018,7 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
             if np_.kind == APP and nq.kind == APP and np_.name == nq.name and p[1] != q[1]:
                 lpos = p[1]  # the position of the L element: 0 when p is L
                 ln, rn = (np_, nq) if lpos == 0 else (nq, np_)
-                pairs = []  # (element of the L term's argument, of the R term's)
-                for a, b, v in zip(ln.children, rn.children, ln.symbol.variances):
-                    if v is not Variance.CONTRAVARIANT:
-                        pairs.append(((a, 0, False), (b, 1, False)))
-                    if v is not Variance.COVARIANT:
-                        pairs.append(((a, 1, False), (b, 0, False)))
-                premises = [pair if lpos == 0 else pair[::-1] for pair in pairs]
+                premises = [pair if lpos == 0 else pair[::-1] for pair in arguments(ln, rn)]
                 if all(holds(premise) for premise in premises):
                     return F_RULE, ln.name, premises
             if two:
@@ -982,6 +1034,8 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
 
     def plan(state):
         (x, sx, _), (y, sy, _) = state
+        if sx == 0 and sy == 1 and not two and plain(x) and plain(y):
+            return (x << _ANN_BITS | _SIDE_BIT | y, *replay(x, y))
         return (sequent(x, sx, y, sy), *step(state))
 
     return _read_proof(((s, 0, False), (t, 1, False)), plan)

@@ -38,6 +38,10 @@ class NotProvable(OlsubError):
     """Proof reconstruction was requested for an unprovable goal."""
 
 
+class UnknownVariance(OlsubError):
+    """A variance is none of o (invariant), + (covariant) and - (contravariant)."""
+
+
 class VarianceMismatch(OlsubError):
     """A substitution template is not monotone the way the symbol requires."""
 
@@ -63,7 +67,8 @@ class InputTooDeep(OlsubError):
 
 
 class TermIdOverflow(OlsubError):
-    """A term id or side does not fit the packed sequent encoding."""
+    """A term id is not one the universe holds, or a term id or side does
+    not fit the packed sequent encoding."""
 
 
 class EngineInterrupted(OlsubError):

@@ -101,7 +101,8 @@ class _Context:
 
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
-        self.leq_memo: dict[tuple[TermId, TermId], bool] = {}
+        # verdicts, each False or a truthy record of the proof (see `leq`)
+        self.leq_memo: dict[tuple[TermId, TermId], bool | int] = {}
         # masks of each term the order test has seen: (bit, lower, upper,
         # heads, atoms)
         self.masks: dict[TermId, tuple[int, int, int, int, int]] = {}
@@ -140,18 +141,21 @@ class _Context:
           bottom and `t` no top-level top: it fails, by the lemma in the
           module docstring.
 
-        Such a goal pushes no frame, and only a top-level one is memoized.
-        Any other goal holds when every pair of one of its `_alternatives`
-        holds, found by a depth-first AND/OR search on an explicit stack;
-        each subgoal is strictly smaller than its goal, so the search
-        terminates and every verdict it reaches is final and memoized.
-        `tally`, when given, gains this call's work: goals decided,
-        alternatives generated (one for a mask-decided goal), subgoal
-        lookups and goals proved."""
+        Such a goal pushes no frame, and only a top-level one is memoized,
+        as a bool. Any other goal holds when every pair of one of its
+        `_alternatives` holds, found by a depth-first AND/OR search on an
+        explicit stack (`_search`); each subgoal is strictly smaller than
+        its goal, so the search terminates and every verdict it reaches is
+        final and memoized. `leq_memo` holds False for such a goal that
+        fails and `1 + i` for one that holds, `i` being the index of the
+        first alternative that proves it (`first_alternative` reads it);
+        this method returns the bool. `tally`, when given, gains this
+        call's work: goals decided, alternatives generated (one for a
+        mask-decided goal), subgoal lookups and goals proved."""
         memo = self.leq_memo
         verdict = memo.get((s, t))
         if verdict is not None:
-            return verdict
+            return bool(verdict)
         masks, fold = self.masks, self.u.fold
         ms, mt = fold(s, masks, self._mask), fold(t, masks, self._mask)
         if ms[0] or mt[0]:
@@ -162,14 +166,17 @@ class _Context:
             work = (1, 1, 0, 0)
         else:
             work = self._search(s, t)
-            verdict = memo[s, t]
+            verdict = bool(memo[s, t])
         if tally is not None:
             for i, w in enumerate(work):
                 tally[i] += w
         return verdict
 
     def _search(self, s: TermId, t: TermId) -> tuple[int, int, int, int]:
-        """Memoize `s <= t`, neither side a literal; return `leq`'s tally."""
+        """Memoize `s <= t`, neither side a literal, and every goal its
+        search pushes a frame for: False if it fails, else `1 + i` for the
+        index `i` of the first of its `_alternatives` whose pairs all hold.
+        Return `leq`'s tally."""
         memo, masks, node = self.leq_memo, self.masks, self.u.node
         alts = _alternatives(node, s, t)
         goals, generated, lookups, proved = 1, len(alts), 0, 0
@@ -208,10 +215,27 @@ class _Context:
                 generated += len(alts)
                 stack.append([cs, ct, alts, 0, 0])
             else:
-                memo[frame[0], frame[1]] = verdict
+                memo[frame[0], frame[1]] = verdict and ai + 1
                 proved += verdict
                 stack.pop()
         return goals, generated, lookups, proved
+
+    def first_alternative(self, s: TermId, t: TermId) -> int:
+        """The index in `_alternatives(node, s, t)` of the first alternative
+        that proves `s <= t`, a goal `leq` accepted whose alternatives are
+        picks or the rule for applications: `s` is no join or bottom, `t`
+        no meet or top, and `s` is not `t`. With a literal side it is read
+        off the masks `leq` folded, as the first child `c` of the meet `s`
+        with `c <= t`, or of the join `t` with `s <= c`; otherwise from the
+        search's record in `leq_memo`. No order test is made."""
+        masks = self.masks
+        bit = masks[t][0]
+        if bit:
+            return next(i for i, c in enumerate(self.u.node(s).children) if masks[c][1] & bit)
+        bit = masks[s][0]
+        if bit:
+            return next(i for i, c in enumerate(self.u.node(t).children) if masks[c][2] & bit)
+        return self.leq_memo[s, t] - 1
 
     def _mask(self, s: TermId, node, kids: list[tuple]) -> tuple[int, int, int, int, int]:
         """`s`'s masks: its own bit if it is a literal, else 0; the literals
@@ -384,7 +408,9 @@ def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = 
     how `entail.check` decides axiom-free queries.
 
     `tally`, a list of four counters, gains the work of this call: goals
-    decided, alternatives generated, subgoal lookups, goals proved."""
+    decided, alternatives generated, subgoal lookups, goals proved. An id
+    that is not a term of `universe` raises `TermIdOverflow`."""
+    universe.require(s, t)
     return _context(universe).leq(s, t, tally)
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from .errors import ArityMismatch, ConflictingDeclaration
+from .errors import (
+    ArityMismatch,
+    ConflictingDeclaration,
+    TermIdOverflow,
+    UndeclaredSymbol,
+    UnknownVariance,
+)
 
 TermId = int
 Image = TypeVar("Image")
@@ -98,8 +104,14 @@ class TermUniverse:
     # signature
 
     def declare(self, name: str, variances: Sequence[Union[Variance, str]]) -> SymbolDecl:
-        """Declare a constructor. Idempotent; conflicting re-declaration is an error."""
-        vs = tuple(Variance(v) for v in variances)
+        """Declare a constructor. Idempotent; conflicting re-declaration is an
+        error, and so is a variance other than a `Variance` or its value."""
+        try:
+            vs = tuple(Variance(v) for v in variances)
+        except ValueError:
+            raise UnknownVariance(
+                f"symbol {name}: variances must be o, + or -, got {variances!r}"
+            ) from None
         if name.startswith("~"):
             raise ConflictingDeclaration(f"symbol name {name!r} is reserved for duals")
         with self._lock:
@@ -221,8 +233,12 @@ class TermUniverse:
         return self._nary(JOIN, BOT, children)
 
     def app(self, symbol: Union[SymbolDecl, str], args: Sequence[TermId]) -> TermId:
+        """The application of `symbol`, a declaration or a declared name, to
+        `args`; an undeclared name raises `UndeclaredSymbol`."""
         if isinstance(symbol, str):
-            decl = self.symbols[symbol]
+            decl = self.symbols.get(symbol)
+            if decl is None:
+                raise UndeclaredSymbol(f"undeclared symbol {symbol!r}")
         else:
             decl = symbol
         args = tuple(args)
@@ -309,6 +325,14 @@ class TermUniverse:
     def plain(self, t: TermId) -> bool:
         """Whether `t` holds no NOT, negated variable or dual symbol; recorded at interning."""
         return t not in self._negated
+
+    def require(self, *ts: TermId) -> None:
+        """Raise `TermIdOverflow` unless every id in `ts` is a term of this
+        universe: 0 <= t < len(self)."""
+        n = len(self._nodes)
+        for t in ts:
+            if not 0 <= t < n:
+                raise TermIdOverflow(f"term id {t} is not one of this universe's {n} terms")
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -40,6 +40,7 @@ from olsub.entail import (
 )
 from olsub.errors import EngineInterrupted, NotProvable, TermIdOverflow
 from olsub.normalize import beta, delta, leq
+from olsub.terms import JOIN, MEET
 
 from helpers import opaque, random_pnnf, random_term
 
@@ -359,6 +360,116 @@ def test_order_proof_opens_a_collapsed_node_once(u, monkeypatch):
     proof = check(u, s, t).proof()
     assert len(calls) == 1
     assert verify_proof(u, proof)
+
+
+def test_plain_order_proof_asks_the_order_test_nothing(u, monkeypatch):
+    # Every sequent of a phase-1 proof of plain terms is replayed from the
+    # search's record (or from the masks, with a literal side): reading the
+    # proof makes no order-test call.
+    s, t = sn_tn_terms(u, 32)
+    verdict = check(u, s, t)
+    calls = []
+    for name in ("leq", "_search"):
+        real = getattr(normalize._Context, name)
+        monkeypatch.setattr(
+            normalize._Context, name,
+            lambda self, *args, real=real, name=name: calls.append(name) or real(self, *args),
+        )
+    proof = verdict.proof()
+    assert calls == []
+    assert verify_proof(u, proof)
+    assert _rules(proof)[:3] == [RIGHT_AND, LEFT_AND, LEFT_OR]
+
+
+def _oriented_nodes(u, proof):
+    """Each distinct (node, flipped) of `proof`, walked from its root: a
+    node is flipped when the reader held its R element in the left
+    position, as it does below a contravariant argument of the F rule
+    (twice flipped is not flipped)."""
+    seen, stack = set(), [(proof, False)]
+    while stack:
+        node, flipped = stack.pop()
+        if (id(node), flipped) in seen:
+            continue
+        seen.add((id(node), flipped))
+        yield node, flipped
+        if node.rule == F_RULE:
+            turns = []
+            for v in u.symbols[node.aux].variances:
+                turns += {"+": [False], "-": [True], "o": [False, True]}[v.value]
+            stack.extend((c, flipped != turn) for c, turn in zip(node.children, turns))
+        else:
+            stack.extend((c, flipped) for c in node.children)
+
+
+def _check_pick_policy(u, node, flipped):
+    """A LeftAnd or RightOr node picks as the reader's rules do: the element
+    in the left position before the one in the right position, each its
+    first child (duplicates dropped) whose premise the order test accepts.
+    Acceptance is asked of `leq` on the delta images, not of the record."""
+    low, high = elements(node.sequent)
+    assert (low[1], high[1]) == (0, 1)  # plain terms: one L and one R element
+    left, right = (high, low) if flipped else (low, high)
+
+    def accepted(a, b):
+        return leq(u, delta(u, a[0], a[1]), delta(u, b[0], 1 - b[1]))
+
+    (c_low, _), (c_high, _) = elements(node.children[0].sequent)
+    principal = low if node.rule == LEFT_AND else high
+    chosen = c_low if node.rule == LEFT_AND else c_high
+    pos = 0 if principal == left else 1
+    for c in dict.fromkeys(u.node(principal[0]).children):
+        pair = ((c, principal[1]), right) if pos == 0 else (left, (c, principal[1]))
+        if c == chosen:
+            assert accepted(*pair), "the picked premise is not accepted"
+            break
+        assert not accepted(*pair), "an earlier child is accepted"
+    else:
+        raise AssertionError("the picked child is not a child of the principal element")
+    if pos == 1 and (u.node(left[0]).kind, left[1]) in ((MEET, 0), (JOIN, 1)):
+        for c in u.node(left[0]).children:
+            assert not accepted((c, left[1]), right), "the left position picks first"
+
+
+def test_order_proofs_pick_the_first_accepted_child():
+    # Every pair of plain terms up to size 4, and G(a, x) <= G(b, x) for a
+    # and b up to size 3, whose contravariant premise {a^R, b^L} is held
+    # flipped: a meet or join under G needs size 5.
+    u = TermUniverse()
+    f, g = u.declare("F", "+"), u.declare("G", "-+")
+    terms = list(oracle.enumerate_terms(u, ["x", "y"], [f, g], 4))
+    assert len(terms) == 208
+    pairs = [(s, t) for s in terms for t in terms]
+    small = [a for a in terms if u.size(a) <= 3]
+    x = u.var("x")
+    pairs += [(u.app(g, [a, x]), u.app(g, [b, x])) for a in small for b in small]
+    picks = flipped_picks = 0
+    for s, t in pairs:
+        verdict = check(u, s, t)
+        if not verdict.provable:
+            continue
+        for node, flipped in _oriented_nodes(u, verdict.proof()):
+            if node.rule in (LEFT_AND, RIGHT_OR):
+                _check_pick_policy(u, node, flipped)
+                picks += 1
+                flipped_picks += flipped
+    assert (picks, flipped_picks) == (13273, 1087)
+
+
+def test_contravariant_premise_picks_from_its_r_element_first(u):
+    # The premise of G's contravariant argument is {(top | bot)^R,
+    # (bot & H(top) & y)^L}, held with the R element in the left position,
+    # so its RightOr on top | bot is tried before the LeftAnd that would
+    # reach bot.
+    u.declare("G", "-+")
+    u.declare("H", "o")
+    s, t = parse_query("G(top | bot, y & bot) <= G(bot & H(top) & y, top)", u)
+    proof = check(u, s, t).proof()
+    assert _rules(proof) == [F_RULE, RIGHT_OR, RIGHT_TOP, RIGHT_TOP]
+    assert verify_proof(u, proof)
+    for node, flipped in _oriented_nodes(u, proof):
+        if node.rule in (LEFT_AND, RIGHT_OR):
+            _check_pick_policy(u, node, flipped)
 
 
 def test_reconstructed_proof_shares_subproofs(u):
@@ -1195,6 +1306,21 @@ def test_term_ids_beyond_the_encoding_are_rejected(u):
             Engine(u).query(bad, x)
         with pytest.raises(TermIdOverflow):
             Engine(u, [(x, bad)])
+
+
+def test_check_and_leq_refuse_ids_the_universe_does_not_hold(u):
+    # -1 would name the last interned term, and an id past the end raises
+    # a bare IndexError deep inside.
+    x = u.var("x")
+    for bad in (-1, len(u), 10**6):
+        for s, t in ((bad, x), (x, bad)):
+            with pytest.raises(TermIdOverflow):
+                check(u, s, t)
+            with pytest.raises(TermIdOverflow):
+                check(u, s, t, [(x, x)])
+            with pytest.raises(TermIdOverflow):
+                leq(u, s, t)
+    assert check(u, x, x).provable and leq(u, x, x)
 
 
 def test_sequent_refuses_parts_outside_the_encoding(u):

@@ -6,7 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from olsub import TermUniverse, Variance, oracle
-from olsub.errors import ArityMismatch, ConflictingDeclaration
+from olsub.errors import (
+    ArityMismatch,
+    ConflictingDeclaration,
+    OlsubError,
+    UndeclaredSymbol,
+    UnknownVariance,
+)
 from olsub.normalize import delta
 from olsub.terms import APP, NEGVAR, NOT
 
@@ -28,6 +34,20 @@ def test_dual_names_cannot_be_declared(u):
     with pytest.raises(ConflictingDeclaration):
         u.declare("~F", "+")  # "~F" names the dual of F
     assert "~F" not in u.symbols
+
+
+def test_constructors_refuse_unknown_variances_and_symbols(u):
+    # A library caller gets the parser's typed errors, not a bare
+    # ValueError or KeyError.
+    for variances in ("x", "+x", ["+", "*"]):
+        with pytest.raises(UnknownVariance) as caught:
+            u.declare("F", variances)
+        assert isinstance(caught.value, OlsubError)
+    assert "F" not in u.symbols
+    with pytest.raises(UndeclaredSymbol):
+        u.app("H", [u.var("x")])
+    u.declare("H", "o")
+    assert u.node(u.app("H", [u.var("x")])).name == "H"
 
 
 def test_interning_laws(u):
