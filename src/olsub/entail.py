@@ -346,7 +346,8 @@ class Engine:
         self._axiom_of_seq: dict[int, int] = {}
         node = universe.node
         for i, (v, w) in enumerate(self.axioms):
-            s = sequent(v, 0, w, 1)  # refuses an id the encoding cannot hold
+            universe.require(v, w)
+            s = sequent(v, 0, w, 1)
             if node(v).kind == VAR and node(w).kind == VAR:
                 self._succ.setdefault(v, []).append((w, i))
                 continue
@@ -684,9 +685,11 @@ class Engine:
     # -- public queries ----------------------------------------------------
 
     def query(self, s: TermId, t: TermId) -> bool:
-        """Whether s <= t is provable under this engine's axioms."""
-        # Children are interned before their parents, so packing the goal
-        # checks every id the search will pack.
+        """Whether s <= t is provable under this engine's axioms. An id
+        that is not a term of the universe raises `TermIdOverflow`."""
+        # Children are interned before their parents, so checking the goal's
+        # ids checks every id the search will pack.
+        self.u.require(s, t)
         return self._search(sequent(s, 0, t, 1))
 
     def stats(self) -> Stats:
@@ -898,14 +901,15 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
     premise the reader tested, or a part of a join or meet whose image the
     test took apart). Rules 1 and 5 never apply to it, and rule 4's order
     (the children of a meet x, then those of a join y, then F) is the
-    order of the search's alternatives (`normalize._alternatives`). The
-    search records for each goal it proves the first alternative that
-    proves it, so that alternative is the pick rule 4 would find; with a
-    literal side the masks name it. `_Context.first_alternative` reads
-    it, and the sequent gets the same rule and premises with no order
-    test. The F rule's premises keep rule 4's orientation, a contravariant
-    argument's R element first. Every other sequent (a negated element,
-    flipped positions, an opened copy, phase 2) takes the rules above.
+    full rule order of the search's alternatives (`normalize._alternatives`).
+    The search records for each goal it proves the index in that order of
+    the first alternative that proves it, so that alternative is the pick
+    rule 4 would find; with a literal side the masks name it.
+    `_Context.first_alternative` reads it, and the sequent gets the same
+    rule and premises with no order test. The F rule's premises keep rule
+    4's orientation, a contravariant argument's R element first. Every
+    other sequent (a negated element, flipped positions, an opened copy,
+    phase 2) takes the rules above.
 
     Subproofs are shared per oriented sequent, and the walk runs on an
     explicit stack. The order test gets no tally, so a verdict's `stats`

@@ -52,7 +52,13 @@ folded once, and two kinds of goal need no search:
   the right, or by the rule for two applications of one symbol; every other
   step replaces a side by one of its meet or join children, whose heads
   are among its own, bounds included. So one AND of head masks refutes
-  the goal.
+  the goal. The search builds no pick (a meet child against the right
+  side, or the left side against a join child) that the lemma refutes;
+  it still counts each one its scan passes as one mask-decided goal.
+
+A term's masks come from one fold (`TermUniverse.fold`) of its DAG, which
+images each leaf child as it scans the parent, so a node costs one scan of
+its children.
 
 Verdicts are cached per universe and the cache is freed with the universe,
 keeping a normalization run quadratic overall. On beta's images this order
@@ -175,24 +181,33 @@ class _Context:
     def _search(self, s: TermId, t: TermId) -> tuple[int, int, int, int]:
         """Memoize `s <= t`, neither side a literal, and every goal its
         search pushes a frame for: False if it fails, else `1 + i` for the
-        index `i` of the first of its `_alternatives` whose pairs all hold.
-        Return `leq`'s tally."""
+        index `i`, in the full rule order, of the first alternative whose
+        pairs all hold. Return `leq`'s tally.
+
+        A frame scans only the alternatives `_alternatives` builds: every
+        pick the heads lemma refutes is left out. The tally still counts
+        what a scan of the full rule order would: the full count of
+        alternatives at each push, and one goal, one alternative and one
+        lookup for each left-out pick before the stop point (the proving
+        alternative, or the end on a failure)."""
         memo, masks, node = self.leq_memo, self.masks, self.u.node
-        alts = _alternatives(node, s, t)
-        goals, generated, lookups, proved = 1, len(alts), 0, 0
-        stack = [[s, t, alts, 0, 0]]  # goal, alternatives, position
+        alts, count = _alternatives(node, masks, s, t)
+        goals, generated, lookups, proved = 1, count, 0, 0
+        stack = [[s, t, alts, count, 0, 0]]  # goal, alternatives, their full count, position
         while stack:
             frame = stack[-1]
-            alts, ai, pi = frame[2], frame[3], frame[4]
+            alts, ai, pi = frame[2], frame[4], frame[5]
+            n = len(alts)
+            pairs = alts[ai][1] if ai < n else ()
             verdict = None
             while verdict is None:
-                if ai == len(alts):
+                if ai == n:
                     verdict = False
-                elif pi == len(alts[ai]):
+                elif pi == len(pairs):
                     verdict = True
                 else:
                     lookups += 1
-                    cs, ct = alts[ai][pi]
+                    cs, ct = pairs[pi]
                     ms, mt = masks[cs], masks[ct]
                     if ms[0] or mt[0]:
                         got = ms[1] & mt[0] if mt[0] else mt[2] & ms[0]
@@ -208,26 +223,33 @@ class _Context:
                         pi += 1
                     else:
                         ai, pi = ai + 1, 0
+                        if ai < n:
+                            pairs = alts[ai][1]
             if verdict is None:
-                frame[3], frame[4] = ai, pi
-                alts = _alternatives(node, cs, ct)
+                frame[4], frame[5] = ai, pi
+                alts, count = _alternatives(node, masks, cs, ct)
                 goals += 1
-                generated += len(alts)
-                stack.append([cs, ct, alts, 0, 0])
+                generated += count
+                stack.append([cs, ct, alts, count, 0, 0])
             else:
-                memo[frame[0], frame[1]] = verdict and ai + 1
+                # the left-out picks a full scan would have refuted first
+                stop = alts[ai][0] if verdict else frame[3]
+                skipped = stop - ai
+                goals, generated, lookups = goals + skipped, generated + skipped, lookups + skipped
+                memo[frame[0], frame[1]] = verdict and stop + 1
                 proved += verdict
                 stack.pop()
         return goals, generated, lookups, proved
 
     def first_alternative(self, s: TermId, t: TermId) -> int:
-        """The index in `_alternatives(node, s, t)` of the first alternative
-        that proves `s <= t`, a goal `leq` accepted whose alternatives are
-        picks or the rule for applications: `s` is no join or bottom, `t`
-        no meet or top, and `s` is not `t`. With a literal side it is read
-        off the masks `leq` folded, as the first child `c` of the meet `s`
-        with `c <= t`, or of the join `t` with `s <= c`; otherwise from the
-        search's record in `leq_memo`. No order test is made."""
+        """The index, in `_alternatives`' full rule order, of the first
+        alternative that proves `s <= t`, a goal `leq` accepted whose
+        alternatives are picks or the rule for applications: `s` is no join
+        or bottom, `t` no meet or top, and `s` is not `t`. With a literal
+        side it is read off the masks `leq` folded, as the first child `c`
+        of the meet `s` with `c <= t`, or of the join `t` with `s <= c`;
+        otherwise from the search's record in `leq_memo`. No order test is
+        made."""
         masks = self.masks
         bit = masks[t][0]
         if bit:
@@ -246,11 +268,9 @@ class _Context:
         under applications too."""
         kind = node.kind
         if kind == VAR or kind == NEGVAR:
-            with self._bits_lock:
-                bit = self._bits.get(node.name)
-                if bit is None:
-                    bit = self._bits[node.name] = self._next_bit
-                    self._next_bit <<= 2
+            bit = self._bits.get(node.name)
+            if bit is None:
+                bit = self._new_bit(self._bits, node.name)
             if kind == NEGVAR:
                 bit <<= 1
             return bit, bit, bit, bit, bit
@@ -263,11 +283,9 @@ class _Context:
         if kind == APP:
             base = node.symbol.dual_of
             name = base or node.name
-            with self._bits_lock:
-                head = self._heads.get(name)
-                if head is None:
-                    head = self._heads[name] = self._next_bit
-                    self._next_bit <<= 2
+            head = self._heads.get(name)
+            if head is None:
+                head = self._new_bit(self._heads, name)
             if base:
                 head <<= 1
             atoms = head
@@ -290,6 +308,17 @@ class _Context:
                 heads |= hd
                 atoms |= at
         return 0, lower, upper, heads, atoms
+
+    def _new_bit(self, table: dict[str, int], name: str) -> int:
+        """The bit of `name` in `table`, handed out under the lock: a
+        lookup without it missed, and another thread may have added the
+        name since."""
+        with self._bits_lock:
+            bit = table.get(name)
+            if bit is None:
+                bit = table[name] = self._next_bit
+                self._next_bit <<= 2
+            return bit
 
     def clash(self, heads: int) -> bool:
         """Whether the head mask `heads` holds a bound, or an atom together
@@ -367,27 +396,45 @@ def _context(universe: TermUniverse) -> _Context:
     return ctx
 
 
-def _alternatives(node, s: TermId, t: TermId) -> list[tuple[tuple[TermId, TermId], ...]]:
+def _alternatives(node, masks, s: TermId, t: TermId) -> tuple[list[tuple[int, tuple]], int]:
     """The alternatives by which `s <= t` can hold, each a tuple of pairs
-    that must all hold: `[()]` for an axiom, `[]` for no rule.
+    that must all hold and given with its index in the full rule order,
+    and the count of that order: `[(0, ())]` for an axiom, `[]` for no
+    rule.
 
     Hyp, bottom on the left and top on the right close the goal. A join on
     the left and a meet on the right are invertible and taken first.
     Otherwise (Whitman's condition) some conjunct of `s` is below `t`, or
     `s` is below some disjunct of `t`, or both are applications of one
-    symbol whose arguments compare by variance."""
+    symbol whose arguments compare by variance: meet children, then join
+    children, then the rule for applications.
+
+    Only the picks that can hold are built. A pick `c <= t` fails when the
+    two share no head, `c` has no top-level bottom and `t` no top-level top
+    (the heads lemma of the module docstring), and so does such a pick
+    `s <= c`. That holds for a literal `c` too, whose bit is its head: the
+    search refutes such a pick by the literal's bit, at the same tally.
+    `masks` holds both sides' masks; every term has a head, so a `hit` of
+    -1 keeps every pick."""
     sn, tn = node(s), node(t)
     if s == t or sn.kind == BOT or tn.kind == TOP:
-        return [()]
+        return [(0, ())], 1
     if sn.kind == JOIN:
-        return [tuple((c, t) for c in sn.children)]
+        return [(0, tuple((c, t) for c in sn.children))], 1
     if tn.kind == MEET:
-        return [tuple((s, c) for c in tn.children)]
-    alts: list[tuple[tuple[TermId, TermId], ...]] = []
+        return [(0, tuple((s, c) for c in tn.children))], 1
+    alts: list[tuple[int, tuple]] = []
+    count = 0
     if sn.kind == MEET:
-        alts.extend(((c, t),) for c in sn.children)
+        heads = masks[t][3]
+        hit = -1 if heads & _TOP_HEAD else heads | _BOT_HEAD
+        alts = [(i, ((c, t),)) for i, c in enumerate(sn.children) if masks[c][3] & hit]
+        count = len(sn.children)
     if tn.kind == JOIN:
-        alts.extend(((s, c),) for c in tn.children)
+        heads = masks[s][3]
+        hit = -1 if heads & _BOT_HEAD else heads | _TOP_HEAD
+        alts += [(i, ((s, c),)) for i, c in enumerate(tn.children, count) if masks[c][3] & hit]
+        count += len(tn.children)
     if sn.kind == APP and tn.kind == APP and sn.name == tn.name:
         pairs: list[tuple[TermId, TermId]] = []
         for a, b, v in zip(sn.children, tn.children, sn.symbol.variances):
@@ -395,8 +442,9 @@ def _alternatives(node, s: TermId, t: TermId) -> list[tuple[tuple[TermId, TermId
                 pairs.append((a, b))
             if v is not Variance.COVARIANT:
                 pairs.append((b, a))
-        alts.append(tuple(pairs))
-    return alts
+        alts.append((count, tuple(pairs)))
+        count += 1
+    return alts, count
 
 
 def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
@@ -532,7 +580,9 @@ def delta(universe: TermUniverse, t: TermId, complement: int = 0) -> TermId:
     and is returned as is, without a walk (`TermUniverse.contains_not` is
     recorded at interning). With `complement` 1 the result is the image of
     `~t`, built without interning `~t`. One polarity walk (`_walk`), which
-    builds no complement the image does not hold."""
+    builds no complement the image does not hold. An id that is not a
+    term of `universe` raises `TermIdOverflow`."""
+    universe.require(t)
     if not complement and not universe.contains_not(t):
         return t
     return _walk(_context(universe), t, _delta_node, complement)
@@ -543,9 +593,11 @@ def delta(universe: TermUniverse, t: TermId, complement: int = 0) -> TermId:
 
 
 def _refuse_negation(universe: TermUniverse, t: TermId) -> None:
-    """Raise `NegationPresent` if `t` holds a `NOT`: beta, zeta and eta take
+    """Raise `TermIdOverflow` if `t` is not a term of `universe`, and
+    `NegationPresent` if it holds a `NOT`: beta, zeta and eta take
     pseudo-negation-normal terms (`TermUniverse.contains_not`, recorded at
     interning)."""
+    universe.require(t)
     if universe.contains_not(t):
         raise NegationPresent("beta, zeta and eta expect a pseudo-negation-normal term")
 
@@ -594,6 +646,7 @@ def can_collapse(universe: TermUniverse, t: TermId) -> bool:
     `t`: it holds no bound and no atom together with its complement (see
     `beta`). One `clash` of the atoms mask the order test folds for `t`
     (`_Context._mask`), so a `NOT` raises `NegationPresent`, as in beta."""
+    universe.require(t)
     ctx = _context(universe)
     return ctx.clash(universe.fold(t, ctx.masks, ctx._mask)[4])
 
@@ -737,6 +790,7 @@ def _normal_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Normal form over bounded lattices with constructors (negation-free):
     one bottom-up walk applying zeta, then eta, at each meet and join."""
+    universe.require(t)
     if universe.contains_not(t):
         raise NegationPresent(
             "bounded-lattice normalization takes negation-free terms; "
@@ -749,4 +803,5 @@ def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Canonical minimal form over ortholattices with constructors: delta,
     then one bottom-up walk applying beta, zeta and eta in turn at each meet
     and join. Equal to `eta(zeta(beta(delta(t))))`."""
+    universe.require(t)
     return NormalTerm(_walk(_context(universe), t, _normal_node), OL)

@@ -333,8 +333,10 @@ def print_term(universe: TermUniverse, t: TermId, rename: dict[str, str] | None 
 
     Negated variables display as `~x` and dual symbols as `~F(...)`, so the
     printed form of a pseudo-negation-normal term reads as ordinary negation
-    (and re-parses to its Not-encoded preimage).
+    (and re-parses to its Not-encoded preimage). An id that is not a term
+    of `universe` raises `TermIdOverflow`.
     """
+    universe.require(t)
     rename = rename or {}
     node = universe.node(t)
     if node.kind == VAR:  # the commonest proof-sequent element needs no stack

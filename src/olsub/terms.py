@@ -282,25 +282,35 @@ class TermUniverse:
         once and stored in `memo`.
 
         The walk runs on an explicit stack, so nesting depth is bounded by
-        memory, not by the interpreter's recursion limit."""
+        memory, not by the interpreter's recursion limit. Each frame scans
+        its node's children once, from a saved position: a leaf child not
+        yet in `memo` is imaged there and then, and a compound one is pushed
+        and scanned before the frame resumes after it."""
         got = memo.get(t)
-        if got is not None:
+        if got is not None or t in memo:
             return got
         nodes = self._nodes
-        stack = [t]
+        stack, at = [t], [0]  # frames: a term, and where its scan resumes
         while stack:
             cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
             node = nodes[cur]
-            todo = [c for c in node.children if c not in memo]
-            if todo:
-                todo.reverse()
-                stack.extend(todo)
+            kids = node.children
+            i, n = at[-1], len(kids)
+            while i < n:
+                c = kids[i]
+                i += 1
+                if c not in memo:
+                    child = nodes[c]
+                    if child.children:
+                        at[-1] = i
+                        stack.append(c)
+                        at.append(0)
+                        break
+                    memo[c] = image(c, child, [])
             else:
                 stack.pop()
-                memo[cur] = image(cur, node, [memo[c] for c in node.children])
+                at.pop()
+                memo[cur] = image(cur, node, [memo[c] for c in kids])
         return memo[t]
 
     def rebuild(self, t: TermId, kids: Sequence[TermId]) -> TermId:

@@ -292,7 +292,9 @@ def test_explain_json_matches_golden_output(tmp_path, capsys, case):
     # One axiom-free query per rule of the order-test reader: the negation
     # rules, LeftOr, RightAnd, LeftBot, F over a contravariant argument
     # (which pins the premises' orientation) and Replace through a
-    # collapsed node. Everything but the timing must stay byte for byte.
+    # collapsed node; and S_n <= T_n at n = 8 and 16, both ways and with
+    # one variable of T_n replaced, which pin the order test's tally and
+    # the replayed picks. Everything but the timing must stay byte for byte.
     argv = ["explain", "--format", "json"]
     if case["declarations"]:
         path = tmp_path / "decls.ax"

@@ -1310,7 +1310,8 @@ def test_term_ids_beyond_the_encoding_are_rejected(u):
 
 def test_check_and_leq_refuse_ids_the_universe_does_not_hold(u):
     # -1 would name the last interned term, and an id past the end raises
-    # a bare IndexError deep inside.
+    # a bare IndexError deep inside. The sequent encoding packs such an id
+    # below 2**30, so an engine asks the universe too.
     x = u.var("x")
     for bad in (-1, len(u), 10**6):
         for s, t in ((bad, x), (x, bad)):
@@ -1320,6 +1321,10 @@ def test_check_and_leq_refuse_ids_the_universe_does_not_hold(u):
                 check(u, s, t, [(x, x)])
             with pytest.raises(TermIdOverflow):
                 leq(u, s, t)
+            with pytest.raises(TermIdOverflow):
+                Engine(u).query(s, t)
+            with pytest.raises(TermIdOverflow):
+                Engine(u, [(s, t)])
     assert check(u, x, x).provable and leq(u, x, x)
 
 

@@ -7,7 +7,8 @@ import weakref
 import pytest
 
 from olsub import Engine, TermUniverse, check, normalize, oracle, parse_term, print_term
-from olsub.errors import NegationPresent
+from olsub.cli import sn_tn_terms
+from olsub.errors import NegationPresent, TermIdOverflow
 from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, TOP, VAR
 from olsub.normalize import (
     _context,
@@ -739,3 +740,105 @@ def test_sorted_nodes_are_interned_once(u):
              if u.node(i).kind in ("meet", "join")]
     assert got == u.join([x, u.meet([y, z])])
     assert added and all(list(c) == sorted(c, key=_structural_key(u)) for c in added)
+
+
+@pytest.mark.parametrize(
+    "entry", [delta, beta, beta_open, zeta, eta, normalize_bl, normalize_ol, can_collapse])
+@pytest.mark.parametrize("bad", [10**6, -1])
+def test_passes_refuse_ids_the_universe_does_not_hold(u, entry, bad):
+    # -1 would name the last interned term, and an id past the end would be
+    # returned as it is or raise a bare IndexError deep inside.
+    u.var("x")
+    with pytest.raises(TermIdOverflow):
+        entry(u, bad)
+
+
+def test_fold_images_children_first_left_to_right_once(u):
+    # Leaf children are imaged while their parent is scanned, compound ones
+    # before the scan resumes; a repeated child is imaged once.
+    u.declare("F", "+")
+    u.declare("G", "++")
+    t = parse_term("x & F(y) & x & G(z, x)", u)
+    calls = []
+
+    def image(s, node, kids):
+        calls.append(print_term(u, s))
+        return s
+
+    assert u.fold(t, {}, image) == t
+    assert calls == ["x", "y", "F(y)", "z", "G(z, x)", "x & F(y) & x & G(z, x)"]
+    memo = {u.var("y"): None}  # a stored image is never recomputed, even None
+    calls.clear()
+    u.fold(parse_term("F(y)", u), memo, image)
+    assert calls == ["F(y)"]
+
+
+def _full_alternatives(u, s, t):
+    """The pairs of each alternative of the negation-free goal `s <= t` in
+    the search's full rule order, from the nodes alone: the children of a
+    meet `s`, then those of a join `t`, then the rule for two applications
+    of one symbol."""
+    sn, tn = u.node(s), u.node(t)
+    alts = []
+    if sn.kind == MEET:
+        alts += [[(c, t)] for c in sn.children]
+    if tn.kind == JOIN:
+        alts += [[(s, c)] for c in tn.children]
+    if sn.kind == APP and tn.kind == APP and sn.name == tn.name:
+        pairs = []
+        for a, b, v in zip(sn.children, tn.children, sn.symbol.variances):
+            if v.value != "-":
+                pairs.append((a, b))
+            if v.value != "+":
+                pairs.append((b, a))
+        alts.append(pairs)
+    return alts
+
+
+def test_first_alternative_is_the_first_that_holds_in_the_full_order():
+    # The search builds only the picks the heads lemma leaves, but the
+    # index it records is the one in the full rule order.
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        u = TermUniverse()
+        symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+        ctx = _context(u)
+        for _ in range(60):
+            s = random_pnnf(u, rng, rng.randint(3, 25), ["x", "y", "z"], symbols)
+            t = random_pnnf(u, rng, rng.randint(3, 25), ["x", "y", "z"], symbols)
+            if rng.random() < 0.3:
+                t = u.join([t, s]) if rng.random() < 0.5 else u.meet([t, s])
+            sn, tn = u.node(s), u.node(t)
+            if (s == t or sn.kind in (JOIN, BOT) or tn.kind in (MEET, TOP)
+                    or not ctx.leq(s, t)):
+                continue
+            alts = _full_alternatives(u, s, t)
+            want = next(i for i, pairs in enumerate(alts)
+                        if all(ctx.leq(a, b) for a, b in pairs))
+            assert ctx.first_alternative(s, t) == want, (print_term(u, s), print_term(u, t))
+            checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_sn_tn_builds_linearly_many_alternatives(monkeypatch, n):
+    # In S_n <= T_n each conjunct of T_n is matched against S_n's n/2
+    # conjuncts, and only the one sharing its heads can hold: the search
+    # builds that pick and the conjunct's own two, not the other n/2 - 1.
+    built = []
+    real = normalize._alternatives
+
+    def counted(*args):
+        got = real(*args)
+        built.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(normalize, "_alternatives", counted)
+    u = TermUniverse()
+    s, t = sn_tn_terms(u, n)
+    verdict = check(u, s, t)
+    assert verdict.provable
+    assert sum(built) <= 3 * n, sum(built)
+    # the tally still counts every pick a full scan would make
+    assert verdict.stats.clauses > n * n // 4

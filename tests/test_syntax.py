@@ -1,7 +1,13 @@
 import pytest
 
 from olsub import Variance, oracle, parse_query, parse_source, parse_term, print_term
-from olsub.errors import ArityMismatch, DuplicateDefinition, ParseError, UndeclaredSymbol
+from olsub.errors import (
+    ArityMismatch,
+    DuplicateDefinition,
+    ParseError,
+    TermIdOverflow,
+    UndeclaredSymbol,
+)
 from olsub.normalize import delta
 
 
@@ -131,6 +137,13 @@ def test_type_definition_line(u):
     assert "U" in u.symbols and u.symbols["U"].arity == 1
     with pytest.raises(DuplicateDefinition):
         parse_source("fun S : (+)\ntype U[A] <: S(A)\ntype U[A] <: S(A)\n", u)
+
+
+@pytest.mark.parametrize("bad", [10**6, -1])
+def test_print_refuses_ids_the_universe_does_not_hold(u, bad):
+    u.var("x")
+    with pytest.raises(TermIdOverflow):
+        print_term(u, bad)
 
 
 def test_print_examples(u):
