@@ -58,7 +58,9 @@ folded once, and two kinds of goal need no search:
 
 A term's masks come from one fold (`TermUniverse.fold`) of its DAG, which
 images each leaf child as it scans the parent, so a node costs one scan of
-its children.
+its children. The bits are the universe's: interning gives each variable
+and symbol name its pair (see `TermUniverse`), so a leaf's bit is one
+lookup, and the fold takes no lock and hands out no bit.
 
 Verdicts are cached per universe and the cache is freed with the universe,
 keeping a normalization run quadratic overall. On beta's images this order
@@ -68,7 +70,6 @@ with the same test.
 from __future__ import annotations
 
 import functools
-import threading
 import weakref
 from collections import defaultdict
 from collections.abc import Sequence
@@ -78,11 +79,13 @@ from .errors import NegationPresent
 from .terms import (
     APP,
     BOT,
+    BOT_HEAD,
     JOIN,
     MEET,
     NEGVAR,
     NOT,
     TOP,
+    TOP_HEAD,
     VAR,
     TermId,
     TermUniverse,
@@ -103,7 +106,8 @@ class _Context:
     """Per-universe caches: order-test verdicts, pass memos and the sort key.
 
     The universe is held weakly, so a context never keeps its own key in
-    `_contexts` alive."""
+    `_contexts` alive; the universe's bit tables and node list (in the sort
+    key), which a context reads directly, do not refer back to it."""
 
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
@@ -112,14 +116,12 @@ class _Context:
         # masks of each term the order test has seen: (bit, lower, upper,
         # heads, atoms)
         self.masks: dict[TermId, tuple[int, int, int, int, int]] = {}
-        # two adjacent bits per variable name and per symbol name, handed out
-        # under the lock so threads agree on them: the low bit for the
-        # variable (the symbol), the high bit for its negation (its dual). A
-        # literal's bit is its head bit too.
-        self._bits: dict[str, int] = {}
-        self._heads: dict[str, int] = {}
-        self._next_bit = _FIRST_HEAD
-        self._bits_lock = threading.Lock()
+        # the universe's bit pairs per variable name and per symbol base
+        # name, numbered at interning: the low bit for the variable (the
+        # symbol), the high bit for its negation (its dual). A literal's bit
+        # is its head bit too.
+        self._var_bits = universe._var_bits
+        self._symbol_bits = universe._symbol_bits
         # images of the polarity walk, one memo per node rule, keyed by
         # 2 * term + polarity
         self.rewrites: dict[object, dict[int, TermId]] = defaultdict(dict)
@@ -167,7 +169,7 @@ class _Context:
         if ms[0] or mt[0]:
             verdict = memo[s, t] = bool(ms[1] & mt[0] if mt[0] else mt[2] & ms[0])
             work = (1, 1, 0, verdict)
-        elif not (ms[3] & (mt[3] | _BOT_HEAD) or mt[3] & _TOP_HEAD):
+        elif not (ms[3] & (mt[3] | BOT_HEAD) or mt[3] & TOP_HEAD):
             verdict = memo[s, t] = False
             work = (1, 1, 0, 0)
         else:
@@ -212,7 +214,7 @@ class _Context:
                     if ms[0] or mt[0]:
                         got = ms[1] & mt[0] if mt[0] else mt[2] & ms[0]
                         goals, generated, proved = goals + 1, generated + 1, proved + (got != 0)
-                    elif not (ms[3] & (mt[3] | _BOT_HEAD) or mt[3] & _TOP_HEAD):
+                    elif not (ms[3] & (mt[3] | BOT_HEAD) or mt[3] & TOP_HEAD):
                         got = 0
                         goals, generated = goals + 1, generated + 1
                     else:
@@ -263,29 +265,24 @@ class _Context:
         """`s`'s masks: its own bit if it is a literal, else 0; the literals
         `l` with `s <= l` (lower); those with `l <= s` (upper); its heads,
         the literals, symbols (by name) and bounds it reaches through meets
-        and joins (bottom is `_BOT_HEAD`, top `_TOP_HEAD`); and its atoms,
+        and joins (bottom is `BOT_HEAD`, top `TOP_HEAD`); and its atoms,
         the head bits of every literal, symbol and bound it holds anywhere,
         under applications too."""
         kind = node.kind
         if kind == VAR or kind == NEGVAR:
-            bit = self._bits.get(node.name)
-            if bit is None:
-                bit = self._new_bit(self._bits, node.name)
+            bit = self._var_bits[node.name]
             if kind == NEGVAR:
                 bit <<= 1
             return bit, bit, bit, bit, bit
         if kind == NOT:
             raise NegationPresent("negation reached the bounded-lattice order test")
         if kind == BOT:
-            return 0, -1, 0, _BOT_HEAD, _BOT_HEAD
+            return 0, -1, 0, BOT_HEAD, BOT_HEAD
         if kind == TOP:
-            return 0, 0, -1, _TOP_HEAD, _TOP_HEAD
+            return 0, 0, -1, TOP_HEAD, TOP_HEAD
         if kind == APP:
             base = node.symbol.dual_of
-            name = base or node.name
-            head = self._heads.get(name)
-            if head is None:
-                head = self._new_bit(self._heads, name)
+            head = self._symbol_bits[base or node.name]
             if base:
                 head <<= 1
             atoms = head
@@ -309,22 +306,11 @@ class _Context:
                 atoms |= at
         return 0, lower, upper, heads, atoms
 
-    def _new_bit(self, table: dict[str, int], name: str) -> int:
-        """The bit of `name` in `table`, handed out under the lock: a
-        lookup without it missed, and another thread may have added the
-        name since."""
-        with self._bits_lock:
-            bit = table.get(name)
-            if bit is None:
-                bit = table[name] = self._next_bit
-                self._next_bit <<= 2
-            return bit
-
     def clash(self, heads: int) -> bool:
         """Whether the head mask `heads` holds a bound, or an atom together
         with its complement: both bits of a pair. The pairs' low bits are
-        the even bits below `_next_bit`."""
-        return bool(heads & _BOUND_HEADS or heads & (heads >> 1) & (self._next_bit - 1) // 3)
+        the even bits below the universe's next free bit."""
+        return bool(heads & _BOUND_HEADS or heads & (heads >> 1) & (self.u._next_bit - 1) // 3)
 
     def flat_sorted(self, kind: str, kids: list[TermId]) -> list[TermId]:
         """`kids` with the children of any `kind` node spliced in, in
@@ -347,10 +333,7 @@ class _Context:
         return self.u.meet(flat) if kind == MEET else self.u.join(flat)
 
 
-# head bits of the bounds; literals and symbols take adjacent pairs of bits from
-# _FIRST_HEAD up
-_BOT_HEAD, _TOP_HEAD, _FIRST_HEAD = 1, 2, 4
-_BOUND_HEADS = _BOT_HEAD | _TOP_HEAD
+_BOUND_HEADS = BOT_HEAD | TOP_HEAD
 
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
 
@@ -427,12 +410,12 @@ def _alternatives(node, masks, s: TermId, t: TermId) -> tuple[list[tuple[int, tu
     count = 0
     if sn.kind == MEET:
         heads = masks[t][3]
-        hit = -1 if heads & _TOP_HEAD else heads | _BOT_HEAD
+        hit = -1 if heads & TOP_HEAD else heads | BOT_HEAD
         alts = [(i, ((c, t),)) for i, c in enumerate(sn.children) if masks[c][3] & hit]
         count = len(sn.children)
     if tn.kind == JOIN:
         heads = masks[s][3]
-        hit = -1 if heads & _BOT_HEAD else heads | _TOP_HEAD
+        hit = -1 if heads & BOT_HEAD else heads | TOP_HEAD
         alts += [(i, ((s, c),)) for i, c in enumerate(tn.children, count) if masks[c][3] & hit]
         count += len(tn.children)
     if sn.kind == APP and tn.kind == APP and sn.name == tn.name:

@@ -35,6 +35,10 @@ NOT = "not"
 APP = "app"
 _OPPOSITE = {VAR: NEGVAR, NEGVAR: VAR, TOP: BOT, BOT: TOP}  # a literal's kind -> its complement's
 
+# The bounds' bits in the order test's head masks; variable and symbol names
+# take adjacent pairs above them (see `TermUniverse`).
+BOT_HEAD, TOP_HEAD = 1, 2
+
 
 class Variance(Enum):
     """Monotonicity class of one constructor argument."""
@@ -86,9 +90,18 @@ class TermUniverse:
 
     Interning records each term's size, whether it holds a NOT
     (`contains_not`) and whether it holds any negation: a NOT, a negated
-    variable or an application of a dual symbol (`plain`). Writes
-    (interning, declarations) are serialized behind a lock; after a build
-    phase, ids and nodes may be read concurrently.
+    variable or an application of a dual symbol (`plain`). It also numbers
+    the atoms for the order test's masks: the first variable node of a name
+    gives the name a pair of adjacent bits (`_var_bits`, the low bit; the
+    high one is its negation's), and the first application of a symbol
+    gives its base name, the original's for a dual, a pair too
+    (`_symbol_bits`; the high bit is the dual's). Bits `BOT_HEAD` and
+    `TOP_HEAD` are the bounds', and pairs are handed out above them, so a
+    mask is as wide as the number of names the universe holds, not the
+    number the order test has seen. A constructor given a child id the
+    universe does not hold raises `TermIdOverflow` and interns nothing.
+    Writes (interning, declarations) are serialized behind a lock; after a
+    build phase, ids, nodes and bits may be read concurrently.
     """
 
     def __init__(self):
@@ -98,6 +111,9 @@ class TermUniverse:
         self._with_not: set[TermId] = set()  # the terms holding a NOT
         self._negated: set[TermId] = set()  # those holding any negation
         self._ids: dict[tuple, TermId] = {}
+        self._var_bits: dict[str, int] = {}
+        self._symbol_bits: dict[str, int] = {}
+        self._next_bit = TOP_HEAD << 1
         self.symbols: dict[str, SymbolDecl] = {}
 
     # ------------------------------------------------------------------
@@ -167,9 +183,11 @@ class TermUniverse:
         count, to which its children's sizes are added.
 
         A hit is read without the lock and builds nothing. A miss takes the
-        lock and looks again, then builds the node and records it (its size,
-        and whether it holds a NOT or any negation) before publishing the id,
-        so whoever reads an id finds its node."""
+        lock and looks again, refuses children the universe does not hold
+        (`TermIdOverflow`), then builds the node and records it (its size,
+        whether it holds a NOT or any negation, and a bit pair for a new
+        variable or symbol base name) before publishing the id, so whoever
+        reads an id finds its node and its bits."""
         key = (kind, name, children)
         tid = self._ids.get(key)
         if tid is not None:
@@ -178,8 +196,18 @@ class TermUniverse:
             tid = self._ids.get(key)
             if tid is None:
                 tid = len(self._nodes)
+                for c in children:
+                    if not 0 <= c < tid:
+                        self.require(c)  # raises TermIdOverflow
+                    size += self._sizes[c]
+                if name is not None:  # a variable, negated variable or application
+                    bits, atom = ((self._var_bits, name) if symbol is None
+                                  else (self._symbol_bits, symbol.dual_of or name))
+                    if atom not in bits:
+                        bits[atom] = self._next_bit
+                        self._next_bit <<= 2
                 self._nodes.append(TermNode(kind, name, symbol, children))
-                self._sizes.append(size + sum(self._sizes[c] for c in children))
+                self._sizes.append(size)
                 with_not, negated = self._with_not, self._negated
                 if kind == NOT or (with_not and not with_not.isdisjoint(children)):
                     with_not.add(tid)
@@ -212,8 +240,11 @@ class TermUniverse:
         tid = self._ids.get((kind, None, children))
         if tid is not None:
             return tid
+        n = len(self._nodes)
         flat: list[TermId] = []
         for c in children:
+            if not 0 <= c < n:
+                self.require(c)  # raises TermIdOverflow
             node = self._nodes[c]
             if node.kind == kind:
                 flat.extend(node.children)
@@ -316,6 +347,7 @@ class TermUniverse:
     def rebuild(self, t: TermId, kids: Sequence[TermId]) -> TermId:
         """A node of `t`'s kind and symbol over new children (`t` itself when
         they are unchanged); meets and joins flatten as usual."""
+        self.require(t)
         node = self._nodes[t]
         kids = tuple(kids)
         if kids == node.children:

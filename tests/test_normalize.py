@@ -9,7 +9,7 @@ import pytest
 from olsub import Engine, TermUniverse, check, normalize, oracle, parse_term, print_term
 from olsub.cli import sn_tn_terms
 from olsub.errors import NegationPresent, TermIdOverflow
-from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, TOP, VAR
+from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, TOP, VAR, SymbolDecl, Variance
 from olsub.normalize import (
     _context,
     _structural_key,
@@ -18,6 +18,7 @@ from olsub.normalize import (
     can_collapse,
     delta,
     eta,
+    leq,
     normalize_bl,
     normalize_ol,
     zeta,
@@ -391,26 +392,32 @@ def test_order_test_is_not_recursive(u):
     assert _context(u).leq(t, s) is False
 
 
+def _bits_of(u):
+    """Every bit the universe has numbered a variable or symbol name with."""
+    return list(u._var_bits.values()) + list(u._symbol_bits.values())
+
+
 def test_threads_sharing_a_universe_agree_on_literal_bits():
-    # Each query folds fresh literals, so threads hand out bits at once.
-    def queries(u):
-        xs = [u.var(f"x{i}") for i in range(2000)]
-        return [(u.meet(xs[i : i + 3]), u.join([xs[(7 * i) % 2000], xs[(11 * i + 5) % 2000]]))
-                for i in range(1998)]
+    # Each query interns fresh variables, so threads number them at once.
+    def query(u, i):
+        x = lambda j: u.var(f"x{j % 2000}")
+        return u.meet([x(i), x(i + 1), x(i + 2)]), u.join([x(7 * i), x(11 * i + 5)])
 
     reference = TermUniverse()
-    want = [_context(reference).leq(s, t) for s, t in queries(reference)]
+    want = [_context(reference).leq(*query(reference, i)) for i in range(1998)]
     assert 0 < sum(want) < len(want)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             u = TermUniverse()
-            pairs, ctx = queries(u), _context(u)
+            ctx = _context(u)
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda st: ctx.leq(*st), pairs, timeout=60))
+                got = list(pool.map(lambda i: ctx.leq(*query(u, i)), range(1998), timeout=60))
             assert got == want
-            assert len(set(ctx._bits.values())) == len(ctx._bits) == 2000
+            bits = _bits_of(u)
+            assert len(u._var_bits) == 2000 and not u._symbol_bits
+            assert len(set(bits)) == len(bits)
     finally:
         sys.setswitchinterval(switch)
 
@@ -459,32 +466,77 @@ def test_goals_sharing_no_head_are_refuted_without_search():
 
 
 def test_threads_sharing_a_universe_agree_on_head_bits():
-    # Each query folds fresh symbols and literals, so threads hand out head
-    # bits at once; no two symbols or literals may share one.
-    def queries(u):
-        fs = [u.declare(f"F{i}", "+") for i in range(600)]
+    # Each query declares and applies fresh symbols, so threads number them
+    # at once; no two symbols or variables may share a bit.
+    def query(u, i):
+        f = lambda j: u.declare(f"F{j % 600}", "+")
         x, y = u.var("x"), u.var("y")
-        return [(u.meet([u.app(fs[i], [x]), u.app(fs[i + 1], [y])]),
-                 u.join([u.app(fs[(7 * i) % 600], [x]), u.app(fs[(11 * i + 5) % 600], [y])]))
-                for i in range(599)]
+        return (u.meet([u.app(f(i), [x]), u.app(f(i + 1), [y])]),
+                u.join([u.app(f(7 * i), [x]), u.app(f(11 * i + 5), [y])]))
 
     reference = TermUniverse()
-    want = [_context(reference).leq(s, t) for s, t in queries(reference)]
+    want = [_context(reference).leq(*query(reference, i)) for i in range(599)]
     assert 0 < sum(want) < len(want)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             u = TermUniverse()
-            pairs, ctx = queries(u), _context(u)
+            ctx = _context(u)
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda st: ctx.leq(*st), pairs, timeout=60))
+                got = list(pool.map(lambda i: ctx.leq(*query(u, i)), range(599), timeout=60))
             assert got == want
-            bits = list(ctx._bits.values()) + list(ctx._heads.values())
-            assert len(ctx._heads) == 600 and len(ctx._bits) == 2
+            bits = _bits_of(u)
+            assert len(u._symbol_bits) == 600 and len(u._var_bits) == 2
             assert len(set(bits)) == len(bits)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_check_hands_out_no_bit(u):
+    # Interning numbered every name, so the order test only reads bits.
+    s, t = sn_tn_terms(u, 64)
+    before = dict(u._var_bits), dict(u._symbol_bits), u._next_bit
+    assert check(u, s, t).provable and not check(u, t, u.var("X1")).provable
+    assert (u._var_bits, u._symbol_bits, u._next_bit) == before
+
+
+def test_verdicts_do_not_depend_on_names_never_tested():
+    # 3,000 names interned first push every tested bit past a machine word.
+    def verdicts(u):
+        rng = random.Random(3)
+        symbols = [u.declare("F", "+"), u.declare("G", "-+")]
+        terms = [random_pnnf(u, rng, rng.randint(3, 15), ["x", "y", "z"], symbols)
+                 for _ in range(40)]
+        return [leq(u, s, t) for s in terms for t in terms]
+
+    crowded = TermUniverse()
+    for i in range(3000):
+        crowded.var(f"unused{i}")
+    want = verdicts(TermUniverse())
+    assert 0 < sum(want) < len(want)
+    assert verdicts(crowded) == want
+    assert min(crowded._var_bits[v] for v in "xyz") > 1 << 6000
+
+
+def test_order_test_reads_symbols_the_universe_never_declared(u):
+    f = SymbolDecl("F", 1, (Variance.COVARIANT,))
+    x, y = u.var("x"), u.var("y")
+    assert "F" not in u.symbols
+    assert leq(u, u.app(f, [x]), u.app(f, [u.join([x, y])]))
+    assert not leq(u, u.app(f, [u.join([x, y])]), u.app(f, [x]))
+    assert leq(u, u.meet([u.app(f, [x]), y]), u.join([u.app(f, [x]), x]))
+
+
+def test_clash_sees_names_interned_after_its_context(u):
+    ctx = _context(u)
+    f = u.declare("F", "+")
+    for pair in ([u.var("x"), u.negvar("x")],
+                 [u.app(f, [u.var("y")]), u.app(u.dual(f), [u.var("y")])]):
+        t = u.join(pair)
+        assert ctx.clash(u.fold(t, ctx.masks, ctx._mask)[3])
+        assert can_collapse(u, t)
+    assert not can_collapse(u, u.join([u.var("x"), u.app(f, [u.negvar("y")])]))
 
 
 def test_delta_interns_only_its_image(u):

@@ -10,6 +10,7 @@ from olsub.errors import (
     ArityMismatch,
     ConflictingDeclaration,
     OlsubError,
+    TermIdOverflow,
     UndeclaredSymbol,
     UnknownVariance,
 )
@@ -68,6 +69,35 @@ def test_flattening(u):
     assert u.meet([x]) == x
     assert u.meet([]) == u.top()
     assert u.join([]) == u.bot()
+
+
+_CONSTRUCTORS = {
+    "meet": lambda u, x, m, bad: u.meet([x, bad]),
+    "join": lambda u, x, m, bad: u.join([bad, x]),
+    "neg": lambda u, x, m, bad: u.neg(bad),
+    "app": lambda u, x, m, bad: u.app("F", [bad]),
+    "rebuild": lambda u, x, m, bad: u.rebuild(m, [x, bad]),
+}
+
+
+@pytest.mark.parametrize("build", list(_CONSTRUCTORS))
+@pytest.mark.parametrize("bad", [10**6, -1])
+def test_constructors_refuse_ids_the_universe_does_not_hold(u, build, bad):
+    # -1 would name the last interned term, and an id past the end would
+    # raise a bare IndexError; neither may leave a node behind.
+    u.declare("F", "+")
+    x = u.var("x")
+    m = u.meet([x, u.var("y")])
+    before = len(u)
+    with pytest.raises(TermIdOverflow):
+        _CONSTRUCTORS[build](u, x, m, bad)
+    assert len(u) == before
+    if build == "rebuild":
+        with pytest.raises(TermIdOverflow):
+            u.rebuild(bad, [x])
+    if build == "meet":
+        with pytest.raises(TermIdOverflow):
+            u.meet([bad])
 
 
 def test_size_convention(u):
