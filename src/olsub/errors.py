@@ -10,7 +10,8 @@ class ConflictingDeclaration(OlsubError):
 
 
 class ArityMismatch(OlsubError):
-    """A constructor application does not match its declared arity."""
+    """A constructor application does not match its declared arity, or a
+    node is rebuilt over a number of children its kind does not take."""
 
 
 class UndeclaredSymbol(OlsubError):

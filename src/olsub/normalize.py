@@ -28,8 +28,23 @@ rule, and compose to the same form: `normalize_ol(t)` is
 `eta(zeta(beta(delta(t))))`. In the walk, beta sorts a node's children
 once, by a structural comparison that follows one path down in a loop, and
 interns only the sorted node; zeta and eta start from that node, and zeta
-sorts again only after a promotion. Nothing recurses, so nesting depth is
-limited by memory, not by the interpreter's stack.
+sorts again only after a promotion. The normal form of each sorted node is
+memoized, so a copy of a term with its operands in another order costs no
+pass work. Under delta a NOT-free operand at polarity 0 is its own image
+and is not visited. Nothing recurses, so nesting depth is limited by
+memory, not by the interpreter's stack.
+
+Beta builds a child's complement only where its order test can hold.
+Pair-swap lemma: the head and literal masks of `~p` are `p`'s with the two
+bits of every pair swapped, `((h & P) << 1) | ((h >> 1) & P)` for `P` the
+pairs' low bits, since delta maps each literal, symbol and bound to the
+other member of its pair. Invertibility at one level: for a meet child `c`
+of a join `J`, `~c` is a join, so `~c <= J` needs `~p <= J` for every part
+`p` of `c`; dually for a meet. Each part's complement is checked against
+`J` on masks first (a literal by `J`'s `upper` mask, else by the heads
+lemma below), and a child with a part that fails is skipped: its test
+would fail at that check. Eta decides the pairs the masks decide from one
+fold per child.
 
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
@@ -62,8 +77,9 @@ its children. The bits are the universe's: interning gives each variable
 and symbol name its pair (see `TermUniverse`), so a leaf's bit is one
 lookup, and the fold takes no lock and hands out no bit.
 
-Verdicts are cached per universe and the cache is freed with the universe,
-keeping a normalization run quadratic overall. On beta's images this order
+Verdicts and the normal forms of sorted nodes are cached per universe, and
+the caches are freed with the universe, keeping a normalization run
+quadratic overall. On beta's images this order
 is the ortholattice order, so `entail.check` decides axiom-free queries
 with the same test.
 """
@@ -103,7 +119,8 @@ class NormalTerm:
 
 
 class _Context:
-    """Per-universe caches: order-test verdicts, pass memos and the sort key.
+    """Per-universe caches: order-test verdicts, masks, pass memos, normal
+    forms of sorted nodes and the sort key.
 
     The universe is held weakly, so a context never keeps its own key in
     `_contexts` alive; the universe's bit tables and node list (in the sort
@@ -125,6 +142,8 @@ class _Context:
         # images of the polarity walk, one memo per node rule, keyed by
         # 2 * term + polarity
         self.rewrites: dict[object, dict[int, TermId]] = defaultdict(dict)
+        # `_normal_node`'s result per sorted node it was given
+        self.normal: dict[TermId, TermId] = {}
         self.key = _structural_key(universe)
 
     @property
@@ -166,12 +185,10 @@ class _Context:
             return bool(verdict)
         masks, fold = self.masks, self.u.fold
         ms, mt = fold(s, masks, self._mask), fold(t, masks, self._mask)
-        if ms[0] or mt[0]:
-            verdict = memo[s, t] = bool(ms[1] & mt[0] if mt[0] else mt[2] & ms[0])
+        verdict = _by_masks(ms, mt)
+        if verdict is not None:
+            memo[s, t] = verdict
             work = (1, 1, 0, verdict)
-        elif not (ms[3] & (mt[3] | BOT_HEAD) or mt[3] & TOP_HEAD):
-            verdict = memo[s, t] = False
-            work = (1, 1, 0, 0)
         else:
             work = self._search(s, t)
             verdict = bool(memo[s, t])
@@ -211,6 +228,7 @@ class _Context:
                     lookups += 1
                     cs, ct = pairs[pi]
                     ms, mt = masks[cs], masks[ct]
+                    # `_by_masks`, inlined
                     if ms[0] or mt[0]:
                         got = ms[1] & mt[0] if mt[0] else mt[2] & ms[0]
                         goals, generated, proved = goals + 1, generated + 1, proved + (got != 0)
@@ -334,6 +352,20 @@ class _Context:
 
 
 _BOUND_HEADS = BOT_HEAD | TOP_HEAD
+
+
+def _by_masks(ms: tuple, mt: tuple) -> bool | None:
+    """`s <= t` decided by the two sides' masks alone, or None if the search
+    must decide it: a goal with a literal side is one AND with the literal's
+    bit, and one whose sides share no head, where `s` has no top-level
+    bottom and `t` no top-level top, fails (the lemmas of the module
+    docstring)."""
+    if ms[0] or mt[0]:
+        return bool(ms[1] & mt[0] if mt[0] else mt[2] & ms[0])
+    if not (ms[3] & (mt[3] | BOT_HEAD) or mt[3] & TOP_HEAD):
+        return False
+    return None
+
 
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
 
@@ -468,11 +500,16 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0) -> TermId:
     spliced in (`_operands`), so the rule sees the flat node that
     `TermUniverse.meet` would build from delta's image. Only pairs the
     image needs are visited: a complement is built only where one is
-    asked for."""
+    asked for. Under delta a NOT-free term at polarity 0 is its own image,
+    so the walk returns it, as root or operand, without visiting it: a
+    complemented application does not re-walk its NOT-free arguments."""
     u = ctx.u
     nodes = u._nodes
     memo = ctx.rewrites[rule]
+    with_not = u._with_not if rule is _delta_node else None
     t, pol = _strip(nodes, t, pol)
+    if with_not is not None and not pol and t not in with_not:
+        return t
     root = 2 * t + pol
     got = memo.get(root)
     if got is not None:
@@ -491,9 +528,14 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0) -> TermId:
                 stack.pop()
                 continue
             ops = frame[1] = _operands(nodes, n, p)
-            # a leaf at polarity 0 is itself; any other operand is looked up,
-            # and a missing one is imaged here if a leaf, else pushed
-            kids = [memo.get(k) if k & 1 or nodes[k >> 1].children else k >> 1 for k in ops]
+            # a leaf at polarity 0 is itself, and so under delta is any
+            # NOT-free operand; any other operand is looked up, and a missing
+            # one is imaged here if a leaf, else pushed
+            if with_not is None:
+                kids = [memo.get(k) if k & 1 or nodes[k >> 1].children else k >> 1
+                        for k in ops]
+            else:
+                kids = [memo.get(k) if k & 1 or k >> 1 in with_not else k >> 1 for k in ops]
             if None in kids:
                 todo = []
                 for i, k in enumerate(ops):
@@ -565,8 +607,7 @@ def delta(universe: TermUniverse, t: TermId, complement: int = 0) -> TermId:
     `~t`, built without interning `~t`. One polarity walk (`_walk`), which
     builds no complement the image does not hold. An id that is not a
     term of `universe` raises `TermIdOverflow`."""
-    universe.require(t)
-    if not complement and not universe.contains_not(t):
+    if not universe.contains_not(t) and not complement:  # checks the id
         return t
     return _walk(_context(universe), t, _delta_node, complement)
 
@@ -580,7 +621,6 @@ def _refuse_negation(universe: TermUniverse, t: TermId) -> None:
     `NegationPresent` if it holds a `NOT`: beta, zeta and eta take
     pseudo-negation-normal terms (`TermUniverse.contains_not`, recorded at
     interning)."""
-    universe.require(t)
     if universe.contains_not(t):
         raise NegationPresent("beta, zeta and eta expect a pseudo-negation-normal term")
 
@@ -619,7 +659,10 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
     to the input and of the same size. Per node, the walk builds no child's
     complement and makes no order test at a node whose top-level heads hold
     neither (`_Context.clash`: an atom and its complement own adjacent head
-    bits, so that is one AND)."""
+    bits, so that is one AND). At a node whose heads clash, a child's
+    complement is built and tested only if every part of it passes the
+    mask check of the module docstring (pair-swap lemma, invertibility at
+    one level); a child that fails would fail its order test there."""
     _refuse_negation(universe, t)
     return _walk(_context(universe), t, _beta_node)
 
@@ -648,17 +691,36 @@ def beta_open(universe: TermUniverse, t: TermId) -> TermId:
 
 
 def _beta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
+    return _beta(ctx, ctx.sorted_node(kind, kids), kind)
+
+
+def _beta(ctx: _Context, whole: TermId, kind: str) -> TermId:
+    """Beta at `whole`, a sorted meet or join (`kind`) over beta images:
+    top (bottom) if the complement of a child is below the join (above the
+    meet), else `whole`."""
     u = ctx.u
-    whole = ctx.sorted_node(kind, kids)
-    node = u.node(whole)
+    masks = ctx.masks
+    mw = u.fold(whole, masks, ctx._mask)
     # By the lemma in `beta`, no child's complement reaches the node unless
     # its heads hold a bound or a complementary pair.
-    if not ctx.clash(u.fold(whole, ctx.masks, ctx._mask)[3]):
+    if not ctx.clash(mw[3]):
         return whole
-    for c in node.children:
-        complement = _walk(ctx, c, _delta_node, 1)
-        if ctx.leq(complement, whole) if kind == JOIN else ctx.leq(whole, complement):
-            return u.top() if kind == JOIN else u.bot()
+    low = (u._next_bit - 1) // 3  # the low bit of every pair, the bounds' too
+    nodes = u._nodes
+    join = kind == JOIN
+    split = MEET if join else JOIN
+    for c in nodes[whole].children:
+        n = nodes[c]
+        for p in n.children if n.kind == split else (c,):
+            bit, h = masks[p][0], masks[p][3]
+            h = ((h & low) << 1) | ((h >> 1) & low)
+            mc = (h if bit else 0, 0, 0, h)  # `~p`'s masks, as far as `_by_masks` reads them
+            if (_by_masks(mc, mw) if join else _by_masks(mw, mc)) is False:
+                break
+        else:
+            complement = _walk(ctx, c, _delta_node, 1)
+            if ctx.leq(complement, whole) if join else ctx.leq(whole, complement):
+                return u.top() if join else u.bot()
     return whole
 
 
@@ -725,20 +787,27 @@ def _eta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 
 def _antichain(ctx: _Context, flat: Sequence[TermId], kind: str) -> TermId:
     """The join (dually meet) of the maximal (minimal) members of `flat`,
-    which is flat and sorted, keeping the first of equivalent members."""
+    which is flat and sorted, keeping the first of equivalent members. The
+    members' masks are folded once: a pair the masks decide (`_by_masks`)
+    makes no order test."""
+    masks, fold, mask = ctx.masks, ctx.u.fold, ctx._mask
+    ms = [fold(c, masks, mask) for c in flat]
+
+    def le(i: int, j: int) -> bool:
+        verdict = _by_masks(ms[i], ms[j])
+        return ctx.leq(flat[i], flat[j]) if verdict is None else verdict
+
     keep_max = kind == JOIN
     kept: list[TermId] = []
     for i, c in enumerate(flat):
         redundant = False
-        for j, d in enumerate(flat):
+        for j in range(len(flat)):
             if i == j:
                 continue
-            below = ctx.leq(c, d) if keep_max else ctx.leq(d, c)
-            if below:
-                strict = not (ctx.leq(d, c) if keep_max else ctx.leq(c, d))
-                if strict or i > j:
-                    redundant = True
-                    break
+            lo, hi = (i, j) if keep_max else (j, i)
+            if le(lo, hi) and (i > j or not le(hi, lo)):
+                redundant = True
+                break
         if not redundant:
             kept.append(c)
     u = ctx.u
@@ -767,13 +836,16 @@ def _bl_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 
 
 def _normal_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
-    return _zeta_eta(ctx, _beta_node(ctx, kids, kind))
+    whole = ctx.sorted_node(kind, kids)
+    got = ctx.normal.get(whole)
+    if got is None:
+        got = ctx.normal[whole] = _zeta_eta(ctx, _beta(ctx, whole, kind))
+    return got
 
 
 def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Normal form over bounded lattices with constructors (negation-free):
     one bottom-up walk applying zeta, then eta, at each meet and join."""
-    universe.require(t)
     if universe.contains_not(t):
         raise NegationPresent(
             "bounded-lattice normalization takes negation-free terms; "
@@ -785,6 +857,7 @@ def normalize_bl(universe: TermUniverse, t: TermId) -> NormalTerm:
 def normalize_ol(universe: TermUniverse, t: TermId) -> NormalTerm:
     """Canonical minimal form over ortholattices with constructors: delta,
     then one bottom-up walk applying beta, zeta and eta in turn at each meet
-    and join. Equal to `eta(zeta(beta(delta(t))))`."""
+    and join, once per sorted node (memoized per universe). Equal to
+    `eta(zeta(beta(delta(t))))`."""
     universe.require(t)
     return NormalTerm(_walk(_context(universe), t, _normal_node), OL)

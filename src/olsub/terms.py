@@ -99,7 +99,9 @@ class TermUniverse:
     `TOP_HEAD` are the bounds', and pairs are handed out above them, so a
     mask is as wide as the number of names the universe holds, not the
     number the order test has seen. A constructor given a child id the
-    universe does not hold raises `TermIdOverflow` and interns nothing.
+    universe does not hold raises `TermIdOverflow` and interns nothing, and
+    so do the readers `size`, `subterms`, `opposite`, `plain` and
+    `contains_not` given such an id; `node` is the unchecked reader.
     Writes (interning, declarations) are serialized behind a lock; after a
     build phase, ids, nodes and bits may be read concurrently.
     """
@@ -147,10 +149,14 @@ class TermUniverse:
         """The symbol standing for the complement of `decl`, with flipped variances.
 
         Taking the dual of a dual resolves back to the original declaration.
+        An existing dual is read without the lock, as `_intern` reads a hit.
         """
         if decl.dual_of is not None:
             return self.symbols[decl.dual_of]
         dual_name = "~" + decl.name
+        existing = self.symbols.get(dual_name)
+        if existing is not None:
+            return existing
         with self._lock:
             existing = self.symbols.get(dual_name)
             if existing is not None:
@@ -168,7 +174,9 @@ class TermUniverse:
         """The complement of a literal: a variable and its negated variable
         map to each other, an application to its dual symbol over the same
         arguments, top and bottom to each other. Any other node raises
-        `KeyError`."""
+        `KeyError`, and an id the universe does not hold `TermIdOverflow`."""
+        if not 0 <= t < len(self._nodes):
+            self.require(t)
         node = self._nodes[t]
         if node.kind == APP:
             return self.app(self.dual(node.symbol), node.children)
@@ -283,15 +291,23 @@ class TermUniverse:
     # structure
 
     def node(self, t: TermId) -> TermNode:
+        """The node of `t`. Unchecked, for hot paths: an id the universe
+        does not hold raises `IndexError`, or, if negative, reads another
+        term's node. The other readers below check the id once per call and
+        raise `TermIdOverflow`."""
         return self._nodes[t]
 
     def size(self, t: TermId) -> int:
         """Tree-unfolding node count: leaves and constructor heads count one,
         an n-ary meet/join counts n-1 binary nodes, Not counts one."""
+        if not 0 <= t < len(self._nodes):
+            self.require(t)
         return self._sizes[t]
 
     def subterms(self, t: TermId) -> set[TermId]:
         """The term and all its descendants, each counted once (DAG-aware)."""
+        if not 0 <= t < len(self._nodes):
+            self.require(t)
         seen: set[TermId] = set()
         stack = [t]
         while stack:
@@ -346,7 +362,9 @@ class TermUniverse:
 
     def rebuild(self, t: TermId, kids: Sequence[TermId]) -> TermId:
         """A node of `t`'s kind and symbol over new children (`t` itself when
-        they are unchanged); meets and joins flatten as usual."""
+        they are unchanged); meets and joins flatten as usual. A leaf given
+        children, a `NOT` given other than one child and an application
+        given the wrong number of arguments raise `ArityMismatch`."""
         self.require(t)
         node = self._nodes[t]
         kids = tuple(kids)
@@ -356,16 +374,24 @@ class TermUniverse:
             return self.meet(kids)
         if node.kind == JOIN:
             return self.join(kids)
-        if node.kind == NOT:
-            return self.neg(kids[0])
-        return self.app(node.symbol, kids)
+        if node.kind == APP:
+            return self.app(node.symbol, kids)
+        if node.kind != NOT or len(kids) != 1:
+            raise ArityMismatch(
+                f"a {node.kind} node takes {int(node.kind == NOT)} operand(s), got {len(kids)}"
+            )
+        return self.neg(kids[0])
 
     def contains_not(self, t: TermId) -> bool:
         """Whether `t` holds a NOT node; recorded when `t` was interned."""
+        if not 0 <= t < len(self._nodes):
+            self.require(t)
         return t in self._with_not
 
     def plain(self, t: TermId) -> bool:
         """Whether `t` holds no NOT, negated variable or dual symbol; recorded at interning."""
+        if not 0 <= t < len(self._nodes):
+            self.require(t)
         return t not in self._negated
 
     def require(self, *ts: TermId) -> None:

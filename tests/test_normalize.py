@@ -581,6 +581,28 @@ def test_delta_returns_a_not_free_term_without_a_walk(u, monkeypatch):
     assert not u.contains_not(t)
 
 
+def test_delta_does_not_walk_a_not_free_argument(u, monkeypatch):
+    # `~(F(t) & x)` is `~F(t) | ~x`, with `t` as it stands: the walk returns
+    # the NOT-free argument at polarity 0 without visiting it, so delta
+    # interns and looks up O(1) nodes however large `t` is.
+    f, g = u.declare("F", "+"), u.declare("G", "-+")
+    big = u.var("y")
+    for i in range(200):
+        big = u.app(g, [u.meet([u.var(f"v{i}"), u.var("z")]), u.join([big, u.var("z")])])
+    t = u.neg(u.meet([u.app(f, [big]), u.var("x")]))
+    calls = []
+    for name in ("_intern", "meet", "join", "app", "rebuild", "opposite"):
+        real = getattr(u, name)
+        monkeypatch.setattr(u, name, lambda *args, real=real, name=name: (
+            calls.append(name), real(*args))[1])
+    before = len(u)
+    image = delta(u, t)
+    assert image == u.join([u.app(u.dual(f), [big]), u.negvar("x")])
+    assert len(u) - before <= 3 and len(calls) <= 12
+    assert "rebuild" not in calls
+    assert delta(u, u.neg(u.neg(big))) == big
+
+
 def test_walk_splices_operands_through_negations(u):
     # A meet gathers a complemented join's children, and a doubly negated
     # meet's, as the flat node of delta's image; so does the normal form.
@@ -727,12 +749,42 @@ def test_beta_tests_only_nodes_whose_heads_can_clash(u):
     for i in range(len(u)):
         node = u.node(i)
         assert node.kind != NEGVAR and (node.kind != APP or node.symbol.dual_of is None)
-    # a complementary pair of heads: every child is tested, as before
+    # a complementary pair of heads, but every child holds a part whose
+    # complement the masks refute: no complement is built and no order test
+    # made, so beta interns the sorted node alone
     not_a0, not_fb0 = u.negvar("a0"), u.app(u.dual(f), [u.var("b0")])
-    assert beta(u, u.meet(joins + [not_a0])) == ctx.sorted_node(MEET, joins + [not_a0])
-    assert ctx.leq_memo
+    t = u.meet(joins + [not_a0])
+    before = len(u)
+    assert beta(u, t) == ctx.sorted_node(MEET, joins + [not_a0])
+    assert len(u) == before + 1
+    assert not ctx.leq_memo
     assert beta(u, u.meet(joins + [not_a0, not_fb0])) == u.bot()
     assert beta(u, u.join([u.app(f, [u.var("b0")]), not_fb0])) == u.top()
+
+
+@pytest.mark.parametrize("kind", [JOIN, MEET])
+def test_beta_builds_no_complement_its_masks_refute(u, monkeypatch, kind):
+    # `x & F(y) | ~x` clashes on `x`, and the masks pass `x`'s complement
+    # against the join, but not `F(y)`'s: the join reaches no dual `F`
+    # head. Nor `~x`'s. So no child's complement is built or tested. Dually
+    # for the meet.
+    walks = []
+    real = normalize._walk
+    monkeypatch.setattr(normalize, "_walk", lambda ctx, t, rule, pol=0: (
+        walks.append((t, pol)) if rule is normalize._delta_node else None,
+        real(ctx, t, rule, pol))[1])
+    x, fy = u.var("x"), u.app(u.declare("F", "+"), [u.var("y")])
+    inner = u.meet([x, fy]) if kind == JOIN else u.join([x, fy])
+    whole = (u.join if kind == JOIN else u.meet)([inner, u.negvar("x")])
+    ctx = _context(u)
+    before = len(u)
+    assert beta(u, whole) == ctx.sorted_node(kind, [inner, u.negvar("x")])
+    assert walks == [] and not ctx.leq_memo
+    assert len(u) == before + 1  # the sorted node alone
+    # with the dual head present, the test is made, and the node collapses
+    whole = (u.join if kind == JOIN else u.meet)([inner, u.negvar("x"), u.opposite(fy)])
+    assert beta(u, whole) == (u.top() if kind == JOIN else u.bot())
+    assert walks and ctx.leq_memo
 
 
 @pytest.mark.parametrize("kind", ["join", "meet"])
@@ -773,6 +825,29 @@ def test_normal_forms_equal_the_composed_passes(u):
         p = random_term(u, rng, rng.randint(3, 30), ["x", "y", "z", "w"], symbols,
                         allow_not=False)
         assert normalize_bl(u, p).term == eta(u, zeta(u, p)), print_term(u, p)
+
+
+def test_a_reordered_copy_of_a_normalized_term_makes_no_pass_work(u, monkeypatch):
+    # The normal form of a sorted node is memoized: a copy whose operands
+    # come in another order sorts to nodes already normalized, so beta,
+    # zeta and eta fold no masks, make no order test and build nothing.
+    u.declare("F", "+")
+    t = parse_term("(x & ~y) | y | F(z & (y | ~x))", u)
+    copy = parse_term("F((~x | y) & z) | y | (~y & x)", u)
+    calls = []
+    for name in ("_zeta", "_antichain", "_walk"):
+        real = getattr(normalize, name)
+        monkeypatch.setattr(normalize, name, lambda *args, real=real, name=name: (
+            calls.append(name), real(*args))[1])
+    real_fold = u.fold
+    monkeypatch.setattr(u, "fold", lambda *args: (calls.append("fold"), real_fold(*args))[1])
+    form = normalize_ol(u, t).term
+    assert {"_zeta", "_antichain", "fold"} <= set(calls)
+    calls.clear()
+    before = (len(u), len(_context(u).leq_memo))
+    assert normalize_ol(u, copy).term == form
+    assert calls == ["_walk"]  # the walk of `copy` itself, and nothing else
+    assert (len(u), len(_context(u).leq_memo)) == before
 
 
 def test_sorted_nodes_are_interned_once(u):

@@ -100,6 +100,48 @@ def test_constructors_refuse_ids_the_universe_does_not_hold(u, build, bad):
             u.meet([bad])
 
 
+_READERS = {
+    "opposite": lambda u, t: u.opposite(t),
+    "size": lambda u, t: u.size(t),
+    "subterms": lambda u, t: u.subterms(t),
+    "plain": lambda u, t: u.plain(t),
+    "contains_not": lambda u, t: u.contains_not(t),
+}
+
+
+@pytest.mark.parametrize("read", list(_READERS))
+@pytest.mark.parametrize("bad", [10**6, -1])
+def test_readers_refuse_ids_the_universe_does_not_hold(u, read, bad):
+    # -1 would read the last interned term (and `opposite` would intern its
+    # complement); an id past the end would raise a bare IndexError or, for
+    # `plain`, answer True. Nothing may be interned.
+    u.declare("F", "+")
+    x = u.var("x")
+    u.app("F", [x])
+    before = len(u)
+    with pytest.raises(TermIdOverflow):
+        _READERS[read](u, bad)
+    assert len(u) == before
+
+
+def test_rebuild_refuses_children_a_kind_does_not_take(u):
+    # A leaf takes no children and a NOT exactly one: a typed error, not a
+    # bare AttributeError, IndexError or a silently dropped child.
+    x, y = u.var("x"), u.var("y")
+    leaves = [x, u.negvar("x"), u.top(), u.bot()]
+    n = u.neg(x)
+    before = len(u)
+    for leaf in leaves:
+        with pytest.raises(ArityMismatch):
+            u.rebuild(leaf, [y])
+        assert u.rebuild(leaf, []) == leaf
+    for kids in ([], [x, y]):
+        with pytest.raises(ArityMismatch):
+            u.rebuild(n, kids)
+    assert len(u) == before
+    assert u.rebuild(n, [y]) == u.neg(y)
+
+
 def test_size_convention(u):
     x, y, z = u.var("x"), u.var("y"), u.var("z")
     assert u.size(x) == 1
