@@ -146,8 +146,12 @@ def desugar(
 
     Returns the rewritten goal, rewritten axioms, and a map from fresh symbol
     names back to the definitions they stand for (for display purposes).
-    Each bound may use only symbols of earlier definitions.
+    Each bound may use only symbols of earlier definitions. An id that is
+    not a term of `universe`, in the goal, an axiom or a bound, raises
+    `TermIdOverflow`.
     """
+    pairs = [tuple(p) for p in axioms]
+    universe.require(*goal, *(t for p in pairs for t in p), *(d.bound for d in definitions))
     names = [d.name for d in definitions]
     for i, d in enumerate(definitions):
         mentioned = {
@@ -162,7 +166,6 @@ def desugar(
                     "use earlier symbols"
                 )
     goal_s, goal_t = goal
-    pairs = [tuple(p) for p in axioms]
     hidden: dict[str, str] = {}
     for d in reversed(definitions):
         decl = universe.symbols[d.name]

@@ -743,19 +743,19 @@ def check(universe: TermUniverse, s: TermId, t: TermId, axioms=None) -> Verdict:
     image is a lattice-equal re-sorted copy, and phase two would repeat
     phase one's "no". Beta collapses nothing in a term that holds no bound
     and no atom together with its complement (x and ~x, a symbol and its
-    dual), since Whitman's test closes only on atoms or bounds; the lemma
-    is proved in `normalize.beta`, and `normalize.can_collapse` checks it,
-    so on such queries beta does not run at all. When beta does run,
-    images as large as their inputs show that nothing collapsed (beta
-    never grows a term, and a collapse shrinks it).
+    dual), by the heads lemma of `normalize` (see `normalize.beta`), and
+    `normalize.can_collapse` checks it, so on such queries beta does not
+    run at all. When beta does run, images as large as their inputs show
+    that nothing collapsed (beta never grows a term, and a collapse
+    shrinks it).
 
-    On this path `stats` describes the order test: `sequents` counts the
-    goals it decided in this call, `clauses` the alternatives generated for
-    them, `steps` the subgoal lookups and `derived` the goals proved. A
-    goal decided by masks counts one goal and one alternative: one with a
-    literal side, and one whose sides share no top-level head (see
-    `normalize`). Verdicts are memoized per universe, so a repeated query
-    counts 0.
+    On this path `stats` counts the work the order test did in this call:
+    `sequents` the goals it decided, `clauses` the alternatives it built
+    for them, `steps` the subgoal lookups and `derived` the goals proved.
+    A goal decided by masks (a literal side, or sides that share no head;
+    see `normalize`) counts one goal and one alternative, and a pick the
+    masks refute is not built, so it counts nothing. Verdicts are memoized
+    per universe, so a repeated query counts 0.
 
     On a "yes", `Verdict.proof()` reads the proof off the procedure that
     decided: `reconstruct_proof` on the engine built here, which the
@@ -900,14 +900,16 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
     x <= y, which the order test decided when it reached it (the query, a
     premise the reader tested, or a part of a join or meet whose image the
     test took apart). Rules 1 and 5 never apply to it, and rule 4's order
-    (the children of a meet x, then those of a join y, then F) is the
-    full rule order of the search's alternatives (`normalize._alternatives`).
-    The search records for each goal it proves the index in that order of
-    the first alternative that proves it, so that alternative is the pick
-    rule 4 would find; with a literal side the masks name it.
-    `_Context.first_alternative` reads it, and the sequent gets the same
-    rule and premises with no order test. The F rule's premises keep rule
-    4's orientation, a contravariant argument's R element first. Every
+    (the children of a meet x, then those of a join y, then F) is the order
+    of the search's alternatives (`normalize._alternatives`), which leaves
+    out only picks that fail. The search records for each goal it proves
+    the premises of the first alternative that holds, and with a literal
+    side the masks name them, so `_Context.first_alternative` gives the
+    premises rule 4 would find: a pair (x, c) on a join y is a RightOr
+    pick, a pair (c, y) on a meet x a LeftAnd pick, and otherwise both are
+    applications and the rule is F. The sequent gets that rule and its
+    premises with no order test. The F rule's premises keep rule 4's
+    orientation, a contravariant argument's R element first. Every
     other sequent (a negated element, flipped positions, an opened copy,
     phase 2) takes the rules above.
 
@@ -977,13 +979,11 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
             return LEFT_OR, None, [((c, 0, False), (y, 1, False)) for c in nx.children]
         if ny.kind == MEET:
             return RIGHT_AND, None, [((x, 0, False), (c, 1, False)) for c in ny.children]
-        i = first_alternative(x, y)
+        a, b = first_alternative(x, y)[0]
+        if ny.kind == JOIN and a == x:
+            return RIGHT_OR, None, [((x, 0, False), (b, 1, False))]
         if nx.kind == MEET:
-            if i < len(nx.children):
-                return LEFT_AND, None, [((nx.children[i], 0, False), (y, 1, False))]
-            i -= len(nx.children)
-        if ny.kind == JOIN and i < len(ny.children):
-            return RIGHT_OR, None, [((x, 0, False), (ny.children[i], 1, False))]
+            return LEFT_AND, None, [((a, 0, False), (y, 1, False))]
         return F_RULE, nx.name, arguments(nx, ny)
 
     def step(state) -> tuple[str, object, list]:

@@ -43,8 +43,8 @@ of a join `J`, `~c` is a join, so `~c <= J` needs `~p <= J` for every part
 `p` of `c`; dually for a meet. Each part's complement is checked against
 `J` on masks first (a literal by `J`'s `upper` mask, else by the heads
 lemma below), and a child with a part that fails is skipped: its test
-would fail at that check. Eta decides the pairs the masks decide from one
-fold per child.
+would fail at that check. Zeta and eta test a pair on its masks first
+(`_le`), so a pair the masks decide makes no `leq` call.
 
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
@@ -68,8 +68,12 @@ folded once, and two kinds of goal need no search:
   step replaces a side by one of its meet or join children, whose heads
   are among its own, bounds included. So one AND of head masks refutes
   the goal. The search builds no pick (a meet child against the right
-  side, or the left side against a join child) that the lemma refutes;
-  it still counts each one its scan passes as one mask-decided goal.
+  side, or the left side against a join child) that the lemma refutes,
+  and beta's mask checks (`beta`, `can_collapse`) are this lemma too.
+
+For each goal it proves, the search records the premises of the first
+alternative that holds, which `entail`'s proof reader replays, and its
+tally counts only the work it does (`_Context._search`).
 
 A term's masks come from one fold (`TermUniverse.fold`) of its DAG, which
 images each leaf child as it scans the parent, so a node costs one scan of
@@ -129,7 +133,7 @@ class _Context:
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
         # verdicts, each False or a truthy record of the proof (see `leq`)
-        self.leq_memo: dict[tuple[TermId, TermId], bool | int] = {}
+        self.leq_memo: dict[tuple[TermId, TermId], bool | tuple] = {}
         # masks of each term the order test has seen: (bit, lower, upper,
         # heads, atoms)
         self.masks: dict[TermId, tuple[int, int, int, int, int]] = {}
@@ -154,31 +158,20 @@ class _Context:
         """Decide `s <= t` over bounded lattices with constructors.
 
         Both sides' masks (`_mask`) are folded first, so a `NOT` anywhere
-        raises `NegationPresent`. Two kinds of goal, this one or any
-        subgoal, are decided by one AND of masks:
-
-        - A goal with a literal side: `s <= l` iff `lower(s) & bit(l)`, and
-          `l <= t` iff `upper(t) & bit(l)`. That is the search's own
-          verdict, case by case: `s <= l` holds by Hyp when `s` is `l`, by
-          bottom, never for top, an application or another literal (no
-          rule applies), for a join when every child is `<= l` (left join)
-          and for a meet when some child is (Whitman: `l` is no join).
-          Dually for `l <= t`.
-        - A goal whose sides share no head, where `s` has no top-level
-          bottom and `t` no top-level top: it fails, by the lemma in the
-          module docstring.
-
-        Such a goal pushes no frame, and only a top-level one is memoized,
-        as a bool. Any other goal holds when every pair of one of its
+        raises `NegationPresent`. A goal, this one or any subgoal, with a
+        literal side or whose sides share no head is decided by one AND of
+        masks (`_by_masks`, by the two lemmas of the module docstring). Such
+        a goal pushes no frame, and only a top-level one is memoized, as a
+        bool. Any other goal holds when every pair of one of its
         `_alternatives` holds, found by a depth-first AND/OR search on an
         explicit stack (`_search`); each subgoal is strictly smaller than
         its goal, so the search terminates and every verdict it reaches is
         final and memoized. `leq_memo` holds False for such a goal that
-        fails and `1 + i` for one that holds, `i` being the index of the
-        first alternative that proves it (`first_alternative` reads it);
-        this method returns the bool. `tally`, when given, gains this
-        call's work: goals decided, alternatives generated (one for a
-        mask-decided goal), subgoal lookups and goals proved."""
+        fails and, for one that holds, the premises that proved it (True if
+        none; `first_alternative` reads them); this method returns the bool.
+        `tally`, when given, gains this call's work: goals decided,
+        alternatives built (one for a mask-decided goal), subgoal lookups
+        and goals proved."""
         memo = self.leq_memo
         verdict = memo.get((s, t))
         if verdict is not None:
@@ -199,25 +192,21 @@ class _Context:
 
     def _search(self, s: TermId, t: TermId) -> tuple[int, int, int, int]:
         """Memoize `s <= t`, neither side a literal, and every goal its
-        search pushes a frame for: False if it fails, else `1 + i` for the
-        index `i`, in the full rule order, of the first alternative whose
-        pairs all hold. Return `leq`'s tally.
-
-        A frame scans only the alternatives `_alternatives` builds: every
-        pick the heads lemma refutes is left out. The tally still counts
-        what a scan of the full rule order would: the full count of
-        alternatives at each push, and one goal, one alternative and one
-        lookup for each left-out pick before the stop point (the proving
-        alternative, or the end on a failure)."""
+        search pushes a frame for: False if it fails, else the first of its
+        `_alternatives` whose pairs all hold (True if that has none: Hyp or
+        a bound). Return `leq`'s tally of the work done: a goal for each
+        frame pushed and each lookup the masks decide, the alternatives
+        built at each push plus one per mask-decided lookup, the lookups,
+        and the goals proved."""
         memo, masks, node = self.leq_memo, self.masks, self.u.node
-        alts, count = _alternatives(node, masks, s, t)
-        goals, generated, lookups, proved = 1, count, 0, 0
-        stack = [[s, t, alts, count, 0, 0]]  # goal, alternatives, their full count, position
+        alts = _alternatives(node, masks, s, t)
+        goals, built, lookups, proved = 1, len(alts), 0, 0
+        stack = [[s, t, alts, 0, 0]]  # goal, alternatives, position
         while stack:
             frame = stack[-1]
-            alts, ai, pi = frame[2], frame[4], frame[5]
+            alts, ai, pi = frame[2], frame[3], frame[4]
             n = len(alts)
-            pairs = alts[ai][1] if ai < n else ()
+            pairs = alts[ai] if ai < n else ()
             verdict = None
             while verdict is None:
                 if ai == n:
@@ -231,10 +220,10 @@ class _Context:
                     # `_by_masks`, inlined
                     if ms[0] or mt[0]:
                         got = ms[1] & mt[0] if mt[0] else mt[2] & ms[0]
-                        goals, generated, proved = goals + 1, generated + 1, proved + (got != 0)
+                        goals, built, proved = goals + 1, built + 1, proved + (got != 0)
                     elif not (ms[3] & (mt[3] | BOT_HEAD) or mt[3] & TOP_HEAD):
                         got = 0
-                        goals, generated = goals + 1, generated + 1
+                        goals, built = goals + 1, built + 1
                     else:
                         got = memo.get((cs, ct))
                         if got is None:
@@ -244,40 +233,37 @@ class _Context:
                     else:
                         ai, pi = ai + 1, 0
                         if ai < n:
-                            pairs = alts[ai][1]
+                            pairs = alts[ai]
             if verdict is None:
-                frame[4], frame[5] = ai, pi
-                alts, count = _alternatives(node, masks, cs, ct)
+                frame[3], frame[4] = ai, pi
+                alts = _alternatives(node, masks, cs, ct)
                 goals += 1
-                generated += count
-                stack.append([cs, ct, alts, count, 0, 0])
+                built += len(alts)
+                stack.append([cs, ct, alts, 0, 0])
             else:
-                # the left-out picks a full scan would have refuted first
-                stop = alts[ai][0] if verdict else frame[3]
-                skipped = stop - ai
-                goals, generated, lookups = goals + skipped, generated + skipped, lookups + skipped
-                memo[frame[0], frame[1]] = verdict and stop + 1
+                memo[frame[0], frame[1]] = verdict and (pairs or True)
                 proved += verdict
                 stack.pop()
-        return goals, generated, lookups, proved
+        return goals, built, lookups, proved
 
-    def first_alternative(self, s: TermId, t: TermId) -> int:
-        """The index, in `_alternatives`' full rule order, of the first
-        alternative that proves `s <= t`, a goal `leq` accepted whose
-        alternatives are picks or the rule for applications: `s` is no join
-        or bottom, `t` no meet or top, and `s` is not `t`. With a literal
-        side it is read off the masks `leq` folded, as the first child `c`
-        of the meet `s` with `c <= t`, or of the join `t` with `s <= c`;
-        otherwise from the search's record in `leq_memo`. No order test is
-        made."""
+    def first_alternative(self, s: TermId, t: TermId) -> tuple:
+        """The premises of the first alternative that proves `s <= t`, a
+        goal `leq` accepted whose alternatives are picks or the rule for
+        applications: `s` is no join or bottom, `t` no meet or top, and `s`
+        is not `t`. That is `((c, t),)` for a child `c` of a meet `s`,
+        `((s, c),)` for a child `c` of a join `t`, or the argument pairs of
+        the rule for applications. With a literal side it is read off the
+        masks `leq` folded, as the first child `c` of the meet `s` with
+        `c <= t`, or of the join `t` with `s <= c`; otherwise it is the
+        search's record in `leq_memo`. No order test is made."""
         masks = self.masks
         bit = masks[t][0]
         if bit:
-            return next(i for i, c in enumerate(self.u.node(s).children) if masks[c][1] & bit)
+            return next(((c, t),) for c in self.u.node(s).children if masks[c][1] & bit)
         bit = masks[s][0]
         if bit:
-            return next(i for i, c in enumerate(self.u.node(t).children) if masks[c][2] & bit)
-        return self.leq_memo[s, t] - 1
+            return next(((s, c),) for c in self.u.node(t).children if masks[c][2] & bit)
+        return self.leq_memo[s, t]
 
     def _mask(self, s: TermId, node, kids: list[tuple]) -> tuple[int, int, int, int, int]:
         """`s`'s masks: its own bit if it is a literal, else 0; the literals
@@ -367,6 +353,13 @@ def _by_masks(ms: tuple, mt: tuple) -> bool | None:
     return None
 
 
+def _le(ctx: _Context, s: TermId, t: TermId, ms: tuple, mt: tuple) -> bool:
+    """`s <= t` given the two sides' folded masks: a pair the masks decide
+    (`_by_masks`) makes no `leq` call, and so no memo lookup or write."""
+    verdict = _by_masks(ms, mt)
+    return ctx.leq(s, t) if verdict is None else verdict
+
+
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
 
 
@@ -411,11 +404,9 @@ def _context(universe: TermUniverse) -> _Context:
     return ctx
 
 
-def _alternatives(node, masks, s: TermId, t: TermId) -> tuple[list[tuple[int, tuple]], int]:
+def _alternatives(node, masks, s: TermId, t: TermId) -> list[tuple]:
     """The alternatives by which `s <= t` can hold, each a tuple of pairs
-    that must all hold and given with its index in the full rule order,
-    and the count of that order: `[(0, ())]` for an axiom, `[]` for no
-    rule.
+    that must all hold: `[()]` for an axiom, `[]` for no rule.
 
     Hyp, bottom on the left and top on the right close the goal. A join on
     the left and a meet on the right are invertible and taken first.
@@ -424,32 +415,26 @@ def _alternatives(node, masks, s: TermId, t: TermId) -> tuple[list[tuple[int, tu
     symbol whose arguments compare by variance: meet children, then join
     children, then the rule for applications.
 
-    Only the picks that can hold are built. A pick `c <= t` fails when the
-    two share no head, `c` has no top-level bottom and `t` no top-level top
-    (the heads lemma of the module docstring), and so does such a pick
-    `s <= c`. That holds for a literal `c` too, whose bit is its head: the
-    search refutes such a pick by the literal's bit, at the same tally.
-    `masks` holds both sides' masks; every term has a head, so a `hit` of
-    -1 keeps every pick."""
+    Only the picks that can hold are built: the heads lemma of the module
+    docstring refutes the rest, a literal pick by its bit too. `masks`
+    holds both sides' masks; every term has a head, so a `hit` of -1 keeps
+    every pick."""
     sn, tn = node(s), node(t)
     if s == t or sn.kind == BOT or tn.kind == TOP:
-        return [(0, ())], 1
+        return [()]
     if sn.kind == JOIN:
-        return [(0, tuple((c, t) for c in sn.children))], 1
+        return [tuple((c, t) for c in sn.children)]
     if tn.kind == MEET:
-        return [(0, tuple((s, c) for c in tn.children))], 1
-    alts: list[tuple[int, tuple]] = []
-    count = 0
+        return [tuple((s, c) for c in tn.children)]
+    alts: list[tuple] = []
     if sn.kind == MEET:
         heads = masks[t][3]
         hit = -1 if heads & TOP_HEAD else heads | BOT_HEAD
-        alts = [(i, ((c, t),)) for i, c in enumerate(sn.children) if masks[c][3] & hit]
-        count = len(sn.children)
+        alts = [((c, t),) for c in sn.children if masks[c][3] & hit]
     if tn.kind == JOIN:
         heads = masks[s][3]
         hit = -1 if heads & BOT_HEAD else heads | TOP_HEAD
-        alts += [(i, ((s, c),)) for i, c in enumerate(tn.children, count) if masks[c][3] & hit]
-        count += len(tn.children)
+        alts += [((s, c),) for c in tn.children if masks[c][3] & hit]
     if sn.kind == APP and tn.kind == APP and sn.name == tn.name:
         pairs: list[tuple[TermId, TermId]] = []
         for a, b, v in zip(sn.children, tn.children, sn.symbol.variances):
@@ -457,9 +442,8 @@ def _alternatives(node, masks, s: TermId, t: TermId) -> tuple[list[tuple[int, tu
                 pairs.append((a, b))
             if v is not Variance.COVARIANT:
                 pairs.append((b, a))
-        alts.append((count, tuple(pairs)))
-        count += 1
-    return alts, count
+        alts.append(tuple(pairs))
+    return alts
 
 
 def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
@@ -471,7 +455,7 @@ def leq(universe: TermUniverse, s: TermId, t: TermId, tally: list[int] | None = 
     how `entail.check` decides axiom-free queries.
 
     `tally`, a list of four counters, gains the work of this call: goals
-    decided, alternatives generated, subgoal lookups, goals proved. An id
+    decided, alternatives built, subgoal lookups, goals proved. An id
     that is not a term of `universe` raises `TermIdOverflow`."""
     universe.require(s, t)
     return _context(universe).leq(s, t, tally)
@@ -645,21 +629,16 @@ def beta(universe: TermUniverse, t: TermId) -> TermId:
 
     Lemma (`can_collapse`): beta collapses a node only if the term holds a
     bound, or an atom together with its complement (a variable as VAR and
-    as NEGVAR, a symbol and its dual). Call the atoms (VAR, NEGVAR,
-    application heads) and bounds a term reaches through meets and joins
-    alone its top level. Whitman's test closes only by Hyp, by a bound, or
-    by the rule for two applications of one symbol, after steps through
-    meets and joins, so `a <= b` needs a top-level atom of `a` to meet one
-    of `b` (same variable, or same symbol), or a top-level bound. The
-    top-level atoms of `~c` are the complements of `c`'s, and those are
-    top-level atoms of any join `J` with child `c`; so `~c <= J` needs a
-    bound or a complementary pair among `J`'s top-level atoms. Dually for
-    meets. Without either anywhere in the term, by induction bottom-up
-    nothing collapses, and beta's image is a re-sorted copy, lattice-equal
-    to the input and of the same size. Per node, the walk builds no child's
-    complement and makes no order test at a node whose top-level heads hold
-    neither (`_Context.clash`: an atom and its complement own adjacent head
-    bits, so that is one AND). At a node whose heads clash, a child's
+    as NEGVAR, a symbol and its dual). By the heads lemma of the module
+    docstring, `~c <= J` for a child `c` of a join `J` needs a bound or a
+    head the two share. The heads of `~c` are the complements of `c`'s,
+    which are heads of `J` too, so `J`'s heads hold a bound or a
+    complementary pair. Dually for meets. Without either anywhere in the
+    term, by induction bottom-up nothing collapses, and beta's image is a
+    re-sorted copy, lattice-equal to the input and of the same size. Per
+    node, the walk builds no child's complement and makes no order test at
+    a node whose heads hold neither (`_Context.clash`: an atom and its
+    complement own adjacent head bits, so that is one AND). At a node whose heads clash, a child's
     complement is built and tested only if every part of it passes the
     mask check of the module docstring (pair-swap lemma, invertibility at
     one level); a child that fails would fail its order test there."""
@@ -701,8 +680,7 @@ def _beta(ctx: _Context, whole: TermId, kind: str) -> TermId:
     u = ctx.u
     masks = ctx.masks
     mw = u.fold(whole, masks, ctx._mask)
-    # By the lemma in `beta`, no child's complement reaches the node unless
-    # its heads hold a bound or a complementary pair.
+    # no child's complement reaches the node unless its heads clash (`beta`)
     if not ctx.clash(mw[3]):
         return whole
     low = (u._next_bit - 1) // 3  # the low bit of every pair, the bounds' too
@@ -729,7 +707,8 @@ def zeta(universe: TermUniverse, t: TermId) -> TermId:
     conjuncts whenever that conjunct already entails the whole join; dually
     inside meets. Iterated to a fixpoint, since a replacement can expose
     another; the first scan tests against the original join, later scans
-    against the updated one."""
+    against the updated one. Each conjunct is tested on masks first
+    (`_le`)."""
     _refuse_negation(universe, t)
     return _walk(_context(universe), t, _zeta_node)
 
@@ -741,9 +720,10 @@ def _zeta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 def _zeta(ctx: _Context, whole: TermId, outer: str) -> TermId:
     """Zeta's fixpoint from `whole`, a sorted node of kind `outer`; any
     other term is returned as it is."""
-    u = ctx.u
+    u, masks = ctx.u, ctx.masks
     inner = MEET if outer == JOIN else JOIN
     while u.node(whole).kind == outer:
+        mw = u.fold(whole, masks, ctx._mask)  # folds every part too
         replaced = False
         next_children: list[TermId] = []
         for c in u.node(whole).children:
@@ -751,12 +731,8 @@ def _zeta(ctx: _Context, whole: TermId, outer: str) -> TermId:
             promoted = None
             if cn.kind == inner:
                 for part in cn.children:
-                    ok = (
-                        ctx.leq(part, whole)
-                        if outer == JOIN
-                        else ctx.leq(whole, part)
-                    )
-                    if ok:
+                    if (_le(ctx, part, whole, masks[part], mw) if outer == JOIN
+                            else _le(ctx, whole, part, mw, masks[part])):
                         promoted = part
                         break
             if promoted is None:
@@ -788,14 +764,13 @@ def _eta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 def _antichain(ctx: _Context, flat: Sequence[TermId], kind: str) -> TermId:
     """The join (dually meet) of the maximal (minimal) members of `flat`,
     which is flat and sorted, keeping the first of equivalent members. The
-    members' masks are folded once: a pair the masks decide (`_by_masks`)
-    makes no order test."""
+    members' masks are folded once, and pairs are tested by `_le`, as in
+    zeta."""
     masks, fold, mask = ctx.masks, ctx.u.fold, ctx._mask
     ms = [fold(c, masks, mask) for c in flat]
 
     def le(i: int, j: int) -> bool:
-        verdict = _by_masks(ms[i], ms[j])
-        return ctx.leq(flat[i], flat[j]) if verdict is None else verdict
+        return _le(ctx, flat[i], flat[j], ms[i], ms[j])
 
     keep_max = kind == JOIN
     kept: list[TermId] = []

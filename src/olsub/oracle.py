@@ -212,7 +212,9 @@ def evaluate(
     """Homomorphic evaluation; Not and negated atoms go through the
     complement table, a dual symbol evaluates to the complement of its
     original's table. One bottom-up walk on an explicit stack, memoized in
-    `_cache`, so any nesting depth evaluates."""
+    `_cache`, so any nesting depth evaluates. An id that is not a term of
+    `universe` raises `TermIdOverflow`."""
+    universe.require(t)
 
     def value(s: TermId, node, kids: list) -> object:
         kind = node.kind

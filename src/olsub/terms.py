@@ -101,9 +101,12 @@ class TermUniverse:
     number the order test has seen. A constructor given a child id the
     universe does not hold raises `TermIdOverflow` and interns nothing, and
     so do the readers `size`, `subterms`, `opposite`, `plain` and
-    `contains_not` given such an id; `node` is the unchecked reader.
-    Writes (interning, declarations) are serialized behind a lock; after a
-    build phase, ids, nodes and bits may be read concurrently.
+    `contains_not` given such an id; `node` is the unchecked reader. Ids
+    are plain integers, not tagged with their universe: an id from another
+    universe that is in range here names this universe's term of that id,
+    and no check can tell it apart. Writes (interning, declarations) are
+    serialized behind a lock; after a build phase, ids, nodes and bits may
+    be read concurrently.
     """
 
     def __init__(self):
