@@ -10,9 +10,9 @@ an expansion derives something. The search stops as soon as the goal is
 derived, so a provable query expands only what its search reaches before the
 proof closes; what it pushed and did not expand stays on the search stack
 for the next query on the same `Engine`. A sequent closed by a zero-premise
-rule (Hyp, LeftBot, RightTop, an axiom) gets no other clause, and one that
-holds a join on the left or a meet on the right gets only its LeftOr or
-RightAnd clause, since those rules are invertible (lemma below).
+rule (Hyp, LeftBot, RightTop, an atom-axiom leaf) gets no other clause, and
+one that holds a join on the left or a meet on the right gets only its
+LeftOr or RightAnd clause, since those rules are invertible (lemma below).
 
 Atom axioms A <= B, a variable on each side (a nominal class hierarchy),
 are never cut through. They close leaves: a sequent {A^L, C^R} of two
@@ -55,8 +55,9 @@ axiom set pushes no cut premise at all.
 
 Two lemmas make this complete. Read the calculus with Hyp on atoms only (a
 compound Hyp is its atomic expansion) and an axiom sequent {U^L, V^R} as
-the AxiomCut of two Hyps; the engine's compound Hyp and axiom clauses close
-such sequents outright, before any inversion.
+the AxiomCut of two Hyps. The engine's compound Hyp clause closes such a
+sequent outright, before any inversion; an axiom's own sequent is that
+AxiomCut, derived by the join once {U^L, U^R} and {V^L, V^R} are.
 
     Lemma (invertibility). In the cut-free calculus with Replace, AxiomCut
     through the compound axioms and the atom-closure leaves, if
@@ -323,12 +324,11 @@ class Engine:
     index of its first deriving clause; `reconstruct_proof` reads a proof of
     any query the engine has answered yes from these two. A Replace or
     AxiomCut clause is added only when it fires, with its premises derived.
-    An Axiom clause's `aux` is the compound axiom's index, or None for a
-    leaf closed from the atom axioms' closure; an AxiomCut clause's is its
-    axiom's index, an F clause's the symbol name, and any other clause's
-    None. `steps` counts propagation work: watch decrements, join probes,
-    the Replace and AxiomCut derivations, and each sequent the closure
-    closes.
+    An AxiomCut clause's `aux` is its axiom's index, an F clause's the
+    symbol name, and any other clause's None; an Axiom clause closes only
+    a leaf from the atom axioms' closure. `steps` counts propagation work:
+    watch decrements, join probes, the Replace and AxiomCut derivations,
+    and each sequent the closure closes.
     """
 
     def __init__(self, universe: TermUniverse, axioms=None):
@@ -343,18 +343,15 @@ class Engine:
         # follows. `_cut_at` maps U^R to (i, True) and V^L to (i, False).
         self._cuts: dict[int, tuple] = {}  # i -> (U^R, V^L, L_i, R_i)
         self._cut_at: dict[int, list[tuple[int, bool]]] = {}
-        self._axiom_of_seq: dict[int, int] = {}
         node = universe.node
         for i, (v, w) in enumerate(self.axioms):
             universe.require(v, w)
-            s = sequent(v, 0, w, 1)
             if node(v).kind == VAR and node(w).kind == VAR:
                 self._succ.setdefault(v, []).append((w, i))
                 continue
             self._cuts[i] = (_ann(v, 1), _ann(w, 0), [], [])
             self._cut_at.setdefault(_ann(v, 1), []).append((i, True))
             self._cut_at.setdefault(_ann(w, 0), []).append((i, False))
-            self._axiom_of_seq.setdefault(s, i)
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
         self._cut_pushed: set[int] = set()  # terms x that pushed every {x, U_i^R}
@@ -408,11 +405,6 @@ class Engine:
         return record
 
     def _expand(self, s: int) -> None:
-        ax = self._axiom_of_seq.get(s)
-        if ax is not None:
-            # An axiom sequent is closed outright; no further expansion.
-            self._add_clause(s, (), AXIOM, ax)
-            return
         info = self._info
         a = s >> _ANN_BITS
         b = s & _ANN_MASK
@@ -802,11 +794,10 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
     Each derived sequent points at the clause that first derived it, whose
     premises were all derived before it; walking those clauses back from the
     goal, on an explicit stack, gives a cut-free proof whose nodes carry the
-    engine's packed sequents as they are. An Axiom clause becomes a chain of
-    AxiomCuts over Hyp leaves: one cut for a compound axiom's own sequent,
-    and for a sequent {A^L, C^R} closed from the atom axioms' closure, one
-    cut per axiom of a shortest chain A <= ... <= C. Shared subderivations
-    are shared subtrees.
+    engine's packed sequents as they are. An Axiom clause, which closes a
+    sequent {A^L, C^R} from the atom axioms' closure, becomes a chain of
+    AxiomCuts over Hyp leaves, one cut per axiom of a shortest chain
+    A <= ... <= C. Shared subderivations are shared subtrees.
     """
     if not engine.query(s, t):
         raise NotProvable("goal has no derivation; check the verdict first")
@@ -817,9 +808,8 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
         _, body, rule, aux = clauses[engine.derived[cur]]
         if rule == AXIOM:
             (low, _), (high, _) = elements(cur)  # {Z0^L, Zk^R}
-            chain = [aux] if aux is not None else engine._axiom_chain(low, high)
             proof = ProofTree(sequent(low, 0, low, 1), HYP, [])
-            for i in chain:
+            for i in engine._axiom_chain(low, high):
                 w = axioms[i][1]
                 hyp = ProofTree(sequent(w, 0, w, 1), HYP, [])
                 proof = ProofTree(sequent(low, 0, w, 1), AXIOM_CUT, [proof, hyp], axioms[i])

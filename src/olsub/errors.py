@@ -52,7 +52,12 @@ class RecursiveDefinition(OlsubError):
 
 
 class MissingInterpretation(OlsubError):
-    """A term mentions a symbol or variable the interpretation does not cover."""
+    """A term mentions a symbol or variable the interpretation does not cover,
+    or the interpretation values a variable with no element of the lattice."""
+
+
+class NotALiteral(OlsubError):
+    """The complement of a literal was asked of a meet, join or `NOT`."""
 
 
 class BadN(OlsubError):

@@ -13,10 +13,8 @@ Three unrelated ways to answer the questions the package answers:
 * `enumerate_terms` streams every term up to a size bound exactly once, for
   exhaustive minimality and agreement sweeps.
 
-`partition_terms` is a helper, not an oracle: it decides equivalence with
-`entail.Engine`. The normalizer does not use `Engine` (its order tests are
-a Whitman check of its own), so comparing normal forms with their classes
-pits two independent procedures against each other.
+The module imports no decision procedure of the package: only `terms` and
+`errors`.
 """
 from __future__ import annotations
 
@@ -26,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from . import entail
 from .errors import MissingInterpretation
 from .terms import (
     APP,
@@ -213,8 +210,12 @@ def evaluate(
     complement table, a dual symbol evaluates to the complement of its
     original's table. One bottom-up walk on an explicit stack, memoized in
     `_cache`, so any nesting depth evaluates. An id that is not a term of
-    `universe` raises `TermIdOverflow`."""
+    `universe` raises `TermIdOverflow`, and a valuation holding a value that
+    is not an element of `lattice` raises `MissingInterpretation`."""
     universe.require(t)
+    for name, v in interp.valuation.items():
+        if v not in lattice.elements:
+            raise MissingInterpretation(f"{name}'s value {v!r} is not in {lattice.name}")
 
     def value(s: TermId, node, kids: list) -> object:
         kind = node.kind
@@ -510,40 +511,3 @@ def enumerate_terms(
         non_join[size] = [t for t in terms if u.node(t).kind != JOIN]
         yield from terms
 
-
-def partition_terms(
-    universe: TermUniverse,
-    terms: Sequence[TermId],
-    models: Sequence[tuple[FiniteOrtholattice, Interpretation]] = (),
-) -> list[list[TermId]]:
-    """Group terms into provable-equivalence classes.
-
-    Model-evaluation signatures split the input into sound buckets first
-    (equivalent terms always share a signature); pairwise entailment checks
-    against one representative per class settle the rest. Each returned
-    class lists its members in the input order, so pre-sorting by size makes
-    class minima the first members.
-    """
-    engine = entail.Engine(universe)
-    caches = [dict() for _ in models]
-
-    def signature(t: TermId) -> tuple:
-        return tuple(
-            evaluate(universe, t, lattice, interp, cache)
-            for (lattice, interp), cache in zip(models, caches)
-        )
-
-    buckets: dict[tuple, list[list[TermId]]] = {}
-    classes: list[list[TermId]] = []
-    for t in terms:
-        bucket = buckets.setdefault(signature(t), [])
-        for cls in bucket:
-            rep = cls[0]
-            if engine.query(t, rep) and engine.query(rep, t):
-                cls.append(t)
-                break
-        else:
-            cls = [t]
-            bucket.append(cls)
-            classes.append(cls)
-    return classes

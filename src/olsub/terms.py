@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence, TypeVar, Union
 from .errors import (
     ArityMismatch,
     ConflictingDeclaration,
+    NotALiteral,
     TermIdOverflow,
     UndeclaredSymbol,
     UnknownVariance,
@@ -176,14 +177,18 @@ class TermUniverse:
     def opposite(self, t: TermId) -> TermId:
         """The complement of a literal: a variable and its negated variable
         map to each other, an application to its dual symbol over the same
-        arguments, top and bottom to each other. Any other node raises
-        `KeyError`, and an id the universe does not hold `TermIdOverflow`."""
+        arguments, top and bottom to each other. A meet, join or `NOT`
+        raises `NotALiteral`, and an id the universe does not hold
+        `TermIdOverflow`."""
         if not 0 <= t < len(self._nodes):
             self.require(t)
         node = self._nodes[t]
         if node.kind == APP:
             return self.app(self.dual(node.symbol), node.children)
-        return self._intern(_OPPOSITE[node.kind], node.name, (), 1)
+        kind = _OPPOSITE.get(node.kind)
+        if kind is None:
+            raise NotALiteral(f"a {node.kind} term is not a literal and has no opposite")
+        return self._intern(kind, node.name, (), 1)
 
     # ------------------------------------------------------------------
     # interning
@@ -311,15 +316,9 @@ class TermUniverse:
         """The term and all its descendants, each counted once (DAG-aware)."""
         if not 0 <= t < len(self._nodes):
             self.require(t)
-        seen: set[TermId] = set()
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._nodes[cur].children)
-        return seen
+        seen: dict[TermId, None] = {}
+        self.fold(t, seen, lambda s, node, kids: None)
+        return set(seen)
 
     def fold(
         self,

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
-from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, NOT, TOP, TermUniverse
+from olsub.entail import Engine
+from olsub.oracle import FiniteOrtholattice, Interpretation, evaluate
+from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, NOT, TOP, TermId, TermUniverse
 
 
 def random_term(u: TermUniverse, rng: random.Random, budget: int, variables, symbols=(),
@@ -210,3 +213,46 @@ def law_chain(u: TermUniverse, rng: random.Random, seed_term, variables, steps):
                 chain.append(cur)
                 break
     return chain
+
+
+def partition_terms(
+    universe: TermUniverse,
+    terms: Sequence[TermId],
+    models: Sequence[tuple[FiniteOrtholattice, Interpretation]] = (),
+) -> list[list[TermId]]:
+    """Group terms into provable-equivalence classes.
+
+    A helper, not an oracle: it decides equivalence with `Engine`. The
+    normalizer does not use `Engine` (its order tests are a Whitman check
+    of its own), so comparing normal forms with these classes pits two
+    independent procedures against each other.
+
+    Model-evaluation signatures split the input into sound buckets first
+    (equivalent terms always share a signature); pairwise entailment checks
+    against one representative per class settle the rest. Each returned
+    class lists its members in the input order, so pre-sorting by size makes
+    class minima the first members.
+    """
+    engine = Engine(universe)
+    caches = [dict() for _ in models]
+
+    def signature(t: TermId) -> tuple:
+        return tuple(
+            evaluate(universe, t, lattice, interp, cache)
+            for (lattice, interp), cache in zip(models, caches)
+        )
+
+    buckets: dict[tuple, list[list[TermId]]] = {}
+    classes: list[list[TermId]] = []
+    for t in terms:
+        bucket = buckets.setdefault(signature(t), [])
+        for cls in bucket:
+            rep = cls[0]
+            if engine.query(t, rep) and engine.query(rep, t):
+                cls.append(t)
+                break
+        else:
+            cls = [t]
+            bucket.append(cls)
+            classes.append(cls)
+    return classes

@@ -26,7 +26,7 @@ from olsub.cli import run_bench, sn_tn_terms
 from olsub.defs import desugar
 from olsub.normalize import beta, normalize_bl, normalize_ol
 
-from helpers import law_chain, opaque, random_pnnf, random_term
+from helpers import law_chain, opaque, partition_terms, random_pnnf, random_term
 
 VARS = ["x", "y", "z"]
 
@@ -191,7 +191,7 @@ def sweep():
                                       ["x", "y"], [f], 900 + seed))
         for seed in range(8)
     ]
-    classes = oracle.partition_terms(ubl, bl_terms, models=models)
+    classes = partition_terms(ubl, bl_terms, models=models)
     bl_min = {t: ubl.size(cls[0]) for cls in classes for t in cls}
 
     uol = TermUniverse()
@@ -207,7 +207,7 @@ def sweep():
                                       ["x", "y"], [], 700 + seed))
         for seed in range(10)
     ]
-    classes_ol = oracle.partition_terms(uol, everything, models=models_ol)
+    classes_ol = partition_terms(uol, everything, models=models_ol)
     ol_min = {t: uol.size(cls[0]) for cls in classes_ol for t in cls}
     return Sweep(ubl, bl_terms, bl_min, uol, ol_inputs, ol_min, time.perf_counter() - t0)
 

@@ -24,7 +24,7 @@ from olsub.normalize import (
     zeta,
 )
 
-from helpers import law_chain, opaque, random_pnnf, random_term
+from helpers import law_chain, opaque, partition_terms, random_pnnf, random_term
 
 
 def test_delta_de_morgan(u):
@@ -325,7 +325,7 @@ def test_minimality_small_sweep(u):
         (b2, oracle.random_interpretation(u, b2, ["x", "y"], [f], seed))
         for seed in range(4)
     ]
-    classes = oracle.partition_terms(u, terms, models=models)
+    classes = partition_terms(u, terms, models=models)
     class_of = {t: cls for cls in classes for t in cls}
     for t in terms:
         assert u.size(normalize_bl(u, t).term) == u.size(class_of[t][0])

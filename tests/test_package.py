@@ -1,8 +1,12 @@
-"""The package's contract: every entry point of `olsub.__all__` refuses what it
-cannot answer with a typed error, and no product module imports the test
-oracle."""
+"""The package's contract: every entry point of `olsub.__all__` and of the
+test oracle refuses what it cannot answer with a typed error, no product
+module imports the test oracle, and the oracle imports no decision
+procedure."""
 import ast
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,29 +15,25 @@ import olsub
 from olsub import (
     Definition,
     Engine,
-    Interpretation,
     ProofTree,
     SymbolDecl,
     TermUniverse,
     Variance,
     beta,
-    boolean2,
     check,
     delta,
     desugar,
     eta,
-    evaluate,
     normalize_bl,
     normalize_ol,
     print_term,
     reconstruct_proof,
-    saturate,
-    saturates,
     sequent,
     verify_proof,
     zeta,
 )
 from olsub.errors import OlsubError, TermIdOverflow
+from olsub.oracle import Interpretation, boolean2, evaluate, saturate, saturates
 
 SRC = Path(olsub.__file__).parent
 
@@ -49,9 +49,9 @@ def _universe():
     return u, x, Definition("D", ("a",), u.app("F", [u.var("a")]))
 
 
-# Each entry point of `olsub.__all__` that takes a term of a universe,
-# called with the id `b` in one of the places such a term goes; `x` is a
-# term of `u`, `d` a valid definition. (`sequent` packs ids with no
+# Each entry point of `olsub.__all__` or `olsub.oracle` that takes a term of
+# a universe, called with the id `b` in one of the places such a term goes;
+# `x` is a term of `u`, `d` a valid definition. (`sequent` packs ids with no
 # universe, and `verify_proof` answers False on a foreign one.)
 _ENTRIES = {
     "check": lambda u, x, d, b: check(u, x, b),
@@ -111,22 +111,24 @@ def test_entry_points_refuse_ids_the_universe_does_not_hold(entry):
 
 
 def test_entry_points_raise_only_typed_errors_on_random_arguments():
-    # Random ids, variances and arities, the wrong Python types among them:
-    # each call answers, or raises an `OlsubError` or a `TypeError`.
-    # (`opposite` of a valid non-literal raises `KeyError`, as its docstring
-    # says, so it takes only the ids of the test above.)
+    # Random ids, variances, arities and valuations, the wrong Python types
+    # among them: each call answers, or raises an `OlsubError` or a
+    # `TypeError`. The ids include a meet, a join and a `~`, which are not
+    # literals, and the valuations values that are not lattice elements.
     rng = random.Random(10)
     junk = [None, "x", 1.5, [1], -1, 10**6, 2**40]
     variances = ["+", "-", "o", "", "q", "+x", ["+", "?"], [None], 5, None]
-    calls = [call for name, call in _ENTRIES.items() if name != "TermUniverse.opposite"] + [
+    calls = list(_ENTRIES.values()) + [
         lambda u, x, d, b: sequent(b, 0, x, 1),
         lambda u, x, d, b: verify_proof(u, ProofTree(sequent(b, 0, b, 1), "Hyp", [])),
+        lambda u, x, d, b: evaluate(u, u.join([x, u.neg(x)]), boolean2(), Interpretation({"x": b})),
     ]
     for _ in range(300):
         u, x, d = _universe()
+        compound = [u.meet([x, u.var("y")]), u.join([x, u.var("y")]), u.neg(x)]
         for _ in range(3):
             call = rng.choice(calls)
-            b = rng.choice(junk + list(range(-2, len(u) + 2)))
+            b = rng.choice(junk + compound + list(range(-2, len(u) + 2)))
             try:
                 call(u, x, d, b)
             except (OlsubError, TypeError):
@@ -143,23 +145,54 @@ def test_entry_points_raise_only_typed_errors_on_random_arguments():
             pass
 
 
+def _imported_names(path):
+    """Every module name an import in `path` may bind, split into parts:
+    `from . import oracle` gives ["", "oracle"] as well as [""]."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            yield name.split(".")
+
+
 def test_product_modules_do_not_import_the_oracle():
     # The test oracles must not share the code they check: no module of the
-    # package but `oracle` itself (and `__init__`, which exports it) may
-    # import `oracle`, directly or by `from . import oracle`.
+    # package but `oracle` itself may import `oracle`, directly or by
+    # `from . import oracle`.
     checked = 0
     for path in sorted(SRC.glob("*.py")):
-        if path.name in ("__init__.py", "oracle.py"):
+        if path.name == "oracle.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
-            else:
-                continue
-            for name in names:
-                assert "oracle" not in name.split("."), f"{path.name} imports {name}"
+        for parts in _imported_names(path):
+            assert "oracle" not in parts, f"{path.name} imports {'.'.join(parts)}"
         checked += 1
-    assert checked >= 7
+    assert checked >= 8
+
+
+def test_the_oracle_imports_no_decision_procedure():
+    decision = {"entail", "normalize", "defs", "syntax", "cli"}
+    imported = list(_imported_names(SRC / "oracle.py"))
+    assert imported
+    for parts in imported:
+        assert decision.isdisjoint(parts), f"oracle.py imports {'.'.join(parts)}"
+
+
+def test_importing_the_package_does_not_load_the_oracle():
+    # `import olsub` leaves the oracle unloaded and unexported; `from olsub
+    # import oracle` still reaches it.
+    code = "import sys, olsub; print('olsub.oracle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["False"]
+    from olsub import oracle
+
+    own = {name for name, value in vars(oracle).items()
+           if getattr(value, "__module__", None) == oracle.__name__ and not name.startswith("_")}
+    assert {"evaluate", "saturates", "boolean2"} <= own
+    assert own.isdisjoint(olsub.__all__)

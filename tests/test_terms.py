@@ -9,6 +9,7 @@ from olsub import TermUniverse, Variance, oracle
 from olsub.errors import (
     ArityMismatch,
     ConflictingDeclaration,
+    NotALiteral,
     OlsubError,
     TermIdOverflow,
     UndeclaredSymbol,
@@ -213,8 +214,9 @@ def test_opposite_is_the_complement_of_a_literal(u):
         assert u.opposite(lit) != lit
         assert u.opposite(u.opposite(lit)) == lit
         assert u.opposite(lit) == delta(u, u.neg(lit))
-    with pytest.raises(KeyError):
-        u.opposite(u.join([x, u.var("y")]))
+    for compound in (u.join([x, u.var("y")]), u.meet([x, u.var("y")]), u.neg(x)):
+        with pytest.raises(NotALiteral):
+            u.opposite(compound)
 
 
 def test_variance_flip_involution():
