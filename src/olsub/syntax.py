@@ -12,19 +12,29 @@ associate left and flatten. Source files are line-oriented:
 
 Equality axioms are sugar for the two inequalities.
 
-A text is tokenized by one regex pass into `(kind, text, offset)` triples;
-line and column are computed from the offset only when an error is raised.
-The parser and the printer each run one loop over an explicit stack, so
-nesting depth is bounded by memory, not by the interpreter's recursion limit.
+A text is read in one regex scan, which yields its token strings, ending in
+`""` for end of input; a source file is scanned whole, and its newline
+tokens end statements. The parser dispatches on those strings and keeps a
+position as a token index, which becomes a line and column only when an
+error is raised, by scanning the text again with the same regex. The parser
+and the printer each run one loop over an explicit stack, so nesting depth
+is bounded by memory, not by the interpreter's recursion limit.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from . import defs as _defs
-from .errors import ArityMismatch, DuplicateDefinition, ParseError, UndeclaredSymbol
+from .errors import (
+    ArityMismatch,
+    DuplicateDefinition,
+    OlsubError,
+    ParseError,
+    UndeclaredSymbol,
+)
 from .terms import (
     APP,
     BOT,
@@ -38,9 +48,6 @@ from .terms import (
     TermUniverse,
     Variance,
 )
-
-_KEYWORDS = {"top", "bot", "fun", "type"}
-
 
 @dataclass
 class AxiomSet:
@@ -65,72 +72,99 @@ class AxiomSet:
         return pair in self.pairs
 
 
-# One group per token class; blanks and comments match none, and group 4
-# takes a character that starts no token.
-_TOKEN = re.compile(r"(\n)|([^\W\d][\w']*)|(<=|<:|:>|[&|~()\[\],=:+-])|[ \t\r]+|#[^\n]*|(.)")
+# One token per match: blanks and `#` comments lead the match, and the group
+# holds the token. `.` takes a character that starts no token, and the empty
+# match at the end of the text stands for end of input.
+_TOKEN = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(<=|<:|:>|[&|~()\[\],=:+\n-]|[^\W\d][\w']*|.|\Z)")
+
+# Every token that is not a name: punctuation, keywords, newline and end of input.
+_RESERVED = frozenset(
+    ["<=", "<:", ":>", "&", "|", "~", "(", ")", "[", "]", ",", "=", ":", "+", "-", "\n", "",
+     "top", "bot", "fun", "type"]
+)
 
 
-def _position(text: str, offset: int, line_offset: int) -> tuple[int, int]:
-    """Line and column of a text offset; computed only for error messages."""
-    return line_offset + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
-
-
-def _tokenize(text: str, line_offset: int = 1) -> list[tuple[str, str, int]]:
-    """`(kind, text, offset)` triples ending in an `eof` token."""
-    tokens: list[tuple[str, str, int]] = []
-    append = tokens.append
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group is None:
-            continue
-        word = m.group(group)
-        if group == 3:
-            append((word, word, m.start()))
-        elif group == 2 and (word[0].isalpha() or word[0] == "_"):
-            append((word if word in _KEYWORDS else "name", word, m.start()))
-        elif group == 1:
-            append(("newline", word, m.start()))
-        else:  # group 4, or a word led by a numeral `\d` lets through, such as a superscript
-            position = _position(text, m.start(), line_offset)
-            raise ParseError(f"unexpected character {word[0]!r}", *position)
-    append(("eof", "", len(text)))
-    return tokens
+def _is_name(tok: str) -> bool:
+    return tok not in _RESERVED and (tok[0].isalpha() or tok[0] == "_")
 
 
 class _Parser:
-    def __init__(self, text: str, universe: TermUniverse, line_offset: int = 1):
+    """Reads the token strings of one scan of `text`.
+
+    A position is a token index. It becomes a line and column only when an
+    error is raised, by scanning the text again. A token that is neither
+    reserved nor a name (one led by a letter or `_`) is a character that
+    starts no token: `?`, a digit, a Unicode blank, or a numeral such as
+    `²` that the regex takes as the start of a word. Such a character is
+    reported before any other error of its text, or of its line in a source
+    file (`lines`), so a text reads as if tokenized whole, or line by line,
+    before it is parsed. In a source file a newline ends a statement, and
+    reads as end of input."""
+
+    def __init__(self, text: str, universe: TermUniverse, lines: bool = False):
         self.text = text
-        self.line_offset = line_offset
-        self.tokens = _tokenize(text, line_offset)
+        self.tokens: list[str] = _TOKEN.findall(text)
         self.pos = 0
         self.u = universe
+        self.lines = lines
+        self.ends = ("\n", "") if lines else ("",)
 
-    def error(self, message: str, offset: int) -> ParseError:
-        return ParseError(message, *_position(self.text, offset, self.line_offset))
+    def position(self, index: int) -> tuple[int, int]:
+        """Line and column of token `index`, found by scanning the text again."""
+        text = self.text
+        m = next(islice(_TOKEN.finditer(text), index, None))
+        offset = m.start(1)
+        if self.lines and self.tokens[index] in self.ends:
+            comment = text.find("#", m.start(), offset)  # a source line ends at its comment
+            if comment >= 0:
+                offset = comment
+        return 1 + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, *self.position(index))
 
-    def next(self) -> tuple[str, str, int]:
+    def unexpected(self, expected: str, index: int) -> ParseError:
+        found = self.tokens[index]
+        if found in self.ends:
+            found = ""
+        return self.error(f"{expected}, found {found!r}", index)
+
+    def raise_bad_character(self, start: int) -> None:
+        """Raise the error of the first character that starts no token in
+        the tokens from `start` to the end of the text, or of the line in a
+        source file; return if there is none."""
+        for i in range(start, len(self.tokens)):
+            tok = self.tokens[i]
+            if tok in self.ends:
+                return
+            if tok not in _RESERVED and not _is_name(tok):
+                raise self.error(f"unexpected character {tok[0]!r}", i) from None
+
+    def expect(self, token: str) -> None:
+        if self.tokens[self.pos] != token:
+            raise self.unexpected(f"expected {token!r}", self.pos)
+        self.pos += 1
+
+    def name(self) -> str:
         tok = self.tokens[self.pos]
+        if not _is_name(tok):
+            raise self.unexpected("expected 'name'", self.pos)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def end(self) -> None:
         tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def end(self, kinds: tuple[str, ...]) -> None:
-        kind, text, offset = self.tokens[self.pos]
-        if kind not in kinds:
-            raise self.error(f"trailing input {text!r}", offset)
+        if tok not in self.ends:
+            raise self.error(f"trailing input {tok!r}", self.pos)
 
     def skip_newlines(self) -> None:
-        while self.tokens[self.pos][0] == "newline":
+        while self.tokens[self.pos] == "\n":
             self.pos += 1
+
+    def query(self) -> tuple[TermId, TermId]:
+        lhs = self.term()
+        self.expect("<=")
+        return lhs, self.term()
 
     def term(self) -> TermId:
         """term := meet ('|' meet)* ; meet := '~'* atom ('&' '~'* atom)* ;
@@ -139,7 +173,7 @@ class _Parser:
         Parentheses and applications open a frame on an explicit stack that
         holds the enclosing term's joins, its current meet's parts, the `~`
         count before the bracket and, for an application, its arguments so
-        far and name, so nesting depth is bounded by memory."""
+        far, name and position, so nesting depth is bounded by memory."""
         tokens, u = self.tokens, self.u
         pos = self.pos
         stack: list[tuple] = []
@@ -147,70 +181,71 @@ class _Parser:
         meets: list[TermId] = []
         while True:
             nots = 0
-            kind, text, offset = tokens[pos]
-            while kind == "~":
+            tok = tokens[pos]
+            while tok == "~":
                 nots += 1
                 pos += 1
-                kind, text, offset = tokens[pos]
+                tok = tokens[pos]
+            at = pos
             pos += 1
-            if kind == "name":
-                if tokens[pos][0] != "(":
-                    t = self.apply(text, offset, []) if text in u.symbols else u.var(text)
-                elif tokens[pos + 1][0] == ")":
+            if _is_name(tok):
+                if tokens[pos] != "(":
+                    t = self.apply(tok, at, []) if tok in u.symbols else u.var(tok)
+                elif tokens[pos + 1] == ")":
                     pos += 2
-                    t = self.apply(text, offset, [])
+                    t = self.apply(tok, at, [])
                 else:
                     pos += 1
-                    stack.append((joins, meets, nots, [], text, offset))
+                    stack.append((joins, meets, nots, [], tok, at))
                     joins, meets = [], []
                     continue
-            elif kind == "(":
-                stack.append((joins, meets, nots, None, text, offset))
+            elif tok == "(":
+                stack.append((joins, meets, nots, None, tok, at))
                 joins, meets = [], []
                 continue
-            elif kind == "top":
+            elif tok == "top":
                 t = u.top()
-            elif kind == "bot":
+            elif tok == "bot":
                 t = u.bot()
             else:
-                raise self.error(f"expected a term, found {text!r}", offset)
+                raise self.unexpected("expected a term", at)
             while True:  # `t` completes an atom: close every meet, term and frame it ends
                 for _ in range(nots):
                     t = u.neg(t)
                 meets.append(t)
-                kind = tokens[pos][0]
-                if kind == "&":
+                tok = tokens[pos]
+                if tok == "&":
                     pos += 1
                     break
                 joins.append(meets[0] if len(meets) == 1 else u.meet(meets))
                 meets = []
-                if kind == "|":
+                if tok == "|":
                     pos += 1
                     break
                 t = joins[0] if len(joins) == 1 else u.join(joins)
                 if not stack:
                     self.pos = pos
                     return t
-                joins, meets, nots, args, text, offset = stack.pop()
+                joins, meets, nots, args, name, at = stack.pop()
                 if args is not None:
                     args.append(t)
-                    if kind == ",":
+                    if tok == ",":
                         pos += 1
-                        stack.append((joins, meets, nots, args, text, offset))
+                        stack.append((joins, meets, nots, args, name, at))
                         joins, meets = [], []
                         break
-                self.pos = pos
-                self.expect(")")
+                if tok != ")":
+                    raise self.unexpected("expected ')'", pos)
                 pos += 1
                 if args is not None:
-                    t = self.apply(text, offset, args)
+                    t = self.apply(name, at, args)
 
-    def apply(self, name: str, offset: int, args: list[TermId]) -> TermId:
+    def apply(self, name: str, index: int, args: list[TermId]) -> TermId:
         decl = self.u.symbols.get(name)
         if decl is None:
-            raise self.error(f"undeclared symbol {name!r}", offset) from UndeclaredSymbol(name)
+            raise self.error(f"undeclared symbol {name!r}", index) from UndeclaredSymbol(name)
         if len(args) != decl.arity:
-            line, column = _position(self.text, offset, self.line_offset)
+            line, column = self.position(index)
             raise ArityMismatch(
                 f"{decl.name} expects {decl.arity} arguments, got {len(args)} "
                 f"(line {line}, column {column})"
@@ -220,45 +255,55 @@ class _Parser:
     def variance_list(self) -> list[Variance]:
         self.expect("(")
         out: list[Variance] = []
-        if self.peek()[0] != ")":
+        if self.tokens[self.pos] != ")":
             out.append(self.variance())
-            while self.peek()[0] == ",":
-                self.next()
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
                 out.append(self.variance())
         self.expect(")")
         return out
 
     def variance(self) -> Variance:
-        kind, text, offset = self.next()
-        if kind == "+":
-            return Variance.COVARIANT
-        if kind == "-":
-            return Variance.CONTRAVARIANT
-        if kind == "name" and text == "o":
-            return Variance.INVARIANT
-        raise self.error(f"expected a variance (o, + or -), found {text!r}", offset)
+        tok = self.tokens[self.pos]
+        if tok not in ("o", "+", "-"):
+            raise self.unexpected("expected a variance (o, + or -)", self.pos)
+        self.pos += 1
+        return Variance(tok)
+
+    def skip_blank_line(self) -> bool:
+        """Skip a source line that holds only blanks, such as U+00A0, that
+        are tokens of their own: `str.strip` would empty it."""
+        tokens, pos = self.tokens, self.pos
+        while tokens[pos] != "\n" and tokens[pos].isspace():
+            pos += 1
+        if tokens[pos] not in self.ends:
+            return False
+        self.pos = pos
+        return True
+
+
+def _parse_text(text: str, universe: TermUniverse, read):
+    """`read(parser)` over the whole text, between optional newlines."""
+    p = _Parser(text, universe)
+    try:
+        p.skip_newlines()
+        result = read(p)
+        p.skip_newlines()
+        p.end()
+    except OlsubError:
+        p.raise_bad_character(0)
+        raise
+    return result
 
 
 def parse_term(text: str, universe: TermUniverse) -> TermId:
     """Parse one term. All constructor names used must be declared."""
-    p = _Parser(text, universe)
-    p.skip_newlines()
-    t = p.term()
-    p.skip_newlines()
-    p.end(("eof",))
-    return t
+    return _parse_text(text, universe, _Parser.term)
 
 
 def parse_query(text: str, universe: TermUniverse) -> tuple[TermId, TermId]:
     """Parse a query string `S <= T`."""
-    p = _Parser(text, universe)
-    p.skip_newlines()
-    lhs = p.term()
-    p.expect("<=")
-    rhs = p.term()
-    p.skip_newlines()
-    p.end(("eof",))
-    return lhs, rhs
+    return _parse_text(text, universe, _Parser.query)
 
 
 def parse_source(text: str, universe: TermUniverse) -> tuple[AxiomSet, list["_defs.Definition"]]:
@@ -268,51 +313,66 @@ def parse_source(text: str, universe: TermUniverse) -> tuple[AxiomSet, list["_de
     """
     axioms = AxiomSet()
     definitions: list[_defs.Definition] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    # `str.splitlines` says where a line ends: at `\r\n`, a lone `\r` or a
+    # Unicode separator such as U+2028 too. Joined by `\n`, the lines keep
+    # their numbers and columns.
+    p = _Parser("\n".join(text.splitlines()), universe, lines=True)
+    tokens = p.tokens
+    while True:
+        start = p.pos
+        head = tokens[start]
+        if head == "\n":
+            p.pos += 1
             continue
-        p = _Parser(raw.split("#", 1)[0], universe, line_offset=lineno)
-        head = p.peek()[0]
-        if head == "fun":
-            p.next()
-            name = p.expect("name")[1]
-            p.expect(":")
-            vs = p.variance_list()
-            universe.declare(name, vs)
-        elif head == "type":
-            p.next()
-            definitions.append(_parse_definition(p, universe, definitions))
-        else:
-            lhs = p.term()
-            op, text, offset = p.next()
-            if op == "<=":
-                axioms.add(lhs, p.term())
-            elif op == "=":
-                axioms.add_equality(lhs, p.term())
+        if head == "":
+            return axioms, definitions
+        if head.isspace() and p.skip_blank_line():
+            continue
+        try:
+            if head == "fun":
+                p.pos += 1
+                name = p.name()
+                p.expect(":")
+                universe.declare(name, p.variance_list())
+            elif head == "type":
+                p.pos += 1
+                definitions.append(_parse_definition(p, universe, definitions))
             else:
-                raise p.error(f"expected '<=' or '=', found {text!r}", offset)
-        p.end(("eof", "newline"))
-    return axioms, definitions
+                lhs = p.term()
+                op = tokens[p.pos]
+                if op == "<=":
+                    p.pos += 1
+                    axioms.add(lhs, p.term())
+                elif op == "=":
+                    p.pos += 1
+                    axioms.add_equality(lhs, p.term())
+                else:
+                    raise p.unexpected("expected '<=' or '='", p.pos)
+            p.end()
+        except OlsubError:
+            p.raise_bad_character(start)
+            raise
 
 
 def _parse_definition(
     p: _Parser, universe: TermUniverse, previous: list["_defs.Definition"]
 ) -> "_defs.Definition":
-    _, name, name_offset = p.expect("name")
+    at = p.pos
+    name = p.name()
     if any(d.name == name for d in previous):
         raise DuplicateDefinition(name)
     p.expect("[")
-    params = [p.expect("name")[1]]
-    while p.peek()[0] == ",":
-        p.next()
-        params.append(p.expect("name")[1])
+    params = [p.name()]
+    while p.tokens[p.pos] == ",":
+        p.pos += 1
+        params.append(p.name())
     p.expect("]")
     if len(set(params)) != len(params):
-        raise p.error("duplicate definition parameter", name_offset)
-    op, text, offset = p.next()
+        raise p.error("duplicate definition parameter", at)
+    op = p.tokens[p.pos]
     if op not in ("<:", ":>"):
-        raise p.error(f"expected '<:' or ':>', found {text!r}", offset)
+        raise p.unexpected("expected '<:' or ':>'", p.pos)
+    p.pos += 1
     bound = p.term()
     kind = "upper" if op == "<:" else "lower"
     definition = _defs.Definition(name, tuple(params), bound, kind)

@@ -76,14 +76,31 @@ class SymbolDecl:
             )
 
 
-@dataclass(frozen=True)
 class TermNode:
-    """One interned node. `name` holds a variable or symbol name where relevant."""
+    """One interned node. `name` holds a variable or symbol name where relevant.
 
-    kind: str
-    name: str | None = None
-    symbol: SymbolDecl | None = None
-    children: tuple[TermId, ...] = ()
+    A plain class with `__slots__`, built once per interned term; `node.kind`
+    is the hottest read of the engine and the normalizer. It is not
+    write-protected: a class that refuses writes must set its fields in
+    `__init__` through `object.__setattr__`, which makes a build cost as much
+    as a frozen dataclass's, about four times this one's. A named tuple is
+    immutable and cheaper to build than that, but reads a field about twice
+    as slowly. The universe hands out the one node of each id, and no code
+    may change it.
+    """
+
+    __slots__ = ("kind", "name", "symbol", "children")
+
+    def __init__(self, kind: str, name: str | None = None, symbol: SymbolDecl | None = None,
+                 children: tuple[TermId, ...] = ()):
+        self.kind = kind
+        self.name = name
+        self.symbol = symbol
+        self.children = children
+
+    def __repr__(self) -> str:
+        return (f"TermNode(kind={self.kind!r}, name={self.name!r}, "
+                f"symbol={self.symbol!r}, children={self.children!r})")
 
 
 class TermUniverse:

@@ -8,6 +8,7 @@ from olsub.errors import (
     TermIdOverflow,
     UndeclaredSymbol,
 )
+from olsub import syntax
 from olsub.normalize import delta
 
 
@@ -70,6 +71,32 @@ BAD_INPUTS = [
     (parse_source, "type U[A] = x\n", ParseError, "expected '<:' or ':>', found '='", 1, 11),
     (parse_source, "fun S : (+)\ntype U[A, B, A] <: S(A)\n", ParseError,
      "duplicate definition parameter", 2, 6),
+    # a name may not start with a numeral `\d` lets through, nor a text hold a Unicode blank
+    (parse_term, "² | y", ParseError, "unexpected character '²'", 1, 1),
+    (parse_term, "x | ½", ParseError, "unexpected character '½'", 1, 5),
+    (parse_term, "x\xa0& y", ParseError, "unexpected character '\\xa0'", 1, 2),
+    (parse_source, "x <= y\n\xa0x <= y\n", ParseError, "unexpected character '\\xa0'", 2, 1),
+    (parse_source, "x <= y\n\n  \t ²\n", ParseError, "unexpected character '²'", 3, 5),
+    # a bad character beats every other error in its text, or in its line of a source file
+    (parse_term, "x & ) ?", ParseError, "unexpected character '?'", 1, 7),
+    (parse_query, "x <= G(y) ½", ParseError, "unexpected character '½'", 1, 11),
+    (parse_source, "x <= y\nx <= G(x) ?\n", ParseError, "unexpected character '?'", 2, 11),
+    (parse_source, "fun F : (-) ?\n", ParseError, "unexpected character '?'", 1, 13),
+    (parse_source, "type U[A] <: F(A)\ntype U[B] <: F(B) ?\n", ParseError,
+     "unexpected character '?'", 2, 19),
+    # but not an error on an earlier line
+    (parse_source, "x <= )\ny ? z\n", ParseError, "expected a term, found ')'", 1, 6),
+    # a source line ends where its comment starts, or before its CRLF
+    (parse_source, "x <=  # c ?\n", ParseError, "expected a term, found ''", 1, 7),
+    (parse_source, "x <= y\nx <= ", ParseError, "expected a term, found ''", 2, 6),
+    (parse_source, "fun K : (+\r\nx <= y\r\n", ParseError, "expected ')', found ''", 1, 11),
+    (parse_source, "x <= y\r\nx <=\r\n", ParseError, "expected a term, found ''", 2, 5),
+    (parse_source, "# c\n\nfun K : (-,+)\n# c2 ?\nA <= K(x)\n", ArityMismatch,
+     "K expects 2 arguments, got 1", 5, 6),
+    # keywords are not names
+    (parse_term, "fun", ParseError, "expected a term, found 'fun'", 1, 1),
+    (parse_source, "fun fun : (+)\n", ParseError, "expected 'name', found 'fun'", 1, 5),
+    (parse_source, "type U[top] <: x\n", ParseError, "expected 'name', found 'top'", 1, 8),
 ]
 
 
@@ -127,6 +154,45 @@ def test_class_extends_axiom(u):
 def test_comments_and_blank_lines(u):
     axioms, _ = parse_source("# intro\n\nA <= B  # trailing\n", u)
     assert len(axioms) == 1
+
+
+def test_unicode_names_blanks_comments_and_crlf(u):
+    x, y = u.var("x"), u.var("y")
+    assert parse_term("é & x", u) == u.meet([u.var("é"), x])
+    assert parse_term("x² | y", u) == u.join([u.var("x²"), y])
+    # a line of Unicode blanks is blank
+    assert parse_source("x <= y\n\xa0\n", u)[0].pairs == [(x, y)]
+    # a comment may hold characters that start no token
+    assert parse_term("x # $ ?", u) == x
+    assert parse_query("x <= y  # $ ?\n", u) == (x, y)
+    assert parse_source("# $\nx <= y # ?\n", u)[0].pairs == [(x, y)]
+    axioms, _ = parse_source("fun F : (+)\r\nx <= F(y)\r\n\r\n# c\r\nx = y\r\n", u)
+    assert axioms.pairs == [(x, u.app("F", [y])), (x, y), (y, x)]
+    # as `str.splitlines` ends a line, so does a source file, and its comment
+    axioms, _ = parse_source("x <= y\ry <= x # c\x85x <= y\u2028", u)
+    assert axioms.pairs == [(x, y), (y, x), (x, y)]
+
+
+def test_one_scan_per_call(u, monkeypatch):
+    # The parser reads the token strings of one scan of its text. A second
+    # scan of a line or a statement redoes work the first one did.
+    scans = []
+
+    class Counting:
+        def __getattr__(self, name):
+            scans.append(name)
+            return getattr(scanner, name)
+
+    scanner = syntax._TOKEN
+    monkeypatch.setattr(syntax, "_TOKEN", Counting())
+    u.declare("F", "+")
+    parse_term("F(x) & ~(y | z)", u)
+    assert len(scans) == 1
+    parse_query("x & y <= F(x) # c\n", u)
+    assert len(scans) == 2
+    source = "fun G : (-,+)\n# c\n\ntype U[A] <: G(A, x)\nx <= G(y, z)\ny = U(z)\n"
+    axioms, definitions = parse_source(source, u)
+    assert len(scans) == 3 and len(axioms) == 3 and len(definitions) == 1
 
 
 def test_type_definition_line(u):
