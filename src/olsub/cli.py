@@ -13,11 +13,15 @@ error included).
 procedure, and print the proof `Verdict.proof()` reads off it. `bench`
 runs the Horn engine itself, since it reports the engine's clause growth.
 
-`main` builds only the parser of the subcommand its first argument names
-(`build_parser(command)`), and all five when that argument names none:
-no arguments, `-h`, `--`, an option or a typo. Usage, help and error text
-are those of the full parser either way. Nothing is cached: every call
-builds its parser, so a one-shot process saves as much as a loop of calls.
+`main` parses a call whose first word names a command with that command's
+parser alone (`build_parser(command)`, one `ArgumentParser`), whose usage,
+help and error text are those the full parser prints for the command. It
+builds the full parser, `olsub` with all five subcommands, only where its
+own text is the output: a first word that names no command (no arguments,
+`-h`, `--`, an option or a typo), or words the command's parser left over,
+which the full parser reports as unrecognized. Nothing is cached: every
+call builds its parser, so a one-shot process saves as much as a loop of
+calls.
 """
 from __future__ import annotations
 
@@ -30,7 +34,14 @@ import time
 
 from . import defs as defs_mod
 from . import entail, normalize
-from .errors import AxiomsNotSupported, BadN, InputTooDeep, OlsubError
+from .errors import (
+    AxiomsNotSupported,
+    BadEncoding,
+    BadN,
+    InputTooDeep,
+    NegationPresent,
+    OlsubError,
+)
 from .syntax import AxiomSet, parse_query, parse_source, parse_term, print_term
 from .terms import TermUniverse
 
@@ -68,27 +79,34 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `olsub` parser with the subcommand `command` alone, or with all
-    five when `command` names none of them. With one subcommand the top-level
-    usage still lists all five, as the full parser prints it."""
+    """The parser of the subcommand `command` alone, as `olsub command`, or
+    the full `olsub` parser with all five subcommands when `command` names
+    none of them."""
+    if command in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"olsub {command}")
+        _COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="olsub",
         description="Subtyping and normalization over ortholattices with "
         "variance-annotated type constructors.",
     )
-    if command in _COMMANDS:
-        names = [command]
-        # the usage line the full parser prints; never set on the full
-        # parser, where a metavar would also rename the argument in its
-        # "required" and "invalid choice" errors
-        extra = {"metavar": "{" + ",".join(_COMMANDS) + "}"}
-    else:
-        names, extra = list(_COMMANDS), {}
-    sub = parser.add_subparsers(dest="command", required=True, **extra)
-    for name in names:
-        help_text, add_args, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, _) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed as the full parser parses it, by the parser of the
+    command its first word names where that parser takes every word."""
+    command = argv[0] if argv else None
+    if command in _COMMANDS:
+        args, extra = build_parser(command).parse_known_args(argv[1:])
+        if not extra:
+            args.command = command
+            return args
+    return build_parser().parse_args(argv)
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +144,13 @@ def sn_tn_source(n: int) -> str:
 def _load_axioms(path: str | None, universe: TermUniverse):
     if path is None:
         return AxiomSet(), []
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_source(handle.read(), universe)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_source(text, universe)
 
 
 def cmd_check(args) -> int:
@@ -203,7 +226,10 @@ def cmd_normalize(args) -> int:
             raise AxiomsNotSupported("--sig file may contain only fun declarations")
     term = parse_term(args.term, universe)
     if args.mode == "bl":
-        result = normalize.normalize_bl(universe, term)
+        try:
+            result = normalize.normalize_bl(universe, term)
+        except NegationPresent:
+            raise NegationPresent("--mode bl takes negation-free terms; use --mode ol") from None
     else:
         result = normalize.normalize_ol(universe, term)
     rendered = print_term(universe, result.term)
@@ -307,7 +333,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = _parse_args(argv)
             return _COMMANDS[args.command][2](args)
         except RecursionError as exc:
             raise InputTooDeep("input is nested too deeply") from exc

@@ -68,6 +68,10 @@ class AxiomsNotSupported(OlsubError):
     """Axioms were passed to an operation that is defined axiom-free."""
 
 
+class BadEncoding(OlsubError):
+    """A source file is not UTF-8 text."""
+
+
 class InputTooDeep(OlsubError):
     """Input is nested deeper than the interpreter's recursion limit allows."""
 

@@ -28,6 +28,16 @@ def test_check_with_axioms_file(tmp_path, capsys):
     assert main(["check", "--axioms", str(path), "C <= A"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["check", "--axioms", "{}", "x <= y"], ["normalize", "--sig", "{}", "x"]]
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.ax"
+    path.write_bytes(b"\xff\xfe bad")
+    assert main([word.format(path) for word in argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_check_json_schema(capsys):
     assert main(["check", "--format", "json", "x & y <= x"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -152,7 +162,8 @@ def test_normalize_command(capsys):
 
 def test_normalize_mode_and_axiom_errors(tmp_path, capsys):
     assert main(["normalize", "--mode", "bl", "~x | x"]) == 2
-    capsys.readouterr()
+    # the command line's own option, not the library's function names
+    assert capsys.readouterr().err == "error: --mode bl takes negation-free terms; use --mode ol\n"
     path = tmp_path / "f.ax"
     path.write_text("A <= B\n")
     assert main(["normalize", "--axioms", str(path), "x | x"]) == 2
