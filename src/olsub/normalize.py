@@ -44,7 +44,7 @@ of a join `J`, `~c` is a join, so `~c <= J` needs `~p <= J` for every part
 `J` on masks first (a literal by `J`'s `upper` mask, else by the heads
 lemma below), and a child with a part that fails is skipped: its test
 would fail at that check. Zeta and eta test a pair on its masks first
-(`_le`), so a pair the masks decide makes no `leq` call.
+(`_by_masks`), so a pair the masks decide makes no `leq` call.
 
 Every order test `u <= v` made here is decided by Whitman's conditions for
 free lattices, extended to constructors by the variance rule: a memoized
@@ -78,8 +78,12 @@ tally counts only the work it does (`_Context._search`).
 A term's masks come from one fold (`TermUniverse.fold`) of its DAG, which
 images each leaf child as it scans the parent, so a node costs one scan of
 its children. The bits are the universe's: interning gives each variable
-and symbol name its pair (see `TermUniverse`), so a leaf's bit is one
-lookup, and the fold takes no lock and hands out no bit.
+and symbol name its pair of bit positions (see `TermUniverse`), so a
+leaf's bit is one lookup and one shift, and the fold takes no lock and
+hands out no bit. The node rules read a term's memoized masks from the
+context's `masks`, and its node from the universe's node list, which the
+context keeps, each without a call; they fold only on a miss. The node
+list holds no reference back to the universe.
 
 Verdicts and the normal forms of sorted nodes are cached per universe, and
 the caches are freed with the universe, keeping a normalization run
@@ -127,8 +131,10 @@ class _Context:
     forms of sorted nodes and the sort key.
 
     The universe is held weakly, so a context never keeps its own key in
-    `_contexts` alive; the universe's bit tables and node list (in the sort
-    key), which a context reads directly, do not refer back to it."""
+    `_contexts` alive; the universe's bit tables and node list, which a
+    context reads directly, do not refer back to it. The node rules read
+    a node from `nodes` and a term's masks from `masks` without a call, and
+    fold a term's masks (`fold_masks`) only when `masks` lacks them."""
 
     def __init__(self, universe: TermUniverse):
         self._universe = weakref.ref(universe)
@@ -137,12 +143,14 @@ class _Context:
         # masks of each term the order test has seen: (bit, lower, upper,
         # heads, atoms)
         self.masks: dict[TermId, tuple[int, int, int, int, int]] = {}
-        # the universe's bit pairs per variable name and per symbol base
-        # name, numbered at interning: the low bit for the variable (the
-        # symbol), the high bit for its negation (its dual). A literal's bit
-        # is its head bit too.
+        # the universe's pairs of bit positions per variable name and per
+        # symbol base name, numbered at interning: the low position for the
+        # variable (the symbol), the high one for its negation (its dual). A
+        # literal's bit is its head bit too.
         self._var_bits = universe._var_bits
         self._symbol_bits = universe._symbol_bits
+        # the universe's node list, which only grows
+        self.nodes = universe._nodes
         # images of the polarity walk, one memo per node rule, keyed by
         # 2 * term + polarity
         self.rewrites: dict[object, dict[int, TermId]] = defaultdict(dict)
@@ -157,16 +165,16 @@ class _Context:
     def leq(self, s: TermId, t: TermId, tally: list[int] | None = None) -> bool:
         """Decide `s <= t` over bounded lattices with constructors.
 
-        Both sides' masks (`_mask`) are folded first, so a `NOT` anywhere
-        raises `NegationPresent`. A goal, this one or any subgoal, with a
-        literal side or whose sides share no head is decided by one AND of
-        masks (`_by_masks`, by the two lemmas of the module docstring). Such
-        a goal pushes no frame, and only a top-level one is memoized, as a
-        bool. Any other goal holds when every pair of one of its
-        `_alternatives` holds, found by a depth-first AND/OR search on an
-        explicit stack (`_search`); each subgoal is strictly smaller than
-        its goal, so the search terminates and every verdict it reaches is
-        final and memoized. `leq_memo` holds False for such a goal that
+        Both sides' masks are read from `masks`, or folded (`_mask`) on a
+        miss, so a `NOT` anywhere raises `NegationPresent`. A goal, this one
+        or any subgoal, with a literal side or whose sides share no head is
+        decided by one AND of masks (`_by_masks`, by the two lemmas of the
+        module docstring). Such a goal pushes no frame, and only a
+        top-level one is memoized, as a bool. Any other goal holds when
+        every pair of one of its `_alternatives` holds, found by a
+        depth-first AND/OR search on an explicit stack (`_search`); each
+        subgoal is strictly smaller than its goal, so the search terminates
+        and every verdict it reaches is final and memoized. `leq_memo` holds False for such a goal that
         fails and, for one that holds, the premises that proved it (True if
         none; `first_alternative` reads them); this method returns the bool.
         `tally`, when given, gains this call's work: goals decided,
@@ -176,8 +184,9 @@ class _Context:
         verdict = memo.get((s, t))
         if verdict is not None:
             return bool(verdict)
-        masks, fold = self.masks, self.u.fold
-        ms, mt = fold(s, masks, self._mask), fold(t, masks, self._mask)
+        masks = self.masks
+        ms = masks.get(s) or self.fold_masks(s)
+        mt = masks.get(t) or self.fold_masks(t)
         verdict = _by_masks(ms, mt)
         if verdict is not None:
             memo[s, t] = verdict
@@ -198,8 +207,8 @@ class _Context:
         frame pushed and each lookup the masks decide, the alternatives
         built at each push plus one per mask-decided lookup, the lookups,
         and the goals proved."""
-        memo, masks, node = self.leq_memo, self.masks, self.u.node
-        alts = _alternatives(node, masks, s, t)
+        memo, masks, nodes = self.leq_memo, self.masks, self.nodes
+        alts = _alternatives(nodes, masks, s, t)
         goals, built, lookups, proved = 1, len(alts), 0, 0
         stack = [[s, t, alts, 0, 0]]  # goal, alternatives, position
         while stack:
@@ -236,7 +245,7 @@ class _Context:
                             pairs = alts[ai]
             if verdict is None:
                 frame[3], frame[4] = ai, pi
-                alts = _alternatives(node, masks, cs, ct)
+                alts = _alternatives(nodes, masks, cs, ct)
                 goals += 1
                 built += len(alts)
                 stack.append([cs, ct, alts, 0, 0])
@@ -256,14 +265,19 @@ class _Context:
         masks `leq` folded, as the first child `c` of the meet `s` with
         `c <= t`, or of the join `t` with `s <= c`; otherwise it is the
         search's record in `leq_memo`. No order test is made."""
-        masks = self.masks
+        masks, nodes = self.masks, self.nodes
         bit = masks[t][0]
         if bit:
-            return next(((c, t),) for c in self.u.node(s).children if masks[c][1] & bit)
+            return next(((c, t),) for c in nodes[s].children if masks[c][1] & bit)
         bit = masks[s][0]
         if bit:
-            return next(((s, c),) for c in self.u.node(t).children if masks[c][2] & bit)
+            return next(((s, c),) for c in nodes[t].children if masks[c][2] & bit)
         return self.leq_memo[s, t]
+
+    def fold_masks(self, t: TermId) -> tuple[int, int, int, int, int]:
+        """`t`'s masks, folded into `masks` with those of every subterm of
+        `t`; a caller reads a hit from `masks` first."""
+        return self.u.fold(t, self.masks, self._mask)
 
     def _mask(self, s: TermId, node, kids: list[tuple]) -> tuple[int, int, int, int, int]:
         """`s`'s masks: its own bit if it is a literal, else 0; the literals
@@ -274,9 +288,7 @@ class _Context:
         under applications too."""
         kind = node.kind
         if kind == VAR or kind == NEGVAR:
-            bit = self._var_bits[node.name]
-            if kind == NEGVAR:
-                bit <<= 1
+            bit = 1 << (self._var_bits[node.name] + (kind == NEGVAR))
             return bit, bit, bit, bit, bit
         if kind == NOT:
             raise NegationPresent("negation reached the bounded-lattice order test")
@@ -286,9 +298,7 @@ class _Context:
             return 0, 0, -1, TOP_HEAD, TOP_HEAD
         if kind == APP:
             base = node.symbol.dual_of
-            head = self._symbol_bits[base or node.name]
-            if base:
-                head <<= 1
+            head = 1 << (self._symbol_bits[base or node.name] + (base is not None))
             atoms = head
             for k in kids:
                 atoms |= k[4]
@@ -313,16 +323,16 @@ class _Context:
     def clash(self, heads: int) -> bool:
         """Whether the head mask `heads` holds a bound, or an atom together
         with its complement: both bits of a pair. The pairs' low bits are
-        the even bits below the universe's next free bit."""
-        return bool(heads & _BOUND_HEADS or heads & (heads >> 1) & (self.u._next_bit - 1) // 3)
+        the even bits below the universe's next free position."""
+        return bool(heads & _BOUND_HEADS or heads & (heads >> 1) & _low_bits(self.u))
 
     def flat_sorted(self, kind: str, kids: list[TermId]) -> list[TermId]:
         """`kids` with the children of any `kind` node spliced in, in
         structural order."""
-        node = self.u.node
+        nodes = self.nodes
         flat: list[TermId] = []
         for c in kids:
-            n = node(c)
+            n = nodes[c]
             if n.kind == kind:
                 flat.extend(n.children)
             else:
@@ -340,6 +350,11 @@ class _Context:
 _BOUND_HEADS = BOT_HEAD | TOP_HEAD
 
 
+def _low_bits(u: TermUniverse) -> int:
+    """The low bit of every pair `u` has handed out, the bounds' too."""
+    return ((1 << u._next_position) - 1) // 3
+
+
 def _by_masks(ms: tuple, mt: tuple) -> bool | None:
     """`s <= t` decided by the two sides' masks alone, or None if the search
     must decide it: a goal with a literal side is one AND with the literal's
@@ -351,13 +366,6 @@ def _by_masks(ms: tuple, mt: tuple) -> bool | None:
     if not (ms[3] & (mt[3] | BOT_HEAD) or mt[3] & TOP_HEAD):
         return False
     return None
-
-
-def _le(ctx: _Context, s: TermId, t: TermId, ms: tuple, mt: tuple) -> bool:
-    """`s <= t` given the two sides' folded masks: a pair the masks decide
-    (`_by_masks`) makes no `leq` call, and so no memo lookup or write."""
-    verdict = _by_masks(ms, mt)
-    return ctx.leq(s, t) if verdict is None else verdict
 
 
 _RANK = {BOT: 0, TOP: 1, VAR: 2, NEGVAR: 3, APP: 4, NOT: 5, MEET: 6, JOIN: 7}
@@ -404,7 +412,7 @@ def _context(universe: TermUniverse) -> _Context:
     return ctx
 
 
-def _alternatives(node, masks, s: TermId, t: TermId) -> list[tuple]:
+def _alternatives(nodes, masks, s: TermId, t: TermId) -> list[tuple]:
     """The alternatives by which `s <= t` can hold, each a tuple of pairs
     that must all hold: `[()]` for an axiom, `[]` for no rule.
 
@@ -419,7 +427,7 @@ def _alternatives(node, masks, s: TermId, t: TermId) -> list[tuple]:
     docstring refutes the rest, a literal pick by its bit too. `masks`
     holds both sides' masks; every term has a head, so a `hit` of -1 keeps
     every pick."""
-    sn, tn = node(s), node(t)
+    sn, tn = nodes[s], nodes[t]
     if s == t or sn.kind == BOT or tn.kind == TOP:
         return [()]
     if sn.kind == JOIN:
@@ -487,8 +495,7 @@ def _walk(ctx: _Context, t: TermId, rule, pol: int = 0) -> TermId:
     asked for. Under delta a NOT-free term at polarity 0 is its own image,
     so the walk returns it, as root or operand, without visiting it: a
     complemented application does not re-walk its NOT-free arguments."""
-    u = ctx.u
-    nodes = u._nodes
+    u, nodes = ctx.u, ctx.nodes
     memo = ctx.rewrites[rule]
     with_not = u._with_not if rule is _delta_node else None
     t, pol = _strip(nodes, t, pol)
@@ -653,7 +660,7 @@ def can_collapse(universe: TermUniverse, t: TermId) -> bool:
     (`_Context._mask`), so a `NOT` raises `NegationPresent`, as in beta."""
     universe.require(t)
     ctx = _context(universe)
-    return ctx.clash(universe.fold(t, ctx.masks, ctx._mask)[4])
+    return ctx.clash(ctx.fold_masks(t)[4])
 
 
 def beta_open(universe: TermUniverse, t: TermId) -> TermId:
@@ -662,7 +669,7 @@ def beta_open(universe: TermUniverse, t: TermId) -> TermId:
     bottom or top. Any other term maps to its beta image."""
     _refuse_negation(universe, t)
     ctx = _context(universe)
-    node = ctx.u.node(t)
+    node = ctx.nodes[t]
     if node.kind != MEET and node.kind != JOIN:
         return _walk(ctx, t, _beta_node)
     kids = [_walk(ctx, c, _beta_node) for c in node.children]
@@ -677,14 +684,13 @@ def _beta(ctx: _Context, whole: TermId, kind: str) -> TermId:
     """Beta at `whole`, a sorted meet or join (`kind`) over beta images:
     top (bottom) if the complement of a child is below the join (above the
     meet), else `whole`."""
-    u = ctx.u
-    masks = ctx.masks
-    mw = u.fold(whole, masks, ctx._mask)
+    masks, nodes = ctx.masks, ctx.nodes
+    mw = masks.get(whole) or ctx.fold_masks(whole)
     # no child's complement reaches the node unless its heads clash (`beta`)
     if not ctx.clash(mw[3]):
         return whole
-    low = (u._next_bit - 1) // 3  # the low bit of every pair, the bounds' too
-    nodes = u._nodes
+    u = ctx.u
+    low = _low_bits(u)
     join = kind == JOIN
     split = MEET if join else JOIN
     for c in nodes[whole].children:
@@ -708,7 +714,7 @@ def zeta(universe: TermUniverse, t: TermId) -> TermId:
     inside meets. Iterated to a fixpoint, since a replacement can expose
     another; the first scan tests against the original join, later scans
     against the updated one. Each conjunct is tested on masks first
-    (`_le`)."""
+    (`_by_masks`)."""
     _refuse_negation(universe, t)
     return _walk(_context(universe), t, _zeta_node)
 
@@ -720,19 +726,23 @@ def _zeta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 def _zeta(ctx: _Context, whole: TermId, outer: str) -> TermId:
     """Zeta's fixpoint from `whole`, a sorted node of kind `outer`; any
     other term is returned as it is."""
-    u, masks = ctx.u, ctx.masks
+    nodes, masks, leq = ctx.nodes, ctx.masks, ctx.leq
     inner = MEET if outer == JOIN else JOIN
-    while u.node(whole).kind == outer:
-        mw = u.fold(whole, masks, ctx._mask)  # folds every part too
+    while nodes[whole].kind == outer:
+        if whole not in masks:
+            ctx.fold_masks(whole)  # every part's masks too
         replaced = False
         next_children: list[TermId] = []
-        for c in u.node(whole).children:
-            cn = u.node(c)
+        for c in nodes[whole].children:
+            cn = nodes[c]
             promoted = None
             if cn.kind == inner:
                 for part in cn.children:
-                    if (_le(ctx, part, whole, masks[part], mw) if outer == JOIN
-                            else _le(ctx, whole, part, mw, masks[part])):
+                    s, t = (part, whole) if outer == JOIN else (whole, part)
+                    below = _by_masks(masks[s], masks[t])
+                    if below is None:  # only a pair the masks leave open makes a `leq` call
+                        below = leq(s, t)
+                    if below:
                         promoted = part
                         break
             if promoted is None:
@@ -764,26 +774,37 @@ def _eta_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:
 def _antichain(ctx: _Context, flat: Sequence[TermId], kind: str) -> TermId:
     """The join (dually meet) of the maximal (minimal) members of `flat`,
     which is flat and sorted, keeping the first of equivalent members. The
-    members' masks are folded once, and pairs are tested by `_le`, as in
-    zeta."""
-    masks, fold, mask = ctx.masks, ctx.u.fold, ctx._mask
-    ms = [fold(c, masks, mask) for c in flat]
-
-    def le(i: int, j: int) -> bool:
-        return _le(ctx, flat[i], flat[j], ms[i], ms[j])
-
+    members' masks are folded once, and a pair the masks decide makes no
+    `leq` call, as in zeta."""
+    masks, leq = ctx.masks, ctx.leq
+    ms = [masks.get(c) or ctx.fold_masks(c) for c in flat]
     keep_max = kind == JOIN
     kept: list[TermId] = []
     for i, c in enumerate(flat):
-        redundant = False
-        for j in range(len(flat)):
+        mc = ms[i]
+        for j, d in enumerate(flat):
             if i == j:
                 continue
-            lo, hi = (i, j) if keep_max else (j, i)
-            if le(lo, hi) and (i > j or not le(hi, lo)):
-                redundant = True
-                break
-        if not redundant:
+            # `c` is redundant if it is below `d` (above, in a meet), unless
+            # the two are equivalent and `c` comes first
+            s, t, m_s, m_t = (c, d, mc, ms[j]) if keep_max else (d, c, ms[j], mc)
+            # `_by_masks`, inlined
+            if m_s[0] or m_t[0]:
+                below = m_s[1] & m_t[0] if m_t[0] else m_t[2] & m_s[0]
+            elif not (m_s[3] & (m_t[3] | BOT_HEAD) or m_t[3] & TOP_HEAD):
+                continue
+            else:
+                below = leq(s, t)
+            if not below:
+                continue
+            if i < j:
+                above = _by_masks(m_t, m_s)
+                if above is None:
+                    above = leq(t, s)
+                if above:
+                    continue
+            break
+        else:
             kept.append(c)
     u = ctx.u
     return u.join(kept) if kind == JOIN else u.meet(kept)
@@ -799,11 +820,11 @@ def _zeta_eta(ctx: _Context, whole: TermId) -> TermId:
     without sorting it again. It replaces children one for one, so its
     result is a sorted flat node of the same kind, whose children eta
     filters as they stand."""
-    u = ctx.u
-    kind = u.node(whole).kind
+    nodes = ctx.nodes
+    kind = nodes[whole].kind
     if kind != MEET and kind != JOIN:
         return whole
-    return _antichain(ctx, u.node(_zeta(ctx, whole, kind)).children, kind)
+    return _antichain(ctx, nodes[_zeta(ctx, whole, kind)].children, kind)
 
 
 def _bl_node(ctx: _Context, kids: list[TermId], kind: str) -> TermId:

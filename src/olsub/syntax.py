@@ -23,6 +23,7 @@ is bounded by memory, not by the interpreter's recursion limit.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
@@ -388,6 +389,12 @@ _PREC_MEET = 1
 _PREC_UNARY = 2
 
 
+# The text of each term printed without `rename`, per universe; a dropped
+# universe drops its texts.
+_printed: "weakref.WeakKeyDictionary[TermUniverse, dict[TermId, str]]" = (
+    weakref.WeakKeyDictionary())
+
+
 def print_term(universe: TermUniverse, t: TermId, rename: dict[str, str] | None = None) -> str:
     """Render a term; parsing the result yields `t` back for parser-range terms.
 
@@ -395,13 +402,27 @@ def print_term(universe: TermUniverse, t: TermId, rename: dict[str, str] | None 
     printed form of a pseudo-negation-normal term reads as ordinary negation
     (and re-parses to its Not-encoded preimage). An id that is not a term
     of `universe` raises `TermIdOverflow`.
+
+    A compound term printed without `rename` is rendered once per universe:
+    its text is memoized in a table keyed weakly by the universe, so the
+    texts are freed with the universe, and a later call returns it. A call
+    with a non-empty `rename` renders anew and memoizes nothing. The table
+    takes no lock: two threads that race on one term both render it, to
+    the same text.
     """
     universe.require(t)
-    rename = rename or {}
     node = universe.node(t)
     if node.kind == VAR:  # the commonest proof-sequent element needs no stack
-        return rename.get(node.name, node.name)
-    return _print(universe, t, rename)
+        return rename.get(node.name, node.name) if rename else node.name
+    if rename:
+        return _print(universe, t, rename)
+    texts = _printed.get(universe)
+    if texts is None:
+        texts = _printed[universe] = {}
+    text = texts.get(t)
+    if text is None:
+        text = texts[t] = _print(universe, t, {})
+    return text
 
 
 def _print(u: TermUniverse, t: TermId, rename: dict[str, str]) -> str:

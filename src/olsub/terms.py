@@ -110,13 +110,16 @@ class TermUniverse:
     (`contains_not`) and whether it holds any negation: a NOT, a negated
     variable or an application of a dual symbol (`plain`). It also numbers
     the atoms for the order test's masks: the first variable node of a name
-    gives the name a pair of adjacent bits (`_var_bits`, the low bit; the
-    high one is its negation's), and the first application of a symbol
-    gives its base name, the original's for a dual, a pair too
-    (`_symbol_bits`; the high bit is the dual's). Bits `BOT_HEAD` and
-    `TOP_HEAD` are the bounds', and pairs are handed out above them, so a
-    mask is as wide as the number of names the universe holds, not the
-    number the order test has seen. A constructor given a child id the
+    gives the name a pair of adjacent bit positions (`_var_bits` holds the
+    low one, the position of the name's bit; the high one is its
+    negation's), and the first application of a symbol gives its base
+    name, the original's for a dual, a pair too (`_symbol_bits`; the high
+    position is the dual's). Bits `BOT_HEAD` and `TOP_HEAD` are the
+    bounds', and pairs are handed out above them, so a mask is as wide as
+    the number of names the universe holds, not the number the order test
+    has seen. The tables hold positions, not bits: handing out a name's
+    pair costs O(1), and the order test shifts a position into its bit
+    where it builds a mask. A constructor given a child id the
     universe does not hold raises `TermIdOverflow` and interns nothing, and
     so do the readers `size`, `subterms`, `opposite`, `plain` and
     `contains_not` given such an id; `node` is the unchecked reader. Ids
@@ -136,7 +139,7 @@ class TermUniverse:
         self._ids: dict[tuple, TermId] = {}
         self._var_bits: dict[str, int] = {}
         self._symbol_bits: dict[str, int] = {}
-        self._next_bit = TOP_HEAD << 1
+        self._next_position = 2  # the next pair's low position, above the bounds' bits
         self.symbols: dict[str, SymbolDecl] = {}
 
     # ------------------------------------------------------------------
@@ -218,9 +221,9 @@ class TermUniverse:
         A hit is read without the lock and builds nothing. A miss takes the
         lock and looks again, refuses children the universe does not hold
         (`TermIdOverflow`), then builds the node and records it (its size,
-        whether it holds a NOT or any negation, and a bit pair for a new
-        variable or symbol base name) before publishing the id, so whoever
-        reads an id finds its node and its bits."""
+        whether it holds a NOT or any negation, and a pair of bit positions
+        for a new variable or symbol base name) before publishing the id, so
+        whoever reads an id finds its node and its bit positions."""
         key = (kind, name, children)
         tid = self._ids.get(key)
         if tid is not None:
@@ -237,8 +240,8 @@ class TermUniverse:
                     bits, atom = ((self._var_bits, name) if symbol is None
                                   else (self._symbol_bits, symbol.dual_of or name))
                     if atom not in bits:
-                        bits[atom] = self._next_bit
-                        self._next_bit <<= 2
+                        bits[atom] = self._next_position
+                        self._next_position += 2
                 self._nodes.append(TermNode(kind, name, symbol, children))
                 self._sizes.append(size)
                 with_not, negated = self._with_not, self._negated

@@ -393,7 +393,7 @@ def test_order_test_is_not_recursive(u):
 
 
 def _bits_of(u):
-    """Every bit the universe has numbered a variable or symbol name with."""
+    """Every bit position the universe has numbered a variable or symbol name with."""
     return list(u._var_bits.values()) + list(u._symbol_bits.values())
 
 
@@ -496,13 +496,14 @@ def test_threads_sharing_a_universe_agree_on_head_bits():
 def test_check_hands_out_no_bit(u):
     # Interning numbered every name, so the order test only reads bits.
     s, t = sn_tn_terms(u, 64)
-    before = dict(u._var_bits), dict(u._symbol_bits), u._next_bit
+    before = dict(u._var_bits), dict(u._symbol_bits), u._next_position
     assert check(u, s, t).provable and not check(u, t, u.var("X1")).provable
-    assert (u._var_bits, u._symbol_bits, u._next_bit) == before
+    assert (u._var_bits, u._symbol_bits, u._next_position) == before
 
 
 def test_verdicts_do_not_depend_on_names_never_tested():
-    # 3,000 names interned first push every tested bit past a machine word.
+    # 3,000 names interned first push every tested bit past a machine word:
+    # its position is past 6,000.
     def verdicts(u):
         rng = random.Random(3)
         symbols = [u.declare("F", "+"), u.declare("G", "-+")]
@@ -516,7 +517,7 @@ def test_verdicts_do_not_depend_on_names_never_tested():
     want = verdicts(TermUniverse())
     assert 0 < sum(want) < len(want)
     assert verdicts(crowded) == want
-    assert min(crowded._var_bits[v] for v in "xyz") > 1 << 6000
+    assert min(crowded._var_bits[v] for v in "xyz") > 6000
 
 
 def test_order_test_reads_symbols_the_universe_never_declared(u):

@@ -1,6 +1,10 @@
+import gc
+import random
+import weakref
+
 import pytest
 
-from olsub import Variance, oracle, parse_query, parse_source, parse_term, print_term
+from olsub import TermUniverse, Variance, oracle, parse_query, parse_source, parse_term, print_term
 from olsub.errors import (
     ArityMismatch,
     DuplicateDefinition,
@@ -10,6 +14,8 @@ from olsub.errors import (
 )
 from olsub import syntax
 from olsub.normalize import delta
+
+from helpers import random_pnnf, random_term
 
 
 def test_precedence(u):
@@ -235,3 +241,72 @@ def test_round_trip_extended_terms_modulo_delta(u):
     f = u.declare("F", "+")
     for t in oracle.enumerate_terms(u, ["x", "y"], [f], 5, negation="literals"):
         assert delta(u, parse_term(print_term(u, t), u)) == t
+
+
+def test_a_term_printed_again_is_not_rendered_again(u, monkeypatch):
+    renders = []
+
+    def counting(*args):
+        renders.append(args[1])
+        return render(*args)
+
+    render = syntax._print
+    monkeypatch.setattr(syntax, "_print", counting)
+    f = u.declare("F", "+")
+    t = u.join([u.meet([u.var("x"), u.app(f, [u.var("y")])]), u.negvar("z")])
+    assert print_term(u, t) == "x & F(y) | ~z"
+    assert print_term(u, t) == "x & F(y) | ~z"
+    assert renders == [t]
+
+
+def test_a_renamed_print_is_rendered_and_not_memoized(u):
+    f = u.declare("F", "+")
+    x, y = u.var("x"), u.var("y")
+    t = u.meet([x, u.app(f, [y])])
+    assert print_term(u, t) == "x & F(y)"
+    assert print_term(u, t, {"x": "a", "F": "G"}) == "a & G(y)"
+    s = u.join([x, u.app(f, [y])])
+    assert print_term(u, s, {"x": "a"}) == "a | F(y)"
+    assert print_term(u, s) == "x | F(y)"
+    assert print_term(u, x, {"x": "a"}) == "a" and print_term(u, x) == "x"
+
+
+def test_printed_texts_keep_no_universe_alive():
+    v = TermUniverse()
+    assert print_term(v, v.meet([v.var("x"), v.var("y")])) == "x & y"
+    assert v in syntax._printed
+    ref = weakref.ref(v)
+    del v
+    gc.collect()
+    assert ref() is None
+
+
+def _random_terms(seed: int):
+    """2,000 seeded terms: Not-encoded and pseudo-negation-normal ones
+    (negated variables, dual symbols), with bounds and the 0-ary `C`."""
+    u = TermUniverse()
+    symbols = [u.declare("F", "+"), u.declare("G", "-+"), u.declare("H", "o")]
+    nullary = [u.app(u.declare("C", ""), [])]
+    nullary.append(u.opposite(nullary[0]))
+    rng = random.Random(seed)
+    out = []
+    for i in range(2000):
+        draw = random_term if i % 2 else random_pnnf
+        t = draw(u, rng, rng.randint(1, 20), ["x", "y", "z"], symbols)
+        if rng.random() < 0.3:
+            parts = [t, rng.choice(nullary)]
+            t = u.meet(parts) if rng.random() < 0.5 else u.join(parts)
+        out.append(t)
+    return u, out
+
+
+def test_memoized_texts_are_the_rendered_ones():
+    u, terms = _random_terms(11)
+    first = [print_term(u, t) for t in terms]
+    again = [print_term(u, t) for t in terms]
+    fresh, fresh_terms = _random_terms(11)
+    assert again == first == [print_term(fresh, t) for t in fresh_terms]
+    assert first == [syntax._print(u, t, {}) for t in terms]
+    texts = "\n".join(first)
+    for piece in ("top", "bot", "C()", "~C()", "~F(", "~G(", "~H(", "~(", "~x"):
+        assert piece in texts, piece

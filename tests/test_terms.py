@@ -1,11 +1,12 @@
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from olsub import TermUniverse, Variance, oracle
+from olsub import TermUniverse, Variance, oracle, parse_term
 from olsub.errors import (
     ArityMismatch,
     ConflictingDeclaration,
@@ -310,3 +311,17 @@ def test_concurrent_interning_agrees():
             _subshapes(shape, parts)
             holds_not = any(kind == "not" for kind, _ in parts)
             assert u.contains_not(t) == holds_not and u.plain(t) == (not holds_not)
+
+
+def test_naming_many_variables_takes_memory_in_proportion(u):
+    # Each new name gets the next pair of bit positions, not a bit as wide as
+    # the names before it, so interning N names costs O(N), not O(N^2).
+    text = " & ".join(f"v{i}" for i in range(20000))
+    tracemalloc.start()
+    try:
+        t = parse_term(text, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(u.node(t).children) == 20000 and len(u._var_bits) == 20000
+    assert peak < 20e6
