@@ -191,28 +191,43 @@ def cmd_check(args) -> int:
 
 def _proof_json(universe, proof, rename) -> str:
     """The proof as JSON text, `{"rule", "sequent", "children"}` per node,
-    written from one walk, so a proof of any depth renders. Each distinct
-    term is printed and escaped once."""
+    written from one walk on an explicit stack of nodes and the text that
+    closes them, so a proof of any depth renders. Each distinct term is
+    printed and escaped once, and each annotated element's `["text", "L"]`
+    and each rule's opening text are built once."""
     parts: list[str] = []
-    shown: dict[int, str] = {}  # term id -> its printed form as a JSON string
-    closed = -1  # depth of the node closed last, -1 after an opening
-    for node, depth in entail.walk_proof(proof):
-        if node is None:
-            parts.append("]}")
-            closed = depth
+    terms: dict[int, str] = {}  # term id -> its printed form as a JSON string
+    shown: dict[int, str] = {}  # annotated element -> its `[text, side]`
+    heads: dict[str, str] = {}  # rule -> the node's text up to its sequent
+    stack: list = [proof]  # nodes to open, and text to write as it is
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            parts.append(node)
             continue
-        if closed == depth:
-            parts.append(", ")
-        sequent = []
-        for t, side in entail.elements(node.sequent):
-            text = shown.get(t)
+        s = node.sequent
+        pair = []
+        for ann in (s >> entail._ANN_BITS, s & entail._ANN_MASK):  # L before R
+            text = shown.get(ann)
             if text is None:
-                text = shown[t] = json.dumps(print_term(universe, t, rename))
-            sequent.append(f'[{text}, "{"LR"[side]}"]')
-        parts.append(
-            f'{{"rule": {json.dumps(node.rule)}, "sequent": [{", ".join(sequent)}], "children": ['
-        )
-        closed = -1
+                t = ann & entail._TID_MASK
+                term = terms.get(t)
+                if term is None:
+                    term = terms[t] = json.dumps(print_term(universe, t, rename))
+                text = shown[ann] = f'[{term}, "{"LR"[ann >> entail._TID_BITS]}"]'
+            pair.append(text)
+        head = heads.get(node.rule)
+        if head is None:
+            head = heads[node.rule] = f'{{"rule": {json.dumps(node.rule)}, "sequent": ['
+        kids = node.children
+        if not kids:
+            parts.append(f'{head}{pair[0]}, {pair[1]}], "children": []}}')
+            continue
+        parts.append(f'{head}{pair[0]}, {pair[1]}], "children": [')
+        stack.append("]}")
+        for child in kids[:0:-1]:  # pushed last first, to pop in order with commas between
+            stack += (child, ", ")
+        stack.append(kids[0])
     return "".join(parts)
 
 

@@ -150,12 +150,17 @@ each derived sequent to the clause that first derived it, and
 `reconstruct_proof` (public, for shared engines) walks those clauses back
 from the goal. For an axiom-free query the proof is read off the memoized
 order test, one rule per sequent of the proof. Both readers build the tree
-with one walk (`_read_proof`), which plans each sequent once, so a proof
-costs a walk over its own sequents, not a second search, and a sequent
-reached twice is one shared subtree. A proof node carries the engine's
-packed sequent, built by `sequent` and read by `elements`. `verify_proof`
-re-checks a proof tree rule by rule; it shares that encoding with the
-readers but no rule logic.
+with one top-down walk (`_read_proof`), which plans each sequent once, so a
+proof costs a walk over its own sequents, not a second search, and a
+sequent reached twice is one shared subtree. Both key their common states
+by the packed sequent: every state of the engine's reader, and the
+order-test reader's phase-1 sequents of two plain terms, which are most of
+its proofs. A proof node carries the engine's packed sequent, built by
+`sequent` and read by `elements`. `verify_proof` re-checks a proof tree
+rule by rule, decoding each node's sequent once; it shares that encoding
+with the readers but no rule logic, and interns nothing. Its
+`find_invalid_node` keeps parent links on its stack and spells out the
+path of a node only when that node fails.
 """
 from __future__ import annotations
 
@@ -266,7 +271,7 @@ class Verdict:
         return self._reader()
 
 
-@dataclass
+@dataclass(slots=True)
 class ProofTree:
     """One rule application. `aux` holds the F rule's symbol name or the
     AxiomCut's axiom pair, and None for every other rule."""
@@ -820,31 +825,33 @@ def reconstruct_proof(engine: Engine, s: TermId, t: TermId) -> ProofTree:
 
 
 def _read_proof(goal, plan: Callable) -> ProofTree:
-    """The proof tree of the state `goal`, built bottom-up on an explicit
+    """The proof tree of the state `goal`, built top-down on an explicit
     stack. `plan(state)` gives either a finished `ProofTree` or
-    `(packed sequent, rule, aux, premise states)`. Each state is planned and
-    built once, so a state reached twice is one shared subtree."""
-    plans: dict = {}
-    memo: dict = {}
-    stack = [goal]
+    `(packed sequent, rule, aux, premise states)`. Each state is planned
+    once, and its node made then with its children still to come, so a
+    state reached twice is one shared subtree and each premise costs one
+    dictionary probe."""
+    root = plan(goal)
+    if root.__class__ is ProofTree:
+        return root
+    tree = ProofTree(root[0], root[1], [], root[2])
+    memo: dict = {goal: tree}
+    stack = [(tree, root[3])]
     while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        got = plans.get(cur)
-        if got is None:
-            got = plans[cur] = plan(cur)
-            if isinstance(got, ProofTree):
-                memo[cur] = got
-                continue
-        todo = [p for p in got[3] if p not in memo]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        memo[cur] = ProofTree(got[0], got[1], [memo[p] for p in got[3]], got[2])
-    return memo[goal]
+        node, premises = stack.pop()
+        kids = node.children
+        for p in premises:
+            child = memo.get(p)
+            if child is None:
+                got = plan(p)
+                if got.__class__ is ProofTree:
+                    child = got
+                else:
+                    child = ProofTree(got[0], got[1], [], got[2])
+                    stack.append((child, got[3]))
+                memo[p] = child
+            kids.append(child)
+    return tree
 
 
 def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> ProofTree:
@@ -898,7 +905,9 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
     premises rule 4 would find: a pair (x, c) on a join y is a RightOr
     pick, a pair (c, y) on a meet x a LeftAnd pick, and otherwise both are
     applications and the rule is F. The sequent gets that rule and its
-    premises with no order test. The F rule's premises keep rule 4's
+    premises with no order test. Such a state is keyed by its packed
+    sequent, which is also its node's sequent, and the premises `replay`
+    gives it are packed too. The F rule's premises keep rule 4's
     orientation, a contravariant argument's R element first. Every
     other sequent (a negated element, flipped positions, an opened copy,
     phase 2) takes the rules above.
@@ -907,7 +916,8 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
     explicit stack. The order test gets no tally, so a verdict's `stats`
     stay those of `check`."""
     u = universe
-    node, plain = u.node, u.plain
+    node = u.node
+    nodes, negated = u._nodes, u._negated  # read directly on the plain route
     first_alternative = normalize._context(u).first_alternative
     two = phase == 2
     images: dict[tuple[TermId, int, bool], TermId] = {}
@@ -954,27 +964,32 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
                 pairs.append(((a, 1, False), (b, 0, False)))
         return pairs
 
-    def replay(x: TermId, y: TermId) -> tuple[str, object, list]:
-        """The rule `step` applies to the phase-1 sequent {x^L, y^R} of
-        plain terms, whose images are x and y: the rules of `step` in its
-        order, with the pick or F rule named by the order test's record."""
+    def replay(s: int) -> tuple:
+        """The plan `step` would make for the phase-1 sequent {x^L, y^R} of
+        plain terms, packed as `s`, whose images are x and y: the rules of
+        `step` in its order, with the pick or F rule named by the order
+        test's record, and premises packed as `s` is."""
+        x, y = s >> _ANN_BITS, s & _TID_MASK
         if x == y:
-            return HYP, None, []
-        nx, ny = node(x), node(y)
-        if nx.kind == BOT:
-            return LEFT_BOT, None, []
-        if ny.kind == TOP:
-            return RIGHT_TOP, None, []
-        if nx.kind == JOIN:
-            return LEFT_OR, None, [((c, 0, False), (y, 1, False)) for c in nx.children]
-        if ny.kind == MEET:
-            return RIGHT_AND, None, [((x, 0, False), (c, 1, False)) for c in ny.children]
+            return s, HYP, None, ()
+        nx, ny = nodes[x], nodes[y]
+        kx, ky = nx.kind, ny.kind
+        if kx == BOT:
+            return s, LEFT_BOT, None, ()
+        if ky == TOP:
+            return s, RIGHT_TOP, None, ()
+        if kx == JOIN:
+            r = s & _ANN_MASK  # y^R
+            return s, LEFT_OR, None, [c << _ANN_BITS | r for c in nx.children]
+        if ky == MEET:
+            xl = s - y  # x^L, shifted, and the R side bit
+            return s, RIGHT_AND, None, [xl | c for c in ny.children]
         a, b = first_alternative(x, y)[0]
-        if ny.kind == JOIN and a == x:
-            return RIGHT_OR, None, [((x, 0, False), (b, 1, False))]
-        if nx.kind == MEET:
-            return LEFT_AND, None, [((a, 0, False), (y, 1, False))]
-        return F_RULE, nx.name, arguments(nx, ny)
+        if ky == JOIN and a == x:
+            return s, RIGHT_OR, None, (s - y | b,)
+        if kx == MEET:
+            return s, LEFT_AND, None, (a << _ANN_BITS | _SIDE_BIT | y,)
+        return s, F_RULE, nx.name, [key(pair) for pair in arguments(nx, ny)]
 
     def step(state) -> tuple[str, object, list]:
         """The rule applied to `state` (an oriented sequent of elements
@@ -1026,13 +1041,22 @@ def _order_proof(universe: TermUniverse, s: TermId, t: TermId, phase: int) -> Pr
                         return REPLACE, None, [(mine, other) if side == 0 else (other, mine)]
         raise RuntimeError("_order_proof found no rule for a sequent the order test accepts")
 
-    def plan(state):
+    def key(state):
+        """A plain phase-1 state's packed sequent {x^L, y^R}, its key and
+        `replay`'s input; any other state is its own key."""
         (x, sx, _), (y, sy, _) = state
-        if sx == 0 and sy == 1 and not two and plain(x) and plain(y):
-            return (x << _ANN_BITS | _SIDE_BIT | y, *replay(x, y))
-        return (sequent(x, sx, y, sy), *step(state))
+        if sx == 0 and sy == 1 and not two and x not in negated and y not in negated:
+            return x << _ANN_BITS | _SIDE_BIT | y
+        return state
 
-    return _read_proof(((s, 0, False), (t, 1, False)), plan)
+    def plan(state):
+        if state.__class__ is int:
+            return replay(state)
+        (x, sx, _), (y, sy, _) = state
+        rule, aux, premises = step(state)
+        return sequent(x, sx, y, sy), rule, aux, [key(p) for p in premises]
+
+    return _read_proof(key(((s, 0, False), (t, 1, False))), plan)
 
 
 # ----------------------------------------------------------------------
@@ -1043,104 +1067,117 @@ def verify_proof(universe: TermUniverse, proof: ProofTree, axioms=None) -> bool:
     """Check a proof tree rule by rule against the cut-free schemas.
 
     Every node must carry a canonical packed sequent over terms of
-    `universe`. Its (term, side) pairs are read with `elements`, and each
-    premise is compared with the packed sequent its rule allows, built with
-    `sequent`. That encoding is all the verifier shares with the proof
-    readers; it shares no rule logic. A LeftAnd or RightOr pick holds if its
-    one premise is the conclusion's other element, unchanged, together with
-    some child of the principal term on the principal's side, looked up
-    among the principal's children.
+    `universe`: its high half, the smaller annotated element, is at most its
+    low half. Each node's sequent is decoded once, and each premise is
+    compared with the packed sequent its rule allows. That encoding is all
+    the verifier shares with the proof readers; it shares no rule logic. A
+    LeftAnd or RightOr pick holds if its one premise is the conclusion's
+    other element, unchanged, together with some child of the principal
+    term on the principal's side, looked up among the principal's children.
     LeftOr, RightAnd, F and AxiomCut premises must match their schema one
     for one and in order, and a negation rule's premise is the un-negated
-    term on the other side."""
+    term on the other side, compared by its node, so a check interns
+    nothing and leaves `universe` as it found it."""
     return find_invalid_node(universe, proof, axioms) is None
 
 
 def find_invalid_node(universe: TermUniverse, proof: ProofTree, axioms=None) -> str | None:
     """Path of the first node violating its rule schema, or None if valid.
     A sequent that is not canonical, or names a term the universe does not
-    hold, violates every schema."""
+    hold, violates every schema. The walk keeps each pushed node's parent
+    entry and child index on the stack, and spells out a path only for the
+    node that fails."""
     pairs = list(axioms or ())
     size = len(universe)
     ok: set[int] = set()
-    stack: list[tuple[ProofTree, str]] = [(proof, "root")]
+    stack: list[tuple] = [(proof, 0, None)]  # (node, child index, parent's entry)
     while stack:
-        node, path = stack.pop()
+        entry = stack.pop()
+        node = entry[0]
         if id(node) in ok:
             continue
         if not _node_matches_schema(universe, size, node, pairs):
-            return path
+            steps = []
+            while entry[2] is not None:
+                steps.append(entry[1])
+                entry = entry[2]
+            return "root" + "".join(f".{i}" for i in reversed(steps))
         ok.add(id(node))
-        for i, child in enumerate(node.children):
-            stack.append((child, f"{path}.{i}"))
+        kids = node.children
+        if kids:
+            stack += [(child, i, entry) for i, child in enumerate(kids)]
     return None
+
+
+_ONE_PREMISE = frozenset((LEFT_AND, RIGHT_OR, LEFT_NOT, RIGHT_NOT, REPLACE))
 
 
 def _node_matches_schema(u: TermUniverse, size: int, node: ProofTree, axioms: list) -> bool:
     s = node.sequent
     if not 0 <= s < 1 << 2 * _ANN_BITS:
         return False
-    a, b = elements(s)  # L before R
-    if a[0] >= size or b[0] >= size or sequent(*a, *b) != s:
-        return False  # names a term `u` does not hold, or is not canonical
+    a, b = s >> _ANN_BITS, s & _ANN_MASK  # annotated elements, L before R
+    at, bt = a & _TID_MASK, b & _TID_MASK
+    if a > b or at >= size or bt >= size:
+        return False  # not canonical, or names a term `u` does not hold
     kids = node.children
     rule = node.rule
 
     if rule == HYP:
-        return not kids and a[0] == b[0] and a[1] != b[1]
-    if rule == LEFT_BOT:
-        return not kids and any(side == 0 and u.node(t).kind == BOT for t, side in (a, b))
-    if rule == RIGHT_TOP:
-        return not kids and any(side == 1 and u.node(t).kind == TOP for t, side in (a, b))
-    if rule == REPLACE:
+        return not kids and b - a == _SIDE_BIT
+    # each element as (its term, its side, the other annotated element)
+    both = ((at, a >> _TID_BITS, b), (bt, b >> _TID_BITS, a))
+    nodes = u._nodes
+    if rule in _ONE_PREMISE:
         if len(kids) != 1:
             return False
-        return any(kids[0].sequent == sequent(t, side, t, side) for t, side in (a, b))
-    if rule in (LEFT_AND, RIGHT_AND, LEFT_OR, RIGHT_OR):
-        kind = MEET if rule in (LEFT_AND, RIGHT_AND) else JOIN
-        side = 0 if rule in (LEFT_AND, LEFT_OR) else 1
-        branching = rule in (RIGHT_AND, LEFT_OR)  # all children vs. one pick
-        for (pt, ps), (ct, cs) in ((a, b), (b, a)):
-            n = u.node(pt)
-            if ps != side or n.kind != kind:
-                continue
-            if branching:
-                if len(kids) == len(n.children) and all(
-                    k.sequent == sequent(c, side, ct, cs) for k, c in zip(kids, n.children)
-                ):
-                    return True
-            elif len(kids) == 1:
-                # a pick: some element of the premise is a child of the
-                # principal term, and the premise is that child and the context
-                premise = kids[0].sequent
-                if any(
-                    t in n.children and premise == sequent(t, side, ct, cs)
-                    for t, _ in elements(premise)
-                ):
-                    return True
-        return False
-    if rule in (LEFT_NOT, RIGHT_NOT):
+        premise = kids[0].sequent
+        if rule == REPLACE:
+            return premise == a << _ANN_BITS | a or premise == b << _ANN_BITS | b
+        halves = (premise >> _ANN_BITS, premise & _ANN_MASK)
+        if rule in (LEFT_AND, RIGHT_OR):
+            # a pick: the premise is the other element and, on the
+            # principal's side, one of the principal term's children
+            side, kind = (0, MEET) if rule == LEFT_AND else (1, JOIN)
+            for pt, ps, other in both:
+                n = nodes[pt]
+                if ps == side and n.kind == kind:
+                    for h in halves:
+                        if (h >> _TID_BITS == side and h & _TID_MASK in n.children
+                                and premise == _seq(h, other)):
+                            return True
+            return False
+        # a negation rule: the premise is the other element and, on the
+        # other side, what the rule leaves of the principal term
         side = 0 if rule == LEFT_NOT else 1
-        for (pt, ps), (ct, cs) in ((a, b), (b, a)):
-            if ps != side:
-                continue
-            n = u.node(pt)
-            if n.kind == NOT:
-                inner = n.children[0]
-            elif n.kind == NEGVAR:
-                inner = u.var(n.name)
-            elif n.kind == APP and n.symbol.dual_of is not None:
-                inner = u.app(u.symbols[n.symbol.dual_of], n.children)
-            else:
-                continue
-            if len(kids) == 1 and kids[0].sequent == sequent(inner, 1 - side, ct, cs):
+        for pt, ps, other in both:
+            n = nodes[pt]
+            if ps == side and n.kind in (NOT, NEGVAR, APP):
+                for h in halves:
+                    t = h & _TID_MASK
+                    if (h >> _TID_BITS == 1 - side and t < size and _unnegates(nodes, n, t)
+                            and premise == _seq(h, other)):
+                        return True
+        return False
+    if rule == LEFT_BOT:
+        return not kids and any(ps == 0 and nodes[pt].kind == BOT for pt, ps, _ in both)
+    if rule == RIGHT_TOP:
+        return not kids and any(ps == 1 and nodes[pt].kind == TOP for pt, ps, _ in both)
+    if rule in (LEFT_OR, RIGHT_AND):
+        side, kind = (0, JOIN) if rule == LEFT_OR else (1, MEET)
+        for pt, ps, other in both:
+            n = nodes[pt]
+            if ps == side and n.kind == kind and len(kids) == len(n.children) and all(
+                k.sequent == _seq(side << _TID_BITS | c, other)
+                for k, c in zip(kids, n.children)
+            ):
                 return True
         return False
     if rule == F_RULE:
-        if a[1] == b[1]:
+        if a >> _TID_BITS == b >> _TID_BITS:
             return False
-        nl = u.node(a[0])  # a is the L element, b the R element
-        nr = u.node(b[0])
+        nl = nodes[at]  # a is the L element, b the R element
+        nr = nodes[bt]
         if nl.kind != APP or nr.kind != APP or nl.symbol.name != nr.symbol.name:
             return False
         expected = []  # (L term, R term) of each premise, in order
@@ -1152,7 +1189,7 @@ def _node_matches_schema(u: TermUniverse, size: int, node: ProofTree, axioms: li
             else:
                 expected.append((tr, sl))
         return len(kids) == len(expected) and all(
-            k.sequent == sequent(x, 0, y, 1) for k, (x, y) in zip(kids, expected)
+            k.sequent == x << _ANN_BITS | _SIDE_BIT | y for k, (x, y) in zip(kids, expected)
         )
     if rule == AXIOM_CUT:
         if len(kids) != 2 or not isinstance(node.aux, tuple) or len(node.aux) != 2:
@@ -1161,11 +1198,25 @@ def _node_matches_schema(u: TermUniverse, size: int, node: ProofTree, axioms: li
         if (v, w) not in axioms or not (0 <= v < size and 0 <= w < size):
             return False  # an unlisted axiom, or one over a term `u` does not hold
         first, second = kids[0].sequent, kids[1].sequent
-        for (gt, gs), (dt, ds) in ((a, b), (b, a)):
-            if first == sequent(gt, gs, v, 1) and second == sequent(w, 0, dt, ds):
+        for g, d in ((a, b), (b, a)):
+            if first == _seq(g, _SIDE_BIT | v) and second == _seq(w, d):
                 return True
         return False
     return False
+
+
+def _unnegates(nodes: list, n, t: TermId) -> bool:
+    """Whether `t` is what LeftNot or RightNot leaves of the node `n`: a
+    negation's operand, a negated variable's variable, or a dual-symbol
+    application's original over the same arguments. Compared by structure,
+    so checking a proof interns nothing."""
+    if n.kind == NOT:
+        return t == n.children[0]
+    m = nodes[t]
+    if n.kind == NEGVAR:
+        return m.kind == VAR and m.name == n.name
+    dual_of = n.symbol.dual_of
+    return dual_of is not None and m.kind == APP and m.name == dual_of and m.children == n.children
 
 
 # ----------------------------------------------------------------------

@@ -298,15 +298,24 @@ GOLDEN_EXPLAIN = [
 ]
 
 
-@pytest.mark.parametrize("case", GOLDEN_EXPLAIN, ids=[c["query"] for c in GOLDEN_EXPLAIN])
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN_EXPLAIN,
+    ids=[" ".join([*c.get("flags", ()), c["query"]]) for c in GOLDEN_EXPLAIN],
+)
 def test_explain_json_matches_golden_output(tmp_path, capsys, case):
     # One axiom-free query per rule of the order-test reader: the negation
     # rules, LeftOr, RightAnd, LeftBot, F over a contravariant argument
     # (which pins the premises' orientation) and Replace through a
     # collapsed node; and S_n <= T_n at n = 8 and 16, both ways and with
     # one variable of T_n replaced, which pin the order test's tally and
-    # the replayed picks. Everything but the timing must stay byte for byte.
-    argv = ["explain", "--format", "json"]
+    # the replayed picks. Then engine-route queries, which pin
+    # `reconstruct_proof` and the renderer's renaming: an atom-axiom chain
+    # unrolled into AxiomCuts, a compound-axiom AxiomCut, the F rule over an
+    # atom axiom, negation rules under an axiom, and a `type` definition
+    # shown with its hidden symbol renamed and, with `--show-internals`, as
+    # it is. Everything but the timing must stay byte for byte.
+    argv = ["explain", "--format", "json", *case.get("flags", ())]
     if case["declarations"]:
         path = tmp_path / "decls.ax"
         path.write_text(case["declarations"] + "\n")

@@ -8,6 +8,7 @@ from olsub import (
     TermUniverse,
     check,
     elements,
+    entail,
     normalize,
     oracle,
     parse_query,
@@ -766,6 +767,81 @@ def test_verify_rejects_malformed_sequents(u):
         # as a premise it matches no schema either
         pick = ProofTree(_goal(m, x), LEFT_AND, [ProofTree(bad, HYP, [])])
         assert find_invalid_node(u, pick) == "root"
+
+
+def test_verify_names_a_broken_leaf_deep_in_a_chain(u):
+    # A chain of 5,000 Replace nodes over {x^L, x^L}, each valid, above a
+    # Hyp that joins two L elements: the path is spelled out only for the
+    # node that fails, and the walk holds no recursion.
+    x = u.var("x")
+    depth = 5000
+    node = ProofTree(sequent(x, 0, x, 0), HYP, [])
+    for _ in range(depth):
+        node = ProofTree(sequent(x, 0, x, 0), REPLACE, [node])
+    assert find_invalid_node(u, node) == "root" + ".0" * depth
+
+
+def test_verify_names_a_shared_broken_node_under_the_parent_popped_first(u):
+    # Children are pushed in order and popped last first, so of two parents
+    # sharing a broken node, the second child of the root is checked first
+    # and names it.
+    x, a, b = u.var("x"), u.var("a"), u.var("b")
+    broken = ProofTree(sequent(x, 0, x, 0), HYP, [])
+    parents = [ProofTree(sequent(x, 0, t, 1), REPLACE, [broken]) for t in (a, b)]
+    root = ProofTree(sequent(x, 0, u.meet([a, b]), 1), RIGHT_AND, parents)
+    assert find_invalid_node(u, root) == "root.1.0"
+
+
+def test_verify_interns_nothing(u):
+    # A negation rule's premise is compared with what the rule leaves of
+    # its principal term by structure, so checking a proof never grows the
+    # universe: neither where that term is not interned (the proof is
+    # refused) nor on proofs the readers built (they are accepted).
+    f = u.declare("F", "+")
+    y = u.var("y")
+    for t in (u.negvar("x"), u.app(u.dual(f), [y])):  # x and F(y) are not interned
+        for rule, side in ((LEFT_NOT, 0), (RIGHT_NOT, 1)):
+            node = ProofTree(sequent(t, side, y, 1 - side), rule,
+                             [ProofTree(sequent(y, 0, y, 1), HYP, [])])
+            size = len(u)
+            assert not verify_proof(u, node)
+            assert len(u) == size
+    x = u.var("x")
+    proofs = [
+        check(u, u.top(), u.join([x, u.negvar("x")])).proof(),
+        check(u, u.app(u.dual(f), [x]), u.neg(u.app(f, [u.meet([x, y])]))).proof(),
+        check(u, u.negvar("y"), u.negvar("x"), [(x, y)]).proof(),
+    ]
+    size = len(u)
+    for proof in proofs:
+        assert {LEFT_NOT, RIGHT_NOT} & set(_rules(proof))
+        assert verify_proof(u, proof, [(x, y)])
+    assert len(u) == size
+
+
+def test_verify_shares_no_code_with_the_readers(u, monkeypatch):
+    # The checker must not reuse what it checks: with the order test, its
+    # per-universe context and the proof readers' walk all made to raise,
+    # proofs from both readers still verify and a broken one is still named.
+    s, t = parse_query("(x | y) & ~(z & ~x) <= ~z | (y | x)", u)
+    order_proof = check(u, s, t).proof()
+    a, b, c = u.var("a"), u.var("b"), u.var("c")
+    f = u.declare("F", "+")
+    axioms = [(a, b), (u.app(f, [b]), c)]
+    engine_proof = check(u, u.app(f, [a]), c, axioms).proof()
+    assert AXIOM_CUT in _rules(engine_proof)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier called a reader's code")
+
+    monkeypatch.setattr(normalize, "leq", refuse)
+    monkeypatch.setattr(normalize, "_context", refuse)
+    monkeypatch.setattr(entail, "_read_proof", refuse)
+    assert verify_proof(u, order_proof)
+    assert verify_proof(u, engine_proof, axioms)
+    assert not verify_proof(u, engine_proof)  # the axioms it cuts through are not given
+    broken = ProofTree(order_proof.sequent, order_proof.rule, order_proof.children[:0])
+    assert find_invalid_node(u, broken) == "root"
 
 
 def test_proof_nodes_carry_canonical_packed_sequents():
