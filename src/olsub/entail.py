@@ -187,17 +187,19 @@ from .terms import (
 # Integer encodings: an annotated term packs (side, term id), side 0 being
 # L and 1 being R, so that integer order equals (side, TermId) order; a
 # sequent packs its two annotated terms smallest-first, making the pair
-# canonically unordered. `sequent` and `elements` are the public encoder and
-# decoder; the engine's hot loops pack and unpack inline.
+# canonically unordered. `sequent`, which checks its parts, and `elements`
+# are the encoder and decoder of the public boundary and the proof readers;
+# the verifier packs with `_seq`. `Engine._record`, `_expand` and `_join`
+# pack inline, as `side << _TID_BITS | t` and `a << _ANN_BITS | b if a <= b
+# else b << _ANN_BITS | a`: `query` and the constructor check the ids of
+# the goal and the axioms, and every other id the search packs is a term
+# the universe built from them. Every pick and negation template has one
+# premise, so each of their clauses packs one sequent.
 _TID_BITS = 30
 _SIDE_BIT = 1 << _TID_BITS
 _TID_MASK = _SIDE_BIT - 1
 _ANN_BITS = _TID_BITS + 1
 _ANN_MASK = (1 << _ANN_BITS) - 1
-
-
-def _ann(tid: int, side: int) -> int:
-    return (side << _TID_BITS) | tid
 
 
 def _seq(a: int, b: int) -> int:
@@ -329,6 +331,9 @@ class Engine:
     index of its first deriving clause; `reconstruct_proof` reads a proof of
     any query the engine has answered yes from these two. A Replace or
     AxiomCut clause is added only when it fires, with its premises derived.
+    Every clause enters through one call: `_add_clause` for a clause an
+    expansion writes, `_derive` for a Replace or AxiomCut that fires. So an
+    interrupt in the middle of an expansion falls between two clauses.
     An AxiomCut clause's `aux` is its axiom's index, an F clause's the
     symbol name, and any other clause's None; an Axiom clause closes only
     a leaf from the atom axioms' closure. `steps` counts propagation work:
@@ -354,9 +359,10 @@ class Engine:
             if node(v).kind == VAR and node(w).kind == VAR:
                 self._succ.setdefault(v, []).append((w, i))
                 continue
-            self._cuts[i] = (_ann(v, 1), _ann(w, 0), [], [])
-            self._cut_at.setdefault(_ann(v, 1), []).append((i, True))
-            self._cut_at.setdefault(_ann(w, 0), []).append((i, False))
+            u_r, v_l = _SIDE_BIT | v, w  # U^R and V^L
+            self._cuts[i] = (u_r, v_l, [], [])
+            self._cut_at.setdefault(u_r, []).append((i, True))
+            self._cut_at.setdefault(v_l, []).append((i, False))
         self._cut_left: dict[int, set[int]] = {}  # x -> {i : x in L_i}
         self._cut_right: dict[int, set[int]] = {}  # y -> {i : y in R_i}
         self._cut_pushed: set[int] = set()  # terms x that pushed every {x, U_i^R}
@@ -364,8 +370,9 @@ class Engine:
         # takes the bounded-lattice rules (`_expand`); plain means holding no
         # NOT, negated variable or dual symbol (`TermUniverse.plain`).
         self._plain_axioms = all(universe.plain(t) for pair in self.axioms for t in pair)
-        # per-annotated-term record: (templates, unit rule, application node or
-        # None, whether its one template is LeftOr or RightAnd)
+        # per-annotated-term record: ([(pick or negation rule, its premise's
+        # annotated term)], unit rule, application node or None, (LeftOr or
+        # RightAnd, every child annotated) or None, plain)
         self._info: dict[int, tuple] = {}
         self._visited: set[int] = set()  # expanded sequents
         # x -> expanded sequents holding x, except those closed outright or
@@ -387,23 +394,24 @@ class Engine:
         node = self.u.node(tid)
         kind = node.kind
         key = (kind, side)
-        kids = node.children
-        templates: tuple = ()
+        high = side << _TID_BITS
+        templates: list = []
+        invertible = None
         if key in _INVERTIBLE:
-            templates = ((_INVERTIBLE[key], tuple(_ann(c, side) for c in kids)),)
+            invertible = (_INVERTIBLE[key], [high | c for c in node.children])
         elif key in _PICK:
+            rule = _PICK[key]
             # dict.fromkeys: duplicate children would yield duplicate clauses
-            templates = tuple((_PICK[key], (_ann(c, side),)) for c in dict.fromkeys(kids))
+            templates = [(rule, high | c) for c in dict.fromkeys(node.children)]
         elif kind in (NOT, NEGVAR, APP):
             inner = _unnegated(self.u, tid)
             if inner is not None:
-                rule = LEFT_NOT if side == 0 else RIGHT_NOT
-                templates = ((rule, (_ann(inner, 1 - side),)),)
+                templates = [(LEFT_NOT if side == 0 else RIGHT_NOT, (high ^ _SIDE_BIT) | inner)]
         record = (
             templates,
             _UNIT.get(key),
             node if kind == APP else None,
-            key in _INVERTIBLE,
+            invertible,
             self._plain_axioms and self.u.plain(tid),
         )
         self._info[ann] = record
@@ -419,70 +427,80 @@ class Engine:
         rb = info.get(b)
         if rb is None:
             rb = self._record(b)
+        add = self._add_clause
         # Zero-premise rules first: a sequent they close needs no other clause.
         if b - a == _SIDE_BIT:  # same term, sides L and R
-            self._add_clause(s, (), HYP, None)
+            add(s, (), HYP, None)
             return
-        if ra[1] is not None or rb[1] is not None:
-            self._add_clause(s, (), ra[1] or rb[1], None)
+        unit = ra[1] or rb[1]
+        if unit:
+            add(s, (), unit, None)
             return
         if a < _SIDE_BIT <= b and a in self._succ and (b ^ _SIDE_BIT) in self._closure(a):
             # {A^L, C^R} with C reachable from A over atom axioms: one leaf,
             # unrolled into a chain of AxiomCuts by `reconstruct_proof`.
-            self._add_clause(s, (), AXIOM, None)
+            add(s, (), AXIOM, None)
             self.steps += 1
             return
-        if self._cut_left:
+        cut_left = self._cut_left
+        if a in cut_left or b in cut_left:
+            # AxiomCut through the least axiom i = (U, V) with {x, U^R} and
+            # {V^L, y} both derived, x and y the two terms of s
+            cut_right = self._cut_right
             for x, y in ((a, b), (b, a)):
-                i = self._cut_between(x, y)
-                if i is not None:
+                mine, theirs = cut_left.get(x), cut_right.get(y)
+                if mine and theirs and not mine.isdisjoint(theirs):
+                    i = min(mine & theirs)
                     u_r, v_l, _, _ = self._cuts[i]
-                    self._derive(s, (_seq(x, u_r), _seq(v_l, y)), AXIOM_CUT, i)
+                    self._derive(s, (x << _ANN_BITS | u_r if x <= u_r else u_r << _ANN_BITS | x,
+                                     v_l << _ANN_BITS | y if v_l <= y else y << _ANN_BITS | v_l),
+                                 AXIOM_CUT, i)
                     return
         # LeftOr and RightAnd are invertible: their one clause decides s.
-        sides = ((ra, b), (rb, a))
-        for r, other in sides:
-            if r[3]:
-                rule, comps = r[0][0]
-                self._add_clause(s, tuple(_seq(c, other) for c in comps), rule, None)
-                return
+        invertible, other = ra[3], b
+        if invertible is None:
+            invertible, other = rb[3], a
+        if invertible is not None:
+            rule, comps = invertible
+            add(s, tuple([c << _ANN_BITS | other if c <= other else other << _ANN_BITS | c
+                          for c in comps]), rule, None)
+            return
         holding = self._holding
-        for g in (a, b) if a != b else (a,):
-            hs = holding.get(g)
-            if hs is None:
-                holding[g] = [s]
-            else:
-                hs.append(s)
+        holding.setdefault(a, []).append(s)
+        if a != b:
+            holding.setdefault(b, []).append(s)
         # One plain L-term and one plain R-term under plain axioms: the
         # bounded-lattice rules alone, so no Replace subgoal and only the
         # L-term's cut premises (the conservativity lemma and its corollary
-        # in the module docstring).
+        # in the module docstring). Otherwise both terms of s cut, and
+        # Replace applies, unless they are one.
         lattice = ra[4] and rb[4] and a < _SIDE_BIT <= b
-        if not lattice and a != b:
+        both = not lattice and a != b
+        if both:
             # Replace: {G,G} concludes s for G in s. Its clause is added once
             # {G,G} is derived, here or in _run, never ahead of time.
-            aa = (a << _ANN_BITS) | a
-            bb = (b << _ANN_BITS) | b
+            aa = a << _ANN_BITS | a
+            bb = b << _ANN_BITS | b
             derived = self.derived
-            for gg in (aa, bb):
-                if gg in derived:
-                    self._add_clause(s, (gg,), REPLACE, None)
-                    return
+            if aa in derived or bb in derived:
+                add(s, (aa if aa in derived else bb,), REPLACE, None)
+                return
             self._to_visit += (aa, bb)
-        for r, other in sides if a != b else sides[:1]:
-            for rule, comps in r[0]:
-                premises = tuple((c << _ANN_BITS) | other if c <= other
-                                 else (other << _ANN_BITS) | c for c in comps)
-                self._add_clause(s, premises, rule, None)
+        # Picks and negation rules: one clause per template, one premise each.
+        for rule, c in ra[0]:
+            add(s, (c << _ANN_BITS | b if c <= b else b << _ANN_BITS | c,), rule, None)
+        if a != b:
+            for rule, c in rb[0]:
+                add(s, (c << _ANN_BITS | a if c <= a else a << _ANN_BITS | c,), rule, None)
         fa, fb = ra[2], rb[2]
         if fa is not None and fb is not None and fa.name == fb.name and a < _SIDE_BIT <= b:
             body: list[int] = []  # one L, one R: the F rule
             for sl, tr, v in zip(fa.children, fb.children, fa.symbol.variances):
                 if v is not Variance.CONTRAVARIANT:
-                    body.append(sequent(sl, 0, tr, 1))
+                    body.append(sl << _ANN_BITS | _SIDE_BIT | tr)
                 if v is not Variance.COVARIANT:
-                    body.append(sequent(tr, 0, sl, 1))
-            self._add_clause(s, tuple(body), F_RULE, fa.name)
+                    body.append(tr << _ANN_BITS | _SIDE_BIT | sl)
+            add(s, tuple(body), F_RULE, fa.name)
         cuts = self._cuts
         if cuts:
             # Each term x pushes {x, U_i^R} once, for every sequent that will
@@ -492,16 +510,14 @@ class Engine:
             # marked only once a full-rule sequent makes it push.
             pushed = self._cut_pushed
             stack = self._to_visit
-            if lattice:
-                cut_terms = ((a, b),)
-            else:
-                cut_terms = ((a, b), (b, a)) if a != b else ((a, a),)
-            for x, y in cut_terms:
+            for x, y in ((a, b), (b, a)) if both else ((a, b),):
                 if x not in pushed:
-                    stack += [_seq(x, u_r) for u_r, _, _, _ in cuts.values()]
+                    stack += [x << _ANN_BITS | u_r if x <= u_r else u_r << _ANN_BITS | x
+                              for u_r, _, _, _ in cuts.values()]
                     pushed.add(x)
-                for i in self._cut_left.get(x, ()):
-                    stack.append(_seq(cuts[i][1], y))
+                for i in cut_left.get(x, ()):
+                    v_l = cuts[i][1]
+                    stack.append(v_l << _ANN_BITS | y if v_l <= y else y << _ANN_BITS | v_l)
 
     def _closure(self, a: int) -> dict:
         """The variables reachable from variable `a` over atom axioms, each
@@ -531,14 +547,6 @@ class Engine:
         chain.reverse()
         return chain
 
-    def _cut_between(self, x: int, y: int) -> int | None:
-        """An axiom i = (U, V) with {x, U^R} and {V^L, y} both derived."""
-        mine = self._cut_left.get(x)
-        theirs = self._cut_right.get(y)
-        if mine and theirs and not mine.isdisjoint(theirs):
-            return min(mine & theirs)
-        return None
-
     def _derive(self, head: int, body: tuple, rule: str, aux) -> None:
         """Record a Replace or AxiomCut derivation as it fires: one clause
         whose premises are all derived already."""
@@ -562,7 +570,9 @@ class Engine:
             h = (x << _ANN_BITS) | y if x <= y else (y << _ANN_BITS) | x
             if h in visited and h not in derived:
                 p, q = (x, y) if left else (y, x)
-                self._derive(h, (_seq(p, u_r), _seq(v_l, q)), AXIOM_CUT, i)
+                self._derive(h, (p << _ANN_BITS | u_r if p <= u_r else u_r << _ANN_BITS | p,
+                                 v_l << _ANN_BITS | q if v_l <= q else q << _ANN_BITS | v_l),
+                             AXIOM_CUT, i)
         self.steps += len(theirs)
         holders = self._holding.get(x) if left else None
         if holders:
@@ -577,7 +587,7 @@ class Engine:
                     p, q = h >> _ANN_BITS, h & _ANN_MASK
                     y = q if p == x else p
                     if not (plain_r and y < _SIDE_BIT and info[y][4]):
-                        stack.append(_seq(v_l, y))
+                        stack.append(v_l << _ANN_BITS | y if v_l <= y else y << _ANN_BITS | v_l)
 
     def _add_clause(self, head: int, body: tuple, rule: str, aux) -> None:
         clauses = self.clauses

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from olsub.entail import Engine
 from olsub.oracle import FiniteOrtholattice, Interpretation, evaluate
-from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, NOT, TOP, TermId, TermUniverse
+from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, NOT, TOP, VAR, TermId, TermUniverse, Variance
 
 
 def random_term(u: TermUniverse, rng: random.Random, budget: int, variables, symbols=(),
@@ -256,3 +256,86 @@ def partition_terms(
             bucket.append(cls)
             classes.append(cls)
     return classes
+
+
+def class_hierarchy_session(seed: int, queries: int = 120):
+    """A type checker's session in miniature: `(universe, axioms, goals)`
+    for one `Engine` to answer in order, all drawn from `seed`.
+
+    Twelve classes A0 … A11 form a tree (each class below a random earlier
+    one) with one second parent, as atom axioms. Three compound axioms bound
+    the constructors: covariant `List`, contravariant `Sink`, invariant
+    `Ref` and `Fn(-, +)`. A goal's left side is a type of 4 to 12 nodes over
+    them, with rare negation. Every other goal's right side weakens the left
+    along the hierarchy, through each argument's variance, so about half the
+    goals hold; the others pair two unrelated types."""
+    rng = random.Random(seed)
+    u = TermUniverse()
+    lst, sink, ref, fn = symbols = [u.declare("List", "+"), u.declare("Sink", "-"),
+                                    u.declare("Ref", "o"), u.declare("Fn", "-+")]
+    n = 12
+    parents = [[]] + [[rng.randrange(i)] for i in range(1, n)]
+    child = rng.randrange(2, n)
+    second = rng.randrange(child)
+    if second not in parents[child]:
+        parents[child].append(second)
+    up = []  # the classes at or above class i
+    for i in range(n):
+        seen = {i}
+        frontier = [i]
+        for j in frontier:
+            for p in parents[j]:
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
+        up.append(sorted(seen))
+    down = [[j for j in range(n) if i in up[j]] for i in range(n)]
+    atoms = [u.var(f"A{i}") for i in range(n)]
+    axioms = [(atoms[i], atoms[p]) for i in range(n) for p in parents[i]]
+
+    def atom():
+        return rng.choice(atoms)
+
+    axioms += [(u.app(lst, [atom()]), atom()), (u.app(ref, [atom()]), u.app(sink, [atom()])),
+               (u.app(fn, [atom(), atom()]), u.app(lst, [atom()]))]
+
+    def term(size):
+        if size == 1:
+            return atom()
+        r = rng.random()
+        if r < 0.04:
+            return u.neg(term(size - 1))
+        if r < 0.45:
+            decl = rng.choice(symbols)
+            if decl.arity == 1:
+                return u.app(decl, [term(size - 1)])
+            if size >= 3:
+                left = rng.randint(1, size - 2)
+                return u.app(decl, [term(left), term(size - 1 - left)])
+        if size < 3:
+            return u.app(rng.choice(symbols[:3]), [term(size - 1)])
+        left = rng.randint(1, size - 2)
+        parts = [term(left), term(size - 1 - left)]
+        return u.meet(parts) if rng.random() < 0.5 else u.join(parts)
+
+    def weaken(t, positive):
+        node = u.node(t)
+        if node.kind == VAR:
+            if rng.random() < 0.5:
+                i = int(node.name[1:])
+                return atoms[rng.choice(up[i] if positive else down[i])]
+            return t
+        if node.kind in (MEET, JOIN):
+            return u.rebuild(t, [weaken(c, positive) for c in node.children])
+        if node.kind == APP:
+            return u.rebuild(t, [
+                c if v is Variance.INVARIANT else weaken(c, positive == (v is Variance.COVARIANT))
+                for c, v in zip(node.children, node.symbol.variances)
+            ])
+        return t
+
+    goals = []
+    for i in range(queries):
+        s = term(rng.randint(4, 12))
+        goals.append((s, weaken(s, True) if i % 2 == 0 else term(rng.randint(4, 12))))
+    return u, axioms, goals

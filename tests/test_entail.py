@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -35,6 +36,7 @@ from olsub.entail import (
     _ANN_BITS,
     _ANN_MASK,
     ProofTree,
+    Stats,
     _order_phase,
     find_invalid_node,
     walk_proof,
@@ -43,7 +45,7 @@ from olsub.errors import EngineInterrupted, NotProvable, TermIdOverflow
 from olsub.normalize import beta, delta, leq
 from olsub.terms import JOIN, MEET
 
-from helpers import opaque, random_pnnf, random_term
+from helpers import class_hierarchy_session, opaque, random_pnnf, random_term
 
 
 def _goal(s, t):
@@ -1291,6 +1293,66 @@ def test_on_demand_cut_partners_match_saturation(mode):
                 assert verify_proof(u, reconstruct_proof(engine, s, t), axioms)
         cuts += sum(rule == AXIOM_CUT for _, _, rule, _ in engine.clauses)
     assert cuts > 100
+
+
+# What one engine expands over `class_hierarchy_session(seed)`: its stats,
+# its verdicts in order (1 = provable), and sha256 digests of
+# `repr(engine.clauses)` and `repr(list(engine.derived.items()))`.
+EXPANDED = {
+    1: (Stats(sequents=2416, clauses=2185, steps=314, derived=310),
+        "1010101010101010101010111010101010101010101010101010101010101010"
+        "10101010101010101010101010101011101010101010101010101010",
+        "d39b3a61caf32b58d8bffdf371ef2ed1ef8c757263c69e9c4e08467d08601090",
+        "0f8ddaa5fa905ee82fe845800f9c23d17e8d29a1d1c18928aed06d0d92e699ab"),
+    2: (Stats(sequents=2341, clauses=2019, steps=374, derived=327),
+        "1010101010101010101010101010101010101010101010101010101010101010"
+        "10101010101010101010111010101010101010101010101010101010",
+        "eea97dff16d9f8a95298df0c229a0ed298d544c7d55bcb17bee30cdad1aea8f8",
+        "cbac71df587cdabfd0801a0fe822be49039a01e4f4d75ee920aa6bf26f7d9e0a"),
+    3: (Stats(sequents=2341, clauses=2059, steps=288, derived=295),
+        "1010101010101010101010101010101010101010101010101010101010101010"
+        "10101010101010101010101010101010101010101010101010101010",
+        "c80f3260df89473ccc9002c7697fd996c8ffd5ac4a7acf4c7e2d870f6e831561",
+        "bb6e2e289d1684663aa19752037176e0cbc93a9958c6ed12744c34695918dd88"),
+}
+
+
+def _session_engine(seed: int) -> tuple[Engine, str]:
+    u, axioms, goals = class_hierarchy_session(seed)
+    engine = Engine(u, axioms)
+    return engine, "".join("1" if engine.query(s, t) else "0" for s, t in goals)
+
+
+@pytest.mark.parametrize("seed", sorted(EXPANDED))
+def test_engine_expands_exactly_the_pinned_search(seed):
+    # How the engine writes its clauses may change; what it writes may not,
+    # unless a change means to: the same clauses in the same order, the
+    # same derivations, the same stats and verdicts. Each figure was
+    # recorded from the engine, not derived by hand.
+    engine, verdicts = _session_engine(seed)
+    stats, want, clauses, derived = EXPANDED[seed]
+    assert engine.stats() == stats
+    assert verdicts == want
+    assert hashlib.sha256(repr(engine.clauses).encode()).hexdigest() == clauses
+    assert hashlib.sha256(repr(list(engine.derived.items())).encode()).hexdigest() == derived
+
+
+@pytest.mark.parametrize("seed", sorted(EXPANDED))
+def test_every_clause_enters_through_add_clause_or_derive(monkeypatch, seed):
+    # One call per clause: `test_interrupted_search_leaves_the_engine_sound`
+    # interrupts `_add_clause` to cut expansions short, which tests what it
+    # claims only while no clause bypasses it.
+    calls = [0]
+    for method in ("_add_clause", "_derive"):
+        original = getattr(Engine, method)
+
+        def counted(self, *args, original=original):
+            calls[0] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Engine, method, counted)
+    engine, _ = _session_engine(seed)
+    assert calls[0] == len(engine.clauses) == EXPANDED[seed][0].clauses
 
 
 @pytest.mark.parametrize("method", ["_expand", "_add_clause"])
