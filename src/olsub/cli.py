@@ -10,7 +10,9 @@ Exit codes: 0 provable (or success), 1 not provable, 2 error (an internal
 error included).
 
 `check` and `explain` hand a query to `entail.check`, which picks the
-procedure, and print the proof `Verdict.proof()` reads off it. `bench`
+procedure, and print the proof `Verdict.proof()` reads off it, in either
+`--format`, through `render_proof`: one walk that writes each shared
+subproof once and refers back to it after that. `bench`
 runs the Horn engine itself, since it reports the engine's clause growth.
 
 `main` parses a call whose first word names a command with that command's
@@ -180,31 +182,54 @@ def cmd_check(args) -> int:
         }
         text = json.dumps(payload)
         if proof is not None:
-            text = f'{text[:-1]}, "proof": {_proof_json(universe, proof, rename)}}}'
+            text = f'{text[:-1]}, "proof": {render_proof(universe, proof, rename, True)}}}'
         print(text)
     else:
         print("provable" if provable else "not provable")
         if proof is not None:
-            print(entail.format_proof(universe, proof, rename))
+            print(render_proof(universe, proof, rename, False))
     return 0 if provable else 1
 
 
-def _proof_json(universe, proof, rename) -> str:
-    """The proof as JSON text, `{"rule", "sequent", "children"}` per node,
-    written from one walk on an explicit stack of nodes and the text that
-    closes them, so a proof of any depth renders. Each distinct term is
-    printed and escaped once, and each annotated element's `["text", "L"]`
-    and each rule's opening text are built once."""
+def render_proof(universe, proof, rename, as_json: bool) -> str:
+    """The proof as `--format` text, a line per entry indented two spaces a
+    level, or JSON, `{"rule", "sequent", "children"}` per entry, from one
+    walk on an explicit stack of nodes and the text between them, so any
+    depth renders. Entries are numbered in preorder from the root's 0, so in
+    text entry N is the proof's line N. A node with premises is written in
+    full at its first occurrence and as `{"ref": N}` or `= #N`, N that
+    entry's number, after that; a leaf is written each time. Each distinct
+    term is printed once, and each element's and rule's written form is
+    built once."""
     parts: list[str] = []
-    terms: dict[int, str] = {}  # term id -> its printed form as a JSON string
-    shown: dict[int, str] = {}  # annotated element -> its `[text, side]`
-    heads: dict[str, str] = {}  # rule -> the node's text up to its sequent
-    stack: list = [proof]  # nodes to open, and text to write as it is
+    terms: dict[int, str] = {}  # term id -> its printed form (a JSON string in JSON)
+    shown: dict[int, str] = {}  # annotated element -> its written form
+    heads: dict = {}  # rule, or (F, symbol) -> an entry's text up to its sequent
+    first: dict[int, int] = {}  # id of a node with premises -> its entry's number
+    quote, ref, leaf_end, open_end = (
+        (json.dumps, '{{"ref": {}}}', '], "children": []}', '], "children": [') if as_json
+        else (str, "= #{}", "", ""))
+    indent = "\n"  # in text, the line break and indent before the entry being written
+    n = -1  # the number of the entry being written
+    stack: list = [proof]  # nodes to write, and text to write as it is
     while stack:
         node = stack.pop()
         if node.__class__ is str:
-            parts.append(node)
+            parts.append(indent := node)
             continue
+        n += 1
+        kids = node.children
+        if kids:
+            at = first.setdefault(id(node), n)
+            if at != n:
+                parts.append(ref.format(at))
+                continue
+        rule = node.rule
+        key = (rule, node.aux) if rule == entail.F_RULE else rule
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = (f'{{"rule": {json.dumps(rule)}, "sequent": [' if as_json
+                                 else f"F[{node.aux}]: " if rule == entail.F_RULE else f"{rule}: ")
         s = node.sequent
         pair = []
         for ann in (s >> entail._ANN_BITS, s & entail._ANN_MASK):  # L before R
@@ -213,21 +238,22 @@ def _proof_json(universe, proof, rename) -> str:
                 t = ann & entail._TID_MASK
                 term = terms.get(t)
                 if term is None:
-                    term = terms[t] = json.dumps(print_term(universe, t, rename))
-                text = shown[ann] = f'[{term}, "{"LR"[ann >> entail._TID_BITS]}"]'
+                    term = terms[t] = quote(print_term(universe, t, rename))
+                side = "LR"[ann >> entail._TID_BITS]
+                text = shown[ann] = f'[{term}, "{side}"]' if as_json else f"{term}^{side}"
             pair.append(text)
-        head = heads.get(node.rule)
-        if head is None:
-            head = heads[node.rule] = f'{{"rule": {json.dumps(node.rule)}, "sequent": ['
-        kids = node.children
+        parts.append(f"{head}{pair[0]}, {pair[1]}{open_end if kids else leaf_end}")
         if not kids:
-            parts.append(f'{head}{pair[0]}, {pair[1]}], "children": []}}')
             continue
-        parts.append(f'{head}{pair[0]}, {pair[1]}], "children": [')
-        stack.append("]}")
-        for child in kids[:0:-1]:  # pushed last first, to pop in order with commas between
-            stack += (child, ", ")
-        stack.append(kids[0])
+        if as_json:
+            stack.append("]}")
+            for child in kids[:0:-1]:  # pushed last first, to pop in order with commas between
+                stack += (child, ", ")
+            stack.append(kids[0])
+        else:
+            below = indent + "  "
+            for child in kids[::-1]:
+                stack += (child, below)
     return "".join(parts)
 
 

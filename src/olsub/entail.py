@@ -160,7 +160,10 @@ its proofs. A proof node carries the engine's packed sequent, built by
 rule by rule, decoding each node's sequent once; it shares that encoding
 with the readers but no rule logic, and interns nothing. Its
 `find_invalid_node` keeps parent links on its stack and spells out the
-path of a node only when that node fails.
+path of a node only when that node fails, and it rejects a node met again
+inside its own subtree, so a cyclic proof object proves nothing. This
+module does not print proofs: `cli.render_proof` writes a proof as text or
+JSON, each shared subproof once.
 """
 from __future__ import annotations
 
@@ -280,7 +283,7 @@ class ProofTree:
 
     sequent: int  # packed: `sequent` builds it, `elements` reads it
     rule: str
-    children: list["ProofTree"]
+    children: list["ProofTree"] = field(repr=False)  # so a deep proof's repr is its root alone
     aux: object = None
 
 
@@ -1094,27 +1097,35 @@ def verify_proof(universe: TermUniverse, proof: ProofTree, axioms=None) -> bool:
 def find_invalid_node(universe: TermUniverse, proof: ProofTree, axioms=None) -> str | None:
     """Path of the first node violating its rule schema, or None if valid.
     A sequent that is not canonical, or names a term the universe does not
-    hold, violates every schema. The walk keeps each pushed node's parent
-    entry and child index on the stack, and spells out a path only for the
-    node that fails."""
+    hold, violates every schema, and so does a node met again inside its
+    own subtree: a cyclic "proof" derives nothing. The walk keeps each
+    pushed node's parent entry and child index on the stack, and spells out
+    a path only for the node that fails. A node with premises counts as
+    checked only once its whole subtree is, at the exit marker (its id)
+    pushed below its children."""
     pairs = list(axioms or ())
     size = len(universe)
-    ok: set[int] = set()
-    stack: list[tuple] = [(proof, 0, None)]  # (node, child index, parent's entry)
+    done: dict[int, bool] = {}  # id of a node -> True once its subtree checks, False while open
+    stack: list = [(proof, 0, None)]  # (node, child index, parent's entry), or an exit marker
     while stack:
         entry = stack.pop()
-        node = entry[0]
-        if id(node) in ok:
+        if entry.__class__ is int:
+            done[entry] = True
             continue
-        if not _node_matches_schema(universe, size, node, pairs):
+        node = entry[0]
+        state = done.get(id(node))
+        if state:
+            continue
+        if state is not None or not _node_matches_schema(universe, size, node, pairs):
             steps = []
             while entry[2] is not None:
                 steps.append(entry[1])
                 entry = entry[2]
             return "root" + "".join(f".{i}" for i in reversed(steps))
-        ok.add(id(node))
         kids = node.children
+        done[id(node)] = not kids  # a node with premises stays open until its exit marker
         if kids:
+            stack.append(id(node))
             stack += [(child, i, entry) for i, child in enumerate(kids)]
     return None
 
@@ -1228,41 +1239,3 @@ def _unnegates(nodes: list, n, t: TermId) -> bool:
     dual_of = n.symbol.dual_of
     return dual_of is not None and m.kind == APP and m.name == dual_of and m.children == n.children
 
-
-# ----------------------------------------------------------------------
-# proof display
-
-
-def walk_proof(proof: ProofTree):
-    """Every node of `proof` in preorder as `(node, depth)`, each followed,
-    after its subtree, by `(None, depth)`. The walk runs on an explicit
-    stack, so a proof of any depth renders; a shared subproof is visited
-    once per occurrence."""
-    stack: list[tuple[ProofTree | None, int]] = [(proof, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        if node is not None:
-            stack.append((None, depth))
-            stack.extend((child, depth + 1) for child in reversed(node.children))
-
-
-def format_proof(universe: TermUniverse, proof: ProofTree, rename=None) -> str:
-    from .syntax import print_term
-
-    lines: list[str] = []
-    shown: dict[TermId, str] = {}  # each distinct term is printed once
-    for node, depth in walk_proof(proof):
-        if node is None:
-            continue
-        rule = node.rule
-        if rule == F_RULE and node.aux is not None:
-            rule = f"F[{node.aux}]"
-        texts = []
-        for t, side in elements(node.sequent):
-            text = shown.get(t)
-            if text is None:
-                text = shown[t] = print_term(universe, t, rename)
-            texts.append(f"{text}^{'LR'[side]}")
-        lines.append("  " * depth + f"{rule}: {', '.join(texts)}")
-    return "\n".join(lines)

@@ -1,11 +1,13 @@
-"""Shared test utilities: random term generators and lattice-law rewriting."""
+"""Shared test utilities: random term generators, lattice-law rewriting, and
+proof oracles (a node iterator, plain tree renderings, a reference expander)."""
 from __future__ import annotations
 
 import random
 from typing import Sequence
 
-from olsub.entail import Engine
+from olsub.entail import Engine, elements
 from olsub.oracle import FiniteOrtholattice, Interpretation, evaluate
+from olsub.syntax import print_term
 from olsub.terms import APP, BOT, JOIN, MEET, NEGVAR, NOT, TOP, VAR, TermId, TermUniverse, Variance
 
 
@@ -339,3 +341,95 @@ def class_hierarchy_session(seed: int, queries: int = 120):
         s = term(rng.randint(4, 12))
         goals.append((s, weaken(s, True) if i % 2 == 0 else term(rng.randint(4, 12))))
     return u, axioms, goals
+
+
+# ----------------------------------------------------------------------
+# proof oracles: they share no code with the renderer in `olsub.cli`
+
+
+def proof_nodes(proof):
+    """Each distinct node of `proof` once, in preorder of its first
+    occurrence, from an explicit stack."""
+    seen, stack = set(), [proof]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(reversed(node.children))
+
+
+def plain_json(u, node, rename=None):
+    """The proof as a JSON value written as a tree: every occurrence of a
+    shared subproof in full, each term printed with `rename`."""
+    return {
+        "rule": node.rule,
+        "sequent": [
+            [print_term(u, t, rename), "LR"[side]] for t, side in elements(node.sequent)
+        ],
+        "children": [plain_json(u, child, rename) for child in node.children],
+    }
+
+
+def plain_text(u, node, rename=None, depth=0):
+    """The proof's text lines written as a tree: every occurrence of a shared
+    subproof in full, two spaces of indent per level."""
+    rule = f"F[{node.aux}]" if node.rule == "F" else node.rule
+    shown = ", ".join(
+        f"{print_term(u, t, rename)}^{'LR'[side]}" for t, side in elements(node.sequent)
+    )
+    lines = ["  " * depth + f"{rule}: {shown}"]
+    return lines + [line for c in node.children for line in plain_text(u, c, rename, depth + 1)]
+
+
+def expand_json_refs(proof):
+    """A rendered JSON proof with each `{"ref": N}` replaced by the subtree of
+    entry N, entries numbered in preorder from the root's 0. Fails unless N
+    names an earlier entry, written in full, that has children."""
+    entries, at = [], {}  # entries in preorder; id of an entry -> its number
+
+    def number(entry):
+        at[id(entry)] = len(entries)
+        entries.append(entry)
+        for child in entry.get("children", ()):
+            number(child)
+
+    def expand(entry):
+        if "ref" in entry:
+            n = entry["ref"]
+            target = entries[n]
+            assert n < at[id(entry)] and "ref" not in target and target["children"], entry
+            return expand(target)
+        return {**entry, "children": [expand(child) for child in entry["children"]]}
+
+    number(proof)
+    return expand(proof)
+
+
+def expand_text_refs(lines):
+    """Rendered text proof lines with each `= #N` line replaced by the lines
+    of entry N's subtree, entry N being line N, reindented to the reference's
+    depth. Fails unless N names an earlier line, written in full, with lines
+    below it."""
+    depths = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
+
+    def children(i):
+        j = i + 1
+        while j < len(lines) and depths[j] > depths[i]:
+            if depths[j] == depths[i] + 1:
+                yield j
+            j += 1
+
+    def expand(i, depth):
+        body = lines[i].lstrip(" ")
+        if body.startswith("= #"):
+            n = int(body[3:])
+            assert n < i and not lines[n].lstrip(" ").startswith("= #"), lines[i]
+            assert list(children(n)), lines[i]
+            return expand(n, depth)
+        out = ["  " * depth + body]
+        for j in children(i):
+            out += expand(j, depth + 1)
+        return out
+
+    return expand(0, 0)

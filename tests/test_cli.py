@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from olsub import cli, entail, syntax
+from olsub import cli, entail
 from olsub.cli import fit_loglog_slope, main, run_bench, sn_tn_source, sn_tn_terms
 from olsub.terms import TermUniverse
+
+from helpers import expand_json_refs, expand_text_refs, plain_json, plain_text, proof_nodes
 
 
 def test_check_exit_codes(capsys):
@@ -334,8 +336,10 @@ def test_proof_json_text_matches_json_dumps(capsys):
 
 
 def test_proof_rendering_prints_each_term_once(monkeypatch, capsys, tmp_path):
-    # `explain` output is byte-identical to a plain rendering of the same
-    # proof (`ms` aside), and each distinct term of the proof is printed once.
+    # `explain` output, its references expanded, is byte-identical to a
+    # plain rendering of the same proof (`ms` aside), and each distinct term
+    # of the proof is printed once. The second query's proof shares an
+    # AxiomCut subproof, so its output holds a reference.
     pinned = (
         '{"verdict": "provable", "stats": {"sequents": 3, "clauses": 3, "steps": 2, '
         '"derived": 3, "ms": 0}, "proof": {"rule": "RightAnd", "sequent": [["x & y", "L"], '
@@ -362,24 +366,6 @@ def test_proof_rendering_prints_each_term_once(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(entail, "verify_proof", verifying)
     monkeypatch.setattr(cli, "print_term", printing)
-    monkeypatch.setattr(syntax, "print_term", printing)  # format_proof imports it from here
-
-    def plain(u, node):
-        return {
-            "rule": node.rule,
-            "sequent": [
-                [real_print(u, t), "LR"[side]] for t, side in entail.elements(node.sequent)
-            ],
-            "children": [plain(u, child) for child in node.children],
-        }
-
-    def plain_text(u, node, depth=0):
-        rule = f"F[{node.aux}]" if node.rule == "F" else node.rule
-        shown = ", ".join(
-            f"{real_print(u, t)}^{'LR'[side]}" for t, side in entail.elements(node.sequent)
-        )
-        lines = ["  " * depth + f"{rule}: {shown}"]
-        return lines + [line for c in node.children for line in plain_text(u, c, depth + 1)]
 
     for argv in (
         ["(x | y) & ~(z & ~x) <= ~z | (y | x)"],
@@ -392,16 +378,121 @@ def test_proof_rendering_prints_each_term_once(monkeypatch, capsys, tmp_path):
             out = capsys.readouterr().out
             (u, proof), = seen
             terms = set()
-            for node, _ in entail.walk_proof(proof):
-                if node is not None:
-                    terms.update(t for t, _ in entail.elements(node.sequent))
+            for node in proof_nodes(proof):
+                terms.update(t for t, _ in entail.elements(node.sequent))
             assert sorted(printed) == sorted(terms)
             if fmt == "json":
                 payload = json.loads(out)
-                payload["proof"] = plain(u, proof)
                 assert out == json.dumps(payload) + "\n"
+                payload["proof"] = expand_json_refs(payload["proof"])
+                assert json.dumps(payload) == json.dumps({**payload, "proof": plain_json(u, proof)})
             else:
-                assert out.splitlines() == ["provable"] + plain_text(u, proof)
+                verdict, *lines = out.splitlines()
+                assert [verdict] + expand_text_refs(lines) == ["provable"] + plain_text(u, proof)
+
+
+def _h_query(k):
+    """`H^k(a & b) <= H^k(b & a)`: under `fun H : (o)` each level's F step
+    proves both directions of the level below, so the proof as a tree
+    doubles per level while its distinct nodes number 2k + 9."""
+    return f"{'H(' * k}a & b{')' * k} <= {'H(' * k}b & a{')' * k}"
+
+
+def _explain(argv, fmt, monkeypatch, capsys):
+    """The output of `explain --format fmt` on `argv`, and the universe,
+    proof and renaming its renderer was given."""
+    rendered, render = [], cli.render_proof
+
+    def recording(u, proof, rename, as_json):
+        rendered.append((u, proof, rename))
+        return render(u, proof, rename, as_json)
+
+    monkeypatch.setattr(cli, "render_proof", recording)
+    assert main(["explain", "--format", fmt, *argv]) == 0
+    (seen,) = rendered
+    return capsys.readouterr().out, seen
+
+
+REFERENCE_CASES = [c for c in GOLDEN_EXPLAIN if c["code"] == 0] + [
+    {"declarations": "fun H : (o)", "query": _h_query(k)} for k in range(1, 9)
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    REFERENCE_CASES,
+    ids=[" ".join([*c.get("flags", ()), c["query"]]) for c in REFERENCE_CASES],
+)
+def test_expanded_references_give_the_proof_written_as_a_tree(tmp_path, monkeypatch, capsys,
+                                                               case):
+    # Replacing each reference by the subtree it names, with an expander
+    # that shares no code with the renderer, gives back the proof written as
+    # a tree, byte for byte, in both formats.
+    argv = [*case.get("flags", ())]
+    if case["declarations"]:
+        path = tmp_path / "decls.ax"
+        path.write_text(case["declarations"] + "\n")
+        argv += ["--axioms", str(path)]
+    argv.append(case["query"])
+    shared = case["query"].startswith("H(H(")  # only these proofs repeat a node with premises
+    out, (u, proof, rename) = _explain(argv, "json", monkeypatch, capsys)
+    payload = json.loads(out)
+    assert ('"ref"' in out) == shared
+    payload["proof"] = expand_json_refs(payload["proof"])
+    assert json.dumps(payload) == json.dumps({**payload, "proof": plain_json(u, proof, rename)})
+    out, (u, proof, rename) = _explain(argv, "text", monkeypatch, capsys)
+    lines = out.splitlines()
+    assert lines[0] == "provable"
+    assert any(line.lstrip().startswith("= #") for line in lines) == shared
+    assert expand_text_refs(lines[1:]) == plain_text(u, proof, rename)
+
+
+def _entries(proof):
+    """Every entry of a rendered JSON proof, in preorder, from an explicit
+    stack."""
+    stack = [proof]
+    while stack:
+        entry = stack.pop()
+        yield entry
+        stack.extend(reversed(entry.get("children", ())))
+
+
+def test_each_shared_subproof_is_written_once(tmp_path, monkeypatch, capsys):
+    # The H^18 proof has 45 distinct nodes; written as a tree it would take
+    # over 100 MB of JSON. Each node with premises is written in full once,
+    # in either format, and each later occurrence is a reference to it, so
+    # the entries number one more than the proof's edges.
+    path = tmp_path / "h.ax"
+    path.write_text("fun H : (o)\n")
+    argv = ["--axioms", str(path), _h_query(18)]
+    out, (u, proof, _) = _explain(argv, "json", monkeypatch, capsys)
+    nodes = list(proof_nodes(proof))
+    internal = [node for node in nodes if node.children]
+    assert len(nodes) == 45 and len(out.encode()) < 20_000
+    entries = list(_entries(json.loads(out)["proof"]))
+    assert len(entries) == 1 + sum(len(node.children) for node in internal)
+    assert sum(1 for e in entries if e.get("children")) == len(internal)
+    refs = sum(1 for e in entries if "ref" in e)
+    assert refs == 2 * (18 - 1)  # the two premises of every level's second F node
+    out, _ = _explain(argv, "text", monkeypatch, capsys)
+    lines = out.splitlines()[1:]
+    assert len(out.encode()) < 20_000 and len(lines) == len(entries)
+    assert sum(1 for line in lines if line.lstrip().startswith("= #")) == refs
+
+
+def test_a_deep_shared_proof_renders(tmp_path, monkeypatch, capsys):
+    # H^500: a proof over 500 levels deep that shares subproofs at every
+    # level ends in both formats, one entry per edge of the proof.
+    path = tmp_path / "h.ax"
+    path.write_text("fun H : (o)\n")
+    argv = ["--axioms", str(path), _h_query(500)]
+    out, (u, proof, _) = _explain(argv, "text", monkeypatch, capsys)
+    lines = out.splitlines()[1:]
+    edges = sum(len(node.children) for node in proof_nodes(proof))
+    assert len(lines) == 1 + edges
+    assert max(len(line) - len(line.lstrip()) for line in lines) // 2 > 500
+    out, _ = _explain(argv, "json", monkeypatch, capsys)
+    assert out.count('{"rule": ') + out.count('{"ref": ') == 1 + edges
 
 
 def test_long_negation_runs_normalize_without_recursion(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import time
 
@@ -19,7 +20,7 @@ from olsub import (
     sequent,
     verify_proof,
 )
-from olsub.cli import sn_tn_terms
+from olsub.cli import render_proof, sn_tn_terms
 from olsub.entail import (
     AXIOM_CUT,
     F_RULE,
@@ -39,13 +40,22 @@ from olsub.entail import (
     Stats,
     _order_phase,
     find_invalid_node,
-    walk_proof,
 )
 from olsub.errors import EngineInterrupted, NotProvable, TermIdOverflow
 from olsub.normalize import beta, delta, leq
 from olsub.terms import JOIN, MEET
 
-from helpers import class_hierarchy_session, opaque, random_pnnf, random_term
+from helpers import (
+    class_hierarchy_session,
+    expand_json_refs,
+    expand_text_refs,
+    opaque,
+    plain_json,
+    plain_text,
+    proof_nodes,
+    random_pnnf,
+    random_term,
+)
 
 
 def _goal(s, t):
@@ -794,6 +804,45 @@ def test_verify_names_a_shared_broken_node_under_the_parent_popped_first(u):
     assert find_invalid_node(u, root) == "root.1.0"
 
 
+def test_verify_rejects_a_replace_that_cites_itself(u):
+    # A Replace node over {x^L, x^L} is its own premise; below a Replace to
+    # {x^L, y^R} it would "prove" the refuted x <= y. The node met again
+    # inside its own subtree is named.
+    x, y = u.var("x"), u.var("y")
+    loop = ProofTree(sequent(x, 0, x, 0), REPLACE, [])
+    loop.children.append(loop)
+    proof = ProofTree(sequent(x, 0, y, 1), REPLACE, [loop])
+    assert not check(u, x, y).provable
+    assert not verify_proof(u, proof)
+    assert find_invalid_node(u, proof) == "root.0.0"
+
+
+def test_verify_rejects_axiom_cuts_that_cite_each_other(u):
+    # Under List(a) <= F(b) and F(b) <= List(a), the AxiomCuts {x^L, F(b)^R}
+    # and {x^L, List(a)^R} each take the other as first premise and a Hyp
+    # as second: a cycle that would "prove" the refuted x <= F(b).
+    u.declare("List", "+")
+    u.declare("F", "+")
+    x, lst, f = u.var("x"), parse_term("List(a)", u), parse_term("F(b)", u)
+    axioms = [(lst, f), (f, lst)]
+    to_f = ProofTree(sequent(x, 0, f, 1), AXIOM_CUT, [], (lst, f))
+    to_list = ProofTree(sequent(x, 0, lst, 1), AXIOM_CUT, [to_f, _hyp(lst)], (f, lst))
+    to_f.children += [to_list, _hyp(f)]
+    assert not check(u, x, f, axioms).provable
+    assert not verify_proof(u, to_f, axioms)
+    assert find_invalid_node(u, to_f, axioms) == "root.0.0"
+
+
+def test_proof_repr_leaves_out_the_subtree(u):
+    # A proof 3,000 negations deep prints as its root alone; equality still
+    # compares children.
+    s, t = parse_query("~" * 3001 + "x <= y | ~y", u)
+    proof = check(u, s, t).proof()
+    assert repr(proof) == f"ProofTree(sequent={proof.sequent}, rule='LeftNot', aux=None)"
+    hyp = _hyp(u.var("x"))
+    assert _tree(s, "L", s, "R", REPLACE, [hyp]) != _tree(s, "L", s, "R", REPLACE, [_hyp(s)])
+
+
 def test_verify_interns_nothing(u):
     # A negation rule's premise is compared with what the rule leaves of
     # its principal term by structure, so checking a proof never grows the
@@ -846,11 +895,10 @@ def test_verify_shares_no_code_with_the_readers(u, monkeypatch):
     assert find_invalid_node(u, broken) == "root"
 
 
-def test_proof_nodes_carry_canonical_packed_sequents():
-    # Every node of a proof from either reader holds a packed sequent that
-    # `elements` decodes, L before R and then by term id, and `sequent`
-    # packs back; the sweep covers both phases of the order test and an
-    # engine proof through atom and compound axioms.
+def _sampled_proofs():
+    """(universe, [(proof, axioms)]) from both readers: random provable
+    queries covering both phases of the order test, and an engine proof
+    through atom and compound axioms, last."""
     rng = random.Random(7)
     u = TermUniverse()
     symbols = [u.declare("F", "+"), u.declare("G", "-+")]
@@ -873,14 +921,38 @@ def test_proof_nodes_carry_canonical_packed_sequents():
     verdict = check(u, s, t, axioms)
     assert verdict.provable
     proofs.append((verdict.proof(), axioms))
-    assert {AXIOM_CUT, F_RULE} <= {node.rule for node, _ in walk_proof(proofs[-1][0]) if node}
+    return u, proofs
+
+
+def test_proof_nodes_carry_canonical_packed_sequents():
+    # Every node of a proof from either reader holds a packed sequent that
+    # `elements` decodes, L before R and then by term id, and `sequent`
+    # packs back; the sweep covers both phases of the order test and an
+    # engine proof through atom and compound axioms.
+    u, proofs = _sampled_proofs()
+    assert {AXIOM_CUT, F_RULE} <= {node.rule for node in proof_nodes(proofs[-1][0])}
     for proof, given in proofs:
-        for node, _ in walk_proof(proof):
-            if node is not None:
-                a, b = elements(node.sequent)
-                assert sequent(*a, *b) == node.sequent
-                assert (a[1], a[0]) <= (b[1], b[0])
+        for node in proof_nodes(proof):
+            a, b = elements(node.sequent)
+            assert sequent(*a, *b) == node.sequent
+            assert (a[1], a[0]) <= (b[1], b[0])
         assert verify_proof(u, proof, given)
+
+
+def test_rendered_proofs_expand_to_their_trees():
+    # The same proofs, rendered in each format with their shared subproofs
+    # as references: expanding every reference gives the proof written as a
+    # tree, byte for byte.
+    u, proofs = _sampled_proofs()
+    shared = 0
+    for proof, _ in proofs:
+        rendered = render_proof(u, proof, None, True)
+        shared += '"ref"' in rendered
+        expanded = expand_json_refs(json.loads(rendered))
+        assert json.dumps(expanded) == json.dumps(plain_json(u, proof))
+        lines = render_proof(u, proof, None, False).split("\n")
+        assert expand_text_refs(lines) == plain_text(u, proof)
+    assert shared > 0
 
 
 def test_clause_count_bound(u):

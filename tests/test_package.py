@@ -182,6 +182,16 @@ def test_the_oracle_imports_no_decision_procedure():
         assert decision.isdisjoint(parts), f"oracle.py imports {'.'.join(parts)}"
 
 
+def test_the_decision_layer_does_not_render_proofs():
+    # `olsub.entail` decides queries and builds and checks proofs; writing a
+    # proof as text or JSON is `cli.render_proof`'s job, so `entail` imports
+    # neither the printer nor `json`, directly or inside a function.
+    imported = list(_imported_names(SRC / "entail.py"))
+    assert imported
+    for parts in imported:
+        assert "syntax" not in parts and "json" not in parts, f"entail.py imports {'.'.join(parts)}"
+
+
 def test_importing_the_package_does_not_load_the_oracle():
     # `import olsub` leaves the oracle unloaded and unexported; `from olsub
     # import oracle` still reaches it.
