@@ -28,7 +28,6 @@ calls.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -178,7 +177,7 @@ def cmd_check(args) -> int:
     if args.format == "json":
         payload = {
             "verdict": "provable" if provable else "not provable",
-            "stats": {**dataclasses.asdict(verdict.stats), "ms": round(elapsed_ms, 3)},
+            "stats": {**verdict.stats._asdict(), "ms": round(elapsed_ms, 3)},
         }
         text = json.dumps(payload)
         if proof is not None:

@@ -9,8 +9,7 @@ assumptions, which are out of reach of a ground entailment procedure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConflictingDeclaration, RecursiveDefinition, VarianceMismatch
 from .terms import (
@@ -27,8 +26,7 @@ from .terms import (
 FRESH_SUFFIX = "'"
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     """`name[params] <: bound` (kind 'upper') or `name[params] :> bound` ('lower')."""
 
     name: str

@@ -169,7 +169,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import normalize
 from .errors import EngineInterrupted, NotProvable, TermIdOverflow
@@ -252,21 +252,23 @@ _INVERTIBLE = {(JOIN, 0): LEFT_OR, (MEET, 1): RIGHT_AND}
 _PICK = {(MEET, 0): LEFT_AND, (JOIN, 1): RIGHT_OR}
 
 
-@dataclass
-class Stats:
+class Stats(NamedTuple):
     sequents: int  # expanded
     clauses: int
     steps: int
     derived: int
 
 
-@dataclass
 class Verdict:
     """A query's answer, what deciding it cost, and its proof on demand."""
 
-    provable: bool
-    stats: Stats
-    _reader: Callable[[], ProofTree] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("provable", "stats", "_reader")
+
+    def __init__(self, provable: bool, stats: Stats, reader: Callable[[], ProofTree] | None = None):
+        self.provable, self.stats, self._reader = provable, stats, reader
+
+    def __repr__(self) -> str:
+        return f"Verdict(provable={self.provable!r}, stats={self.stats!r})"
 
     def proof(self) -> ProofTree:
         """A cut-free proof of the query, read off the procedure that decided
@@ -276,15 +278,19 @@ class Verdict:
         return self._reader()
 
 
-@dataclass(slots=True)
 class ProofTree:
-    """One rule application. `aux` holds the F rule's symbol name or the
-    AxiomCut's axiom pair, and None for every other rule."""
+    """One rule application: the packed `sequent`, the `rule`, the premises'
+    proofs `children`, and `aux`, the F rule's symbol name or the AxiomCut's
+    axiom pair (None for every other rule). A node compares by identity and
+    its repr leaves out its children, so neither walks a deep proof."""
 
-    sequent: int  # packed: `sequent` builds it, `elements` reads it
-    rule: str
-    children: list["ProofTree"] = field(repr=False)  # so a deep proof's repr is its root alone
-    aux: object = None
+    __slots__ = ("sequent", "rule", "children", "aux")
+
+    def __init__(self, sequent: int, rule: str, children: list[ProofTree], aux: object = None):
+        self.sequent, self.rule, self.children, self.aux = sequent, rule, children, aux
+
+    def __repr__(self) -> str:
+        return f"ProofTree(sequent={self.sequent!r}, rule={self.rule!r}, aux={self.aux!r})"
 
 
 def _unnegated(u: TermUniverse, t: TermId) -> TermId | None:

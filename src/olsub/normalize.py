@@ -97,7 +97,7 @@ import functools
 import weakref
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NegationPresent
 from .terms import (
@@ -120,8 +120,7 @@ BL = "bl"
 OL = "ol"
 
 
-@dataclass(frozen=True)
-class NormalTerm:
+class NormalTerm(NamedTuple):
     term: TermId
     mode: str
 

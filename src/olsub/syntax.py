@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
 
@@ -50,11 +49,13 @@ from .terms import (
     Variance,
 )
 
-@dataclass
 class AxiomSet:
     """Ground inequalities `lhs <= rhs` over one universe."""
 
-    pairs: list[tuple[TermId, TermId]] = field(default_factory=list)
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: list[tuple[TermId, TermId]] | None = None):
+        self.pairs = [] if pairs is None else pairs
 
     def add(self, lhs: TermId, rhs: TermId) -> None:
         self.pairs.append((lhs, rhs))

@@ -9,7 +9,6 @@ carry negation without Not nodes while ordinary input keeps using Not.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
@@ -56,21 +55,19 @@ class Variance(Enum):
         return Variance.INVARIANT
 
 
-@dataclass(frozen=True)
 class SymbolDecl:
     """A declared constructor: name, arity and per-argument variance.
 
     `dual_of` is set only on generated dual symbols, whose variance list is
-    the argument-wise flip of the original's.
-    """
+    the argument-wise flip of the original's. Hot paths read its fields, so
+    it is a `__slots__` class, as `TermNode` is, and compares by identity."""
 
-    name: str
-    arity: int
-    variances: tuple[Variance, ...]
-    dual_of: str | None = None
+    __slots__ = ("name", "arity", "variances", "dual_of")
 
-    def __post_init__(self):
-        if self.arity != len(self.variances):
+    def __init__(self, name: str, arity: int, variances: tuple[Variance, ...],
+                 dual_of: str | None = None):
+        self.name, self.arity, self.variances, self.dual_of = name, arity, variances, dual_of
+        if arity != len(variances):
             raise ArityMismatch(
                 f"symbol {self.name}: arity {self.arity} != {len(self.variances)} variances"
             )

@@ -834,13 +834,27 @@ def test_verify_rejects_axiom_cuts_that_cite_each_other(u):
 
 
 def test_proof_repr_leaves_out_the_subtree(u):
-    # A proof 3,000 negations deep prints as its root alone; equality still
-    # compares children.
+    # A proof 3,000 negations deep prints as its root alone; two nodes
+    # compare by identity, whatever their children.
     s, t = parse_query("~" * 3001 + "x <= y | ~y", u)
     proof = check(u, s, t).proof()
     assert repr(proof) == f"ProofTree(sequent={proof.sequent}, rule='LeftNot', aux=None)"
     hyp = _hyp(u.var("x"))
     assert _tree(s, "L", s, "R", REPLACE, [hyp]) != _tree(s, "L", s, "R", REPLACE, [_hyp(s)])
+
+
+def test_proofs_compare_by_identity(u):
+    # Comparing two reads of one proof walks neither: a walk would exceed
+    # the recursion limit on the 301-deep proof, and the H^16 proof's 41
+    # distinct nodes unfold to a tree of 393,215.
+    u.declare("H", "o")
+    h16 = "H(" * 16, ")" * 16
+    for query in ("~" * 301 + "x <= y | ~y", "{0}a & b{1} <= {0}b & a{1}".format(*h16)):
+        s, t = parse_query(query, u)
+        first, second = check(u, s, t).proof(), check(u, s, t).proof()
+        assert first.sequent == second.sequent and first.rule == second.rule
+        assert first != second and not first == second
+        assert first == first
 
 
 def test_verify_interns_nothing(u):

@@ -1,7 +1,7 @@
 """The package's contract: every entry point of `olsub.__all__` and of the
 test oracle refuses what it cannot answer with a typed error, no product
-module imports the test oracle, and the oracle imports no decision
-procedure."""
+module imports the test oracle or `dataclasses`, and the oracle imports no
+decision procedure."""
 import ast
 import os
 import random
@@ -190,6 +190,29 @@ def test_the_decision_layer_does_not_render_proofs():
     assert imported
     for parts in imported:
         assert "syntax" not in parts and "json" not in parts, f"entail.py imports {'.'.join(parts)}"
+
+
+def test_importing_the_command_line_loads_no_code_generator():
+    # The records are plain classes and named tuples: `dataclasses` would
+    # load `inspect`, `ast`, `dis` and `tokenize` on every one-shot call.
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = f"import sys, olsub.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["[]"]
+
+
+def test_only_the_oracle_imports_dataclasses():
+    # `oracle` is test code and `import olsub` does not load it.
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for parts in _imported_names(path):
+            assert "dataclasses" not in parts, f"{path.name} imports {'.'.join(parts)}"
+        checked += 1
+    assert checked >= 8
 
 
 def test_importing_the_package_does_not_load_the_oracle():

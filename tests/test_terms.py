@@ -17,7 +17,7 @@ from olsub.errors import (
     UnknownVariance,
 )
 from olsub.normalize import delta
-from olsub.terms import APP, NEGVAR, NOT
+from olsub.terms import APP, NEGVAR, NOT, SymbolDecl
 
 from helpers import random_term
 
@@ -51,6 +51,17 @@ def test_constructors_refuse_unknown_variances_and_symbols(u):
         u.app("H", [u.var("x")])
     u.declare("H", "o")
     assert u.node(u.app("H", [u.var("x")])).name == "H"
+
+
+def test_a_declaration_checks_its_arity():
+    # A declaration built positionally outside any universe, as perfbench's
+    # workloads build theirs, refuses a variance list of another length.
+    # (One that fits applies and orders: see test_normalize's
+    # `test_order_test_reads_symbols_the_universe_never_declared`.)
+    with pytest.raises(ArityMismatch):
+        SymbolDecl("F", 2, (Variance.COVARIANT,))
+    f = SymbolDecl("F", 1, (Variance.COVARIANT,))
+    assert (f.name, f.arity, f.variances, f.dual_of) == ("F", 1, (Variance.COVARIANT,), None)
 
 
 def test_interning_laws(u):
