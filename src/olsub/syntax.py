@@ -77,7 +77,7 @@ class AxiomSet:
 # One token per match: blanks and `#` comments lead the match, and the group
 # holds the token. `.` takes a character that starts no token, and the empty
 # match at the end of the text stands for end of input.
-_TOKEN = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(<=|<:|:>|[&|~()\[\],=:+\n-]|[^\W\d][\w']*|.|\Z)")
+_TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(<=|<:|:>|[&|~()\[\],=:+\n-]|[^\W\d][\w']*|.|\Z)")
 
 # Every token that is not a name: punctuation, keywords, newline and end of input.
 _RESERVED = frozenset(
@@ -177,10 +177,10 @@ class _Parser:
         count before the bracket and, for an application, its arguments so
         far, name and position, so nesting depth is bounded by memory."""
         tokens, u = self.tokens, self.u
+        ids, symbols = u._ids, u.symbols  # a variable is keyed by its name
         pos = self.pos
         stack: list[tuple] = []
-        joins: list[TermId] = []
-        meets: list[TermId] = []
+        joins = meets = None  # the parts so far, made at the first operator
         while True:
             nots = 0
             tok = tokens[pos]
@@ -190,20 +190,22 @@ class _Parser:
                 tok = tokens[pos]
             at = pos
             pos += 1
-            if _is_name(tok):
+            if tok not in _RESERVED and (tok[0].isalpha() or tok[0] == "_"):  # a name
                 if tokens[pos] != "(":
-                    t = self.apply(tok, at, []) if tok in u.symbols else u.var(tok)
+                    t = self.apply(tok, at, []) if tok in symbols else ids.get(tok)
+                    if t is None:
+                        t = u.var(tok)
                 elif tokens[pos + 1] == ")":
                     pos += 2
                     t = self.apply(tok, at, [])
                 else:
                     pos += 1
                     stack.append((joins, meets, nots, [], tok, at))
-                    joins, meets = [], []
+                    joins = meets = None
                     continue
             elif tok == "(":
                 stack.append((joins, meets, nots, None, tok, at))
-                joins, meets = [], []
+                joins = meets = None
                 continue
             elif tok == "top":
                 t = u.top()
@@ -212,19 +214,27 @@ class _Parser:
             else:
                 raise self.unexpected("expected a term", at)
             while True:  # `t` completes an atom: close every meet, term and frame it ends
-                for _ in range(nots):
+                while nots:
                     t = u.neg(t)
-                meets.append(t)
+                    nots -= 1
                 tok = tokens[pos]
                 if tok == "&":
                     pos += 1
+                    meets = meets or []
+                    meets.append(t)
                     break
-                joins.append(meets[0] if len(meets) == 1 else u.meet(meets))
-                meets = []
+                if meets is not None:
+                    meets.append(t)
+                    t = u.meet(meets)
+                    meets = None
                 if tok == "|":
                     pos += 1
+                    joins = joins or []
+                    joins.append(t)
                     break
-                t = joins[0] if len(joins) == 1 else u.join(joins)
+                if joins is not None:
+                    joins.append(t)
+                    t = u.join(joins)
                 if not stack:
                     self.pos = pos
                     return t
@@ -234,7 +244,7 @@ class _Parser:
                     if tok == ",":
                         pos += 1
                         stack.append((joins, meets, nots, args, name, at))
-                        joins, meets = [], []
+                        joins = meets = None
                         break
                 if tok != ")":
                     raise self.unexpected("expected ')'", pos)

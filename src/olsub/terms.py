@@ -122,9 +122,11 @@ class TermUniverse:
     `contains_not` given such an id; `node` is the unchecked reader. Ids
     are plain integers, not tagged with their universe: an id from another
     universe that is in range here names this universe's term of that id,
-    and no check can tell it apart. Writes (interning, declarations) are
-    serialized behind a lock; after a build phase, ids, nodes and bits may
-    be read concurrently.
+    and no check can tell it apart. The id table keys a variable by its
+    name alone, a `str`, and every other node by the tuple `(kind, name,
+    children)`, so no two nodes share a key; `var` refuses any other name.
+    Writes (interning, declarations) are serialized behind a lock; after a
+    build phase, ids, nodes and bits may be read concurrently.
     """
 
     def __init__(self):
@@ -205,15 +207,17 @@ class TermUniverse:
         kind = _OPPOSITE.get(node.kind)
         if kind is None:
             raise NotALiteral(f"a {node.kind} term is not a literal and has no opposite")
-        return self._intern(kind, node.name, (), 1)
+        return self.var(node.name) if kind == VAR else self._intern(kind, node.name, (), 1)
 
     # ------------------------------------------------------------------
     # interning
 
     def _intern(self, kind: str, name: str | None, children: tuple[TermId, ...],
-                size: int, symbol: SymbolDecl | None = None) -> TermId:
+                size: int, symbol: SymbolDecl | None = None, key=None) -> TermId:
         """The id of the node `(kind, name, children)`; `size` is the node's own
-        count, to which its children's sizes are added.
+        count, to which its children's sizes are added. `key` is the node's
+        key in the table, handed over by a caller that has built it and
+        looked it up; a variable's key is its name, which `var` hands over.
 
         A hit is read without the lock and builds nothing. A miss takes the
         lock and looks again, refuses children the universe does not hold
@@ -221,38 +225,50 @@ class TermUniverse:
         whether it holds a NOT or any negation, and a pair of bit positions
         for a new variable or symbol base name) before publishing the id, so
         whoever reads an id finds its node and its bit positions."""
-        key = (kind, name, children)
-        tid = self._ids.get(key)
-        if tid is not None:
-            return tid
-        with self._lock:
-            tid = self._ids.get(key)
-            if tid is None:
-                tid = len(self._nodes)
+        ids = self._ids
+        if key is None:
+            key = (kind, name, children)
+            tid = ids.get(key)
+            if tid is not None:
+                return tid
+        self._lock.acquire()  # `with` costs about twice as much on this path
+        try:
+            tid = ids.get(key)
+            if tid is not None:
+                return tid
+            tid = len(self._nodes)
+            if children:
                 for c in children:
                     if not 0 <= c < tid:
                         self.require(c)  # raises TermIdOverflow
                     size += self._sizes[c]
-                if name is not None:  # a variable, negated variable or application
-                    bits, atom = ((self._var_bits, name) if symbol is None
-                                  else (self._symbol_bits, symbol.dual_of or name))
-                    if atom not in bits:
-                        bits[atom] = self._next_position
-                        self._next_position += 2
-                self._nodes.append(TermNode(kind, name, symbol, children))
-                self._sizes.append(size)
                 with_not, negated = self._with_not, self._negated
                 if kind == NOT or (with_not and not with_not.isdisjoint(children)):
                     with_not.add(tid)
                     negated.add(tid)
-                elif (kind == NEGVAR or (symbol is not None and symbol.dual_of is not None)
-                      or (negated and not negated.isdisjoint(children))):
+                elif negated and not negated.isdisjoint(children):
                     negated.add(tid)
-                self._ids[key] = tid
+            if kind == NEGVAR or (symbol is not None and symbol.dual_of is not None):
+                self._negated.add(tid)
+            if name is not None:  # a variable, negated variable or application
+                bits, atom = ((self._var_bits, name) if symbol is None
+                              else (self._symbol_bits, symbol.dual_of or name))
+                if atom not in bits:
+                    bits[atom] = self._next_position
+                    self._next_position += 2
+            self._nodes.append(TermNode(kind, name, symbol, children))
+            self._sizes.append(size)
+            ids[key] = tid
             return tid
+        finally:
+            self._lock.release()
 
     def var(self, name: str) -> TermId:
-        return self._intern(VAR, name, (), 1)
+        """The variable `name`; a name that is not a `str` raises `TypeError`."""
+        if type(name) is not str:
+            raise TypeError(f"a variable's name must be a str, got {name!r}")
+        tid = self._ids.get(name)
+        return self._intern(VAR, name, (), 1, None, name) if tid is None else tid
 
     def negvar(self, name: str) -> TermId:
         return self._intern(NEGVAR, name, (), 1)
@@ -270,7 +286,8 @@ class TermUniverse:
         children = tuple(children)
         # an interned node of this kind is flat, so `children` that are
         # already one's children name it; read without flattening
-        tid = self._ids.get((kind, None, children))
+        key = (kind, None, children)
+        tid = self._ids.get(key)
         if tid is not None:
             return tid
         n = len(self._nodes)
@@ -287,6 +304,8 @@ class TermUniverse:
             return self.top() if unit_kind == TOP else self.bot()
         if len(flat) == 1:
             return flat[0]
+        if len(flat) == len(children):  # nothing spliced: `key` is the node's
+            return self._intern(kind, None, children, len(flat) - 1, None, key)
         return self._intern(kind, None, tuple(flat), len(flat) - 1)
 
     def meet(self, children: Iterable[TermId]) -> TermId:

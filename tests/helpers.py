@@ -99,6 +99,43 @@ def opaque(u: TermUniverse, *terms):
     return [u.fold(t, memo, image) for t in terms]
 
 
+def reintern(u: TermUniverse, roots, into: TermUniverse) -> list:
+    """Intern into `into` every node under `roots`, in post-order: roots in
+    turn, children left to right before their parent, each node at its
+    first occurrence. The walk runs on an explicit stack, and `into` gets
+    `u`'s symbols as it meets them. Returns the images of `roots`."""
+    image: dict = {}
+    for root in roots:
+        stack = [(root, False)]
+        while stack:
+            t, ready = stack.pop()
+            if t in image:
+                continue
+            node = u.node(t)
+            if not ready:
+                stack.append((t, True))
+                stack.extend((c, False) for c in reversed(node.children))
+                continue
+            kids = [image[c] for c in node.children]
+            kind = node.kind
+            if kind in (VAR, NEGVAR):
+                image[t] = into.var(node.name) if kind == VAR else into.negvar(node.name)
+            elif kind in (TOP, BOT):
+                image[t] = into.top() if kind == TOP else into.bot()
+            elif kind == NOT:
+                image[t] = into.neg(kids[0])
+            elif kind in (MEET, JOIN):
+                image[t] = into.meet(kids) if kind == MEET else into.join(kids)
+            else:
+                image[t] = into.app(into.declare(node.name, node.symbol.variances), kids)
+    return [image[r] for r in roots]
+
+
+def node_list(u: TermUniverse) -> list:
+    """Every node of `u` as `(kind, name, children)`, in id order."""
+    return [(n.kind, n.name, n.children) for n in map(u.node, range(len(u)))]
+
+
 # ----------------------------------------------------------------------
 # random applications of the ortholattice laws, for canonicity chains
 

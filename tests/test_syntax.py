@@ -13,9 +13,10 @@ from olsub.errors import (
     UndeclaredSymbol,
 )
 from olsub import syntax
+from olsub.cli import sn_tn_source
 from olsub.normalize import delta
 
-from helpers import random_pnnf, random_term
+from helpers import class_hierarchy_session, node_list, random_pnnf, random_term, reintern
 
 
 def test_precedence(u):
@@ -310,3 +311,43 @@ def test_memoized_texts_are_the_rendered_ones():
     texts = "\n".join(first)
     for piece in ("top", "bot", "C()", "~C()", "~F(", "~G(", "~H(", "~(", "~x"):
         assert piece in texts, piece
+
+
+def _assert_parsed_in_post_order(parse):
+    """`parse(u)` reads texts into a fresh `u` and returns the terms read;
+    re-interning them in post-order into a second universe must give `u`'s
+    node list, so the parse handed out each id at that node's first
+    occurrence, after its children, left to right."""
+    u, again = TermUniverse(), TermUniverse()
+    roots = parse(u)
+    assert reintern(u, roots, again) == roots
+    assert node_list(again) == node_list(u)
+
+
+def test_a_parse_interns_in_post_order():
+    # Ids follow interning order, and the engine's same-side packing order
+    # and the proof text follow ids; this pins the order a parse interns in.
+    src = TermUniverse()
+    symbols = [src.declare("F", "+"), src.declare("G", "-+"), src.declare("H", "o")]
+    rng = random.Random(5)
+    texts = [print_term(src, random_term(src, rng, rng.randint(1, 25), ["x", "y", "z"], symbols))
+             for _ in range(300)]
+    joined = "\n".join(texts)
+    for piece in ("~", "F(", "G(", "H(", "top", "bot", "&", "|"):
+        assert piece in joined, piece
+
+    def parse_random(u):
+        for decl in symbols:
+            u.declare(decl.name, decl.variances)
+        return [parse_term(text, u) for text in texts]
+
+    _assert_parsed_in_post_order(parse_random)
+    query = sn_tn_source(8).splitlines()[0]
+    _assert_parsed_in_post_order(lambda u: list(parse_query(query, u)))
+    hierarchy, axioms, _ = class_hierarchy_session(3)
+    source = "".join(f"fun {d.name} : ({','.join(v.value for v in d.variances)})\n"
+                     for d in hierarchy.symbols.values())
+    source += "".join(f"{print_term(hierarchy, a)} <= {print_term(hierarchy, b)}\n"
+                      for a, b in axioms)
+    _assert_parsed_in_post_order(
+        lambda u: [t for pair in parse_source(source, u)[0] for t in pair])

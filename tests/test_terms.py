@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from olsub import TermUniverse, Variance, oracle, parse_term
+from olsub import TermUniverse, Variance, oracle, parse_query, parse_term, print_term
 from olsub.errors import (
     ArityMismatch,
     ConflictingDeclaration,
@@ -280,15 +280,15 @@ def _subshapes(shape, into):
         _subshapes(child, into)
 
 
-def _intern_together(u, shapes, workers=8):
-    """The ids each of `workers` threads gets for `shapes`; the threads start
-    together, in the same order, while the interpreter switches between them
-    as often as it can."""
+def _intern_together(u, shapes, workers=8, build=_build):
+    """The ids each of `workers` threads gets for `shapes`, each read by
+    `build(u, shape)`; the threads start together, in the same order, while
+    the interpreter switches between them as often as it can."""
     start = threading.Barrier(workers)
 
     def build_all():
         start.wait(timeout=60)
-        return [_build(u, shape) for shape in shapes]
+        return [build(u, shape) for shape in shapes]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -322,6 +322,53 @@ def test_concurrent_interning_agrees():
             _subshapes(shape, parts)
             holds_not = any(kind == "not" for kind, _ in parts)
             assert u.contains_not(t) == holds_not and u.plain(t) == (not holds_not)
+
+
+def _parsing_texts(rng, count):
+    """Texts over repeated names and names fresh to each text, with `~`,
+    applications and operands that flatten."""
+    out = []
+    for i in range(count):
+        a, b, c = (rng.choice("xyz") for _ in range(3))
+        fresh = [f"{name}{i}" for name in ("p", "q")]
+        out.append(rng.choice([
+            f"{a} & ({b} & {fresh[0]})",
+            f"(~{a} | {fresh[0]}) | ({b} | ~~{c})",
+            f"F({a} & ~{fresh[1]}) | G({fresh[0]}, {b} | {c})",
+            f"~({a} & {b}) & {fresh[0]} & (F({c}) & {fresh[1]})",
+            f"G(F({a}), ~{b}) & (top | {fresh[1]}) <= {fresh[0]} | bot",
+        ]))
+    return out
+
+
+def test_concurrent_parsing_agrees():
+    # Threads reading the same texts into one universe race on every name's
+    # miss and on the flattened nodes; each must get the one node of a term.
+    def parse(u, text):
+        return parse_query(text, u) if "<=" in text else (parse_term(text, u),)
+
+    for seed in range(6):
+        texts = _parsing_texts(random.Random(seed), 150)
+        u, alone = TermUniverse(), TermUniverse()
+        for universe in (u, alone):
+            universe.declare("F", "+")
+            universe.declare("G", "-+")
+        ids = _intern_together(u, texts, build=parse)
+        assert all(got == ids[0] for got in ids)
+        single = [parse(alone, text) for text in texts]
+        assert len(u) == len(alone)
+        assert ([[print_term(u, t) for t in got] for got in ids[0]]
+                == [[print_term(alone, t) for t in got] for got in single])
+
+
+def test_a_variable_name_is_a_str(u):
+    # A variable is keyed by its name alone; the key of another node, or any
+    # name that is not a str, must not read as a variable.
+    m = u.meet([u.var("x"), u.var("y")])
+    for name in (("meet", None, u.node(m).children), m, None, ("var", "x", ())):
+        with pytest.raises(TypeError):
+            u.var(name)
+    assert u.var("x") == 0 and len(u) == 3
 
 
 def test_naming_many_variables_takes_memory_in_proportion(u):
